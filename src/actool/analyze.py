@@ -48,18 +48,17 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
         case.element(element_id)
         changed_pairs.add((case_id, element_id))
 
-    reverse: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for case in bundle.cases():
-        for edge in case.edges:
-            reverse.setdefault((case.id, edge.target), []).append((case.id, edge.source))
+    referrers: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for source, target in resolved.resolutions.items():
-        reverse.setdefault(target, []).append(source)
+        referrers.setdefault(target, []).append(source)
 
     affected: set[tuple[str, str]] = set(changed_pairs)
     frontier = list(changed_pairs)
     while frontier:
         node = frontier.pop()
-        for parent in reverse.get(node, ()):
+        case_id, element_id = node
+        parents = [(case_id, edge.source) for edge in cases[case_id].in_edges(element_id)]
+        for parent in parents + referrers.get(node, []):
             if parent not in affected:
                 affected.add(parent)
                 frontier.append(parent)
@@ -136,28 +135,35 @@ class BundleMetrics:
 
 
 def _supported_by_depth(case: AssuranceCase) -> int:
-    """Longest supportedBy path, counted in nodes; back edges are ignored."""
-    adjacency: dict[str, list[str]] = {}
-    for edge in case.edges:
-        if edge.kind is EdgeKind.SUPPORTED_BY and case.has_element(edge.source) and case.has_element(edge.target):
-            adjacency.setdefault(edge.source, []).append(edge.target)
+    """Longest supportedBy path, counted in nodes; back edges are ignored.
+
+    Depth-first from each element in declaration order, with an explicit
+    stack so that chain length is not bounded by the recursion limit.
+    """
     memo: dict[str, int] = {}
-    on_path: set[str] = set()
-
-    def depth_of(node: str) -> int:
-        if node in memo:
-            return memo[node]
-        on_path.add(node)
-        best = 0
-        for target in adjacency.get(node, ()):
-            if target in on_path:
-                continue  # back edge in a cyclic case; G2 reports the cycle
-            best = max(best, depth_of(target))
-        on_path.discard(node)
-        memo[node] = best + 1
-        return memo[node]
-
-    return max((depth_of(element.id) for element in case.elements), default=0)
+    for element in case.elements:
+        if element.id in memo:
+            continue
+        on_path = {element.id}
+        stack = [(element.id, 0)]
+        while stack:
+            node, index = stack[-1]
+            edges = case.out_edges(node)
+            if index < len(edges):
+                stack[-1] = (node, index + 1)
+                edge = edges[index]
+                if edge.kind is EdgeKind.SUPPORTED_BY and edge.target not in on_path and edge.target not in memo:
+                    on_path.add(edge.target)
+                    stack.append((edge.target, 0))
+            else:
+                stack.pop()
+                # targets still on the path are back edges of a cycle; G2 reports it
+                memo[node] = 1 + max(
+                    (memo[e.target] for e in edges if e.kind is EdgeKind.SUPPORTED_BY and e.target not in on_path),
+                    default=0,
+                )
+                on_path.discard(node)
+    return max(memo.values(), default=0)
 
 
 def case_metrics(case: AssuranceCase) -> CaseMetrics:

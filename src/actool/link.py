@@ -54,20 +54,13 @@ def resolve_links(bundle: Bundle) -> tuple[ResolvedBundle | None, list[Diagnosti
 
 def _reachable(case: AssuranceCase, start: str) -> list[str]:
     """Ids reachable from `start` over both edge kinds, in BFS declaration order."""
-    adjacency: dict[str, list[str]] = {}
-    for edge in case.edges:
-        if case.has_element(edge.source) and case.has_element(edge.target):
-            adjacency.setdefault(edge.source, []).append(edge.target)
     order = [start]
     seen = {start}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        for target in adjacency.get(node, ()):
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
+    for node in order:  # `order` doubles as the BFS queue; appends extend this loop
+        for edge in case.out_edges(node):
+            if edge.target not in seen:
+                seen.add(edge.target)
+                order.append(edge.target)
     return order
 
 
@@ -126,9 +119,10 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
             if original.kind is ElementKind.CLAIM:
                 copied = replace(copied, is_root=False)
             elements.append(copied)
-        for edge in tac.edges:
-            if edge.source in names and edge.target in names:
-                edges.append(Edge(names[edge.source], names[edge.target], edge.kind, edge.span))
+        # the subtree is closed under out-edges, so every target has a name
+        for node in subtree:
+            for edge in tac.out_edges(node):
+                edges.append(Edge(names[node], names[edge.target], edge.kind, edge.span))
         edges.append(Edge(away.id, names[target_id], EdgeKind.SUPPORTED_BY, away.span))
 
     return AssuranceCase(

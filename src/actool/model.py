@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Iterable
+from operator import attrgetter
 
 ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
@@ -157,11 +157,16 @@ class Capability:
 class AssuranceCase:
     """One parsed assurance case.
 
-    Element ids are unique within the case; the association to a
-    technological case is only carried by clinical cases. Rule-level
+    Element ids are unique within the case, and every edge names two
+    existing elements (the parser drops the others as P2); the association
+    to a technological case is only carried by clinical cases. Rule-level
     constraints (single root, acyclicity, edge typing, capability placement)
     are deliberately not enforced here — they are reported as diagnostics by
     the validator so that partially authored cases remain representable.
+
+    `out_edges` and `in_edges` answer adjacency queries from an index of
+    the edges by endpoint, each half built on its first query, so that
+    parse-only paths never pay for it.
     """
 
     id: str
@@ -172,6 +177,8 @@ class AssuranceCase:
     associated_tac: str | None = None
     span: SourceSpan = UNKNOWN_SPAN
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _out_edges: dict | None = field(init=False, repr=False, compare=False)
+    _in_edges: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_id(self.id, "case id")
@@ -185,7 +192,13 @@ class AssuranceCase:
             by_id[element.id] = element
         if self.associated_tac is not None and self.kind is not CaseKind.CLINICAL:
             raise ValueError(f"only a clinical case may associate a technological case ({self.id!r})")
+        for edge in self.edges:
+            if edge.source not in by_id or edge.target not in by_id:
+                missing = edge.target if edge.source in by_id else edge.source
+                raise ValueError(f"edge references unknown element {missing!r} in case {self.id!r}")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_out_edges", None)
+        object.__setattr__(self, "_in_edges", None)
 
     def element(self, element_id: str) -> Element:
         try:
@@ -198,6 +211,27 @@ class AssuranceCase:
 
     def has_element(self, element_id: str) -> bool:
         return element_id in self._by_id
+
+    def out_edges(self, element_id: str) -> tuple[Edge, ...]:
+        """Edges whose source is the element, in declaration order."""
+        if self._out_edges is None:
+            object.__setattr__(self, "_out_edges", _group_edges(self.edges, attrgetter("source")))
+        return self._out_edges.get(element_id, ())
+
+    def in_edges(self, element_id: str) -> tuple[Edge, ...]:
+        """Edges whose target is the element, in declaration order."""
+        if self._in_edges is None:
+            object.__setattr__(self, "_in_edges", _group_edges(self.edges, attrgetter("target")))
+        return self._in_edges.get(element_id, ())
+
+
+def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...]]:
+    """Edges keyed by `endpoint(edge)`, in declaration order. Two threads
+    that race to build the same index build equal maps, so either may win."""
+    groups: dict[str, list[Edge]] = {}
+    for edge in edges:
+        groups.setdefault(endpoint(edge), []).append(edge)
+    return {node: tuple(group) for node, group in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -234,33 +268,30 @@ class Bundle:
 def children(case: AssuranceCase, node: str, kind: EdgeKind) -> list[str]:
     """Targets of the node's outgoing edges of the given kind, in declaration order."""
     case.element(node)
-    return [edge.target for edge in case.edges if edge.source == node and edge.kind is kind]
+    return [edge.target for edge in case.out_edges(node) if edge.kind is kind]
 
 
 def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
     """Find one cycle in the supportedBy subgraph, as [n0, n1, ..., n0]; None if acyclic."""
-    adjacency: dict[str, list[str]] = {e.id: [] for e in case.elements}
-    for edge in case.edges:
-        if edge.kind is EdgeKind.SUPPORTED_BY and edge.source in adjacency:
-            adjacency[edge.source].append(edge.target)
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-    for start in adjacency:
+    color = {element.id: WHITE for element in case.elements}
+    for start in color:
         if color[start] != WHITE:
             continue
         path: list[str] = []
         stack: list[tuple[str, int]] = [(start, 0)]
         while stack:
-            node, next_child = stack[-1]
-            if next_child == 0:
+            node, next_edge = stack[-1]
+            if next_edge == 0:
                 color[node] = GRAY
                 path.append(node)
-            targets = adjacency.get(node, ())
-            if next_child < len(targets):
-                stack[-1] = (node, next_child + 1)
-                child = targets[next_child]
-                if child not in color:
-                    continue  # dangling endpoint; P2's concern, not a cycle
+            edges = case.out_edges(node)
+            if next_edge < len(edges):
+                stack[-1] = (node, next_edge + 1)
+                edge = edges[next_edge]
+                if edge.kind is not EdgeKind.SUPPORTED_BY:
+                    continue
+                child = edge.target
                 if color[child] == GRAY:
                     return path[path.index(child):] + [child]
                 if color[child] == WHITE:
@@ -282,18 +313,14 @@ def ancestors(case: AssuranceCase, node: str) -> set[str]:
     cycle = supported_by_cycle(case)
     if cycle is not None:
         raise CycleError(cycle)
-    reverse: dict[str, list[str]] = {}
-    for edge in case.edges:
-        if edge.kind is EdgeKind.SUPPORTED_BY:
-            reverse.setdefault(edge.target, []).append(edge.source)
     seen: set[str] = set()
     frontier = [node]
     while frontier:
         current = frontier.pop()
-        for parent in reverse.get(current, ()):
-            if parent not in seen:
-                seen.add(parent)
-                frontier.append(parent)
+        for edge in case.in_edges(current):
+            if edge.kind is EdgeKind.SUPPORTED_BY and edge.source not in seen:
+                seen.add(edge.source)
+                frontier.append(edge.source)
     seen.discard(node)
     return seen
 
@@ -350,7 +377,3 @@ def canonicalize(case: AssuranceCase) -> str:
             f"{format_decimal(cap.low)} {format_decimal(cap.high)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def elements_of_kind(case: AssuranceCase, kind: ElementKind) -> Iterable[Element]:
-    return (element for element in case.elements if element.kind is kind)

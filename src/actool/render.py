@@ -90,21 +90,17 @@ def _edge_line(source: str, target: str, kind: EdgeKind) -> str:
 
 def _hidden_by_modules(case: AssuranceCase) -> set[str]:
     """Elements strictly beneath module claims, over both edge kinds."""
-    adjacency: dict[str, list[str]] = {}
-    for edge in case.edges:
-        if case.has_element(edge.source) and case.has_element(edge.target):
-            adjacency.setdefault(edge.source, []).append(edge.target)
     hidden: set[str] = set()
     for element in case.elements:
         if not element.is_module:
             continue
-        frontier = list(adjacency.get(element.id, ()))
+        frontier = [edge.target for edge in case.out_edges(element.id)]
         while frontier:
             node = frontier.pop()
             if node in hidden:
                 continue
             hidden.add(node)
-            frontier.extend(adjacency.get(node, ()))
+            frontier.extend(edge.target for edge in case.out_edges(node))
     hidden -= {element.id for element in case.elements if element.is_module}
     return hidden
 

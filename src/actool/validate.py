@@ -60,23 +60,17 @@ def is_leaf_claim(case: AssuranceCase, element: Element) -> bool:
     """A claim with no supportedBy edge to another claim or strategy."""
     if element.kind is not ElementKind.CLAIM:
         return False
-    for edge in case.edges:
-        if edge.source != element.id or edge.kind is not EdgeKind.SUPPORTED_BY:
-            continue
-        target = case.find(edge.target)
-        if target is not None and target.kind in SUPPORT_SOURCES:
-            return False
-    return True
+    return not any(
+        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind in SUPPORT_SOURCES
+        for edge in case.out_edges(element.id)
+    )
 
 
 def has_evidence_support(case: AssuranceCase, element: Element) -> bool:
-    for edge in case.edges:
-        if edge.source != element.id or edge.kind is not EdgeKind.SUPPORTED_BY:
-            continue
-        target = case.find(edge.target)
-        if target is not None and target.kind is ElementKind.EVIDENCE:
-            return True
-    return False
+    return any(
+        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind is ElementKind.EVIDENCE
+        for edge in case.out_edges(element.id)
+    )
 
 
 def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[Diagnostic]:
@@ -112,13 +106,8 @@ def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[D
         )
 
     for edge in case.edges:
-        source = case.find(edge.source)
-        target = case.find(edge.target)
-        rule = "G3" if edge.kind is EdgeKind.SUPPORTED_BY else "G4"
-        if source is None or target is None:
-            missing = edge.source if source is None else edge.target
-            diagnostics.append(_error(rule, edge.span, f"edge references unknown element {missing!r}"))
-            continue
+        source = case.element(edge.source)
+        target = case.element(edge.target)
         if edge.kind is EdgeKind.SUPPORTED_BY:
             if source.kind not in SUPPORT_SOURCES:
                 diagnostics.append(
@@ -185,15 +174,12 @@ def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[D
     if len(roots) == 1:
         reachable = {roots[0].id}
         frontier = [roots[0].id]
-        adjacency: dict[str, list[str]] = {}
-        for edge in case.edges:
-            adjacency.setdefault(edge.source, []).append(edge.target)
         while frontier:
             node = frontier.pop()
-            for target in adjacency.get(node, ()):
-                if target not in reachable and case.has_element(target):
-                    reachable.add(target)
-                    frontier.append(target)
+            for edge in case.out_edges(node):
+                if edge.target not in reachable:
+                    reachable.add(edge.target)
+                    frontier.append(edge.target)
         for element in case.elements:
             if element.id not in reachable:
                 diagnostics.append(
@@ -207,10 +193,7 @@ def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[D
 
     for element in case.elements:
         if element.kind is ElementKind.STRATEGY:
-            supported = any(
-                edge.source == element.id and edge.kind is EdgeKind.SUPPORTED_BY
-                for edge in case.edges
-            )
+            supported = any(edge.kind is EdgeKind.SUPPORTED_BY for edge in case.out_edges(element.id))
             if not supported:
                 diagnostics.append(
                     _error(
@@ -440,14 +423,10 @@ def validate_bundle(bundle: Bundle, units: UnitTable | None = None) -> list[Diag
         for element in cac.elements:
             if element.away_ref is None:
                 continue
-            documented = False
-            for edge in cac.edges:
-                if edge.source != element.id or edge.kind is not EdgeKind.IN_CONTEXT_OF:
-                    continue
-                target = cac.find(edge.target)
-                if target is not None and target.kind is ElementKind.CONTEXT:
-                    documented = True
-                    break
+            documented = any(
+                edge.kind is EdgeKind.IN_CONTEXT_OF and cac.element(edge.target).kind is ElementKind.CONTEXT
+                for edge in cac.out_edges(element.id)
+            )
             if not documented:
                 diagnostics.append(
                     _error(
@@ -458,16 +437,8 @@ def validate_bundle(bundle: Bundle, units: UnitTable | None = None) -> list[Diag
                     )
                 )
 
-    provided = _known_units(
-        [c for c in tac.capabilities if c.direction is Direction.PROVIDED], units
-    )
-    for cac in bundle.cacs:
-        required = _known_units(
-            [c for c in cac.capabilities if c.direction is Direction.REQUIRED], units
-        )
-        for result in match_capabilities(required, provided, units):
-            if result.status is MatchStatus.SATISFIED:
-                continue
+    for _, result in bundle_match_results(bundle, units):
+        if result.status is not MatchStatus.SATISFIED:
             req = result.required
             diagnostics.append(
                 _error(

@@ -285,6 +285,105 @@ def brute_ancestors(case: AssuranceCase, node: str) -> set[str]:
     return result
 
 
+def brute_reachable(case: AssuranceCase, start: str, kinds=tuple(EdgeKind)) -> set[str]:
+    """Ids reachable from `start` (inclusive) over edges of the given kinds,
+    rescanning the whole edge list at every step."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for edge in case.edges:
+            if edge.source == node and edge.kind in kinds and edge.target not in seen:
+                seen.add(edge.target)
+                stack.append(edge.target)
+    return seen
+
+
+def _kind_of(case: AssuranceCase, element_id: str) -> ElementKind:
+    return next(e.kind for e in case.elements if e.id == element_id)
+
+
+def _supported_kinds(case: AssuranceCase, element_id: str) -> set[ElementKind]:
+    return {
+        _kind_of(case, edge.target)
+        for edge in case.edges
+        if edge.source == element_id and edge.kind is EdgeKind.SUPPORTED_BY
+    }
+
+
+def brute_leaf_claims(case: AssuranceCase) -> set[str]:
+    """Claims with no supportedBy edge to a claim or strategy."""
+    return {
+        e.id
+        for e in case.elements
+        if e.kind is ElementKind.CLAIM
+        and not _supported_kinds(case, e.id) & {ElementKind.CLAIM, ElementKind.STRATEGY}
+    }
+
+
+def brute_evidence_coverage(case: AssuranceCase) -> float:
+    leaves = brute_leaf_claims(case)
+    if not leaves:
+        return 1.0
+    covered = [leaf for leaf in leaves if ElementKind.EVIDENCE in _supported_kinds(case, leaf)]
+    return len(covered) / len(leaves)
+
+
+def brute_g5(case: AssuranceCase) -> set[str]:
+    leaves = brute_leaf_claims(case)
+    return {
+        e.id
+        for e in case.elements
+        if e.id in leaves
+        and ElementKind.EVIDENCE not in _supported_kinds(case, e.id)
+        and not e.is_undeveloped
+        and e.away_ref is None
+    }
+
+
+def brute_g6(case: AssuranceCase) -> set[str]:
+    roots = [e.id for e in case.elements if e.is_root]
+    if len(roots) != 1:
+        return set()
+    return {e.id for e in case.elements} - brute_reachable(case, roots[0])
+
+
+def brute_g7(case: AssuranceCase) -> set[str]:
+    return {
+        e.id
+        for e in case.elements
+        if e.kind is ElementKind.STRATEGY
+        and not any(edge.source == e.id and edge.kind is EdgeKind.SUPPORTED_BY for edge in case.edges)
+    }
+
+
+def brute_s3(bundle: Bundle) -> set[tuple[str, str]]:
+    """Away-claims without an inContextOf edge to a context element."""
+    return {
+        (cac.id, e.id)
+        for cac in bundle.cacs
+        for e in cac.elements
+        if e.away_ref is not None
+        and not any(
+            edge.source == e.id
+            and edge.kind is EdgeKind.IN_CONTEXT_OF
+            and _kind_of(cac, edge.target) is ElementKind.CONTEXT
+            for edge in cac.edges
+        )
+    }
+
+
+def brute_acyclic_depth(case: AssuranceCase) -> int:
+    """Longest supportedBy path in nodes, by |V| rounds of relaxation over
+    the edge list; only meaningful when the supportedBy graph is acyclic."""
+    depth = {e.id: 1 for e in case.elements}
+    for _ in range(len(depth)):
+        for edge in case.edges:
+            if edge.kind is EdgeKind.SUPPORTED_BY:
+                depth[edge.source] = max(depth[edge.source], depth[edge.target] + 1)
+    return max(depth.values(), default=0)
+
+
 def brute_has_supported_by_cycle(case: AssuranceCase) -> bool:
     """Closed-walk detection: boolean adjacency powers up to |V|."""
     ids = [e.id for e in case.elements]

@@ -1,16 +1,22 @@
+import json
 import random
+import sys
 
 import pytest
 
 from actool.analyze import bundle_metrics, case_metrics, impact, metrics
+from actool.cli import run
 from actool.link import resolve_links
 from actool.model import (
     AssuranceCase,
     CaseKind,
+    Edge,
+    EdgeKind,
     Element,
     ElementKind,
     UnknownElementError,
 )
+from actool.parser import print_case
 
 import helpers
 
@@ -150,3 +156,19 @@ def test_metrics_invariant_under_reordering(tac_case):
 def test_metrics_dispatcher(corpus_bundle, tac_case):
     assert metrics(corpus_bundle) == bundle_metrics(corpus_bundle)
     assert metrics(tac_case) == case_metrics(tac_case)
+
+
+def test_metrics_chain_deeper_than_recursion_limit(tmp_path, capsys):
+    length = 5000
+    assert length > sys.getrecursionlimit()
+    ids = [f"C{i}" for i in range(length)] + ["E"]
+    elements = [Element(node, ElementKind.CLAIM, "c", is_root=node == "C0") for node in ids[:-1]]
+    elements.append(Element("E", ElementKind.EVIDENCE, "e"))
+    edges = [Edge(a, b, EdgeKind.SUPPORTED_BY) for a, b in zip(ids, ids[1:])]
+    chain = AssuranceCase("CHAIN", CaseKind.MONOLITHIC, tuple(elements), tuple(edges))
+    m = case_metrics(chain)
+    assert (m.depth, m.evidence_coverage) == (length + 1, 1.0)
+    path = tmp_path / "chain.acd"
+    path.write_text(print_case(chain), encoding="utf-8")
+    assert run(["metrics", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"]["depth"] == length + 1

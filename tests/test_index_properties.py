@@ -1,0 +1,120 @@
+"""Property tests: the edge-indexed passes agree with brute-force scans of the
+edge list (the oracles in helpers) on random cases of up to 40 elements with
+random kinds, flags and edges, cycles and self-loops included."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from actool.analyze import case_metrics
+from actool.link import subtree_size
+from actool.model import (
+    AssuranceCase,
+    Bundle,
+    CaseKind,
+    Edge,
+    EdgeKind,
+    Element,
+    ElementKind,
+    ancestors,
+    children,
+)
+from actool.validate import validate_bundle, validate_case
+
+import helpers
+
+PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
+
+
+@st.composite
+def cases(draw, case_id="H", kind=CaseKind.MONOLITHIC, away_case="T", acyclic=False):
+    """A model-valid case; with `acyclic`, supportedBy edges only point to
+    later elements."""
+    n = draw(st.integers(1, 40))
+    roots = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    elements = []
+    for i in range(n):
+        element_kind = draw(st.sampled_from(ElementKind))
+        is_claim = element_kind is ElementKind.CLAIM
+        undeveloped = is_claim and draw(st.booleans())
+        away = None
+        if undeveloped and draw(st.booleans()):
+            away = (away_case, f"N{draw(st.integers(0, 39))}")
+        elements.append(
+            Element(
+                f"N{i}",
+                element_kind,
+                "",
+                is_root=is_claim and i in roots,
+                is_undeveloped=undeveloped,
+                is_module=is_claim and draw(st.booleans()),
+                away_ref=away,
+            )
+        )
+    triples = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(EdgeKind)),
+            max_size=2 * n,
+        )
+    )
+    edges = tuple(
+        Edge(f"N{a}", f"N{b}", edge_kind)
+        for a, b, edge_kind in triples
+        if not (acyclic and edge_kind is EdgeKind.SUPPORTED_BY and a >= b)
+    )
+    return AssuranceCase(
+        id=case_id,
+        kind=kind,
+        elements=tuple(elements),
+        edges=edges,
+        associated_tac="TAC" if kind is CaseKind.CLINICAL else None,
+    )
+
+
+@st.composite
+def bundles(draw):
+    tac = draw(cases(case_id="TAC", kind=CaseKind.TECHNOLOGICAL))
+    count = draw(st.integers(1, 3))
+    cacs = tuple(
+        draw(cases(case_id=f"CAC-{i}", kind=CaseKind.CLINICAL, away_case="TAC")) for i in range(count)
+    )
+    return Bundle(tac, cacs)
+
+
+def findings(diagnostics, rule: str) -> set:
+    return {d.elements[0] for d in diagnostics if d.rule_id == rule}
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_children_and_subtree_size_match_edge_scans(case):
+    for element in case.elements:
+        for kind in EdgeKind:
+            assert children(case, element.id, kind) == helpers.brute_children(case, element.id, kind)
+        assert subtree_size(case, element.id) == len(helpers.brute_reachable(case, element.id))
+
+
+@PROPERTY_SETTINGS
+@given(cases(acyclic=True))
+def test_ancestors_and_depth_match_edge_scans_on_acyclic_cases(case):
+    supported_by = (EdgeKind.SUPPORTED_BY,)
+    below = {e.id: helpers.brute_reachable(case, e.id, supported_by) for e in case.elements}
+    for element in case.elements:
+        expected = {other for other, reached in below.items() if other != element.id and element.id in reached}
+        assert ancestors(case, element.id) == expected
+    assert case_metrics(case).depth == helpers.brute_acyclic_depth(case)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_g5_g6_g7_and_coverage_match_edge_scans(case):
+    diagnostics = validate_case(case)
+    assert findings(diagnostics, "G5") == {(case.id, node) for node in helpers.brute_g5(case)}
+    assert findings(diagnostics, "G6") == {(case.id, node) for node in helpers.brute_g6(case)}
+    assert findings(diagnostics, "G7") == {(case.id, node) for node in helpers.brute_g7(case)}
+    assert case_metrics(case).evidence_coverage == helpers.brute_evidence_coverage(case)
+
+
+@PROPERTY_SETTINGS
+@given(bundles())
+def test_s3_matches_edge_scan(bundle):
+    assert findings(validate_bundle(bundle), "S3") == helpers.brute_s3(bundle)

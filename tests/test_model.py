@@ -158,6 +158,12 @@ def test_duplicate_element_ids_rejected():
         AssuranceCase("X", CaseKind.MONOLITHIC, (claim("A"), claim("A")))
 
 
+def test_dangling_edge_rejected():
+    for source, target in (("A", "GHOST"), ("GHOST", "A")):
+        with pytest.raises(ValueError, match="unknown element 'GHOST'"):
+            AssuranceCase("X", CaseKind.MONOLITHIC, (claim("A"),), (Edge(source, target, EdgeKind.SUPPORTED_BY),))
+
+
 def test_bundle_shape_enforced(tac_case, cac_case):
     from actool.model import Bundle
 
