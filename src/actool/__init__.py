@@ -29,7 +29,6 @@ from .model import (
     SourceSpan,
     UnknownElementError,
     ancestors,
-    canonicalize,
     children,
     format_decimal,
     supported_by_cycle,

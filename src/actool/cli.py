@@ -34,7 +34,7 @@ class _Failure(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -84,7 +84,10 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _Failure(f"cannot write {out!r}: {exc}") from exc
 
 
 def _parse_pairs(spec: str, default_case: str | None = None) -> list[tuple[str, str]]:
@@ -114,7 +117,8 @@ def _cmd_validate(args: argparse.Namespace, units: UnitTable) -> int:
             for case in bundle.cases():
                 diagnostics.extend(validate_case(case, units))
             diagnostics.extend(validate_bundle(bundle, units))
-            capabilities = bundle_match_results(bundle, units)
+            if args.json:
+                capabilities = bundle_match_results(bundle, units)
     else:
         case, diagnostics = _load_case(args.file)
         if case is not None:

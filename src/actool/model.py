@@ -11,10 +11,9 @@ is a pure function of its inputs and safe for concurrent use.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Context, Decimal
 from enum import Enum
 from operator import attrgetter
 
@@ -326,54 +325,8 @@ def ancestors(case: AssuranceCase, node: str) -> set[str]:
 
 
 def format_decimal(value: Decimal) -> str:
-    """Plain decimal text: no exponent, no trailing fractional zeros, -0 folded to 0."""
+    """Plain decimal text: no exponent, no trailing fractional zeros, -0 folded
+    to 0, and every significant digit kept."""
     if value == 0:
         return "0"
-    return format(value.normalize(), "f")
-
-
-def _element_line(element: Element) -> str:
-    flags = [
-        name
-        for present, name in (
-            (element.is_root, "root"),
-            (element.is_public, "public"),
-            (element.is_undeveloped, "undeveloped"),
-            (element.is_module, "module"),
-        )
-        if present
-    ]
-    concern = element.concern.value if element.concern else "-"
-    away = f"{element.away_ref[0]}.{element.away_ref[1]}" if element.away_ref else "-"
-    return " ".join(
-        [
-            "element",
-            element.id,
-            element.kind.value,
-            ",".join(flags) if flags else "-",
-            concern,
-            away,
-            json.dumps(element.statement, ensure_ascii=False),
-        ]
-    )
-
-
-def canonicalize(case: AssuranceCase) -> str:
-    """Deterministic structural serialization.
-
-    Elements are sorted by id, edges by (source, kind, target), capabilities
-    by (direction, name); spans are not serialized. Two cases are
-    structurally identical exactly when their canonical texts are byte-equal.
-    """
-    lines = [f"case {case.id} {case.kind.value}"]
-    lines.append(f"associates {case.associated_tac if case.associated_tac else '-'}")
-    for element in sorted(case.elements, key=lambda e: e.id):
-        lines.append(_element_line(element))
-    for edge in sorted(case.edges, key=lambda e: (e.source, e.kind.value, e.target)):
-        lines.append(f"edge {edge.source} {edge.kind.value} {edge.target}")
-    for cap in sorted(case.capabilities, key=lambda c: (c.direction.value, c.name, c.unit, c.low, c.high)):
-        lines.append(
-            f"capability {cap.direction.value} {cap.name} {cap.unit} "
-            f"{format_decimal(cap.low)} {format_decimal(cap.high)}"
-        )
-    return "\n".join(lines) + "\n"
+    return format(value.normalize(Context(prec=len(value.as_tuple().digits))), "f")

@@ -14,8 +14,9 @@ invariants.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Callable
 
@@ -55,123 +56,56 @@ class _Token:
     value: object = None
 
 
-def _is_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
+_TOKEN_PATTERN = re.compile(
+    r"(?P<skip>[ \t\r]+|//[^\n]*)|(?P<break>[\n;])|(?P<punct>[{}\[\],.])"
+    r'|(?P<string>"(?:[^"\\]+|\\[\s\S])*(?:(?P<closed>")|\\?\Z))'
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_-]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])"
+)
+_ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid escape
 
 
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
+def _tokenize(source: str, file_name: str) -> tuple[list[_Token], list[Diagnostic]]:
+    """The tokens, ending in one eof token, and the P0 errors of the text.
+    A token's span starts at its first character, even when it spans lines."""
+    tokens: list[_Token] = []
+    diagnostics: list[Diagnostic] = []
+    line, line_start = 1, 0
+    for match in _TOKEN_PATTERN.finditer(source):
+        kind, text, value = match.lastgroup, match.group(), None
+        if kind == "skip":
+            continue
+        span = SourceSpan(file_name, line, match.start() - line_start + 1, len(text))
+        if kind == "ident":
+            text = sys.intern(text)
+        elif kind == "number":
+            value = Decimal(text)
+        elif kind == "string":
+            closed = match["closed"] is not None
+            value = _unescape(text, closed, span, diagnostics) if "\\" in text or not closed else text[1:-1]
+        elif kind == "other":
+            diagnostics.append(Diagnostic("P0", Severity.ERROR, span, f"unexpected character {text!r}"))
+            continue
+        if "\n" in text:
+            line, line_start = line + text.count("\n"), match.start() + text.rindex("\n") + 1
+        if kind != "string" or closed:
+            tokens.append(_Token(kind, text, span, value))
+    tokens.append(_Token("eof", "", SourceSpan(file_name, line, len(source) - line_start + 1, 0)))
+    return tokens, diagnostics
 
 
-def _is_ident_char(ch: str) -> bool:
-    return _is_letter(ch) or _is_digit(ch) or ch in "_-"
-
-
-class _Lexer:
-    def __init__(self, source: str, file_name: str):
-        self.source = source
-        self.file = file_name
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[_Token] = []
-        self.diagnostics: list[Diagnostic] = []
-
-    def _span(self, line: int, column: int, length: int) -> SourceSpan:
-        return SourceSpan(self.file, line, column, length)
-
-    def _error(self, span: SourceSpan, message: str) -> None:
-        self.diagnostics.append(Diagnostic("P0", Severity.ERROR, span, message))
-
-    def _advance(self, text: str) -> None:
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += len(text)
-
-    def run(self) -> list[_Token]:
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            line, column = self.line, self.column
-            if ch == "\n":
-                self.tokens.append(_Token("break", "\n", self._span(line, column, 1)))
-                self._advance(ch)
-            elif ch in " \t\r":
-                self._advance(ch)
-            elif ch == "/" and src.startswith("//", self.pos):
-                end = src.find("\n", self.pos)
-                end = len(src) if end < 0 else end
-                self._advance(src[self.pos:end])
-            elif ch == ";":
-                self.tokens.append(_Token("break", ";", self._span(line, column, 1)))
-                self._advance(ch)
-            elif ch in "{}[],.":
-                self.tokens.append(_Token("punct", ch, self._span(line, column, 1)))
-                self._advance(ch)
-            elif ch == '"':
-                self._string(line, column)
-            elif _is_letter(ch):
-                end = self.pos + 1
-                while end < len(src) and _is_ident_char(src[end]):
-                    end += 1
-                text = src[self.pos:end]
-                self.tokens.append(
-                    _Token("ident", sys.intern(text), self._span(line, column, len(text)))
-                )
-                self._advance(text)
-            elif _is_digit(ch) or (ch == "-" and self.pos + 1 < len(src) and _is_digit(src[self.pos + 1])):
-                self._number(line, column)
-            else:
-                self._error(self._span(line, column, 1), f"unexpected character {ch!r}")
-                self._advance(ch)
-        self.tokens.append(_Token("eof", "", self._span(self.line, self.column, 0)))
-        return self.tokens
-
-    def _string(self, line: int, column: int) -> None:
-        src = self.source
-        pos = self.pos + 1
-        parts: list[str] = []
-        while pos < len(src):
-            ch = src[pos]
-            if ch == '"':
-                text = src[self.pos:pos + 1]
-                self.tokens.append(
-                    _Token("string", text, self._span(line, column, len(text)), "".join(parts))
-                )
-                self._advance(text)
-                return
-            if ch == "\\":
-                if pos + 1 < len(src) and src[pos + 1] in '"\\':
-                    parts.append(src[pos + 1])
-                    pos += 2
-                    continue
-                bad = src[pos:pos + 2]
-                self._error(self._span(line, column, pos - self.pos + 2), f"invalid escape sequence {bad!r}")
-                pos += 2
-                continue
-            parts.append(ch)
-            pos += 1
-        self._error(self._span(line, column, pos - self.pos), "unterminated string")
-        self._advance(src[self.pos:])
-
-    def _number(self, line: int, column: int) -> None:
-        src = self.source
-        end = self.pos + 1 if src[self.pos] == "-" else self.pos
-        while end < len(src) and _is_digit(src[end]):
-            end += 1
-        if end < len(src) and src[end] == "." and end + 1 < len(src) and _is_digit(src[end + 1]):
-            end += 1
-            while end < len(src) and _is_digit(src[end]):
-                end += 1
-        text = src[self.pos:end]
-        self.tokens.append(
-            _Token("number", text, self._span(line, column, len(text)), Decimal(text))
-        )
-        self._advance(text)
+def _unescape(text: str, closed: bool, span: SourceSpan, diagnostics: list[Diagnostic]) -> str:
+    """Decode a string token, reporting each invalid escape and a missing
+    closing quote as P0 errors that span from the opening quote to their end."""
+    end = length = len(text) - closed
+    for escape in _ESCAPE.finditer(text, 1, end):
+        if escape[1] is None:
+            stop = escape.start() + 2  # past the end of the text for a final lone backslash
+            length = max(length, stop)
+            message = f"invalid escape sequence {escape[0]!r}"
+            diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=stop), message))
+    if not closed:
+        diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=length), "unterminated string"))
+    return _ESCAPE.sub(r"\1", text[1:end])
 
 
 @dataclass
@@ -202,9 +136,7 @@ class _Parser:
     """Shared machinery for case files and bundle manifests."""
 
     def __init__(self, source: str, file_name: str):
-        lexer = _Lexer(source, file_name)
-        self.tokens = lexer.run()
-        self.diagnostics = lexer.diagnostics
+        self.tokens, self.diagnostics = _tokenize(source, file_name)
         self.index = 0
 
     # --- token primitives -------------------------------------------------
@@ -252,20 +184,8 @@ class _Parser:
         self.error(f"expected '{word}'")
         return False
 
-    def expect_id(self, what: str) -> _Token | None:
-        if self.peek().kind == "ident":
-            return self.advance()
-        self.error(f"expected {what}")
-        return None
-
-    def expect_string(self, what: str) -> _Token | None:
-        if self.peek().kind == "string":
-            return self.advance()
-        self.error(f"expected {what}")
-        return None
-
-    def expect_number(self, what: str) -> _Token | None:
-        if self.peek().kind == "number":
+    def expect(self, kind: str, what: str) -> _Token | None:
+        if self.peek().kind == kind:
             return self.advance()
         self.error(f"expected {what}")
         return None
@@ -310,7 +230,7 @@ class _CaseParser(_Parser):
         self.skip_breaks()
         if not self.expect_keyword("case"):
             return None
-        id_token = self.expect_id("case id")
+        id_token = self.expect("ident", "case id")
         if id_token is None:
             return None
         if not self.expect_keyword("kind"):
@@ -356,11 +276,11 @@ class _CaseParser(_Parser):
 
     def _node(self) -> None:
         kind = NODE_KINDS[self.advance().text]
-        id_token = self.expect_id("element id")
+        id_token = self.expect("ident", "element id")
         if id_token is None:
             self.recover()
             return
-        statement = self.expect_string("statement string")
+        statement = self.expect("string", "statement string")
         if statement is None:
             self.recover()
             return
@@ -380,11 +300,11 @@ class _CaseParser(_Parser):
                     self.recover()
                     return
             elif flag_token.text == "awayref":
-                case_token = self.expect_id("case id after 'awayref'")
+                case_token = self.expect("ident", "case id after 'awayref'")
                 if case_token is None or not self.expect_punct("."):
                     self.recover()
                     return
-                elem_token = self.expect_id("element id after '.'")
+                elem_token = self.expect("ident", "element id after '.'")
                 if elem_token is None:
                     self.recover()
                     return
@@ -397,7 +317,7 @@ class _CaseParser(_Parser):
 
     def _associates(self) -> None:
         self.advance()
-        target = self.expect_id("case id after 'associates'")
+        target = self.expect("ident", "case id after 'associates'")
         if target is None:
             self.recover()
             return
@@ -409,19 +329,19 @@ class _CaseParser(_Parser):
         if not self.expect_keyword("capability"):
             self.recover()
             return
-        name = self.expect_id("capability name")
+        name = self.expect("ident", "capability name")
         if name is None or not self.expect_keyword("unit"):
             self.recover()
             return
-        unit = self.expect_id("unit symbol")
+        unit = self.expect("ident", "unit symbol")
         if unit is None or not self.expect_keyword("range") or not self.expect_punct("["):
             self.recover()
             return
-        low = self.expect_number("number")
+        low = self.expect("number", "number")
         if low is None or not self.expect_punct(","):
             self.recover()
             return
-        high = self.expect_number("number")
+        high = self.expect("number", "number")
         if high is None or not self.expect_punct("]"):
             self.recover()
             return
@@ -439,7 +359,7 @@ class _CaseParser(_Parser):
             self.error("expected 'supportedBy' or 'inContextOf'")
             self.recover()
             return
-        target = self.expect_id("element id")
+        target = self.expect("ident", "element id")
         if target is None:
             self.recover()
             return
@@ -570,7 +490,7 @@ class _BundleParser(_Parser):
         self.skip_breaks()
         if not self.expect_keyword("bundle"):
             return None, []
-        id_token = self.expect_id("bundle id")
+        id_token = self.expect("ident", "bundle id")
         if id_token is None:
             return None, []
         self.skip_breaks()
@@ -588,7 +508,7 @@ class _BundleParser(_Parser):
                 break
             if token.kind == "ident" and token.text in ("tac", "cac"):
                 slot = self.advance().text
-                path = self.expect_string("file path string")
+                path = self.expect("string", "file path string")
                 if path is None:
                     self.recover()
                     continue
@@ -608,8 +528,9 @@ def parse_bundle(
     """Parse a bundle manifest and every case file it references.
 
     The loader receives each path exactly as written in the manifest; callers
-    resolve paths relative to the manifest. A bundle is produced only when
-    all files load and parse, each slot holds a case of the declared kind
+    resolve paths relative to the manifest; an OSError or UnicodeDecodeError
+    it raises is reported as P6. A bundle is produced only when all files
+    load and parse, each slot holds a case of the declared kind
     (P4), case ids are unique (P5), and the manifest names a tac and at least
     one cac (P6).
     """
@@ -637,7 +558,7 @@ def parse_bundle(
             tac_seen = True
         try:
             text = file_loader(path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             fail("P6", path_token.span, f"cannot read case file {path!r}: {exc}")
             continue
         result = parse_case(text, path)

@@ -9,7 +9,7 @@ dimensions. The built-in table can be extended from a `.units` file with one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
 from enum import Enum
 from typing import Iterable
 
@@ -37,6 +37,8 @@ class UnitDef:
     def __post_init__(self):
         if not isinstance(self.scale_to_base, Decimal):
             object.__setattr__(self, "scale_to_base", Decimal(self.scale_to_base))
+        if not self.scale_to_base.is_finite():
+            raise UnitError(f"unit {self.symbol!r} must have a finite scale")
         if self.scale_to_base <= 0:
             raise UnitError(f"unit {self.symbol!r} must have a positive scale")
 
@@ -76,7 +78,13 @@ class UnitTable:
         return unit
 
     def to_base(self, value: Decimal, symbol: str) -> Decimal:
-        return value * self.lookup(symbol).scale_to_base
+        """Exact product: the precision covers the digits of both factors and
+        the exponent range is the widest there is."""
+        scale = self.lookup(symbol).scale_to_base
+        with localcontext() as context:
+            context.prec = len(value.as_tuple().digits) + len(scale.as_tuple().digits)
+            context.Emax, context.Emin = MAX_EMAX, MIN_EMIN
+            return value * scale
 
     def extended(self, extra: Iterable[UnitDef]) -> UnitTable:
         return UnitTable((*self.units, *extra))
@@ -125,6 +133,8 @@ def parse_units_file(text: str, file_name: str = "<units>") -> list[UnitDef]:
             scale = Decimal(scale_text)
         except InvalidOperation:
             raise UnitError(f"{file_name}:{line_no}: invalid scale {scale_text!r}") from None
+        if not scale.is_finite():
+            raise UnitError(f"{file_name}:{line_no}: scale must be finite")
         if scale <= 0:
             raise UnitError(f"{file_name}:{line_no}: scale must be positive")
         defs.append(UnitDef(symbol, dimension, scale))

@@ -21,7 +21,6 @@ from pathlib import Path
 from actool.cli import run
 from actool.diagnostics import Severity
 from actool.link import inline_bundle, resolve_links
-from actool.model import canonicalize
 from actool.parser import parse_case, print_case
 from actool.units import BUILTIN_UNITS
 from actool.validate import (
@@ -193,8 +192,8 @@ def test_criterion_05_inlining_equivalence():
     }
     inlined = inline_bundle(resolved, "CAC-UF")
     oracle = load_corpus_case("monolithic_mrgfus.acd")
-    left = canonicalize(normalize(inlined, "TAC-1__", "M"))
-    right = canonicalize(normalize(oracle, "TAC-1__", "M"))
+    left = print_case(normalize(inlined, "TAC-1__", "M"))
+    right = print_case(normalize(oracle, "TAC-1__", "M"))
     assert left == right
     assert validate_case(inlined) == []  # G1-G7 (and the rest) with zero findings
 
@@ -251,7 +250,7 @@ def test_criterion_08_round_trip():
         result = parse_case(printed, "generated.acd")
         assert result.case is not None
         assert not [d for d in result.diagnostics if d.severity is Severity.ERROR]
-        assert canonicalize(result.case) == canonicalize(case)
+        assert print_case(result.case) == print_case(case)
     with tempfile.TemporaryDirectory() as scratch:
         for index, case in enumerate(cases[:20]):
             path = Path(scratch, f"case_{index}.acd")

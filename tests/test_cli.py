@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import shlex
 
 import pytest
 
@@ -194,6 +197,9 @@ def test_ac_units_extends_table(tmp_path, capsys, monkeypatch):
     units.write_text("us NotADimension 1\n", encoding="utf-8")
     assert run(["validate", str(case)]) == 2
     assert "unknown dimension" in capsys.readouterr().err
+    units.write_text("us Time NaN\n", encoding="utf-8")
+    assert run(["validate", str(case)]) == 2
+    assert capsys.readouterr().err == f"actool: {units}:1: scale must be finite\n"
 
 
 def test_repeat_runs_byte_identical(capsys):
@@ -212,6 +218,40 @@ def test_repeat_runs_byte_identical(capsys):
         run(argv)
         second = capsys.readouterr().out
         assert first == second, argv
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch):
+    latin1 = 'case X kind monolithic {\n  claim C1 "caf\xe9" root undeveloped\n}\n'.encode("latin-1")
+    for name in ("bad.acd", "bad.acb"):
+        path = tmp_path / name
+        path.write_bytes(latin1)
+        assert run(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"actool: cannot read {str(path)!r}: 'utf-8' codec")
+    units = tmp_path / "latin1.units"
+    units.write_bytes("us Time 0.000001 # \xb5s\n".encode("latin-1"))
+    monkeypatch.setenv("AC_UNITS", str(units))
+    assert run(["validate", corpus("tac_mrgfus.acd")]) == 2
+    assert capsys.readouterr().err.startswith(f"actool: cannot read {str(units)!r}: 'utf-8' codec")
+
+
+def test_non_utf8_bundle_member_is_p6(tmp_path, capsys):
+    for name in ("bundle_mrgfus.acb", "tac_mrgfus.acd"):
+        (tmp_path / name).write_bytes((CORPUS / name).read_bytes())
+    cac = (CORPUS / "cac_uterine_fibroids.acd").read_text(encoding="utf-8") + "// caf\xe9\n"
+    (tmp_path / "cac_uterine_fibroids.acd").write_bytes(cac.encode("latin-1"))
+    assert run(["validate", str(tmp_path / "bundle_mrgfus.acb")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert " error P6: cannot read case file 'cac_uterine_fibroids.acd': 'utf-8' codec" in err[0]
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    for argv in (["render", corpus("tac_mrgfus.acd")], ["inline", corpus("bundle_mrgfus.acb"), "--cac", "CAC-UF"]):
+        assert run([*argv, "-o", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"actool: cannot write {str(target)!r}: ")
 
 
 GOLDEN_COMMANDS = {
@@ -238,3 +278,28 @@ def test_render_unresolvable_bundle_falls_back(capsys):
     assert captured.out.startswith("digraph bundle {")
     # best-effort dashed edge for the offending reference
     assert '"TAC-1.C9" -> "CAC-UF.C6" [style=dashed];' in captured.out
+
+
+def cli_transcript(commands: list[list[str]]) -> str:
+    """`$ actool ARGS`, the exit code, stdout and stderr of each command, run
+    in-process from the current directory."""
+    parts = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        parts.append(
+            f"$ actool {shlex.join(argv)}\nexit {code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        )
+    return "".join(parts)
+
+
+def test_cli_corpus_transcript(monkeypatch):
+    # The commands are the `$ actool` lines of the golden transcript itself;
+    # paths in it are relative to the repository root.
+    monkeypatch.chdir(CORPUS.parent)
+    expected = (GOLDEN / "cli_corpus.txt").read_text(encoding="utf-8")
+    commands = [shlex.split(line[len("$ actool "):]) for line in expected.splitlines() if line.startswith("$ actool ")]
+    assert len(commands) == 17
+    assert cli_transcript(commands) == expected

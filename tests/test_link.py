@@ -13,8 +13,8 @@ from actool.model import (
     Element,
     ElementKind,
     UnknownElementError,
-    canonicalize,
 )
+from actool.parser import print_case
 from actool.validate import validate_case
 
 import helpers
@@ -119,8 +119,8 @@ def test_inline_matches_hand_authored_monolithic(corpus_resolved, mono_case):
     inlined = inline_bundle(corpus_resolved, "CAC-UF")
     assert inlined.kind is CaseKind.MONOLITHIC
     assert inlined.capabilities == ()
-    left = canonicalize(normalize(inlined, "TAC-1__", "M"))
-    right = canonicalize(normalize(mono_case, "TAC-1__", "M"))
+    left = print_case(normalize(inlined, "TAC-1__", "M"))
+    right = print_case(normalize(mono_case, "TAC-1__", "M"))
     assert left == right
 
 
@@ -145,7 +145,7 @@ def test_inline_without_awayrefs_is_kind_change_only():
     expected = AssuranceCase(
         "C", CaseKind.MONOLITHIC, cac.elements, cac.edges, (), associated_tac=None
     )
-    assert canonicalize(inlined) == canonicalize(expected)
+    assert print_case(inlined) == print_case(expected)
 
 
 def test_inline_unknown_cac(corpus_resolved):

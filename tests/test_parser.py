@@ -1,8 +1,12 @@
 import random
 from decimal import Decimal
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from actool.diagnostics import Severity
-from actool.model import CaseKind, ConcernKind, EdgeKind, ElementKind, canonicalize
+from actool.model import CaseKind, ConcernKind, EdgeKind, ElementKind
 from actool.parser import parse_bundle, parse_case, print_case
 
 import helpers
@@ -144,7 +148,7 @@ def test_string_escapes_round_trip():
     assert not errors(result)
     assert result.case.element("C1").statement == statement
     reparsed = parse_case(print_case(result.case), "t2.acd")
-    assert canonicalize(reparsed.case) == canonicalize(result.case)
+    assert print_case(reparsed.case) == print_case(result.case)
 
 
 def test_invalid_escape_and_unterminated_string():
@@ -152,6 +156,92 @@ def test_invalid_escape_and_unterminated_string():
     assert any("invalid escape" in d.message for d in result.diagnostics)
     result = parse_case('case A kind monolithic { claim C1 "open', "t.acd")
     assert any("unterminated string" in d.message for d in result.diagnostics)
+
+
+LEXER_EDGE_CASES = {
+    # A lone backslash at end of input inside a string: the escape error and
+    # the unterminated-string error both start at the opening quote.
+    "trailing_backslash": (
+        'case A kind monolithic {\n  claim C1 "abc\\',
+        [
+            "t.acd:2:12: error P0: invalid escape sequence '\\\\'",
+            "t.acd:2:12: error P0: unterminated string",
+            "t.acd:2:17: error P0: expected '}'",
+            "t.acd:2:17: error P0: expected statement string",
+        ],
+    ),
+    "invalid_escape_then_quote": (
+        'case A kind monolithic {\n  claim C1 "bad \\q" root\n}\n',
+        ["t.acd:2:12: error P0: invalid escape sequence '\\\\q'"],
+    ),
+    "multi_line_string": (
+        'case A kind monolithic {\n  claim C1 "one\ntwo\nthree" root\n  claim C2 @ "x"\n}\n',
+        ["t.acd:5:12: error P0: unexpected character '@'"],
+    ),
+    "minus_and_trailing_dot": (
+        "case A kind monolithic {\n"
+        "  provides capability p unit W range [-x, 1]\n"
+        "  provides capability q unit W range [0, 1.]\n"
+        "  1..2\n"
+        "}\n",
+        [
+            "t.acd:2:39: error P0: unexpected character '-'",
+            "t.acd:2:40: error P0: expected number",
+            "t.acd:3:43: error P0: expected ']'",
+            "t.acd:4:3: error P0: unexpected token '1'; expected a statement",
+        ],
+    ),
+    "non_ascii_letters": (
+        'case A kind monolithic {\n  claim é "x"\n  claim µC "y"\n}\n',
+        [
+            "t.acd:2:9: error P0: unexpected character 'é'",
+            "t.acd:2:11: error P0: expected element id",
+            "t.acd:3:9: error P0: unexpected character 'µ'",
+        ],
+    ),
+    "lone_slash": (
+        'case A kind monolithic {\n  claim C1 "x" / root // comment\n}\n',
+        ["t.acd:2:16: error P0: unexpected character '/'"],
+    ),
+    "crlf": (
+        'case A kind monolithic {\r\n  claim C1 "x" root\r\n  claim C2 @\r\n}\r\n',
+        [
+            "t.acd:3:12: error P0: unexpected character '@'",
+            "t.acd:3:14: error P0: expected statement string",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEXER_EDGE_CASES))
+def test_lexer_edge_case_diagnostics(name):
+    source, expected = LEXER_EDGE_CASES[name]
+    result = parse_case(source, "t.acd")
+    assert result.case is not None
+    assert [d.line() for d in result.diagnostics] == expected
+
+
+def _offset(source: str, span) -> int:
+    lines = source.split("\n")
+    return sum(len(line) + 1 for line in lines[: span.line - 1]) + span.column - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_spans_point_at_ids_in_generated_text(seed, semicolons):
+    # Statements from gen_case contain newlines, tabs and non-ASCII letters,
+    # so many element declarations span several lines.
+    source = print_case(helpers.gen_case(random.Random(seed)))
+    if semicolons:
+        source = source.replace("\n  ", ";  ")
+    result = parse_case(source, "gen.acd")
+    assert not result.diagnostics
+    pinned = [(e.span, e.id) for e in result.case.elements]
+    pinned += [(e.span, e.source) for e in result.case.edges]
+    for span, expected in pinned:
+        start = _offset(source, span)
+        assert span.length == len(expected)
+        assert source[start : start + span.length] == expected
 
 
 def test_round_trip_generated_cases():
@@ -162,7 +252,18 @@ def test_round_trip_generated_cases():
         result = parse_case(printed, "gen.acd")
         assert result.case is not None, [d.line() for d in result.diagnostics]
         assert not errors(result), [d.line() for d in result.diagnostics]
-        assert canonicalize(result.case) == canonicalize(case)
+        assert print_case(result.case) == print_case(case)
+
+
+def test_print_case_keeps_every_digit():
+    source = (
+        "case T kind technological {\n"
+        "  provides capability p unit W range [-0.00000000000000000000000000001, 1000.0000000000000000000000000001]\n"
+        "}\n"
+    )
+    result = parse_case(source, "t.acd")
+    assert not result.diagnostics
+    assert print_case(result.case) == source
 
 
 def test_print_case_is_fixed_point(tac_case, cac_case, mono_case):
@@ -251,7 +352,7 @@ def test_empty_body_round_trip():
     assert printed == "case X kind monolithic {\n}\n"
     result = parse_case(printed, "x.acd")
     assert not result.diagnostics
-    assert canonicalize(result.case) == canonicalize(case)
+    assert print_case(result.case) == print_case(case)
 
 
 def test_diagnostic_spans_index_real_positions():

@@ -1,7 +1,10 @@
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actool.diagnostics import Severity
 from actool.model import (
@@ -84,6 +87,60 @@ def test_parse_units_file():
         parse_units_file("x Power\n")
     with pytest.raises(UnitError, match="invalid scale"):
         parse_units_file("x Power banana\n")
+
+
+@pytest.mark.parametrize("scale", ["NaN", "sNaN", "-NaN", "Infinity", "-Infinity"])
+def test_non_finite_scales_rejected(scale):
+    with pytest.raises(UnitError, match="x.units:1: scale must be finite"):
+        parse_units_file(f"x Power {scale}\n", "x.units")
+    with pytest.raises(UnitError, match="finite"):
+        UnitDef("x", Dimension.POWER, Decimal(scale))
+
+
+def test_matching_exact_beyond_28_digits():
+    required = [Capability("p", Direction.REQUIRED, "W", Decimal(0), Decimal("1000.0000000000000000000000000001"))]
+    provided = [Capability("p", Direction.PROVIDED, "kW", Decimal(0), Decimal(1))]
+    assert match_capabilities(required, provided, BUILTIN_UNITS)[0].status is MatchStatus.RANGE_NOT_COVERED
+    required = [Capability("p", Direction.REQUIRED, "W", Decimal(0), Decimal("999.99999999999999999999999999999"))]
+    assert match_capabilities(required, provided, BUILTIN_UNITS)[0].status is MatchStatus.SATISFIED
+
+
+def test_conversion_exact_at_extreme_exponents():
+    table = BUILTIN_UNITS.extended(
+        [UnitDef("huge", Dimension.POWER, Decimal("1e999999999")), UnitDef("tiny", Dimension.POWER, Decimal("1e-999999999"))]
+    )
+    assert table.to_base(Decimal(2), "huge") == Decimal("2e999999999")
+    assert table.to_base(Decimal("0.5"), "tiny") == Decimal("5e-1000000000")
+
+
+def long_decimals():
+    """Decimals with 29 to 60 significant digits and a random exponent."""
+    return st.builds(
+        lambda digits, exponent, negative: Decimal((negative, digits, exponent)),
+        st.lists(st.integers(0, 9), min_size=28, max_size=59).map(lambda d: (1, *d)),
+        st.integers(-40, 10),
+        st.booleans(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_decimals(), long_decimals(), long_decimals(), st.sampled_from([-1, 0, 1]))
+def test_conversion_and_matching_exact_against_fractions(low, high, scale, nudge):
+    low, high, scale = min(low, high), max(low, high), abs(scale)
+    table = BUILTIN_UNITS.extended([UnitDef("big", Dimension.POWER, scale)])
+    for value in (low, high):
+        assert Fraction(table.to_base(value, "big")) == Fraction(value) * Fraction(scale)
+    # A point requirement in W at the provided upper bound, moved by one unit
+    # in the digit after the last digit of the exact product.
+    sign, digits, exponent = high.as_tuple()
+    _, scale_digits, scale_exponent = scale.as_tuple()
+    product = int("".join(map(str, digits))) * int("".join(map(str, scale_digits)))
+    point = Decimal(f"{'-' if sign else ''}{product * 10 + nudge}e{exponent + scale_exponent - 1}")
+    required = [Capability("p", Direction.REQUIRED, "W", point, point)]
+    provided = [Capability("p", Direction.PROVIDED, "big", low, high)]
+    covered = Fraction(low) * Fraction(scale) <= Fraction(point) <= Fraction(high) * Fraction(scale)
+    status = match_capabilities(required, provided, table)[0].status
+    assert status is (MatchStatus.SATISFIED if covered else MatchStatus.RANGE_NOT_COVERED)
 
 
 # --- G rules -----------------------------------------------------------------
