@@ -68,7 +68,8 @@ def _load_bundle(path: str) -> tuple[Bundle | None, list[Diagnostic]]:
 
 
 def _emit(diagnostics: Sequence[Diagnostic]) -> None:
-    for diagnostic in sorted_diagnostics(diagnostics):
+    """Print already sorted diagnostics to stderr."""
+    for diagnostic in diagnostics:
         print(diagnostic.line(), file=sys.stderr)
 
 

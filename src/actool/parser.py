@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Callable
 
@@ -39,7 +39,16 @@ from .model import (
 NODE_KINDS = {kind.value: kind for kind in ElementKind}
 CASE_KINDS = {kind.value: kind for kind in CaseKind}
 EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+CONCERN_KINDS = {kind.value: kind for kind in ConcernKind}
 BOOL_FLAGS = ("root", "public", "undeveloped", "module")
+FLAG_FIELDS = {
+    "root": "is_root",
+    "public": "is_public",
+    "undeveloped": "is_undeveloped",
+    "module": "is_module",
+    "concern": "concern",
+    "awayref": "away_ref",
+}
 
 
 @dataclass
@@ -96,40 +105,15 @@ def _tokenize(source: str, file_name: str) -> tuple[list[_Token], list[Diagnosti
 def _unescape(text: str, closed: bool, span: SourceSpan, diagnostics: list[Diagnostic]) -> str:
     """Decode a string token, reporting each invalid escape and a missing
     closing quote as P0 errors that span from the opening quote to their end."""
-    end = length = len(text) - closed
+    end = len(text) - closed
     for escape in _ESCAPE.finditer(text, 1, end):
         if escape[1] is None:
-            stop = escape.start() + 2  # past the end of the text for a final lone backslash
-            length = max(length, stop)
+            stop = min(escape.start() + 2, len(text))
             message = f"invalid escape sequence {escape[0]!r}"
             diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=stop), message))
     if not closed:
-        diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=length), "unterminated string"))
+        diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=end), "unterminated string"))
     return _ESCAPE.sub(r"\1", text[1:end])
-
-
-@dataclass
-class _RawNode:
-    kind: ElementKind
-    id_token: _Token
-    statement: str
-    flags: list[tuple[str, _Token, object]] = field(default_factory=list)
-
-
-@dataclass
-class _RawEdge:
-    source: _Token
-    kind: EdgeKind
-    target: _Token
-
-
-@dataclass
-class _RawCapability:
-    direction: Direction
-    name: _Token
-    unit: _Token
-    low: Decimal
-    high: Decimal
 
 
 class _Parser:
@@ -150,13 +134,17 @@ class _Parser:
             self.index += 1
         return token
 
-    def at_ident(self, *texts: str) -> bool:
-        token = self.peek()
-        return token.kind == "ident" and (not texts or token.text in texts)
-
     def at_punct(self, text: str) -> bool:
         token = self.peek()
         return token.kind == "punct" and token.text == text
+
+    def accept(self, words: dict[str, object]) -> object | None:
+        """Consume an identifier that is a key of `words` and return its value."""
+        token = self.peek()
+        if token.kind == "ident" and token.text in words:
+            self.advance()
+            return words[token.text]
+        return None
 
     def skip_breaks(self) -> None:
         while self.peek().kind == "break":
@@ -169,16 +157,13 @@ class _Parser:
 
     def recover(self) -> None:
         """Skip to the next statement boundary: past a break, or before `}`/eof."""
-        while True:
-            token = self.peek()
-            if token.kind == "eof" or (token.kind == "punct" and token.text == "}"):
-                return
-            self.advance()
-            if token.kind == "break":
+        while self.peek().kind != "eof" and not self.at_punct("}"):
+            if self.advance().kind == "break":
                 return
 
     def expect_keyword(self, word: str) -> bool:
-        if self.at_ident(word):
+        token = self.peek()
+        if token.kind == "ident" and token.text == word:
             self.advance()
             return True
         self.error(f"expected '{word}'")
@@ -198,11 +183,10 @@ class _Parser:
         return False
 
     def expect_terminator(self) -> bool:
-        token = self.peek()
-        if token.kind == "break":
+        if self.peek().kind == "break":
             self.advance()
             return True
-        if token.kind == "eof" or (token.kind == "punct" and token.text == "}"):
+        if self.peek().kind == "eof" or self.at_punct("}"):
             return True
         self.error("expected end of statement")
         self.recover()
@@ -210,110 +194,157 @@ class _Parser:
 
 
 class _CaseParser(_Parser):
+    """Builds the case as it reads each statement.
+
+    P1 (duplicate id) is checked when a node's id has parsed, and P3 (flag
+    misuse) as each flag's payload parses, except on a dropped duplicate,
+    whose flags are consumed but not checked. P7 is checked at each
+    `associates` statement, and for a missing one after the last item. P2
+    needs every node, so edges wait as (source, kind, target) token triples
+    until the items are read.
+    """
+
     def __init__(self, source: str, file_name: str):
         super().__init__(source, file_name)
-        self.nodes: list[_RawNode] = []
-        self.edges: list[_RawEdge] = []
-        self.capabilities: list[_RawCapability] = []
-        self.associations: list[_Token] = []
+        self.case_id = ""
+        self.kind = CaseKind.MONOLITHIC
+        self.elements: dict[str, Element] = {}
+        self.edges: list[tuple[_Token, EdgeKind, _Token]] = []
+        self.capabilities: list[Capability] = []
+        self.associated: str | None = None
 
     def parse(self) -> ParseResult:
-        header = self._header()
-        if header is None:
+        id_token = self._header()
+        if id_token is None:
             return ParseResult(None, sorted_diagnostics(self.diagnostics))
-        id_token, kind = header
         self._items()
-        case = self._build(id_token, kind)
+        if self.kind is CaseKind.CLINICAL and self.associated is None:
+            self._diag("P7", id_token.span, f"clinical case {self.case_id!r} must declare 'associates'")
+        edges: list[Edge] = []
+        for source, kind, target in self.edges:
+            unknown = [endpoint for endpoint in (source, target) if endpoint.text not in self.elements]
+            for endpoint in unknown:
+                self._diag("P2", endpoint.span, f"edge references unknown element {endpoint.text!r}")
+            if not unknown:
+                edges.append(Edge(source.text, target.text, kind, source.span))
+        case = AssuranceCase(
+            id=self.case_id,
+            kind=self.kind,
+            elements=tuple(self.elements.values()),
+            edges=tuple(edges),
+            capabilities=tuple(self.capabilities),
+            associated_tac=self.associated,
+            span=id_token.span,
+        )
         return ParseResult(case, sorted_diagnostics(self.diagnostics))
 
-    def _header(self) -> tuple[_Token, CaseKind] | None:
+    def _diag(self, rule: str, span: SourceSpan, message: str, *elements: tuple[str, str]) -> None:
+        self.diagnostics.append(Diagnostic(rule, Severity.ERROR, span, message, tuple(elements)))
+
+    def _header(self) -> _Token | None:
+        """The case id token, with `case_id` and `kind` set; None on a P0 error."""
         self.skip_breaks()
         if not self.expect_keyword("case"):
             return None
         id_token = self.expect("ident", "case id")
-        if id_token is None:
+        if id_token is None or not self.expect_keyword("kind"):
             return None
-        if not self.expect_keyword("kind"):
-            return None
-        kind_token = self.peek()
-        if kind_token.kind == "ident" and kind_token.text in CASE_KINDS:
-            self.advance()
-        else:
+        kind = self.accept(CASE_KINDS)
+        if kind is None:
             self.error("expected case kind ('monolithic', 'technological' or 'clinical')")
             return None
         self.skip_breaks()
         if not self.expect_punct("{"):
             return None
-        return id_token, CASE_KINDS[kind_token.text]
+        self.case_id, self.kind = id_token.text, kind
+        return id_token
 
     def _items(self) -> None:
-        closed = False
         while True:
             self.skip_breaks()
             token = self.peek()
             if token.kind == "eof":
-                if not closed:
-                    self.error("expected '}'")
+                self.error("expected '}'")
                 return
-            if token.kind == "punct" and token.text == "}":
+            if self.at_punct("}"):
                 self.advance()
-                closed = True
                 self.skip_breaks()
                 if self.peek().kind != "eof":
                     self.error("unexpected content after '}'")
                 return
-            if token.kind == "ident" and token.text in NODE_KINDS:
-                self._node()
-            elif token.kind == "ident" and token.text == "associates":
-                self._associates()
-            elif token.kind == "ident" and token.text in ("provides", "requires"):
-                self._capability()
-            elif token.kind == "ident":
-                self._edge()
-            else:
+            if token.kind != "ident":
                 self.error(f"unexpected token {token.text!r}; expected a statement")
                 self.recover()
+            elif token.text in NODE_KINDS:
+                self._node()
+            elif token.text == "associates":
+                self._associates()
+            elif token.text in ("provides", "requires"):
+                self._capability()
+            else:
+                self._edge()
 
     def _node(self) -> None:
         kind = NODE_KINDS[self.advance().text]
         id_token = self.expect("ident", "element id")
-        if id_token is None:
-            self.recover()
-            return
-        statement = self.expect("string", "statement string")
+        statement = self.expect("string", "statement string") if id_token else None
         if statement is None:
             self.recover()
             return
-        node = _RawNode(kind, id_token, str(statement.value))
-        self.nodes.append(node)
+        node_id = id_token.text
+        first = self.elements.get(node_id)
+        if first is not None:
+            message = f"duplicate element id {node_id!r} (first declared at line {first.span.line})"
+            self._diag("P1", id_token.span, message, (self.case_id, node_id))
+
+        def misuse(token: _Token, message: str) -> None:
+            if first is None:
+                self._diag("P3", token.span, message, (self.case_id, node_id))
+
+        fields: dict[str, object] = {}
+        away_token: _Token | None = None
         while self.peek().kind == "ident":
-            flag_token = self.advance()
-            if flag_token.text in BOOL_FLAGS:
-                node.flags.append((flag_token.text, flag_token, None))
-            elif flag_token.text == "concern":
-                value = self.peek()
-                if value.kind == "ident" and value.text in ("safety", "effectiveness"):
-                    self.advance()
-                    node.flags.append(("concern", flag_token, ConcernKind(value.text)))
-                else:
-                    self.error("expected 'safety' or 'effectiveness'")
-                    self.recover()
-                    return
-            elif flag_token.text == "awayref":
-                case_token = self.expect("ident", "case id after 'awayref'")
-                if case_token is None or not self.expect_punct("."):
-                    self.recover()
-                    return
-                elem_token = self.expect("ident", "element id after '.'")
-                if elem_token is None:
-                    self.recover()
-                    return
-                node.flags.append(("awayref", flag_token, (case_token.text, elem_token.text)))
-            else:
-                self.error(f"unknown flag {flag_token.text!r}", flag_token.span)
+            token = self.advance()
+            value = self._flag_value(token)
+            if value is None:
                 self.recover()
-                return
-        self.expect_terminator()
+                break
+            name, field = token.text, FLAG_FIELDS[token.text]
+            if name in ("root", "undeveloped", "module") and kind is not ElementKind.CLAIM:
+                misuse(token, f"flag {name!r} is not allowed on {kind.value} {node_id!r}")
+            elif name == "awayref" and kind is not ElementKind.CLAIM:
+                misuse(token, f"'awayref' is not allowed on {kind.value} {node_id!r}")
+            elif name in ("concern", "awayref") and field in fields:
+                misuse(token, f"duplicate {name!r} flag on {node_id!r}")
+            else:
+                fields[field] = value
+                if name == "awayref":
+                    away_token = token
+        else:  # a flag error has already recovered to the next statement
+            self.expect_terminator()
+        if away_token is not None and "is_undeveloped" not in fields:
+            misuse(away_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
+            del fields["away_ref"]
+        if first is None:
+            self.elements[node_id] = Element(node_id, kind, statement.value, span=id_token.span, **fields)
+
+    def _flag_value(self, token: _Token) -> object | None:
+        """The payload of the flag `token` (True for a bare flag); None after a P0 error."""
+        if token.text in BOOL_FLAGS:
+            return True
+        if token.text == "concern":
+            concern = self.accept(CONCERN_KINDS)
+            if concern is None:
+                self.error("expected 'safety' or 'effectiveness'")
+            return concern
+        if token.text != "awayref":
+            self.error(f"unknown flag {token.text!r}", token.span)
+            return None
+        case_token = self.expect("ident", "case id after 'awayref'")
+        if case_token is None or not self.expect_punct("."):
+            return None
+        elem_token = self.expect("ident", "element id after '.'")
+        return None if elem_token is None else (case_token.text, elem_token.text)
 
     def _associates(self) -> None:
         self.advance()
@@ -321,7 +352,12 @@ class _CaseParser(_Parser):
         if target is None:
             self.recover()
             return
-        self.associations.append(target)
+        if self.kind is not CaseKind.CLINICAL:
+            self._diag("P7", target.span, "'associates' is only allowed in a clinical case")
+        elif self.associated is not None:
+            self._diag("P7", target.span, "duplicate 'associates' declaration")
+        else:
+            self.associated = target.text
         self.expect_terminator()
 
     def _capability(self) -> None:
@@ -345,17 +381,13 @@ class _CaseParser(_Parser):
         if high is None or not self.expect_punct("]"):
             self.recover()
             return
-        self.capabilities.append(
-            _RawCapability(direction, name, unit, Decimal(str(low.value)), Decimal(str(high.value)))
-        )
+        self.capabilities.append(Capability(name.text, direction, unit.text, low.value, high.value, name.span))
         self.expect_terminator()
 
     def _edge(self) -> None:
         source = self.advance()
-        kind_token = self.peek()
-        if kind_token.kind == "ident" and kind_token.text in EDGE_KINDS:
-            self.advance()
-        else:
+        kind = self.accept(EDGE_KINDS)
+        if kind is None:
             self.error("expected 'supportedBy' or 'inContextOf'")
             self.recover()
             return
@@ -363,120 +395,8 @@ class _CaseParser(_Parser):
         if target is None:
             self.recover()
             return
-        self.edges.append(_RawEdge(source, EDGE_KINDS[kind_token.text], target))
+        self.edges.append((source, kind, target))
         self.expect_terminator()
-
-    # --- model construction (P1, P2, P3, P7) ------------------------------
-
-    def _diag(self, rule: str, span: SourceSpan, message: str, *elements: tuple[str, str]) -> None:
-        self.diagnostics.append(Diagnostic(rule, Severity.ERROR, span, message, tuple(elements)))
-
-    def _build(self, id_token: _Token, kind: CaseKind) -> AssuranceCase:
-        case_id = id_token.text
-        elements: list[Element] = []
-        seen: dict[str, SourceSpan] = {}
-        for node in self.nodes:
-            node_id = node.id_token.text
-            if node_id in seen:
-                first = seen[node_id]
-                self._diag(
-                    "P1",
-                    node.id_token.span,
-                    f"duplicate element id {node_id!r} (first declared at line {first.line})",
-                    (case_id, node_id),
-                )
-                continue
-            seen[node_id] = node.id_token.span
-            elements.append(self._element(case_id, node))
-        ids = set(seen)
-        edges: list[Edge] = []
-        for raw in self.edges:
-            ok = True
-            for endpoint in (raw.source, raw.target):
-                if endpoint.text not in ids:
-                    self._diag("P2", endpoint.span, f"edge references unknown element {endpoint.text!r}")
-                    ok = False
-            if ok:
-                edges.append(Edge(raw.source.text, raw.target.text, raw.kind, raw.source.span))
-        capabilities = [
-            Capability(c.name.text, c.direction, c.unit.text, c.low, c.high, c.name.span)
-            for c in self.capabilities
-        ]
-        associated: str | None = None
-        for token in self.associations:
-            if kind is not CaseKind.CLINICAL:
-                self._diag("P7", token.span, "'associates' is only allowed in a clinical case")
-            elif associated is not None:
-                self._diag("P7", token.span, "duplicate 'associates' declaration")
-            else:
-                associated = token.text
-        if kind is CaseKind.CLINICAL and associated is None:
-            self._diag("P7", id_token.span, f"clinical case {case_id!r} must declare 'associates'")
-        return AssuranceCase(
-            id=case_id,
-            kind=kind,
-            elements=tuple(elements),
-            edges=tuple(edges),
-            capabilities=tuple(capabilities),
-            associated_tac=associated,
-            span=id_token.span,
-        )
-
-    def _element(self, case_id: str, node: _RawNode) -> Element:
-        node_id = node.id_token.text
-        is_claim = node.kind is ElementKind.CLAIM
-        flags = {"root": False, "public": False, "undeveloped": False, "module": False}
-        concern: ConcernKind | None = None
-        away: tuple[str, str] | None = None
-        away_span: SourceSpan | None = None
-        for name, token, payload in node.flags:
-            if name in ("root", "undeveloped", "module") and not is_claim:
-                self._diag(
-                    "P3",
-                    token.span,
-                    f"flag {name!r} is not allowed on {node.kind.value} {node_id!r}",
-                    (case_id, node_id),
-                )
-            elif name == "awayref" and not is_claim:
-                self._diag(
-                    "P3",
-                    token.span,
-                    f"'awayref' is not allowed on {node.kind.value} {node_id!r}",
-                    (case_id, node_id),
-                )
-            elif name == "concern":
-                if concern is not None:
-                    self._diag("P3", token.span, f"duplicate 'concern' flag on {node_id!r}", (case_id, node_id))
-                else:
-                    concern = payload
-            elif name == "awayref":
-                if away is not None:
-                    self._diag("P3", token.span, f"duplicate 'awayref' flag on {node_id!r}", (case_id, node_id))
-                else:
-                    away = payload
-                    away_span = token.span
-            else:
-                flags[name] = True
-        if away is not None and not flags["undeveloped"]:
-            self._diag(
-                "P3",
-                away_span or node.id_token.span,
-                f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag",
-                (case_id, node_id),
-            )
-            away = None
-        return Element(
-            id=node_id,
-            kind=node.kind,
-            statement=node.statement,
-            is_root=flags["root"],
-            is_public=flags["public"],
-            is_undeveloped=flags["undeveloped"],
-            is_module=flags["module"],
-            concern=concern,
-            away_ref=away,
-            span=node.id_token.span,
-        )
 
 
 def parse_case(source: str, file_name: str) -> ParseResult:
@@ -503,7 +423,7 @@ class _BundleParser(_Parser):
             if token.kind == "eof":
                 self.error("expected '}'")
                 break
-            if token.kind == "punct" and token.text == "}":
+            if self.at_punct("}"):
                 self.advance()
                 break
             if token.kind == "ident" and token.text in ("tac", "cac"):
@@ -528,11 +448,11 @@ def parse_bundle(
     """Parse a bundle manifest and every case file it references.
 
     The loader receives each path exactly as written in the manifest; callers
-    resolve paths relative to the manifest; an OSError or UnicodeDecodeError
-    it raises is reported as P6. A bundle is produced only when all files
-    load and parse, each slot holds a case of the declared kind
-    (P4), case ids are unique (P5), and the manifest names a tac and at least
-    one cac (P6).
+    resolve paths relative to the manifest; an OSError or ValueError it
+    raises (a path holding a NUL byte, a file that is not UTF-8) is reported
+    as P6. A bundle is produced only when all files load and parse, each
+    slot holds a case of the declared kind (P4), case ids are unique (P5),
+    and the manifest names a tac and at least one cac (P6).
     """
     parser = _BundleParser(source, file_name)
     bundle_id, entries = parser.parse()
@@ -558,7 +478,7 @@ def parse_bundle(
             tac_seen = True
         try:
             text = file_loader(path)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             fail("P6", path_token.span, f"cannot read case file {path!r}: {exc}")
             continue
         result = parse_case(text, path)
@@ -588,10 +508,7 @@ def parse_bundle(
         fail("P6", eof_span, "bundle requires a tac entry")
     if bundle_id is not None and not any(slot == "cac" for slot, _ in entries):
         fail("P6", eof_span, "bundle requires at least one cac")
-    bundle = None
-    if complete and tac is not None and len(cacs) == sum(1 for slot, _ in entries if slot == "cac"):
-        bundle = Bundle(tac, tuple(cacs))
-    return bundle, sorted_diagnostics(diagnostics)
+    return (Bundle(tac, tuple(cacs)) if complete else None), sorted_diagnostics(diagnostics)
 
 
 def _escape(statement: str) -> str:

@@ -1,9 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actool.cli import run
 
@@ -243,6 +249,71 @@ def test_non_utf8_bundle_member_is_p6(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert " error P6: cannot read case file 'cac_uterine_fibroids.acd': 'utf-8' codec" in err[0]
+
+
+BUNDLE_COMMANDS = (
+    ["validate"],
+    ["validate", "--json"],
+    ["link"],
+    ["impact", "--changed", "T.C1"],
+    ["inline", "--cac", "C"],
+    ["render"],
+    ["metrics"],
+)
+
+
+def test_nul_in_member_path_is_p6(tmp_path, capsys):
+    manifest = tmp_path / "b.acb"
+    manifest.write_text('bundle B {\n tac "t\0.acd"\n cac "c.acd"\n}\n', encoding="utf-8")
+    for argv in BUNDLE_COMMANDS:
+        assert run([*argv, str(manifest)]) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert f"{manifest}:2:6: error P6: cannot read case file 't\\x00.acd': embedded null byte" in err, argv
+
+
+def _manifest(entries: list[tuple[str, str]]) -> bytes:
+    lines = [f'  {slot} "' + path.replace("\\", "\\\\").replace('"', '\\"') + '"' for slot, path in entries]
+    return ("bundle B {\n" + "\n".join(lines) + "\n}\n").encode("utf-8")
+
+
+MEMBER_TEXT = st.one_of(
+    st.binary(max_size=120),
+    st.sampled_from(
+        [
+            'case T kind technological {\n  claim C1 "t" root public undeveloped\n}\n',
+            'case C kind clinical {\n  associates T\n  claim C1 "c" root undeveloped awayref T.C1\n}\n',
+        ]
+    ).map(str.encode),
+)
+# Any text, with NUL, path separators, backslashes and quotes drawn often.
+PATH_TEXT = st.text(st.one_of(st.sampled_from('\0./\\"'), st.characters()), max_size=8)
+MEMBER_PATH = st.one_of(st.sampled_from(["t.acd", "c.acd"]), PATH_TEXT.filter(lambda p: not p.startswith("/")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.binary(max_size=200),
+    manifest=st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.tuples(st.sampled_from(["tac", "cac"]), MEMBER_PATH), max_size=3).map(_manifest),
+    ),
+    tac=MEMBER_TEXT,
+    cac=MEMBER_TEXT,
+    units=st.one_of(st.none(), st.binary(max_size=40)),
+)
+def test_cli_exit_codes_on_arbitrary_files(case, manifest, tac, cac, units):
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        for name, data in (("x.acd", case), ("b.acb", manifest), ("t.acd", tac), ("c.acd", cac), ("u.units", units)):
+            if data is not None:
+                (root / name).write_bytes(data)
+        environment = {"AC_UNITS": "" if units is None else str(root / "u.units")}
+        with mock.patch.dict(os.environ, environment), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in BUNDLE_COMMANDS:
+                assert run([*argv, str(root / "b.acb")]) in (0, 1, 2), argv
+            for argv in (["validate"], ["render"], ["metrics", "--json"], ["fmt"], ["fmt", "--check"]):
+                assert run([*argv, str(root / "x.acd")]) in (0, 1, 2), argv
 
 
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):

@@ -107,6 +107,14 @@ def test_duplicate_id_p1():
     assert "P1" in rule_ids(result)
     assert len(result.case.elements) == 1
     assert result.case.element("C1").statement == "a"
+    # A dropped duplicate's flags are not checked: P1 is its only finding.
+    src = 'case A kind monolithic { claim C1 "a" root\ncontext C1 "b" root awayref T.C2 }'
+    result = parse_case(src, "t.acd")
+    assert [d.line() for d in result.diagnostics] == [
+        "t.acd:2:9: error P1: duplicate element id 'C1' (first declared at line 1)"
+    ]
+    assert result.diagnostics[0].elements == (("A", "C1"),)
+    assert result.case.element("C1").kind is ElementKind.CLAIM
 
 
 def test_dangling_edge_p2():
@@ -124,18 +132,23 @@ def test_awayref_without_undeveloped_p3():
 
 
 def test_associates_restrictions_p7():
-    result = parse_case('case A kind monolithic { associates T }', "t.acd")
-    assert "P7" in rule_ids(result)
+    result = parse_case('case A kind monolithic { associates T\nassociates U }', "t.acd")
+    assert [d.line() for d in result.diagnostics] == [
+        "t.acd:1:37: error P7: 'associates' is only allowed in a clinical case",
+        "t.acd:2:12: error P7: 'associates' is only allowed in a clinical case",
+    ]
     assert result.case.associated_tac is None
 
     result = parse_case('case A kind clinical { claim C1 "x" root undeveloped }', "t.acd")
-    assert "P7" in rule_ids(result)
+    assert [d.line() for d in result.diagnostics] == [
+        "t.acd:1:6: error P7: clinical case 'A' must declare 'associates'"
+    ]
 
     result = parse_case(
         'case A kind clinical { associates T\nassociates U\nclaim C1 "x" root undeveloped }',
         "t.acd",
     )
-    assert rule_ids(result).count("P7") == 1
+    assert [d.line() for d in result.diagnostics] == ["t.acd:2:12: error P7: duplicate 'associates' declaration"]
     assert result.case.associated_tac == "T"
 
 
@@ -219,6 +232,8 @@ def test_lexer_edge_case_diagnostics(name):
     result = parse_case(source, "t.acd")
     assert result.case is not None
     assert [d.line() for d in result.diagnostics] == expected
+    for diagnostic in result.diagnostics:
+        assert _offset(source, diagnostic.span) + diagnostic.span.length <= len(source), diagnostic.line()
 
 
 def _offset(source: str, span) -> int:
