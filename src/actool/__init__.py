@@ -10,7 +10,6 @@ from .analyze import (
     bundle_metrics,
     case_metrics,
     impact,
-    metrics,
 )
 from .diagnostics import Diagnostic, Severity, has_errors, sorted_diagnostics
 from .link import ResolvedBundle, inline_bundle, resolve_links
@@ -34,7 +33,7 @@ from .model import (
     supported_by_cycle,
 )
 from .parser import ParseResult, parse_bundle, parse_case, print_case
-from .render import RenderOptions, report_json, to_dot
+from .render import report_json, to_dot
 from .units import BUILTIN_UNITS, Dimension, UnitDef, UnitError, UnitTable, parse_units_file
 from .validate import (
     MatchResult,

@@ -209,9 +209,3 @@ def bundle_metrics(bundle: Bundle) -> BundleMetrics:
         cases=tuple(case_metrics(case) for case in bundle.cases()),
         cross_link_count=cross_links,
     )
-
-
-def metrics(subject: AssuranceCase | Bundle) -> CaseMetrics | BundleMetrics:
-    if isinstance(subject, Bundle):
-        return bundle_metrics(subject)
-    return case_metrics(subject)

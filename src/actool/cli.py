@@ -18,11 +18,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .analyze import BundleMetrics, CaseMetrics, bundle_metrics, case_metrics, impact
-from .diagnostics import Diagnostic, Severity, sorted_diagnostics
+from .diagnostics import Diagnostic, Severity, has_errors, sorted_diagnostics
 from .link import ResolvedBundle, inline_bundle, resolve_links
 from .model import AssuranceCase, Bundle, UnknownElementError
 from .parser import parse_bundle, parse_case, print_case
-from .render import RenderOptions, report_json, to_dot
+from .render import report_json, to_dot
 from .units import BUILTIN_UNITS, UnitError, UnitTable, parse_units_file
 from .validate import bundle_match_results, validate_bundle, validate_case
 
@@ -32,8 +32,10 @@ class _Failure(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file's text exactly as stored: no newline translation, so the
+    CLI sees the same characters as `parse_case` on the file's bytes."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(f"cannot read {path!r}: {exc}") from exc
 
@@ -62,7 +64,7 @@ def _load_bundle(path: str) -> tuple[Bundle | None, list[Diagnostic]]:
     base = Path(path).parent
 
     def loader(name: str) -> str:
-        return (base / name).read_text(encoding="utf-8")
+        return (base / name).read_bytes().decode("utf-8")
 
     return parse_bundle(_read_text(path), loader, path)
 
@@ -74,7 +76,7 @@ def _emit(diagnostics: Sequence[Diagnostic]) -> None:
 
 
 def _exit_code(diagnostics: Sequence[Diagnostic], strict: bool = False) -> int:
-    if any(d.severity is Severity.ERROR for d in diagnostics):
+    if has_errors(diagnostics):
         return 1
     if strict and any(d.severity is Severity.WARNING for d in diagnostics):
         return 1
@@ -208,7 +210,7 @@ def _cmd_render(args: argparse.Namespace, units: UnitTable) -> int:
             if args.highlight
             else frozenset()
         )
-    _write_output(to_dot(subject, RenderOptions(highlight=highlight)), args.output)
+    _write_output(to_dot(subject, highlight), args.output)
     return _exit_code(diagnostics)
 
 

@@ -150,6 +150,8 @@ class Capability:
             object.__setattr__(self, "low", Decimal(self.low))
         if not isinstance(self.high, Decimal):
             object.__setattr__(self, "high", Decimal(self.high))
+        if not (self.low.is_finite() and self.high.is_finite()):
+            raise ValueError(f"capability {self.name!r} must have finite bounds")
 
 
 @dataclass(frozen=True)
@@ -208,9 +210,6 @@ class AssuranceCase:
     def find(self, element_id: str) -> Element | None:
         return self._by_id.get(element_id)
 
-    def has_element(self, element_id: str) -> bool:
-        return element_id in self._by_id
-
     def out_edges(self, element_id: str) -> tuple[Edge, ...]:
         """Edges whose source is the element, in declaration order."""
         if self._out_edges is None:
@@ -256,12 +255,6 @@ class Bundle:
 
     def cases(self) -> tuple[AssuranceCase, ...]:
         return (self.tac, *self.cacs)
-
-    def case(self, case_id: str) -> AssuranceCase:
-        for case in self.cases():
-            if case.id == case_id:
-                return case
-        raise UnknownElementError(f"unknown case id {case_id!r} in bundle")
 
 
 def children(case: AssuranceCase, node: str, kind: EdgeKind) -> list[str]:

@@ -13,8 +13,6 @@ The JSON report schema is documented in FORMATS.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Sequence
 
 from .analyze import BundleMetrics, CaseMetrics, ImpactReport
@@ -31,21 +29,6 @@ from .model import (
 from .validate import MatchResult
 
 UNDEVELOPED_GLYPH = "\u25c7"
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    show_contexts: bool = True
-    collapse_modules: bool = False
-    highlight: frozenset[tuple[str, str]] = field(default_factory=frozenset)
-    rank_sep: Decimal = Decimal("0.6")
-
-    def __post_init__(self):
-        if not isinstance(self.rank_sep, Decimal):
-            object.__setattr__(self, "rank_sep", Decimal(str(self.rank_sep)))
-        if self.rank_sep <= 0:
-            raise ValueError("rank_sep must be positive")
-        object.__setattr__(self, "highlight", frozenset(self.highlight))
 
 
 _SHAPES = {
@@ -88,68 +71,36 @@ def _edge_line(source: str, target: str, kind: EdgeKind) -> str:
     return f'"{source}" -> "{target}";'
 
 
-def _hidden_by_modules(case: AssuranceCase) -> set[str]:
-    """Elements strictly beneath module claims, over both edge kinds."""
-    hidden: set[str] = set()
-    for element in case.elements:
-        if not element.is_module:
-            continue
-        frontier = [edge.target for edge in case.out_edges(element.id)]
-        while frontier:
-            node = frontier.pop()
-            if node in hidden:
-                continue
-            hidden.add(node)
-            frontier.extend(edge.target for edge in case.out_edges(node))
-    hidden -= {element.id for element in case.elements if element.is_module}
-    return hidden
-
-
-def _visible_elements(case: AssuranceCase, options: RenderOptions) -> list[Element]:
-    hidden = _hidden_by_modules(case) if options.collapse_modules else set()
-    visible = []
-    for element in case.elements:
-        if element.id in hidden:
-            continue
-        if not options.show_contexts and element.kind in _ROUNDED:
-            continue
-        visible.append(element)
-    return visible
-
-
-def _case_body(case: AssuranceCase, options: RenderOptions, prefix: str, indent: str) -> list[str]:
-    visible = _visible_elements(case, options)
-    visible_ids = {element.id for element in visible}
+def _case_body(
+    case: AssuranceCase, highlight: frozenset[tuple[str, str]], prefix: str, indent: str
+) -> list[str]:
     lines = []
-    for element in sorted(visible, key=lambda e: e.id):
-        qualified = f"{prefix}{element.id}"
-        highlighted = (case.id, element.id) in options.highlight
-        lines.append(indent + _node_line(qualified, element, highlighted))
+    for element in sorted(case.elements, key=lambda e: e.id):
+        highlighted = (case.id, element.id) in highlight
+        lines.append(indent + _node_line(f"{prefix}{element.id}", element, highlighted))
     for edge in sorted(case.edges, key=lambda e: (e.source, e.kind.value, e.target)):
-        if edge.source in visible_ids and edge.target in visible_ids:
-            lines.append(indent + _edge_line(f"{prefix}{edge.source}", f"{prefix}{edge.target}", edge.kind))
+        lines.append(indent + _edge_line(f"{prefix}{edge.source}", f"{prefix}{edge.target}", edge.kind))
     return lines
 
 
 def to_dot(
     subject: AssuranceCase | Bundle | ResolvedBundle,
-    options: RenderOptions | None = None,
+    highlight: frozenset[tuple[str, str]] = frozenset(),
 ) -> str:
     """Render a case or a bundle as a DOT digraph.
 
     Bundles are drawn with one cluster per case; resolved away references
     become dashed inter-cluster edges. A raw (unresolved) bundle falls back
     to drawing dashed edges for whichever away references name an existing
-    element.
+    element. `highlight` names the (case id, element id) pairs drawn filled.
     """
-    options = options or RenderOptions()
     header = [
-        f"  graph [rankdir=TB, ranksep={format_decimal(options.rank_sep)}];",
+        "  graph [rankdir=TB, ranksep=0.6];",
         '  node [fontname="Helvetica", fontsize=10];',
     ]
     if isinstance(subject, AssuranceCase):
         lines = [f'digraph "{subject.id}" {{', *header]
-        lines.extend(_case_body(subject, options, "", "  "))
+        lines.extend(_case_body(subject, highlight, "", "  "))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -168,7 +119,7 @@ def to_dot(
                 if element.away_ref is None:
                     continue
                 target_case = known.get(element.away_ref[0])
-                if target_case is not None and target_case.has_element(element.away_ref[1]):
+                if target_case is not None and target_case.find(element.away_ref[1]) is not None:
                     cross.append(
                         (f"{case.id}.{element.id}", f"{element.away_ref[0]}.{element.away_ref[1]}")
                     )
@@ -177,7 +128,7 @@ def to_dot(
     for case in sorted(bundle.cases(), key=lambda c: c.id):
         lines.append(f'  subgraph "cluster_{case.id}" {{')
         lines.append(f'    label="{case.id} ({case.kind.value})";')
-        lines.extend(_case_body(case, options, f"{case.id}.", "    "))
+        lines.extend(_case_body(case, highlight, f"{case.id}.", "    "))
         lines.append("  }")
     for source, target in sorted(cross):
         lines.append(f'  "{source}" -> "{target}" [style=dashed];')

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from actool.analyze import bundle_metrics, case_metrics, impact, metrics
+from actool.analyze import bundle_metrics, case_metrics, impact
 from actool.cli import run
 from actool.link import resolve_links
 from actool.model import (
@@ -151,11 +151,6 @@ def test_metrics_invariant_under_reordering(tac_case):
         capabilities=tuple(reversed(tac_case.capabilities)),
     )
     assert case_metrics(reordered) == case_metrics(tac_case)
-
-
-def test_metrics_dispatcher(corpus_bundle, tac_case):
-    assert metrics(corpus_bundle) == bundle_metrics(corpus_bundle)
-    assert metrics(tac_case) == case_metrics(tac_case)
 
 
 def test_metrics_chain_deeper_than_recursion_limit(tmp_path, capsys):

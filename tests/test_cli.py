@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actool.cli import run
+from actool.parser import parse_case, print_case
 
 from conftest import CORPUS, GOLDEN
 
@@ -183,6 +184,32 @@ def test_fmt_outputs_canonical_form(tmp_path, capsys):
     assert run(["fmt", "--check", str(canonical)]) == 0
     assert run(["fmt", "--check", str(messy)]) == 1
     assert "not in canonical form" in capsys.readouterr().err
+
+
+def test_fmt_sees_carriage_returns(tmp_path, capsys):
+    # Files are read without newline translation, as `parse_case` sees them.
+    canonical = print_case(parse_case((CORPUS / "tac_mrgfus.acd").read_text(encoding="utf-8"), "tac").case)
+    lf, crlf = tmp_path / "lf.acd", tmp_path / "crlf.acd"
+    lf.write_bytes(canonical.encode("utf-8"))
+    crlf.write_bytes(canonical.replace("\n", "\r\n").encode("utf-8"))
+    assert run(["fmt", "--check", str(lf)]) == 0
+    assert run(["fmt", "--check", str(crlf)]) == 1
+    assert "not in canonical form" in capsys.readouterr().err
+    lone = tmp_path / "lone.acd"
+    lone.write_bytes(b'case X kind monolithic { claim C "a\rb" root }\n')
+    assert run(["fmt", str(lone)]) == 0
+    assert 'claim C "a\rb" root' in capsys.readouterr().out
+
+
+def test_bundle_member_keeps_carriage_returns(tmp_path, capsys):
+    (tmp_path / "tac.acd").write_bytes((CORPUS / "tac_mrgfus.acd").read_bytes())
+    cac = (CORPUS / "cac_uterine_fibroids.acd").read_bytes()
+    assert cac.count(b"Clinical safety:") == 1
+    (tmp_path / "cac.acd").write_bytes(cac.replace(b"Clinical safety:", b"Clinical\rsafety:"))
+    manifest = tmp_path / "b.acb"
+    manifest.write_text('bundle B {\n  tac "tac.acd"\n  cac "cac.acd"\n}\n', encoding="utf-8")
+    assert run(["inline", str(manifest), "--cac", "CAC-UF"]) == 0
+    assert "Clinical\rsafety:" in capsys.readouterr().out
 
 
 def test_ac_units_extends_table(tmp_path, capsys, monkeypatch):
@@ -372,5 +399,5 @@ def test_cli_corpus_transcript(monkeypatch):
     monkeypatch.chdir(CORPUS.parent)
     expected = (GOLDEN / "cli_corpus.txt").read_text(encoding="utf-8")
     commands = [shlex.split(line[len("$ actool "):]) for line in expected.splitlines() if line.startswith("$ actool ")]
-    assert len(commands) == 17
+    assert len(commands) == 20
     assert cli_transcript(commands) == expected

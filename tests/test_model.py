@@ -1,11 +1,14 @@
 import random
+from decimal import Decimal
 
 import pytest
 
 from actool.model import (
     AssuranceCase,
+    Capability,
     CaseKind,
     CycleError,
+    Direction,
     Edge,
     EdgeKind,
     Element,
@@ -171,7 +174,13 @@ def test_bundle_shape_enforced(tac_case, cac_case):
         Bundle(tac_case, ())
     with pytest.raises(ValueError, match="technological"):
         Bundle(cac_case, (cac_case,))
-    bundle = Bundle(tac_case, (cac_case,))
-    assert bundle.case("TAC-1") is tac_case
-    with pytest.raises(UnknownElementError):
-        bundle.case("NOPE")
+    assert Bundle(tac_case, (cac_case,)).cases() == (tac_case, cac_case)
+
+
+@pytest.mark.parametrize("bound", ["NaN", "sNaN", "-NaN", "Infinity", "-Infinity"])
+def test_non_finite_capability_bounds_rejected(bound):
+    # A NaN bound would raise decimal.InvalidOperation at the U2 comparison.
+    with pytest.raises(ValueError, match="finite"):
+        Capability("p", Direction.PROVIDED, "W", Decimal(bound), 1)
+    with pytest.raises(ValueError, match="finite"):
+        Capability("p", Direction.REQUIRED, "W", 0, Decimal(bound))

@@ -1,13 +1,10 @@
 import json
 import random
-from decimal import Decimal
-
-import pytest
 
 from actool.analyze import bundle_metrics, case_metrics, impact
 from actool.diagnostics import Diagnostic, Severity
 from actool.model import AssuranceCase, CaseKind, SourceSpan
-from actool.render import RenderOptions, report_json, to_dot
+from actool.render import report_json, to_dot
 from actool.validate import bundle_match_results
 
 import helpers
@@ -53,7 +50,7 @@ def test_dot_node_count_matches_element_count():
 
 
 def test_highlight_fills_node(tac_case):
-    dot = to_dot(tac_case, RenderOptions(highlight={("TAC-1", "C2")}))
+    dot = to_dot(tac_case, frozenset({("TAC-1", "C2")}))
     line = next(l for l in dot.splitlines() if l.strip().startswith('"C2"'))
     assert "filled" in line and "fillcolor=lightgray" in line
     assert to_dot(tac_case).count("fillcolor") == 0
@@ -70,27 +67,6 @@ def test_bundle_render_clusters_and_resolution_edges(corpus_resolved):
 def test_raw_bundle_render_best_effort(corpus_bundle):
     dot = to_dot(corpus_bundle)
     assert '"CAC-UF.C4" -> "TAC-1.C2" [style=dashed];' in dot
-
-
-def test_show_contexts_off(tac_case):
-    dot = to_dot(tac_case, RenderOptions(show_contexts=False))
-    assert '"Xa"' not in dot
-    assert "arrowhead=onormal" not in dot
-
-
-def test_collapse_modules(tac_case):
-    dot = to_dot(tac_case, RenderOptions(collapse_modules=True))
-    assert '"C2" [shape=tab' in dot
-    assert '"C2-1"' not in dot and '"E1"' not in dot
-    # top level survives
-    assert '"C1"' in dot and '"S"' in dot
-
-
-def test_rank_sep_validation():
-    with pytest.raises(ValueError):
-        RenderOptions(rank_sep=Decimal(0))
-    dot = to_dot(AssuranceCase("X", CaseKind.MONOLITHIC, ()), RenderOptions(rank_sep=Decimal("1.25")))
-    assert "ranksep=1.25" in dot
 
 
 def test_report_json_empty_diagnostics():
