@@ -20,6 +20,8 @@ from .model import (
     EdgeKind,
     ElementKind,
     UnknownElementError,
+    reach,
+    supported_by_dfs,
 )
 from .validate import has_evidence_support, is_leaf_claim
 
@@ -52,19 +54,13 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     for source, target in resolved.resolutions.items():
         referrers.setdefault(target, []).append(source)
 
-    affected: set[tuple[str, str]] = set(changed_pairs)
-    frontier = list(changed_pairs)
-    while frontier:
-        node = frontier.pop()
+    def above(node: tuple[str, str]) -> list[tuple[str, str]]:
         case_id, element_id = node
         parents = [(case_id, edge.source) for edge in cases[case_id].in_edges(element_id)]
-        for parent in parents + referrers.get(node, []):
-            if parent not in affected:
-                affected.add(parent)
-                frontier.append(parent)
+        return parents + referrers.get(node, [])
 
     per_case: dict[str, set[str]] = {case_id: set() for case_id in cases}
-    for case_id, element_id in affected:
+    for case_id, element_id in reach(changed_pairs, above):
         per_case[case_id].add(element_id)
     return ImpactReport(
         changed=frozenset(changed_pairs),
@@ -135,35 +131,16 @@ class BundleMetrics:
 
 
 def _supported_by_depth(case: AssuranceCase) -> int:
-    """Longest supportedBy path, counted in nodes; back edges are ignored.
-
-    Depth-first from each element in declaration order, with an explicit
-    stack so that chain length is not bounded by the recursion limit.
-    """
-    memo: dict[str, int] = {}
-    for element in case.elements:
-        if element.id in memo:
-            continue
-        on_path = {element.id}
-        stack = [(element.id, 0)]
-        while stack:
-            node, index = stack[-1]
-            edges = case.out_edges(node)
-            if index < len(edges):
-                stack[-1] = (node, index + 1)
-                edge = edges[index]
-                if edge.kind is EdgeKind.SUPPORTED_BY and edge.target not in on_path and edge.target not in memo:
-                    on_path.add(edge.target)
-                    stack.append((edge.target, 0))
-            else:
-                stack.pop()
-                # targets still on the path are back edges of a cycle; G2 reports it
-                memo[node] = 1 + max(
-                    (memo[e.target] for e in edges if e.kind is EdgeKind.SUPPORTED_BY and e.target not in on_path),
-                    default=0,
-                )
-                on_path.discard(node)
-    return max(memo.values(), default=0)
+    """Longest supportedBy path, counted in nodes; the back edges of the
+    depth-first walk are ignored (G2 reports the cycle they close)."""
+    depth: dict[str, int] = {}
+    for node in supported_by_dfs(case)[0]:
+        # a target not yet in `depth` is still on the walk's path: a back edge
+        depth[node] = 1 + max(
+            [depth.get(edge.target, 0) for edge in case.out_edges(node) if edge.kind is EdgeKind.SUPPORTED_BY],
+            default=0,
+        )
+    return max(depth.values(), default=0)
 
 
 def case_metrics(case: AssuranceCase) -> CaseMetrics:

@@ -21,6 +21,7 @@ from .model import (
     EdgeKind,
     ElementKind,
     UnknownElementError,
+    reach,
 )
 from .validate import link_rule_diagnostics
 
@@ -52,22 +53,10 @@ def resolve_links(bundle: Bundle) -> tuple[ResolvedBundle | None, list[Diagnosti
     return ResolvedBundle(bundle, resolutions), diagnostics
 
 
-def _reachable(case: AssuranceCase, start: str) -> list[str]:
-    """Ids reachable from `start` over both edge kinds, in BFS declaration order."""
-    order = [start]
-    seen = {start}
-    for node in order:  # `order` doubles as the BFS queue; appends extend this loop
-        for edge in case.out_edges(node):
-            if edge.target not in seen:
-                seen.add(edge.target)
-                order.append(edge.target)
-    return order
-
-
 def subtree_size(case: AssuranceCase, root: str) -> int:
     """Number of elements reachable from `root` (inclusive) over both edge kinds."""
     case.element(root)
-    return len(_reachable(case, root))
+    return len(reach([root], lambda node: [edge.target for edge in case.out_edges(node)]))
 
 
 def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
@@ -77,7 +66,8 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
     away-claim's undeveloped flag and reference cleared, plus one copy per
     resolution of the referenced technological subtree, its ids prefixed
     `<tacId>__` (ordinal-prefixed `<tacId>__<n>__` for second and later
-    copies of the same element). The away-claim keeps its statement and gains
+    copies of the same element; an ordinal whose name a clinical element
+    already uses is skipped). The away-claim keeps its statement and gains
     a supportedBy edge to the copied target. Capabilities are not carried
     over: they describe the cross-case interface that inlining removes.
     """
@@ -105,12 +95,16 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
         if key not in resolved.resolutions:
             continue
         target_id = resolved.resolutions[key][1]
-        subtree = _reachable(tac, target_id)
+        subtree = reach([target_id], lambda node: [edge.target for edge in tac.out_edges(node)])
         names: dict[str, str] = {}
         for node in subtree:
             count = copy_counts.get(node, 0) + 1
+            name = f"{tac.id}__{node}" if count == 1 else f"{tac.id}__{count}__{node}"
+            while cac.find(name) is not None:
+                count += 1
+                name = f"{tac.id}__{count}__{node}"
             copy_counts[node] = count
-            names[node] = f"{tac.id}__{node}" if count == 1 else f"{tac.id}__{count}__{node}"
+            names[node] = name
         for node in subtree:
             original = tac.element(node)
             # root-ness is a per-case property; away references never survive

@@ -1,4 +1,4 @@
-"""In-memory model of assurance cases and bundles.
+"""The model of assurance cases and bundles.
 
 An assurance case is a typed directed graph in Goal Structuring Notation
 terms: claims, strategies, contexts, assumptions, justifications and evidence,
@@ -263,36 +263,60 @@ def children(case: AssuranceCase, node: str, kind: EdgeKind) -> list[str]:
     return [edge.target for edge in case.out_edges(node) if edge.kind is kind]
 
 
-def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
-    """Find one cycle in the supportedBy subgraph, as [n0, n1, ..., n0]; None if acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {element.id: WHITE for element in case.elements}
-    for start in color:
-        if color[start] != WHITE:
+def reach(starts, successors) -> list:
+    """`starts` and every node reachable from them over `successors(node)`,
+    each once, in breadth-first order."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for node in order:  # `order` doubles as the queue; appends extend this loop
+        for successor in successors(node):
+            if successor not in seen:
+                seen.add(successor)
+                order.append(successor)
+    return order
+
+
+def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
+    """One depth-first walk of the supportedBy subgraph, started from each
+    unvisited element in declaration order, out-edges in declaration order.
+
+    Returns every element id in postorder, and the first cycle the walk
+    closes, as [n0, n1, ..., n0], or None if the subgraph is acyclic. The
+    stack is explicit, so chain length is not bounded by the recursion limit.
+    """
+    finished: dict[str, bool] = {}  # False while on the path, True once done
+    postorder: list[str] = []
+    cycle = None
+    for element in case.elements:
+        if element.id in finished:
             continue
-        path: list[str] = []
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            node, next_edge = stack[-1]
-            if next_edge == 0:
-                color[node] = GRAY
-                path.append(node)
-            edges = case.out_edges(node)
-            if next_edge < len(edges):
-                stack[-1] = (node, next_edge + 1)
-                edge = edges[next_edge]
+        finished[element.id] = False
+        path = [element.id]
+        pending = [iter(case.out_edges(element.id))]
+        while pending:
+            for edge in pending[-1]:
                 if edge.kind is not EdgeKind.SUPPORTED_BY:
                     continue
-                child = edge.target
-                if color[child] == GRAY:
-                    return path[path.index(child):] + [child]
-                if color[child] == WHITE:
-                    stack.append((child, 0))
+                target = edge.target
+                done = finished.get(target)
+                if done is None:
+                    finished[target] = False
+                    path.append(target)
+                    pending.append(iter(case.out_edges(target)))
+                    break
+                if not done and cycle is None:
+                    cycle = path[path.index(target):] + [target]
             else:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+                node = path.pop()
+                finished[node] = True
+                postorder.append(node)
+                pending.pop()
+    return postorder, cycle
+
+
+def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
+    """Find one cycle in the supportedBy subgraph, as [n0, n1, ..., n0]; None if acyclic."""
+    return supported_by_dfs(case)[1]
 
 
 def ancestors(case: AssuranceCase, node: str) -> set[str]:
@@ -305,16 +329,8 @@ def ancestors(case: AssuranceCase, node: str) -> set[str]:
     cycle = supported_by_cycle(case)
     if cycle is not None:
         raise CycleError(cycle)
-    seen: set[str] = set()
-    frontier = [node]
-    while frontier:
-        current = frontier.pop()
-        for edge in case.in_edges(current):
-            if edge.kind is EdgeKind.SUPPORTED_BY and edge.source not in seen:
-                seen.add(edge.source)
-                frontier.append(edge.source)
-    seen.discard(node)
-    return seen
+    above = reach([node], lambda n: [e.source for e in case.in_edges(n) if e.kind is EdgeKind.SUPPORTED_BY])
+    return set(above[1:])
 
 
 def format_decimal(value: Decimal) -> str:

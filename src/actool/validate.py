@@ -24,6 +24,7 @@ from .model import (
     Element,
     ElementKind,
     format_decimal,
+    reach,
     supported_by_cycle,
 )
 from .units import BUILTIN_UNITS, UnitTable
@@ -46,6 +47,12 @@ class MatchResult:
 SUPPORT_SOURCES = (ElementKind.CLAIM, ElementKind.STRATEGY)
 SUPPORT_TARGETS = (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE)
 CONTEXT_TARGETS = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
+# G3 and G4: the rule, the article before the edge kind, and the legal target
+# kinds of each edge kind; both kinds start at a claim or strategy
+_EDGE_TYPING = {
+    EdgeKind.SUPPORTED_BY: ("G3", "a", SUPPORT_TARGETS),
+    EdgeKind.IN_CONTEXT_OF: ("G4", "an", CONTEXT_TARGETS),
+}
 
 
 def _error(rule: str, span, message: str, *elements: tuple[str, str]) -> Diagnostic:
@@ -108,55 +115,15 @@ def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[D
     for edge in case.edges:
         source = case.element(edge.source)
         target = case.element(edge.target)
-        if edge.kind is EdgeKind.SUPPORTED_BY:
-            if source.kind not in SUPPORT_SOURCES:
-                diagnostics.append(
-                    _error(
-                        "G3",
-                        edge.span,
-                        f"{source.kind.value} {source.id!r} cannot be the source of a supportedBy edge",
-                        (cid, source.id),
-                    )
-                )
-            elif target.kind not in SUPPORT_TARGETS:
-                diagnostics.append(
-                    _error(
-                        "G3",
-                        edge.span,
-                        f"{target.kind.value} {target.id!r} cannot be the target of a supportedBy edge",
-                        (cid, target.id),
-                    )
-                )
-            elif source.kind is ElementKind.STRATEGY and target.kind is not ElementKind.CLAIM:
-                diagnostics.append(
-                    _error(
-                        "G3",
-                        edge.span,
-                        f"strategy {source.id!r} must be supported by claims only, "
-                        f"not {target.kind.value} {target.id!r}",
-                        (cid, source.id),
-                        (cid, target.id),
-                    )
-                )
-        else:
-            if source.kind not in SUPPORT_SOURCES:
-                diagnostics.append(
-                    _error(
-                        "G4",
-                        edge.span,
-                        f"{source.kind.value} {source.id!r} cannot be the source of an inContextOf edge",
-                        (cid, source.id),
-                    )
-                )
-            elif target.kind not in CONTEXT_TARGETS:
-                diagnostics.append(
-                    _error(
-                        "G4",
-                        edge.span,
-                        f"{target.kind.value} {target.id!r} cannot be the target of an inContextOf edge",
-                        (cid, target.id),
-                    )
-                )
+        rule, article, allowed = _EDGE_TYPING[edge.kind]
+        if source.kind not in SUPPORT_SOURCES or target.kind not in allowed:
+            end, bad = ("source", source) if source.kind not in SUPPORT_SOURCES else ("target", target)
+            message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {article} {edge.kind.value} edge"
+            diagnostics.append(_error(rule, edge.span, message, (cid, bad.id)))
+        elif rule == "G3" and source.kind is ElementKind.STRATEGY and target.kind is not ElementKind.CLAIM:
+            message = f"strategy {source.id!r} must be supported by claims only, "
+            message += f"not {target.kind.value} {target.id!r}"
+            diagnostics.append(_error(rule, edge.span, message, (cid, source.id), (cid, target.id)))
 
     for element in case.elements:
         if element.kind is ElementKind.CLAIM and is_leaf_claim(case, element):
@@ -172,14 +139,7 @@ def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[D
                 )
 
     if len(roots) == 1:
-        reachable = {roots[0].id}
-        frontier = [roots[0].id]
-        while frontier:
-            node = frontier.pop()
-            for edge in case.out_edges(node):
-                if edge.target not in reachable:
-                    reachable.add(edge.target)
-                    frontier.append(edge.target)
+        reachable = set(reach([roots[0].id], lambda node: [edge.target for edge in case.out_edges(node)]))
         for element in case.elements:
             if element.id not in reachable:
                 diagnostics.append(

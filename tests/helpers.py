@@ -384,6 +384,39 @@ def brute_acyclic_depth(case: AssuranceCase) -> int:
     return max(depth.values(), default=0)
 
 
+def brute_dfs(case: AssuranceCase) -> tuple[int, list[str] | None]:
+    """The supportedBy depth-first walk restated recursively, rescanning the
+    edge list: starts in declaration order, out-edges in declaration order.
+
+    Returns the longest path in nodes with the walk's back edges ignored, and
+    the first cycle the walk closes as [n0, ..., n0] (None when acyclic)."""
+    depth: dict[str, int] = {}
+    path: list[str] = []
+    cycle = None
+
+    def visit(node: str) -> None:
+        nonlocal cycle
+        path.append(node)
+        best = 0
+        for edge in case.edges:
+            if edge.source != node or edge.kind is not EdgeKind.SUPPORTED_BY:
+                continue
+            if edge.target in path:
+                if cycle is None:
+                    cycle = path[path.index(edge.target):] + [edge.target]
+                continue
+            if edge.target not in depth:
+                visit(edge.target)
+            best = max(best, depth[edge.target])
+        path.pop()
+        depth[node] = 1 + best
+
+    for element in case.elements:
+        if element.id not in depth:
+            visit(element.id)
+    return max(depth.values(), default=0), cycle
+
+
 def brute_has_supported_by_cycle(case: AssuranceCase) -> bool:
     """Closed-walk detection: boolean adjacency powers up to |V|."""
     ids = [e.id for e in case.elements]

@@ -212,6 +212,23 @@ def test_bundle_member_keeps_carriage_returns(tmp_path, capsys):
     assert "Clinical\rsafety:" in capsys.readouterr().out
 
 
+def test_inline_skips_copy_names_the_clinical_case_uses(tmp_path, capsys):
+    (tmp_path / "tac.acd").write_bytes((CORPUS / "tac_mrgfus.acd").read_bytes())
+    cac = (CORPUS / "cac_uterine_fibroids.acd").read_text(encoding="utf-8")
+    cac = cac.replace("  associates TAC-1\n", '  associates TAC-1\n  context TAC-1__C2 "x"\n')
+    (tmp_path / "cac.acd").write_text(cac, encoding="utf-8")
+    manifest = tmp_path / "b.acb"
+    manifest.write_text('bundle B {\n  tac "tac.acd"\n  cac "cac.acd"\n}\n', encoding="utf-8")
+    assert run(["inline", str(manifest), "--cac", "CAC-UF"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out
+    assert 'context TAC-1__C2 "x"' in out
+    assert "C4 supportedBy TAC-1__2__C2" in out
+    assert "TAC-1__2__C2 supportedBy TAC-1__C2-1" in out
+    assert parse_case(out, "inlined.acd").diagnostics == []
+
+
 def test_ac_units_extends_table(tmp_path, capsys, monkeypatch):
     case = tmp_path / "u.acd"
     case.write_text(

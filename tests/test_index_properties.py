@@ -2,7 +2,7 @@
 edge list (the oracles in helpers) on random cases of up to 40 elements with
 random kinds, flags and edges, cycles and self-loops included."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actool.analyze import case_metrics
@@ -17,6 +17,7 @@ from actool.model import (
     ElementKind,
     ancestors,
     children,
+    supported_by_cycle,
 )
 from actool.validate import validate_bundle, validate_case
 
@@ -102,6 +103,30 @@ def test_ancestors_and_depth_match_edge_scans_on_acyclic_cases(case):
         expected = {other for other, reached in below.items() if other != element.id and element.id in reached}
         assert ancestors(case, element.id) == expected
     assert case_metrics(case).depth == helpers.brute_acyclic_depth(case)
+
+
+TWO_CYCLES = AssuranceCase(
+    id="H",
+    kind=CaseKind.MONOLITHIC,
+    elements=tuple(Element(f"N{i}", ElementKind.CLAIM, "") for i in range(3)),
+    edges=tuple(
+        Edge(a, b, EdgeKind.SUPPORTED_BY) for a, b in (("N0", "N1"), ("N1", "N0"), ("N1", "N2"), ("N2", "N1"))
+    ),
+)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+@example(TWO_CYCLES)  # the walk closes N0-N1 first, then N1-N2
+def test_depth_cycle_and_g2_match_recursive_walk(case):
+    depth, cycle = helpers.brute_dfs(case)
+    assert case_metrics(case).depth == depth
+    assert supported_by_cycle(case) == cycle
+    g2 = [(d.message, d.elements) for d in validate_case(case) if d.rule_id == "G2"]
+    if cycle is None:
+        assert g2 == []
+    else:
+        assert g2 == [("supportedBy cycle: " + " -> ".join(cycle), tuple((case.id, node) for node in cycle[:-1]))]
 
 
 @PROPERTY_SETTINGS

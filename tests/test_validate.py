@@ -175,18 +175,33 @@ def test_g2_cycle():
     assert "cycle" in g2[0].message
 
 
+def lines_and_elements(diagnostics, rule):
+    return [(d.line(), d.elements) for d in by_rule(diagnostics, rule)]
+
+
 def test_g3_strategy_must_support_claims():
+    # a bad target kind is reported before the strategy-specific rule
     case = case_of(
         claim("A", is_root=True),
         Element("S1", ElementKind.STRATEGY, "s"),
         Element("E1", ElementKind.EVIDENCE, "e"),
+        Element("X1", ElementKind.CONTEXT, "x"),
         edges=(
             Edge("A", "S1", EdgeKind.SUPPORTED_BY),
             Edge("S1", "E1", EdgeKind.SUPPORTED_BY),
+            Edge("S1", "X1", EdgeKind.SUPPORTED_BY),
         ),
     )
-    g3 = by_rule(validate_case(case), "G3")
-    assert len(g3) == 1 and "claims only" in g3[0].message
+    assert lines_and_elements(validate_case(case), "G3") == [
+        (
+            "<unknown>:1:1: error G3: context 'X1' cannot be the target of a supportedBy edge",
+            (("T", "X1"),),
+        ),
+        (
+            "<unknown>:1:1: error G3: strategy 'S1' must be supported by claims only, not evidence 'E1'",
+            (("T", "S1"), ("T", "E1")),
+        ),
+    ]
 
 
 def test_g3_bad_source_and_target():
@@ -199,7 +214,16 @@ def test_g3_bad_source_and_target():
             Edge("A", "X1", EdgeKind.SUPPORTED_BY),
         ),
     )
-    assert len(by_rule(validate_case(case), "G3")) == 2
+    assert lines_and_elements(validate_case(case), "G3") == [
+        (
+            "<unknown>:1:1: error G3: context 'X1' cannot be the target of a supportedBy edge",
+            (("T", "X1"),),
+        ),
+        (
+            "<unknown>:1:1: error G3: evidence 'E1' cannot be the source of a supportedBy edge",
+            (("T", "E1"),),
+        ),
+    ]
 
 
 def test_g4_context_edges():
@@ -207,12 +231,23 @@ def test_g4_context_edges():
         claim("A", is_root=True, is_undeveloped=True),
         Element("X1", ElementKind.CONTEXT, "x"),
         Element("E1", ElementKind.EVIDENCE, "e"),
+        Element("S1", ElementKind.STRATEGY, "s"),
         edges=(
             Edge("A", "E1", EdgeKind.IN_CONTEXT_OF),  # bad target
             Edge("X1", "X1", EdgeKind.IN_CONTEXT_OF),  # bad source
+            Edge("S1", "X1", EdgeKind.IN_CONTEXT_OF),  # a strategy may have context
         ),
     )
-    assert len(by_rule(validate_case(case), "G4")) == 2
+    assert lines_and_elements(validate_case(case), "G4") == [
+        (
+            "<unknown>:1:1: error G4: context 'X1' cannot be the source of an inContextOf edge",
+            (("T", "X1"),),
+        ),
+        (
+            "<unknown>:1:1: error G4: evidence 'E1' cannot be the target of an inContextOf edge",
+            (("T", "E1"),),
+        ),
+    ]
 
 
 def test_g5_bare_leaf_claim():
