@@ -5,11 +5,12 @@ node declarations, edges, capability declarations and (for clinical cases) an
 `associates` line. Bundle manifests (`.acb`) list one `tac` entry and one or
 more `cac` entries with paths resolved by the caller-supplied loader.
 
-Parsing is total: a syntax error skips to the next statement boundary
-(newline, `;` or `}`) and parsing continues, so one run reports every
-diagnosable error. A case value is produced whenever the case header parses;
-offending items are dropped so the resulting value never violates the model
-invariants.
+Parsing is total, so one run reports every diagnosable error. A syntax
+error (P0) skips to the next statement boundary (newline, `;` or `}`) and
+parsing goes on; an error in a node's flags keeps the node; an error in the
+header gives no case or bundle. `_Parser` states how the code keeps this.
+A case value is produced whenever the case header parses; offending items
+are dropped so the resulting value never violates the model invariants.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .diagnostics import Diagnostic, Severity, sorted_diagnostics
 from .model import (
@@ -116,8 +117,21 @@ def _unescape(text: str, closed: bool, span: SourceSpan, diagnostics: list[Diagn
     return _ESCAPE.sub(r"\1", text[1:end])
 
 
+class _Skip(Exception):
+    """Raised by a primitive after it has recorded its P0 error."""
+
+
 class _Parser:
-    """Shared machinery for case files and bundle manifests."""
+    """Token primitives, the block header and the statement loop shared by
+    case files and bundle manifests.
+
+    Recovery contract: a primitive returns a valid token or value, or records
+    one P0 error and raises `_Skip`. Three places catch it. The statement
+    loop skips to the next statement boundary and goes on. A header error
+    gives no case and no bundle. An error in a node's flags or terminator
+    also skips to the boundary, but keeps the node with the flags read
+    before the error.
+    """
 
     def __init__(self, source: str, file_name: str):
         self.tokens, self.diagnostics = _tokenize(source, file_name)
@@ -138,14 +152,6 @@ class _Parser:
         token = self.peek()
         return token.kind == "punct" and token.text == text
 
-    def accept(self, words: dict[str, object]) -> object | None:
-        """Consume an identifier that is a key of `words` and return its value."""
-        token = self.peek()
-        if token.kind == "ident" and token.text in words:
-            self.advance()
-            return words[token.text]
-        return None
-
     def skip_breaks(self) -> None:
         while self.peek().kind == "break":
             self.advance()
@@ -155,42 +161,73 @@ class _Parser:
             Diagnostic("P0", Severity.ERROR, span or self.peek().span, message)
         )
 
+    def fail(self, message: str, span: SourceSpan | None = None) -> NoReturn:
+        self.error(message, span)
+        raise _Skip
+
     def recover(self) -> None:
         """Skip to the next statement boundary: past a break, or before `}`/eof."""
         while self.peek().kind != "eof" and not self.at_punct("}"):
             if self.advance().kind == "break":
                 return
 
-    def expect_keyword(self, word: str) -> bool:
+    def expect_word(self, *words: str, what: str = "") -> str:
+        """Consume an identifier that is one of `words` and return it; `what`
+        names the choice in the error (default: the first word)."""
         token = self.peek()
-        if token.kind == "ident" and token.text == word:
-            self.advance()
-            return True
-        self.error(f"expected '{word}'")
-        return False
+        if token.kind != "ident" or token.text not in words:
+            self.fail(f"expected {what or repr(words[0])}")
+        return self.advance().text
 
-    def expect(self, kind: str, what: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        self.error(f"expected {what}")
-        return None
+    def expect(self, kind: str, what: str) -> _Token:
+        if self.peek().kind != kind:
+            self.fail(f"expected {what}")
+        return self.advance()
 
-    def expect_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.advance()
-            return True
-        self.error(f"expected '{text}'")
-        return False
+    def expect_punct(self, text: str) -> None:
+        if not self.at_punct(text):
+            self.fail(f"expected '{text}'")
+        self.advance()
 
-    def expect_terminator(self) -> bool:
+    def expect_terminator(self) -> None:
         if self.peek().kind == "break":
             self.advance()
-            return True
-        if self.peek().kind == "eof" or self.at_punct("}"):
-            return True
-        self.error("expected end of statement")
-        self.recover()
-        return False
+        elif self.peek().kind != "eof" and not self.at_punct("}"):
+            self.fail("expected end of statement")
+
+    # --- blocks -------------------------------------------------------------
+
+    def header(self, word: str, rest: Callable[[], None] = lambda: None) -> _Token | None:
+        """Read `WORD ID`, then `rest`, then `{`; the id token, or None after a P0 error."""
+        self.skip_breaks()
+        try:
+            self.expect_word(word)
+            id_token = self.expect("ident", f"{word} id")
+            rest()
+            self.skip_breaks()
+            self.expect_punct("{")
+        except _Skip:
+            return None
+        return id_token
+
+    def statements(self, statement: Callable[[], None]) -> None:
+        """Call `statement` at each statement up to the closing `}`, after
+        which only blank space, `;` and comments may follow."""
+        while True:
+            self.skip_breaks()
+            if self.peek().kind == "eof":
+                self.error("expected '}'")
+                return
+            if self.at_punct("}"):
+                self.advance()
+                self.skip_breaks()
+                if self.peek().kind != "eof":
+                    self.error("unexpected content after '}'")
+                return
+            try:
+                statement()
+            except _Skip:
+                self.recover()
 
 
 class _CaseParser(_Parser):
@@ -214,10 +251,11 @@ class _CaseParser(_Parser):
         self.associated: str | None = None
 
     def parse(self) -> ParseResult:
-        id_token = self._header()
+        id_token = self.header("case", self._kind)
         if id_token is None:
             return ParseResult(None, sorted_diagnostics(self.diagnostics))
-        self._items()
+        self.case_id = id_token.text
+        self.statements(self._statement)
         if self.kind is CaseKind.CLINICAL and self.associated is None:
             self._diag("P7", id_token.span, f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
@@ -241,56 +279,28 @@ class _CaseParser(_Parser):
     def _diag(self, rule: str, span: SourceSpan, message: str, *elements: tuple[str, str]) -> None:
         self.diagnostics.append(Diagnostic(rule, Severity.ERROR, span, message, tuple(elements)))
 
-    def _header(self) -> _Token | None:
-        """The case id token, with `case_id` and `kind` set; None on a P0 error."""
-        self.skip_breaks()
-        if not self.expect_keyword("case"):
-            return None
-        id_token = self.expect("ident", "case id")
-        if id_token is None or not self.expect_keyword("kind"):
-            return None
-        kind = self.accept(CASE_KINDS)
-        if kind is None:
-            self.error("expected case kind ('monolithic', 'technological' or 'clinical')")
-            return None
-        self.skip_breaks()
-        if not self.expect_punct("{"):
-            return None
-        self.case_id, self.kind = id_token.text, kind
-        return id_token
+    def _kind(self) -> None:
+        self.expect_word("kind")
+        what = "case kind ('monolithic', 'technological' or 'clinical')"
+        self.kind = CASE_KINDS[self.expect_word(*CASE_KINDS, what=what)]
 
-    def _items(self) -> None:
-        while True:
-            self.skip_breaks()
-            token = self.peek()
-            if token.kind == "eof":
-                self.error("expected '}'")
-                return
-            if self.at_punct("}"):
-                self.advance()
-                self.skip_breaks()
-                if self.peek().kind != "eof":
-                    self.error("unexpected content after '}'")
-                return
-            if token.kind != "ident":
-                self.error(f"unexpected token {token.text!r}; expected a statement")
-                self.recover()
-            elif token.text in NODE_KINDS:
-                self._node()
-            elif token.text == "associates":
-                self._associates()
-            elif token.text in ("provides", "requires"):
-                self._capability()
-            else:
-                self._edge()
+    def _statement(self) -> None:
+        token = self.peek()
+        if token.kind != "ident":
+            self.fail(f"unexpected token {token.text!r}; expected a statement")
+        if token.text in NODE_KINDS:
+            self._node()
+        elif token.text == "associates":
+            self._associates()
+        elif token.text in ("provides", "requires"):
+            self._capability()
+        else:
+            self._edge()
 
     def _node(self) -> None:
         kind = NODE_KINDS[self.advance().text]
         id_token = self.expect("ident", "element id")
-        statement = self.expect("string", "statement string") if id_token else None
-        if statement is None:
-            self.recover()
-            return
+        statement = self.expect("string", "statement string")
         node_id = id_token.text
         first = self.elements.get(node_id)
         if first is not None:
@@ -303,55 +313,45 @@ class _CaseParser(_Parser):
 
         fields: dict[str, object] = {}
         away_token: _Token | None = None
-        while self.peek().kind == "ident":
-            token = self.advance()
-            value = self._flag_value(token)
-            if value is None:
-                self.recover()
-                break
-            name, field = token.text, FLAG_FIELDS[token.text]
-            if name in ("root", "undeveloped", "module") and kind is not ElementKind.CLAIM:
-                misuse(token, f"flag {name!r} is not allowed on {kind.value} {node_id!r}")
-            elif name == "awayref" and kind is not ElementKind.CLAIM:
-                misuse(token, f"'awayref' is not allowed on {kind.value} {node_id!r}")
-            elif name in ("concern", "awayref") and field in fields:
-                misuse(token, f"duplicate {name!r} flag on {node_id!r}")
-            else:
-                fields[field] = value
-                if name == "awayref":
-                    away_token = token
-        else:  # a flag error has already recovered to the next statement
+        try:
+            while self.peek().kind == "ident":
+                token = self.advance()
+                value = self._flag_value(token)
+                name, field = token.text, FLAG_FIELDS[token.text]
+                if name in ("root", "undeveloped", "module") and kind is not ElementKind.CLAIM:
+                    misuse(token, f"flag {name!r} is not allowed on {kind.value} {node_id!r}")
+                elif name == "awayref" and kind is not ElementKind.CLAIM:
+                    misuse(token, f"'awayref' is not allowed on {kind.value} {node_id!r}")
+                elif name in ("concern", "awayref") and field in fields:
+                    misuse(token, f"duplicate {name!r} flag on {node_id!r}")
+                else:
+                    fields[field] = value
+                    if name == "awayref":
+                        away_token = token
             self.expect_terminator()
+        except _Skip:  # the node keeps the flags read before the error
+            self.recover()
         if away_token is not None and "is_undeveloped" not in fields:
             misuse(away_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
             del fields["away_ref"]
         if first is None:
             self.elements[node_id] = Element(node_id, kind, statement.value, span=id_token.span, **fields)
 
-    def _flag_value(self, token: _Token) -> object | None:
-        """The payload of the flag `token` (True for a bare flag); None after a P0 error."""
+    def _flag_value(self, token: _Token) -> object:
+        """The payload of the flag `token` (True for a bare flag)."""
         if token.text in BOOL_FLAGS:
             return True
         if token.text == "concern":
-            concern = self.accept(CONCERN_KINDS)
-            if concern is None:
-                self.error("expected 'safety' or 'effectiveness'")
-            return concern
+            return CONCERN_KINDS[self.expect_word(*CONCERN_KINDS, what="'safety' or 'effectiveness'")]
         if token.text != "awayref":
-            self.error(f"unknown flag {token.text!r}", token.span)
-            return None
+            self.fail(f"unknown flag {token.text!r}", token.span)
         case_token = self.expect("ident", "case id after 'awayref'")
-        if case_token is None or not self.expect_punct("."):
-            return None
-        elem_token = self.expect("ident", "element id after '.'")
-        return None if elem_token is None else (case_token.text, elem_token.text)
+        self.expect_punct(".")
+        return case_token.text, self.expect("ident", "element id after '.'").text
 
     def _associates(self) -> None:
         self.advance()
         target = self.expect("ident", "case id after 'associates'")
-        if target is None:
-            self.recover()
-            return
         if self.kind is not CaseKind.CLINICAL:
             self._diag("P7", target.span, "'associates' is only allowed in a clinical case")
         elif self.associated is not None:
@@ -362,82 +362,29 @@ class _CaseParser(_Parser):
 
     def _capability(self) -> None:
         direction = Direction(self.advance().text)
-        if not self.expect_keyword("capability"):
-            self.recover()
-            return
+        self.expect_word("capability")
         name = self.expect("ident", "capability name")
-        if name is None or not self.expect_keyword("unit"):
-            self.recover()
-            return
+        self.expect_word("unit")
         unit = self.expect("ident", "unit symbol")
-        if unit is None or not self.expect_keyword("range") or not self.expect_punct("["):
-            self.recover()
-            return
+        self.expect_word("range")
+        self.expect_punct("[")
         low = self.expect("number", "number")
-        if low is None or not self.expect_punct(","):
-            self.recover()
-            return
+        self.expect_punct(",")
         high = self.expect("number", "number")
-        if high is None or not self.expect_punct("]"):
-            self.recover()
-            return
+        self.expect_punct("]")
         self.capabilities.append(Capability(name.text, direction, unit.text, low.value, high.value, name.span))
         self.expect_terminator()
 
     def _edge(self) -> None:
         source = self.advance()
-        kind = self.accept(EDGE_KINDS)
-        if kind is None:
-            self.error("expected 'supportedBy' or 'inContextOf'")
-            self.recover()
-            return
-        target = self.expect("ident", "element id")
-        if target is None:
-            self.recover()
-            return
-        self.edges.append((source, kind, target))
+        kind = EDGE_KINDS[self.expect_word(*EDGE_KINDS, what="'supportedBy' or 'inContextOf'")]
+        self.edges.append((source, kind, self.expect("ident", "element id")))
         self.expect_terminator()
 
 
 def parse_case(source: str, file_name: str) -> ParseResult:
     """Parse one `.acd` case file. Never raises on malformed input."""
     return _CaseParser(source, file_name).parse()
-
-
-class _BundleParser(_Parser):
-    def parse(self) -> tuple[str | None, list[tuple[str, _Token]]]:
-        """Returns (bundle id, [(slot, path token), ...]); id None if the header failed."""
-        self.skip_breaks()
-        if not self.expect_keyword("bundle"):
-            return None, []
-        id_token = self.expect("ident", "bundle id")
-        if id_token is None:
-            return None, []
-        self.skip_breaks()
-        if not self.expect_punct("{"):
-            return None, []
-        entries: list[tuple[str, _Token]] = []
-        while True:
-            self.skip_breaks()
-            token = self.peek()
-            if token.kind == "eof":
-                self.error("expected '}'")
-                break
-            if self.at_punct("}"):
-                self.advance()
-                break
-            if token.kind == "ident" and token.text in ("tac", "cac"):
-                slot = self.advance().text
-                path = self.expect("string", "file path string")
-                if path is None:
-                    self.recover()
-                    continue
-                entries.append((slot, path))
-                self.expect_terminator()
-            else:
-                self.error(f"expected 'tac' or 'cac' entry, found {token.text!r}")
-                self.recover()
-        return id_token.text, entries
 
 
 def parse_bundle(
@@ -454,10 +401,19 @@ def parse_bundle(
     slot holds a case of the declared kind (P4), case ids are unique (P5),
     and the manifest names a tac and at least one cac (P6).
     """
-    parser = _BundleParser(source, file_name)
-    bundle_id, entries = parser.parse()
+    parser = _Parser(source, file_name)
+    entries: list[tuple[str, _Token]] = []
+
+    def entry() -> None:
+        slot = parser.expect_word("tac", "cac", what=f"'tac' or 'cac' entry, found {parser.peek().text!r}")
+        entries.append((slot, parser.expect("string", "file path string")))
+        parser.expect_terminator()
+
+    id_token = parser.header("bundle")
+    if id_token is not None:
+        parser.statements(entry)
     diagnostics = parser.diagnostics
-    complete = bundle_id is not None
+    complete = id_token is not None
 
     def fail(rule: str, span: SourceSpan, message: str) -> None:
         nonlocal complete
@@ -504,9 +460,9 @@ def parse_bundle(
         else:
             cacs.append(case)
     eof_span = parser.tokens[-1].span
-    if bundle_id is not None and not tac_seen:
+    if id_token is not None and not tac_seen:
         fail("P6", eof_span, "bundle requires a tac entry")
-    if bundle_id is not None and not any(slot == "cac" for slot, _ in entries):
+    if id_token is not None and not any(slot == "cac" for slot, _ in entries):
         fail("P6", eof_span, "bundle requires at least one cac")
     return (Bundle(tac, tuple(cacs)) if complete else None), sorted_diagnostics(diagnostics)
 

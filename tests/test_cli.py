@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -54,6 +56,20 @@ def test_validate_bad_s1(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "S1" in err[0] and "error" in err[0]
+
+
+def test_module_invocation_runs_the_cli():
+    # `python -m actool.cli` must run the tool, not just import the module.
+    done = subprocess.run(
+        [sys.executable, "-m", "actool.cli", "validate", corpus("bad_s1.acb")],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert done.returncode == 1
+    err = done.stderr.strip().splitlines()
+    assert len(err) == 1 and "error S1:" in err[0]
 
 
 def test_validate_bad_s2(capsys):

@@ -349,6 +349,16 @@ def test_parse_bundle_missing_file_p6():
     assert any(d.rule_id == "P6" and "gone.acd" in d.message for d in diagnostics)
 
 
+def test_parse_bundle_reports_content_after_brace():
+    bundle, diagnostics = parse_bundle(
+        'bundle B { tac "t.acd"\ncac "c.acd" } junk',
+        dict_loader({"t.acd": TAC_MIN, "c.acd": CAC_MIN}),
+        "m.acb",
+    )
+    assert [d.line() for d in diagnostics] == ["m.acb:2:15: error P0: unexpected content after '}'"]
+    assert bundle is not None  # built anyway, as a case is; the P0 still fails the run
+
+
 def test_parse_bundle_collects_member_diagnostics():
     broken_cac = 'case C kind clinical { associates T\nclaim C1 "c" root undeveloped\nclaim C1 "dup" }'
     bundle, diagnostics = parse_bundle(
@@ -357,6 +367,114 @@ def test_parse_bundle_collects_member_diagnostics():
     )
     assert bundle is not None  # P1 recovers; the case itself still parses
     assert any(d.rule_id == "P1" and d.span.file == "c.acd" for d in diagnostics)
+
+
+def _tac(*lines):
+    """A technological case: `lines`, then a valid claim that shows parsing resumed."""
+    return "case T kind technological {\n" + "\n".join(lines) + '\nclaim OK "ok"\n}\n'
+
+
+_CAPABILITY = "provides capability power unit W range "
+_MANIFEST_FILES = {"t.acd": TAC_MIN, "c.acd": CAC_MIN}
+
+# One input per P0 message of the case and manifest parsers: the file name,
+# the text, every diagnostic line, and what survived (the body lines of the
+# canonical case text, or the bundle's case ids; None for no case/bundle).
+RECOVERY_SITES = {
+    "case-word": ("t.acd", 'bogus T kind technological {\nclaim OK "ok"\n}\n',
+                  ["t.acd:1:1: error P0: expected 'case'"], None),
+    "case-id": ("t.acd", 'case { claim OK "ok" }\n',
+                ["t.acd:1:6: error P0: expected case id"], None),
+    "kind-word": ("t.acd", 'case T type technological {\nclaim OK "ok"\n}\n',
+                  ["t.acd:1:8: error P0: expected 'kind'"], None),
+    "case-kind": ("t.acd", 'case T kind other {\nclaim OK "ok"\n}\n',
+                  ["t.acd:1:13: error P0: expected case kind ('monolithic', 'technological' or 'clinical')"], None),
+    "open-brace": ("t.acd", 'case T kind technological\nclaim OK "ok"\n}\n',
+                   ["t.acd:2:1: error P0: expected '{'"], None),
+    "element-id": ("t.acd", _tac('claim "a"'),
+                   ["t.acd:2:7: error P0: expected element id"], ['claim OK "ok"']),
+    "statement": ("t.acd", _tac("claim A root"),
+                  ["t.acd:2:9: error P0: expected statement string"], ['claim OK "ok"']),
+    "unknown-flag": ("t.acd", _tac('claim A "a" root bogus'),
+                     ["t.acd:2:18: error P0: unknown flag 'bogus'"], ['claim A "a" root', 'claim OK "ok"']),
+    "concern": ("t.acd", _tac('claim A "a" concern high'),
+                ["t.acd:2:21: error P0: expected 'safety' or 'effectiveness'"], ['claim A "a"', 'claim OK "ok"']),
+    "awayref-case": ("t.acd", _tac('claim A "a" undeveloped awayref 7'),
+                     ["t.acd:2:33: error P0: expected case id after 'awayref'"],
+                     ['claim A "a" undeveloped', 'claim OK "ok"']),
+    "awayref-dot": ("t.acd", _tac('claim A "a" undeveloped awayref X Y'),
+                    ["t.acd:2:35: error P0: expected '.'"], ['claim A "a" undeveloped', 'claim OK "ok"']),
+    "awayref-element": ("t.acd", _tac('claim A "a" undeveloped awayref X.'),
+                        ["t.acd:2:35: error P0: expected element id after '.'"],
+                        ['claim A "a" undeveloped', 'claim OK "ok"']),
+    "associates": ("c.acd", 'case C kind clinical {\nassociates "T"\nassociates T\nclaim OK "ok"\n}\n',
+                   ["c.acd:2:12: error P0: expected case id after 'associates'"], ["associates T", 'claim OK "ok"']),
+    "capability-word": ("t.acd", _tac("provides capabilty power unit W range [0, 1]"),
+                        ["t.acd:2:10: error P0: expected 'capability'"], ['claim OK "ok"']),
+    "capability-name": ("t.acd", _tac("provides capability 9 unit W range [0, 1]"),
+                        ["t.acd:2:21: error P0: expected capability name"], ['claim OK "ok"']),
+    "unit-word": ("t.acd", _tac("provides capability power units W range [0, 1]"),
+                  ["t.acd:2:27: error P0: expected 'unit'"], ['claim OK "ok"']),
+    "unit-symbol": ("t.acd", _tac('provides capability power unit "W" range [0, 1]'),
+                    ["t.acd:2:32: error P0: expected unit symbol"], ['claim OK "ok"']),
+    "range-word": ("t.acd", _tac("provides capability power unit W span [0, 1]"),
+                   ["t.acd:2:34: error P0: expected 'range'"], ['claim OK "ok"']),
+    "open-bracket": ("t.acd", _tac(_CAPABILITY + "0, 1]"),
+                     ["t.acd:2:40: error P0: expected '['"], ['claim OK "ok"']),
+    "low": ("t.acd", _tac(_CAPABILITY + "[low, 1]"),
+            ["t.acd:2:41: error P0: expected number"], ['claim OK "ok"']),
+    "comma": ("t.acd", _tac(_CAPABILITY + "[0 1]"),
+              ["t.acd:2:43: error P0: expected ','"], ['claim OK "ok"']),
+    "high": ("t.acd", _tac(_CAPABILITY + "[0, high]"),
+             ["t.acd:2:44: error P0: expected number"], ['claim OK "ok"']),
+    "close-bracket": ("t.acd", _tac(_CAPABILITY + "[0, 1"),
+                      ["t.acd:2:45: error P0: expected ']'"], ['claim OK "ok"']),
+    "edge-kind": ("t.acd", _tac('claim A "a"; A linksTo OK'),
+                  ["t.acd:2:16: error P0: expected 'supportedBy' or 'inContextOf'"], ['claim A "a"', 'claim OK "ok"']),
+    "edge-target": ("t.acd", _tac('claim A "a"; A supportedBy "OK"'),
+                    ["t.acd:2:28: error P0: expected element id"], ['claim A "a"', 'claim OK "ok"']),
+    "terminator": ("t.acd", _tac('claim A "a"; A supportedBy OK OK'),
+                   ["t.acd:2:31: error P0: expected end of statement"],
+                   ['claim A "a"', 'claim OK "ok"', "A supportedBy OK"]),
+    "not-a-statement": ("t.acd", _tac('"A" supportedBy OK'),
+                        ["t.acd:2:1: error P0: unexpected token '\"A\"'; expected a statement"], ['claim OK "ok"']),
+    "close-brace": ("t.acd", 'case T kind technological {\nclaim A "a" bogus\nclaim OK "ok"\n',
+                    ["t.acd:2:13: error P0: unknown flag 'bogus'", "t.acd:4:1: error P0: expected '}'"],
+                    ['claim A "a"', 'claim OK "ok"']),
+    "after-brace": ("t.acd", 'case T kind technological {\nclaim OK "ok"\n}\njunk\n',
+                    ["t.acd:4:1: error P0: unexpected content after '}'"], ['claim OK "ok"']),
+    "bundle-word": ("m.acb", 'bundel B {\ntac "t.acd"\ncac "c.acd"\n}\n',
+                    ["m.acb:1:1: error P0: expected 'bundle'"], None),
+    "bundle-id": ("m.acb", 'bundle {\ntac "t.acd"\ncac "c.acd"\n}\n',
+                  ["m.acb:1:8: error P0: expected bundle id"], None),
+    "bundle-brace": ("m.acb", 'bundle B\ntac "t.acd"\ncac "c.acd"\n}\n',
+                     ["m.acb:2:1: error P0: expected '{'"], None),
+    "path": ("m.acb", 'bundle B {\ncac\ntac "t.acd"\ncac "c.acd"\n}\n',
+             ["m.acb:2:4: error P0: expected file path string"], ["T", "C"]),
+    "entry": ("m.acb", 'bundle B {\ntic "t.acd"\ntac "t.acd"\ncac "c.acd"\n}\n',
+              ["m.acb:2:1: error P0: expected 'tac' or 'cac' entry, found 'tic'"], ["T", "C"]),
+    "entry-terminator": ("m.acb", 'bundle B {\ntac "t.acd" junk\ncac "c.acd"\n}\n',
+                         ["m.acb:2:13: error P0: expected end of statement"], ["T", "C"]),
+    "bundle-close": ("m.acb", 'bundle B {\ntac "t.acd"\ncac "c.acd" "x"\n',
+                     ["m.acb:3:13: error P0: expected end of statement", "m.acb:4:1: error P0: expected '}'"],
+                     ["T", "C"]),
+}
+
+
+@pytest.mark.parametrize("site", RECOVERY_SITES)
+def test_recovery_site(site):
+    file_name, source, lines, survivors = RECOVERY_SITES[site]
+    if file_name.endswith(".acb"):
+        bundle, diagnostics = parse_bundle(source, dict_loader(_MANIFEST_FILES), file_name)
+        kept = None if bundle is None else [bundle.tac.id] + [cac.id for cac in bundle.cacs]
+    else:
+        result = parse_case(source, file_name)
+        diagnostics = result.diagnostics
+        kept = None if result.case is None else [
+            line.strip() for line in print_case(result.case).splitlines()[1:-1] if line
+        ]
+    assert [d.line() for d in diagnostics] == lines
+    assert kept == survivors
 
 
 def test_empty_body_round_trip():
