@@ -10,6 +10,8 @@ can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from typing import Callable
 
 from .link import ResolvedBundle
 from .model import (
@@ -96,26 +98,21 @@ class BundleMetrics:
     cases: tuple[CaseMetrics, ...]
     cross_link_count: int
 
-    def total_element_counts(self) -> dict[str, int]:
-        counts = {kind.value: 0 for kind in ElementKind}
+    def _total(self, kinds: type[Enum], counts_of: Callable[[CaseMetrics], dict[str, int]]) -> dict[str, int]:
+        totals = {kind.value: 0 for kind in kinds}
         for case in self.cases:
-            for key, value in case.element_counts.items():
-                counts[key] += value
-        return counts
+            for key, value in counts_of(case).items():
+                totals[key] += value
+        return totals
+
+    def total_element_counts(self) -> dict[str, int]:
+        return self._total(ElementKind, lambda case: case.element_counts)
 
     def total_edge_counts(self) -> dict[str, int]:
-        counts = {kind.value: 0 for kind in EdgeKind}
-        for case in self.cases:
-            for key, value in case.edge_counts.items():
-                counts[key] += value
-        return counts
+        return self._total(EdgeKind, lambda case: case.edge_counts)
 
     def total_concern_counts(self) -> dict[str, int]:
-        counts = {kind.value: 0 for kind in ConcernKind}
-        for case in self.cases:
-            for key, value in case.concern_counts.items():
-                counts[key] += value
-        return counts
+        return self._total(ConcernKind, lambda case: case.concern_counts)
 
     @property
     def total_elements(self) -> int:

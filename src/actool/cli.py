@@ -3,10 +3,12 @@
 Diagnostics go to stderr in the one-line `<file>:<line>:<col>: <severity>
 <RULEID>: <message>` format; artifacts (DSL, DOT, JSON, tables) go to stdout
 so the tool composes in pipelines. Exit codes: 0 no errors, 1 validation
-errors, 2 usage or I/O or configuration failure. Bundle manifests are
-recognized by the `.acb` suffix; anything else is parsed as a case file.
+errors, 2 usage or I/O or configuration failure. `link`, `impact` and
+`inline` always read a bundle manifest; `validate`, `render` and `metrics`
+read one from an `.acb` file and a case file from anything else.
 
-Set AC_UNITS to a `.units` file to extend the built-in unit table.
+Set AC_UNITS to a `.units` file to extend the built-in unit table. Only
+`validate` reads it, so a broken table fails `validate` alone.
 """
 
 from __future__ import annotations
@@ -51,22 +53,25 @@ def _load_units() -> UnitTable:
         raise _Failure(str(exc)) from exc
 
 
-def _is_bundle(path: str) -> bool:
-    return path.endswith(".acb")
-
-
-def _load_case(path: str) -> tuple[AssuranceCase | None, list[Diagnostic]]:
-    result = parse_case(_read_text(path), path)
-    return result.case, result.diagnostics
-
-
-def _load_bundle(path: str) -> tuple[Bundle | None, list[Diagnostic]]:
+def _load(path: str, manifest: bool) -> tuple[AssuranceCase | Bundle | None, list[Diagnostic]]:
+    """Parse `path` as a bundle manifest (members read relative to it) or
+    as a case file."""
+    text = _read_text(path)
+    if not manifest:
+        return parse_case(text, path)
     base = Path(path).parent
+    return parse_bundle(text, lambda name: (base / name).read_bytes().decode("utf-8"), path)
 
-    def loader(name: str) -> str:
-        return (base / name).read_bytes().decode("utf-8")
 
-    return parse_bundle(_read_text(path), loader, path)
+def _linked(path: str) -> tuple[Bundle | ResolvedBundle | None, list[Diagnostic]]:
+    """Parse the manifest at `path` and resolve its links: the resolved
+    bundle, or the bare bundle when S1, S2 or S5 fail."""
+    bundle, diagnostics = _load(path, manifest=True)
+    if bundle is None:
+        return None, diagnostics
+    resolved, link_diagnostics = resolve_links(bundle)
+    subject = resolved if resolved is not None else bundle
+    return subject, sorted_diagnostics([*diagnostics, *link_diagnostics])
 
 
 def _emit(diagnostics: Sequence[Diagnostic]) -> None:
@@ -111,21 +116,18 @@ def _parse_pairs(spec: str, default_case: str | None = None) -> list[tuple[str, 
     return pairs
 
 
-def _cmd_validate(args: argparse.Namespace, units: UnitTable) -> int:
-    diagnostics: list[Diagnostic] = []
+def _cmd_validate(args: argparse.Namespace) -> int:
+    units = _load_units()
+    subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
     capabilities = None
-    if _is_bundle(args.file):
-        bundle, diagnostics = _load_bundle(args.file)
-        if bundle is not None:
-            for case in bundle.cases():
-                diagnostics.extend(validate_case(case, units))
-            diagnostics.extend(validate_bundle(bundle, units))
-            if args.json:
-                capabilities = bundle_match_results(bundle, units)
-    else:
-        case, diagnostics = _load_case(args.file)
-        if case is not None:
+    if isinstance(subject, Bundle):
+        for case in subject.cases():
             diagnostics.extend(validate_case(case, units))
+        diagnostics.extend(validate_bundle(subject, units))
+        if args.json:
+            capabilities = bundle_match_results(subject, units)
+    elif subject is not None:
+        diagnostics.extend(validate_case(subject, units))
     diagnostics = sorted_diagnostics(diagnostics)
     _emit(diagnostics)
     if args.json:
@@ -133,34 +135,22 @@ def _cmd_validate(args: argparse.Namespace, units: UnitTable) -> int:
     return _exit_code(diagnostics, args.strict)
 
 
-def _resolve_bundle_file(path: str) -> tuple[ResolvedBundle | None, list[Diagnostic]]:
-    bundle, diagnostics = _load_bundle(path)
-    if bundle is None:
-        return None, diagnostics
-    resolved, link_diagnostics = resolve_links(bundle)
-    return resolved, sorted_diagnostics([*diagnostics, *link_diagnostics])
-
-
-def _cmd_link(args: argparse.Namespace, units: UnitTable) -> int:
-    resolved, diagnostics = _resolve_bundle_file(args.file)
+def _cmd_link(args: argparse.Namespace) -> int:
+    resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if resolved is None:
+    if not isinstance(resolved, ResolvedBundle):
         return 1
     for source, target in sorted(resolved.resolutions.items()):
         print(f"{source[0]}.{source[1]} -> {target[0]}.{target[1]}")
     return _exit_code(diagnostics)
 
 
-def _cmd_impact(args: argparse.Namespace, units: UnitTable) -> int:
-    resolved, diagnostics = _resolve_bundle_file(args.file)
+def _cmd_impact(args: argparse.Namespace) -> int:
+    resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if resolved is None:
+    if not isinstance(resolved, ResolvedBundle):
         return 1
-    changed = _parse_pairs(args.changed)
-    try:
-        report = impact(resolved, changed)
-    except UnknownElementError as exc:
-        raise _Failure(str(exc)) from exc
+    report = impact(resolved, _parse_pairs(args.changed))
     print("changed: " + (", ".join(f"{c}.{e}" for c, e in sorted(report.changed)) or "(none)"))
     print("affected:")
     printed = False
@@ -175,41 +165,23 @@ def _cmd_impact(args: argparse.Namespace, units: UnitTable) -> int:
     return _exit_code(diagnostics)
 
 
-def _cmd_inline(args: argparse.Namespace, units: UnitTable) -> int:
-    resolved, diagnostics = _resolve_bundle_file(args.file)
+def _cmd_inline(args: argparse.Namespace) -> int:
+    resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if resolved is None:
+    if not isinstance(resolved, ResolvedBundle):
         return 1
-    try:
-        inlined = inline_bundle(resolved, args.cac)
-    except UnknownElementError as exc:
-        raise _Failure(str(exc)) from exc
-    _write_output(print_case(inlined), args.output)
+    _write_output(print_case(inline_bundle(resolved, args.cac)), args.output)
     return _exit_code(diagnostics)
 
 
-def _cmd_render(args: argparse.Namespace, units: UnitTable) -> int:
-    if _is_bundle(args.file):
-        bundle, diagnostics = _load_bundle(args.file)
-        if bundle is None:
-            _emit(diagnostics)
-            return 1
-        resolved, link_diagnostics = resolve_links(bundle)
-        diagnostics = sorted_diagnostics([*diagnostics, *link_diagnostics])
-        _emit(diagnostics)
-        subject: AssuranceCase | Bundle | ResolvedBundle = resolved if resolved is not None else bundle
-        highlight = frozenset(_parse_pairs(args.highlight)) if args.highlight else frozenset()
-    else:
-        case, diagnostics = _load_case(args.file)
-        _emit(diagnostics)
-        if case is None:
-            return 1
-        subject = case
-        highlight = (
-            frozenset(_parse_pairs(args.highlight, default_case=case.id))
-            if args.highlight
-            else frozenset()
-        )
+def _cmd_render(args: argparse.Namespace) -> int:
+    manifest = args.file.endswith(".acb")
+    subject, diagnostics = _linked(args.file) if manifest else _load(args.file, manifest=False)
+    _emit(diagnostics)
+    if subject is None:
+        return 1
+    default_case = subject.id if isinstance(subject, AssuranceCase) else None
+    highlight = frozenset(_parse_pairs(args.highlight or "", default_case))
     _write_output(to_dot(subject, highlight), args.output)
     return _exit_code(diagnostics)
 
@@ -243,19 +215,12 @@ def _metrics_table(rows: list[CaseMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_metrics(args: argparse.Namespace, units: UnitTable) -> int:
-    if _is_bundle(args.file):
-        bundle, diagnostics = _load_bundle(args.file)
-        _emit(diagnostics)
-        if bundle is None:
-            return 1
-        result: CaseMetrics | BundleMetrics = bundle_metrics(bundle)
-    else:
-        case, diagnostics = _load_case(args.file)
-        _emit(diagnostics)
-        if case is None:
-            return 1
-        result = case_metrics(case)
+def _cmd_metrics(args: argparse.Namespace) -> int:
+    subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
+    _emit(diagnostics)
+    if subject is None:
+        return 1
+    result = bundle_metrics(subject) if isinstance(subject, Bundle) else case_metrics(subject)
     if args.json:
         sys.stdout.write(report_json(metrics=result))
     elif isinstance(result, BundleMetrics):
@@ -266,20 +231,20 @@ def _cmd_metrics(args: argparse.Namespace, units: UnitTable) -> int:
     return _exit_code(diagnostics)
 
 
-def _cmd_fmt(args: argparse.Namespace, units: UnitTable) -> int:
+def _cmd_fmt(args: argparse.Namespace) -> int:
     source = _read_text(args.file)
-    result = parse_case(source, args.file)
-    _emit(result.diagnostics)
-    if result.case is None:
+    case, diagnostics = parse_case(source, args.file)
+    _emit(diagnostics)
+    if case is None:
         return 1
-    canonical = print_case(result.case)
+    canonical = print_case(case)
     if args.check:
         if source != canonical:
             print(f"{args.file}: not in canonical form", file=sys.stderr)
             return 1
-        return _exit_code(result.diagnostics)
+        return _exit_code(diagnostics)
     sys.stdout.write(canonical)
-    return _exit_code(result.diagnostics)
+    return _exit_code(diagnostics)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,9 +301,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        units = _load_units()
-        return args.func(args, units)
-    except _Failure as exc:
+        return args.func(args)
+    except (_Failure, UnknownElementError) as exc:
         print(f"actool: {exc}", file=sys.stderr)
         return 2
 

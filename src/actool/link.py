@@ -19,7 +19,6 @@ from .model import (
     CaseKind,
     Edge,
     EdgeKind,
-    ElementKind,
     UnknownElementError,
     reach,
 )
@@ -109,10 +108,7 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
             original = tac.element(node)
             # root-ness is a per-case property; away references never survive
             # inlining. undeveloped stays so copied claims still pass G5.
-            copied = replace(original, id=names[node], away_ref=None)
-            if original.kind is ElementKind.CLAIM:
-                copied = replace(copied, is_root=False)
-            elements.append(copied)
+            elements.append(replace(original, id=names[node], away_ref=None, is_root=False))
         # the subtree is closed under out-edges, so every target has a name
         for node in subtree:
             for edge in tac.out_edges(node):

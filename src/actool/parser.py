@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Callable, NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, Severity, sorted_diagnostics
 from .model import (
@@ -52,8 +52,7 @@ FLAG_FIELDS = {
 }
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     case: AssuranceCase | None
     diagnostics: list[Diagnostic]
 
@@ -426,7 +425,7 @@ def parse_bundle(
     cacs: list[AssuranceCase] = []
     case_ids: dict[str, str] = {}
     for slot, path_token in entries:
-        path = str(path_token.value)
+        path = path_token.value
         if slot == "tac":
             if tac_seen:
                 fail("P6", path_token.span, "duplicate 'tac' entry")

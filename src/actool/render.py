@@ -53,7 +53,7 @@ def _node_line(qualified: str, element: Element, highlighted: bool) -> str:
         label += f"\n{UNDEVELOPED_GLYPH}"
     attrs = [f"shape={shape}"]
     styles = []
-    if element.kind in _ROUNDED and not element.is_module:
+    if element.kind in _ROUNDED:
         styles.append("rounded")
     if highlighted:
         styles.append("filled")

@@ -80,9 +80,8 @@ def has_evidence_support(case: AssuranceCase, element: Element) -> bool:
     )
 
 
-def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[Diagnostic]:
+def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list[Diagnostic]:
     """Evaluate G1-G8 and U1-U2 on a single case."""
-    units = units or BUILTIN_UNITS
     diagnostics: list[Diagnostic] = []
     cid = case.id
 
@@ -126,7 +125,7 @@ def validate_case(case: AssuranceCase, units: UnitTable | None = None) -> list[D
             diagnostics.append(_error(rule, edge.span, message, (cid, source.id), (cid, target.id)))
 
     for element in case.elements:
-        if element.kind is ElementKind.CLAIM and is_leaf_claim(case, element):
+        if is_leaf_claim(case, element):
             if not (has_evidence_support(case, element) or element.is_undeveloped or element.away_ref):
                 diagnostics.append(
                     _error(
@@ -249,11 +248,8 @@ def _known_units(capabilities: Sequence[Capability], units: UnitTable) -> list[C
     return [cap for cap in capabilities if units.find(cap.unit) is not None]
 
 
-def bundle_match_results(
-    bundle: Bundle, units: UnitTable | None = None
-) -> list[tuple[str, MatchResult]]:
+def bundle_match_results(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[tuple[str, MatchResult]]:
     """(cac id, result) pairs for every required capability with a known unit."""
-    units = units or BUILTIN_UNITS
     provided = _known_units(
         [c for c in bundle.tac.capabilities if c.direction is Direction.PROVIDED], units
     )
@@ -369,13 +365,12 @@ def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
     return diagnostics
 
 
-def validate_bundle(bundle: Bundle, units: UnitTable | None = None) -> list[Diagnostic]:
+def validate_bundle(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[Diagnostic]:
     """Evaluate the separation rules S1-S8 on a bundle.
 
     Member cases are assumed to be parsed already; their G-rule findings are
     not repeated here. Run validate_case per member for those.
     """
-    units = units or BUILTIN_UNITS
     diagnostics = link_rule_diagnostics(bundle)
     tac = bundle.tac
 

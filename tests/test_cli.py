@@ -135,7 +135,7 @@ def test_impact_output(capsys):
 
 def test_impact_unknown_id(capsys):
     assert run(["impact", corpus("bundle_mrgfus.acb"), "--changed", "TAC-1.GHOST"]) == 2
-    assert "GHOST" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "actool: unknown element id 'GHOST' in case 'TAC-1'\n")
 
 
 def test_inline_writes_file(tmp_path, capsys):
@@ -149,7 +149,7 @@ def test_inline_writes_file(tmp_path, capsys):
 
 def test_inline_unknown_cac(capsys):
     assert run(["inline", corpus("bundle_mrgfus.acb"), "--cac", "NOPE"]) == 2
-    assert "NOPE" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "actool: unknown clinical case id 'NOPE' in bundle\n")
 
 
 def test_render_case_and_bundle(tmp_path, capsys):
@@ -434,3 +434,42 @@ def test_cli_corpus_transcript(monkeypatch):
     commands = [shlex.split(line[len("$ actool "):]) for line in expected.splitlines() if line.startswith("$ actool ")]
     assert len(commands) == 20
     assert cli_transcript(commands) == expected
+
+
+def test_dispatch_by_subcommand_and_suffix(tmp_path, capsys):
+    # link, impact and inline always read a manifest, whatever the suffix
+    tac = corpus("tac_mrgfus.acd")
+    for argv in (["link"], ["impact", "--changed", "TAC-1.C1"], ["inline", "--cac", "CAC-UF"]):
+        assert run([*argv, tac]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"{tac}:5:1: error P0: expected 'bundle'\n", argv
+    # validate, render and metrics read a manifest only from an `.acb` file
+    manifest = tmp_path / "manifest.acd"
+    manifest.write_bytes((CORPUS / "bundle_mrgfus.acb").read_bytes())
+    for argv in (["validate"], ["render"], ["metrics"]):
+        assert run([*argv, str(manifest)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"{manifest}:2:1: error P0: expected 'case'\n", argv
+
+
+def test_only_validate_reads_ac_units(tmp_path, monkeypatch):
+    units = tmp_path / "broken.units"
+    units.write_text("us NotADimension 1\n", encoding="utf-8")
+    bundle = corpus("bundle_mrgfus.acb")
+    commands = [
+        ["link", bundle],
+        ["impact", bundle, "--changed", "TAC-1.C2"],
+        ["inline", bundle, "--cac", "CAC-UF"],
+        ["render", bundle],
+        ["render", corpus("tac_mrgfus.acd"), "--highlight", "C2"],
+        ["metrics", bundle],
+        ["metrics", "--json", corpus("cac_uterine_fibroids.acd")],
+        ["fmt", corpus("tac_mrgfus.acd")],
+    ]
+    monkeypatch.delenv("AC_UNITS", raising=False)
+    unset = cli_transcript(commands)
+    monkeypatch.setenv("AC_UNITS", str(units))
+    assert cli_transcript(commands) == unset
+    assert cli_transcript([["validate", bundle]]).startswith(f"$ actool validate {shlex.quote(bundle)}\nexit 2\n")
