@@ -21,7 +21,7 @@ from .model import (
     ConcernKind,
     EdgeKind,
     ElementKind,
-    UnknownElementError,
+    _element_pairs,
     reach,
     supported_by_dfs,
 )
@@ -44,13 +44,7 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     """
     bundle = resolved.bundle
     cases = {case.id: case for case in bundle.cases()}
-    changed_pairs: set[tuple[str, str]] = set()
-    for case_id, element_id in changed:
-        case = cases.get(case_id)
-        if case is None:
-            raise UnknownElementError(f"unknown case id {case_id!r} in bundle")
-        case.element(element_id)
-        changed_pairs.add((case_id, element_id))
+    changed_pairs = _element_pairs(cases, changed)
 
     referrers: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for source, target in resolved.resolutions.items():
@@ -65,7 +59,7 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     for case_id, element_id in reach(changed_pairs, above):
         per_case[case_id].add(element_id)
     return ImpactReport(
-        changed=frozenset(changed_pairs),
+        changed=changed_pairs,
         affected={case_id: frozenset(ids) for case_id, ids in per_case.items()},
         affected_cacs=frozenset(
             cac.id for cac in bundle.cacs if per_case[cac.id]

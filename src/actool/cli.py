@@ -104,13 +104,10 @@ def _parse_pairs(spec: str, default_case: str | None = None) -> list[tuple[str, 
         item = item.strip()
         if not item:
             continue
-        if "." in item:
-            case_id, element_id = item.split(".", 1)
-        elif default_case is not None:
+        case_id, dot, element_id = item.partition(".")
+        if not dot:
             case_id, element_id = default_case, item
-        else:
-            raise _Failure(f"expected CASE.ID, got {item!r}")
-        if not case_id or not element_id:
+        if not case_id or not element_id:  # no default case, or an empty half
             raise _Failure(f"expected CASE.ID, got {item!r}")
         pairs.append((case_id, element_id))
     return pairs
@@ -181,7 +178,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if subject is None:
         return 1
     default_case = subject.id if isinstance(subject, AssuranceCase) else None
-    highlight = frozenset(_parse_pairs(args.highlight or "", default_case))
+    highlight = _parse_pairs(args.highlight or "", default_case)
     _write_output(to_dot(subject, highlight), args.output)
     return _exit_code(diagnostics)
 

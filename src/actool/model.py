@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 
 ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
@@ -167,7 +168,8 @@ class AssuranceCase:
 
     `out_edges` and `in_edges` answer adjacency queries from an index of
     the edges by endpoint, each half built on its first query, so that
-    parse-only paths never pay for it.
+    parse-only paths never pay for it. The supportedBy cycle check, too,
+    runs once, on the first call that needs it.
     """
 
     id: str
@@ -222,6 +224,10 @@ class AssuranceCase:
             object.__setattr__(self, "_in_edges", _group_edges(self.edges, attrgetter("target")))
         return self._in_edges.get(element_id, ())
 
+    @cached_property
+    def _cycle(self) -> list[str] | None:
+        return supported_by_dfs(self)[1]
+
 
 def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...]]:
     """Edges keyed by `endpoint(edge)`, in declaration order. Two threads
@@ -255,6 +261,17 @@ class Bundle:
 
     def cases(self) -> tuple[AssuranceCase, ...]:
         return (self.tac, *self.cacs)
+
+
+def _element_pairs(cases: dict[str, AssuranceCase], pairs) -> frozenset[tuple[str, str]]:
+    """The (case id, element id) `pairs`, each checked to name an element of a
+    case in `cases` (keyed by id); UnknownElementError names the first that does not."""
+    pairs = list(pairs)
+    for case_id, element_id in pairs:
+        if case_id not in cases:
+            raise UnknownElementError(f"unknown case id {case_id!r}")
+        cases[case_id].element(element_id)
+    return frozenset(pairs)
 
 
 def children(case: AssuranceCase, node: str, kind: EdgeKind) -> list[str]:
@@ -316,7 +333,7 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
 
 def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
     """Find one cycle in the supportedBy subgraph, as [n0, n1, ..., n0]; None if acyclic."""
-    return supported_by_dfs(case)[1]
+    return None if case._cycle is None else list(case._cycle)
 
 
 def ancestors(case: AssuranceCase, node: str) -> set[str]:
@@ -326,9 +343,8 @@ def ancestors(case: AssuranceCase, node: str) -> set[str]:
     subgraph is not acyclic.
     """
     case.element(node)
-    cycle = supported_by_cycle(case)
-    if cycle is not None:
-        raise CycleError(cycle)
+    if case._cycle is not None:
+        raise CycleError(list(case._cycle))
     above = reach([node], lambda n: [e.source for e in case.in_edges(n) if e.kind is EdgeKind.SUPPORTED_BY])
     return set(above[1:])
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from bisect import bisect_left
 from decimal import Decimal
 from typing import Callable, NamedTuple, NoReturn
 
@@ -57,62 +57,56 @@ class ParseResult(NamedTuple):
     diagnostics: list[Diagnostic]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | string | number | punct | break | eof
     text: str
-    span: SourceSpan
+    start: int  # offset of the first character in the source
     value: object = None
 
 
-_TOKEN_PATTERN = re.compile(
-    r"(?P<skip>[ \t\r]+|//[^\n]*)|(?P<break>[\n;])|(?P<punct>[{}\[\],.])"
+_TOKEN_PATTERN = re.compile(  # blank space and comments, then one token; `\Z` matches the eof token
+    r"(?:[ \t\r]+|//[^\n]*)*(?:(?P<break>[\n;])|(?P<punct>[{}\[\],.])"
     r'|(?P<string>"(?:[^"\\]+|\\[\s\S])*(?:(?P<closed>")|\\?\Z))'
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_-]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_-]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])|(?P<eof>\Z))"
 )
 _ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid escape
 
 
-def _tokenize(source: str, file_name: str) -> tuple[list[_Token], list[Diagnostic]]:
-    """The tokens, ending in one eof token, and the P0 errors of the text.
-    A token's span starts at its first character, even when it spans lines."""
+def _tokenize(source: str) -> tuple[list[_Token], list[tuple[int, int, str]]]:
+    """The tokens, ending in one eof token, and the P0 errors of the text as
+    (offset, length, message). Tokens and errors hold offsets, not spans:
+    the parser builds a span only for what it reports or keeps."""
     tokens: list[_Token] = []
-    diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0
+    errors: list[tuple[int, int, str]] = []
     for match in _TOKEN_PATTERN.finditer(source):
-        kind, text, value = match.lastgroup, match.group(), None
-        if kind == "skip":
-            continue
-        span = SourceSpan(file_name, line, match.start() - line_start + 1, len(text))
+        kind = match.lastgroup
+        text, start, value = match[kind], match.start(kind), None
         if kind == "ident":
             text = sys.intern(text)
         elif kind == "number":
             value = Decimal(text)
         elif kind == "string":
             closed = match["closed"] is not None
-            value = _unescape(text, closed, span, diagnostics) if "\\" in text or not closed else text[1:-1]
+            value = _unescape(text, start, closed, errors) if "\\" in text or not closed else text[1:-1]
+            if not closed:
+                continue
         elif kind == "other":
-            diagnostics.append(Diagnostic("P0", Severity.ERROR, span, f"unexpected character {text!r}"))
+            errors.append((start, 1, f"unexpected character {text!r}"))
             continue
-        if "\n" in text:
-            line, line_start = line + text.count("\n"), match.start() + text.rindex("\n") + 1
-        if kind != "string" or closed:
-            tokens.append(_Token(kind, text, span, value))
-    tokens.append(_Token("eof", "", SourceSpan(file_name, line, len(source) - line_start + 1, 0)))
-    return tokens, diagnostics
+        # as _Token(...), minus the Python-level __new__ that cost a quarter of the loop
+        tokens.append(tuple.__new__(_Token, (kind, text, start, value)))
+    return tokens, errors
 
 
-def _unescape(text: str, closed: bool, span: SourceSpan, diagnostics: list[Diagnostic]) -> str:
-    """Decode a string token, reporting each invalid escape and a missing
-    closing quote as P0 errors that span from the opening quote to their end."""
+def _unescape(text: str, start: int, closed: bool, errors: list[tuple[int, int, str]]) -> str:
+    """Decode a string token at offset `start`. Each invalid escape and a missing
+    closing quote is an error that runs from the opening quote to its end."""
     end = len(text) - closed
     for escape in _ESCAPE.finditer(text, 1, end):
         if escape[1] is None:
-            stop = min(escape.start() + 2, len(text))
-            message = f"invalid escape sequence {escape[0]!r}"
-            diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=stop), message))
+            errors.append((start, min(escape.start() + 2, len(text)), f"invalid escape sequence {escape[0]!r}"))
     if not closed:
-        diagnostics.append(Diagnostic("P0", Severity.ERROR, replace(span, length=end), "unterminated string"))
+        errors.append((start, end, "unterminated string"))
     return _ESCAPE.sub(r"\1", text[1:end])
 
 
@@ -130,11 +124,27 @@ class _Parser:
     gives no case and no bundle. An error in a node's flags or terminator
     also skips to the boundary, but keeps the node with the flags read
     before the error.
+
+    Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
+    for ids, edge sources, capability names and diagnostics.
     """
 
     def __init__(self, source: str, file_name: str):
-        self.tokens, self.diagnostics = _tokenize(source, file_name)
+        self.file_name = file_name
+        self.newlines = [match.start() for match in re.finditer("\n", source)]
+        self.tokens, errors = _tokenize(source)
+        self.diagnostics = [Diagnostic("P0", Severity.ERROR, self.span(at, n), message) for at, n, message in errors]
         self.index = 0
+
+    def span(self, start: int, length: int) -> SourceSpan:
+        """The span of `length` characters from offset `start`. A `\\n` belongs
+        to the line it ends, so a newline break token is reported on that line."""
+        line = bisect_left(self.newlines, start)
+        line_start = self.newlines[line - 1] + 1 if line else 0
+        return SourceSpan(self.file_name, line + 1, start - line_start + 1, length)
+
+    def span_of(self, token: _Token) -> SourceSpan:
+        return self.span(token.start, len(token.text))
 
     # --- token primitives -------------------------------------------------
 
@@ -157,7 +167,7 @@ class _Parser:
 
     def error(self, message: str, span: SourceSpan | None = None) -> None:
         self.diagnostics.append(
-            Diagnostic("P0", Severity.ERROR, span or self.peek().span, message)
+            Diagnostic("P0", Severity.ERROR, span or self.span_of(self.peek()), message)
         )
 
     def fail(self, message: str, span: SourceSpan | None = None) -> NoReturn:
@@ -256,14 +266,14 @@ class _CaseParser(_Parser):
         self.case_id = id_token.text
         self.statements(self._statement)
         if self.kind is CaseKind.CLINICAL and self.associated is None:
-            self._diag("P7", id_token.span, f"clinical case {self.case_id!r} must declare 'associates'")
+            self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
         for source, kind, target in self.edges:
             unknown = [endpoint for endpoint in (source, target) if endpoint.text not in self.elements]
             for endpoint in unknown:
-                self._diag("P2", endpoint.span, f"edge references unknown element {endpoint.text!r}")
+                self._diag("P2", self.span_of(endpoint), f"edge references unknown element {endpoint.text!r}")
             if not unknown:
-                edges.append(Edge(source.text, target.text, kind, source.span))
+                edges.append(Edge(source.text, target.text, kind, self.span_of(source)))
         case = AssuranceCase(
             id=self.case_id,
             kind=self.kind,
@@ -271,7 +281,7 @@ class _CaseParser(_Parser):
             edges=tuple(edges),
             capabilities=tuple(self.capabilities),
             associated_tac=self.associated,
-            span=id_token.span,
+            span=self.span_of(id_token),
         )
         return ParseResult(case, sorted_diagnostics(self.diagnostics))
 
@@ -304,11 +314,11 @@ class _CaseParser(_Parser):
         first = self.elements.get(node_id)
         if first is not None:
             message = f"duplicate element id {node_id!r} (first declared at line {first.span.line})"
-            self._diag("P1", id_token.span, message, (self.case_id, node_id))
+            self._diag("P1", self.span_of(id_token), message, (self.case_id, node_id))
 
         def misuse(token: _Token, message: str) -> None:
             if first is None:
-                self._diag("P3", token.span, message, (self.case_id, node_id))
+                self._diag("P3", self.span_of(token), message, (self.case_id, node_id))
 
         fields: dict[str, object] = {}
         away_token: _Token | None = None
@@ -334,7 +344,7 @@ class _CaseParser(_Parser):
             misuse(away_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
             del fields["away_ref"]
         if first is None:
-            self.elements[node_id] = Element(node_id, kind, statement.value, span=id_token.span, **fields)
+            self.elements[node_id] = Element(node_id, kind, statement.value, span=self.span_of(id_token), **fields)
 
     def _flag_value(self, token: _Token) -> object:
         """The payload of the flag `token` (True for a bare flag)."""
@@ -343,7 +353,7 @@ class _CaseParser(_Parser):
         if token.text == "concern":
             return CONCERN_KINDS[self.expect_word(*CONCERN_KINDS, what="'safety' or 'effectiveness'")]
         if token.text != "awayref":
-            self.fail(f"unknown flag {token.text!r}", token.span)
+            self.fail(f"unknown flag {token.text!r}", self.span_of(token))
         case_token = self.expect("ident", "case id after 'awayref'")
         self.expect_punct(".")
         return case_token.text, self.expect("ident", "element id after '.'").text
@@ -352,9 +362,9 @@ class _CaseParser(_Parser):
         self.advance()
         target = self.expect("ident", "case id after 'associates'")
         if self.kind is not CaseKind.CLINICAL:
-            self._diag("P7", target.span, "'associates' is only allowed in a clinical case")
+            self._diag("P7", self.span_of(target), "'associates' is only allowed in a clinical case")
         elif self.associated is not None:
-            self._diag("P7", target.span, "duplicate 'associates' declaration")
+            self._diag("P7", self.span_of(target), "duplicate 'associates' declaration")
         else:
             self.associated = target.text
         self.expect_terminator()
@@ -371,7 +381,7 @@ class _CaseParser(_Parser):
         self.expect_punct(",")
         high = self.expect("number", "number")
         self.expect_punct("]")
-        self.capabilities.append(Capability(name.text, direction, unit.text, low.value, high.value, name.span))
+        self.capabilities.append(Capability(name.text, direction, unit.text, low.value, high.value, self.span_of(name)))
         self.expect_terminator()
 
     def _edge(self) -> None:
@@ -401,68 +411,64 @@ def parse_bundle(
     and the manifest names a tac and at least one cac (P6).
     """
     parser = _Parser(source, file_name)
-    entries: list[tuple[str, _Token]] = []
+    entries: list[tuple[str, str, SourceSpan]] = []  # (slot, path, span of the path)
 
     def entry() -> None:
         slot = parser.expect_word("tac", "cac", what=f"'tac' or 'cac' entry, found {parser.peek().text!r}")
-        entries.append((slot, parser.expect("string", "file path string")))
+        path = parser.expect("string", "file path string")
+        entries.append((slot, path.value, parser.span_of(path)))
         parser.expect_terminator()
 
     id_token = parser.header("bundle")
     if id_token is not None:
         parser.statements(entry)
     diagnostics = parser.diagnostics
-    complete = id_token is not None
 
     def fail(rule: str, span: SourceSpan, message: str) -> None:
-        nonlocal complete
         diagnostics.append(Diagnostic(rule, Severity.ERROR, span, message))
-        complete = False
 
     expected = {"tac": CaseKind.TECHNOLOGICAL, "cac": CaseKind.CLINICAL}
     tac: AssuranceCase | None = None
     tac_seen = False
     cacs: list[AssuranceCase] = []
     case_ids: dict[str, str] = {}
-    for slot, path_token in entries:
-        path = path_token.value
+    for slot, path, span in entries:
         if slot == "tac":
             if tac_seen:
-                fail("P6", path_token.span, "duplicate 'tac' entry")
+                fail("P6", span, "duplicate 'tac' entry")
                 continue
             tac_seen = True
         try:
             text = file_loader(path)
         except (OSError, ValueError) as exc:
-            fail("P6", path_token.span, f"cannot read case file {path!r}: {exc}")
+            fail("P6", span, f"cannot read case file {path!r}: {exc}")
             continue
-        result = parse_case(text, path)
-        diagnostics.extend(result.diagnostics)
-        case = result.case
+        case, case_diagnostics = parse_case(text, path)
+        diagnostics.extend(case_diagnostics)
         if case is None:
-            complete = False
             continue
         if case.kind is not expected[slot]:
             fail(
                 "P4",
-                path_token.span,
+                span,
                 f"bundle slot '{slot}' requires a {expected[slot].value} case, "
                 f"but {path!r} declares a {case.kind.value} case",
             )
             continue
         if case.id in case_ids:
-            fail("P5", path_token.span, f"duplicate case id {case.id!r} in bundle (also in {case_ids[case.id]!r})")
+            fail("P5", span, f"duplicate case id {case.id!r} in bundle (also in {case_ids[case.id]!r})")
             continue
         case_ids[case.id] = path
         if slot == "tac":
             tac = case
         else:
             cacs.append(case)
-    eof_span = parser.tokens[-1].span
+    eof_span = parser.span_of(parser.tokens[-1])
     if id_token is not None and not tac_seen:
         fail("P6", eof_span, "bundle requires a tac entry")
-    if id_token is not None and not any(slot == "cac" for slot, _ in entries):
+    if id_token is not None and not any(slot == "cac" for slot, _, _ in entries):
         fail("P6", eof_span, "bundle requires at least one cac")
+    complete = tac is not None and cacs and len(cacs) + 1 == len(entries)  # no entry was dropped
     return (Bundle(tac, tuple(cacs)) if complete else None), sorted_diagnostics(diagnostics)
 
 
@@ -471,15 +477,7 @@ def _escape(statement: str) -> str:
 
 
 def _flag_text(element: Element) -> str:
-    parts: list[str] = []
-    if element.is_root:
-        parts.append("root")
-    if element.is_public:
-        parts.append("public")
-    if element.is_undeveloped:
-        parts.append("undeveloped")
-    if element.is_module:
-        parts.append("module")
+    parts = [flag for flag in BOOL_FLAGS if getattr(element, FLAG_FIELDS[flag])]
     if element.concern is not None:
         parts.append(f"concern {element.concern.value}")
     if element.away_ref is not None:
@@ -493,30 +491,21 @@ def print_case(case: AssuranceCase) -> str:
     Elements are sorted by id, edges by (source, kind, target), capabilities
     by (direction, name); this is the formatting `fmt` checks against.
     """
-    sections: list[list[str]] = []
-    if case.associated_tac is not None:
-        sections.append([f"  associates {case.associated_tac}"])
-    element_lines = [
-        f"  {e.kind.value} {e.id} {_escape(e.statement)}{_flag_text(e)}"
-        for e in sorted(case.elements, key=lambda e: e.id)
+    sections = [
+        [] if case.associated_tac is None else [f"  associates {case.associated_tac}"],
+        [
+            f"  {e.kind.value} {e.id} {_escape(e.statement)}{_flag_text(e)}"
+            for e in sorted(case.elements, key=lambda e: e.id)
+        ],
+        [
+            f"  {e.source} {e.kind.value} {e.target}"
+            for e in sorted(case.edges, key=lambda e: (e.source, e.kind.value, e.target))
+        ],
+        [
+            f"  {c.direction.value} capability {c.name} unit {c.unit} "
+            f"range [{format_decimal(c.low)}, {format_decimal(c.high)}]"
+            for c in sorted(case.capabilities, key=lambda c: (c.direction.value, c.name, c.unit, c.low, c.high))
+        ],
     ]
-    if element_lines:
-        sections.append(element_lines)
-    edge_lines = [
-        f"  {e.source} {e.kind.value} {e.target}"
-        for e in sorted(case.edges, key=lambda e: (e.source, e.kind.value, e.target))
-    ]
-    if edge_lines:
-        sections.append(edge_lines)
-    capability_lines = [
-        f"  {c.direction.value} capability {c.name} unit {c.unit} "
-        f"range [{format_decimal(c.low)}, {format_decimal(c.high)}]"
-        for c in sorted(case.capabilities, key=lambda c: (c.direction.value, c.name, c.unit, c.low, c.high))
-    ]
-    if capability_lines:
-        sections.append(capability_lines)
-    body = "\n\n".join("\n".join(lines) for lines in sections)
-    header = f"case {case.id} kind {case.kind.value} {{"
-    if not body:
-        return header + "\n}\n"
-    return header + "\n" + body + "\n}\n"
+    body = "\n\n".join("\n".join(lines) for lines in sections if lines)
+    return f"case {case.id} kind {case.kind.value} {{\n" + (body + "\n" if body else "") + "}\n"

@@ -13,7 +13,7 @@ The JSON report schema is documented in FORMATS.md.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analyze import BundleMetrics, CaseMetrics, ImpactReport
 from .diagnostics import Diagnostic
@@ -24,6 +24,7 @@ from .model import (
     EdgeKind,
     Element,
     ElementKind,
+    _element_pairs,
     format_decimal,
 )
 from .validate import MatchResult
@@ -85,20 +86,22 @@ def _case_body(
 
 def to_dot(
     subject: AssuranceCase | Bundle | ResolvedBundle,
-    highlight: frozenset[tuple[str, str]] = frozenset(),
+    highlight: Iterable[tuple[str, str]] = frozenset(),
 ) -> str:
     """Render a case or a bundle as a DOT digraph.
 
     Bundles are drawn with one cluster per case; resolved away references
     become dashed inter-cluster edges. A raw (unresolved) bundle falls back
     to drawing dashed edges for whichever away references name an existing
-    element. `highlight` names the (case id, element id) pairs drawn filled.
+    element. `highlight` names the (case id, element id) pairs drawn filled;
+    a pair that names no element raises UnknownElementError, as in `impact`.
     """
     header = [
         "  graph [rankdir=TB, ranksep=0.6];",
         '  node [fontname="Helvetica", fontsize=10];',
     ]
     if isinstance(subject, AssuranceCase):
+        highlight = _element_pairs({subject.id: subject}, highlight)
         lines = [f'digraph "{subject.id}" {{', *header]
         lines.extend(_case_body(subject, highlight, "", "  "))
         lines.append("}")
@@ -123,6 +126,7 @@ def to_dot(
                     cross.append(
                         (f"{case.id}.{element.id}", f"{element.away_ref[0]}.{element.away_ref[1]}")
                     )
+    highlight = _element_pairs({case.id: case for case in bundle.cases()}, highlight)
 
     lines = ["digraph bundle {", *header]
     for case in sorted(bundle.cases(), key=lambda c: c.id):

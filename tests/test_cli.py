@@ -136,6 +136,9 @@ def test_impact_output(capsys):
 def test_impact_unknown_id(capsys):
     assert run(["impact", corpus("bundle_mrgfus.acb"), "--changed", "TAC-1.GHOST"]) == 2
     assert capsys.readouterr() == ("", "actool: unknown element id 'GHOST' in case 'TAC-1'\n")
+    for spec in ("C2", ".C2", "TAC-1.", "TAC-1.C2,C4"):
+        assert run(["impact", corpus("bundle_mrgfus.acb"), "--changed", spec]) == 2
+        assert capsys.readouterr().err == f"actool: expected CASE.ID, got {spec.split(',')[-1]!r}\n"
 
 
 def test_inline_writes_file(tmp_path, capsys):
@@ -166,6 +169,16 @@ def test_render_highlight(capsys):
     assert "fillcolor=lightgray" in capsys.readouterr().out
     assert run(["render", corpus("bundle_mrgfus.acb"), "--highlight", "TAC-1.C2,CAC-UF.C4"]) == 0
     assert capsys.readouterr().out.count("fillcolor=lightgray") == 2
+
+
+def test_render_highlight_unknown_id(capsys, tmp_path):
+    assert run(["render", corpus("tac_mrgfus.acd"), "--highlight", "GHOST"]) == 2
+    assert capsys.readouterr() == ("", "actool: unknown element id 'GHOST' in case 'TAC-1'\n")
+    out = tmp_path / "never.dot"
+    # The first unknown pair in command-line order is the one reported.
+    assert run(["render", corpus("bundle_mrgfus.acb"), "--highlight", "TAC-1.C2,NOPE.C4,GONE.C1", "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", "actool: unknown case id 'NOPE'\n")
+    assert not out.exists()
 
 
 def test_metrics_table_and_json(capsys):

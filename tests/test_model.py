@@ -104,6 +104,29 @@ def test_ancestors_reports_cycle():
     assert set(exc.value.cycle) == {"A", "B"}
 
 
+def test_ancestors_of_every_element_walk_the_case_once(monkeypatch):
+    # The cycle check is a whole-case walk; repeating it per call made
+    # asking for every element's ancestors quadratic.
+    import actool.model
+
+    walks = []
+    real = actool.model.supported_by_dfs
+    monkeypatch.setattr(actool.model, "supported_by_dfs", lambda case: walks.append(case.id) or real(case))
+    rng = random.Random(15)
+    acyclic = helpers.gen_case(rng)
+    while real(acyclic)[1] is not None:
+        acyclic = helpers.gen_case(rng)
+    for element in acyclic.elements:
+        assert ancestors(acyclic, element.id) == helpers.brute_ancestors(acyclic, element.id)
+    assert walks == [acyclic.id]
+    cyclic = AssuranceCase("X", CaseKind.MONOLITHIC, (claim("A"), claim("B")),
+                           (Edge("A", "B", EdgeKind.SUPPORTED_BY), Edge("B", "A", EdgeKind.SUPPORTED_BY)))
+    for node in ("A", "B", "A"):
+        with pytest.raises(CycleError):
+            ancestors(cyclic, node)
+    assert walks == [acyclic.id, "X"]
+
+
 def test_cycle_finder_agrees_with_closed_walk_oracle():
     rng = random.Random(14)
     for _ in range(200):

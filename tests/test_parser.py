@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -10,6 +12,7 @@ from actool.model import CaseKind, ConcernKind, EdgeKind, ElementKind
 from actool.parser import parse_bundle, parse_case, print_case
 
 import helpers
+from conftest import GOLDEN
 
 
 def errors(result):
@@ -236,6 +239,13 @@ def test_lexer_edge_case_diagnostics(name):
         assert _offset(source, diagnostic.span) + diagnostic.span.length <= len(source), diagnostic.line()
 
 
+def _pinned_spans(case) -> list[tuple[str, str, object]]:
+    """(what, name, span) for the case header, each element id, edge source and capability name."""
+    pinned = [("case", case.id, case.span)] + [("element", e.id, e.span) for e in case.elements]
+    pinned += [("edge", e.source, e.span) for e in case.edges]
+    return pinned + [("capability", c.name, c.span) for c in case.capabilities]
+
+
 def _offset(source: str, span) -> int:
     lines = source.split("\n")
     return sum(len(line) + 1 for line in lines[: span.line - 1]) + span.column - 1
@@ -251,9 +261,7 @@ def test_spans_point_at_ids_in_generated_text(seed, semicolons):
         source = source.replace("\n  ", ";  ")
     result = parse_case(source, "gen.acd")
     assert not result.diagnostics
-    pinned = [(e.span, e.id) for e in result.case.elements]
-    pinned += [(e.span, e.source) for e in result.case.edges]
-    for span, expected in pinned:
+    for _, expected, span in _pinned_spans(result.case):
         start = _offset(source, span)
         assert span.length == len(expected)
         assert source[start : start + span.length] == expected
@@ -488,20 +496,96 @@ def test_empty_body_round_trip():
     assert print_case(result.case) == print_case(case)
 
 
+# What a P0 span may cover, read without the lexer: one token, or nothing
+# at the end of the input.
+_ONE_TOKEN = re.compile(r'[A-Za-z][A-Za-z0-9_-]*|-?[0-9]+(\.[0-9]+)?|"([^"\\]|\\.)*"|[{}\[\],.;\n]', re.S)
+_QUOTED = re.compile(r"(?:unexpected character|unexpected token|unknown flag|found) ('(?:[^'\\]|\\.)*'|\"[^\"]*\")")
+
+
 def test_diagnostic_spans_index_real_positions():
     rng = random.Random(22)
-    garbage = ["@@@", '"unterminated', "claim", "}", ";;", "supportedBy", "\\"]
+    garbage = ["@@@", '"unterminated', "claim", "}", ";;", "supportedBy", "\\", '"a\\q"', "\r\n", "é"]
+    checked = 0
     for _ in range(60):
         source = print_case(helpers.gen_case(rng, max_elements=6))
         cut = rng.randrange(len(source))
         mutated = source[:cut] + rng.choice(garbage) + source[cut:]
         result = parse_case(mutated, "broken.acd")
-        lines = mutated.splitlines() or [""]
+        lines = mutated.split("\n")
         for diagnostic in result.diagnostics:
+            # Every rule's span lies inside the text ...
             span = diagnostic.span
-            assert 1 <= span.line <= len(lines) + 1, diagnostic.line()
-            if span.line <= len(lines):
-                assert 1 <= span.column <= len(lines[span.line - 1]) + 1, diagnostic.line()
+            assert 1 <= span.line <= len(lines), diagnostic.line()
+            assert 1 <= span.column <= len(lines[span.line - 1]) + 1, diagnostic.line()
+            start, length = _offset(mutated, span), span.length
+            piece = mutated[start : start + length]
+            assert start + length <= len(mutated) and len(piece) == length, diagnostic.line()
+            if diagnostic.rule_id == "P2":  # ... a P2 span is the id it names ...
+                assert repr(piece) == re.search(r"'[^']*'", diagnostic.message)[0], diagnostic.line()
+            if diagnostic.rule_id != "P0":
+                continue
+            # ... and a P0 span starts exactly at the offending text.
+            quoted = _QUOTED.search(diagnostic.message)
+            if quoted:
+                assert piece == ast.literal_eval(quoted[1]), diagnostic.line()
+            elif "escape" in diagnostic.message or "unterminated" in diagnostic.message:
+                assert piece.startswith('"') and "\\" in piece or start + length == len(mutated), diagnostic.line()
+            else:
+                assert _ONE_TOKEN.fullmatch(piece) or (piece == "" and start == len(mutated)), diagnostic.line()
+            checked += 1
+    assert checked > 40
+
+
+# Places where offsets and lines are easy to get wrong: a string across
+# lines, `\r\n` endings, no final newline, `;` between statements. Each
+# entry: the text, its diagnostic lines, and (what, name, line:col+length)
+# for the case, its elements, edges and capabilities.
+SPAN_CORNERS = {
+    "string_across_lines": (
+        'case A kind monolithic {\n  claim C1 "one\ntwo" root; claim C2 "x" bogus\n  C1 supportedBy 7\n}\n',
+        ["t.acd:3:25: error P0: unknown flag 'bogus'", "t.acd:4:18: error P0: expected element id"],
+        [("case", "A", "1:6+1"), ("element", "C1", "2:9+2"), ("element", "C2", "3:18+2")],
+    ),
+    "crlf": (
+        'case T kind technological {\r\n  claim C1 "x"\r\n  evidence E1 "e"\r\n  C1 supportedBy E1\r\n'
+        "  provides capability p unit W range [0, 1]\r\n  E1 inContextOf @\r\n}\r\n",
+        ["t.acd:6:18: error P0: unexpected character '@'", "t.acd:6:20: error P0: expected element id"],
+        [("case", "T", "1:6+1"), ("element", "C1", "2:9+2"), ("element", "E1", "3:12+2"), ("edge", "C1", "4:3+2"),
+         ("capability", "p", "5:23+1")],
+    ),
+    "no_final_newline": (
+        'case A kind monolithic {\n  claim C1 "x"\n  C1 supportedBy C1',
+        ["t.acd:3:20: error P0: expected '}'"],
+        [("case", "A", "1:6+1"), ("element", "C1", "2:9+2"), ("edge", "C1", "3:3+2")],
+    ),
+    "semicolons": (
+        'case T kind technological { claim C1 "x"; evidence E1 "e"; C1 supportedBy E1; '
+        "provides capability p unit W range [0, 1]; C1 supportedBy E9 }",
+        ["t.acd:1:137: error P2: edge references unknown element 'E9'"],
+        [("case", "T", "1:6+1"), ("element", "C1", "1:35+2"), ("element", "E1", "1:52+2"), ("edge", "C1", "1:60+2"),
+         ("capability", "p", "1:99+1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SPAN_CORNERS)
+def test_span_corner(name):
+    source, lines, spans = SPAN_CORNERS[name]
+    case, diagnostics = parse_case(source, "t.acd")
+    assert [d.line() for d in diagnostics] == lines
+    assert [(what, label, f"{s.line}:{s.column}+{s.length}") for what, label, s in _pinned_spans(case)] == spans
+
+
+def test_manifest_end_of_input_span():
+    # P6 for a missing entry points just past the last character of the manifest.
+    for source, line in [
+        ('bundle B {\n  tac "t.acd"\n}', "m.acb:3:2: error P6: bundle requires at least one cac"),
+        ('bundle B {\n  cac "c.acd"\n}\n// end', "m.acb:4:7: error P6: bundle requires a tac entry"),
+    ]:
+        bundle, diagnostics = parse_bundle(source, dict_loader(_MANIFEST_FILES), "m.acb")
+        assert bundle is None
+        assert [d.line() for d in diagnostics] == [line]
+        assert diagnostics[0].span.length == 0
 
 
 def test_parser_total_on_junk_input():
@@ -522,3 +606,58 @@ def test_bundle_parser_total_on_junk_input():
         bundle, diagnostics = parse_bundle(source, dict_loader({}), "fuzz.acb")
         if bundle is None:
             assert any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+_SPAN_GARBAGE = ["@@@", '"open', '"a\\q"', "claim", "}", "{", ";;", "\n", "\r\n", "\r", "\\", "[1,", "awayref",
+                 "supportedBy", '\n  evidence N0 "dup" root\n', '; claim X1 "x" undeveloped awayref A.B concern safety '
+                 "concern safety", '\nassociates T; evidence X2 "e\n" module\n']
+_SPAN_JUNK = ["claim", "evidence", "N1", "N2", "root", "concern", "safety", "supportedBy", "inContextOf", "associates",
+              "provides capability p unit W range [", "-0.5", "1", ",", "]", ".", "\r", "\t", '"s"', '"a\nb"',
+              '"q\\"', '"x\\\\"', "\\", '"', "{", "}", "// c", "é", "@"]
+_SPAN_ENTRIES = ['tac "t.acd"', 'cac "c.acd"', 'cac "m.acd"', 'tac "c.acd"', 'cac "gone.acd"', 'cac "bad.acd"',
+                 'cac "c2.acd"', "tac", "junk", '"x"', "\\", "@"]
+_SPAN_FILES = {"t.acd": TAC_MIN, "c.acd": CAC_MIN, "c2.acd": CAC_MIN, "m.acd": MONO_MIN,
+               "bad.acd": 'case C9 kind clinical {\nassociates T\nclaim C1 "c" root undeveloped; claim C1 "d" @\n}'}
+
+
+def _span_report() -> str:
+    """For a fixed seeded set of mutated `gen_case` texts, token-soup case
+    texts and token-soup manifests: every sorted diagnostic line, and the
+    span of the case, each element, edge and capability. Recorded in
+    `golden/parse_spans.txt`; a lexer or parser change must keep it."""
+    rng = random.Random(91)
+    out: list[str] = []
+
+    def soup(words: list[str], count: int) -> str:
+        return "".join(rng.choice(words) + rng.choice([" ", " ", "\n", ";", "\r\n", ""]) for _ in range(count))
+
+    for number in range(500):
+        if number >= 440:
+            source = rng.choice(["bundle B {", "bundle B {\n", "bundle {", ""]) + soup(_SPAN_ENTRIES, rng.randint(0, 6))
+            source += rng.choice(["}", "}\n", "", "} x", "\n}\n\n"])
+            bundle, diagnostics = parse_bundle(source, dict_loader(_SPAN_FILES), f"m{number}.acb")
+            out.append(f"== {number} bundle {bundle is not None}")
+            out.extend(d.line() for d in diagnostics)
+            continue
+        if number < 250:
+            source = print_case(helpers.gen_case(rng, max_elements=6))
+            for _ in range(rng.randint(1, 3)):
+                cut = rng.randrange(len(source) + 1)
+                source = source[:cut] + rng.choice(_SPAN_GARBAGE) + source[cut:]
+        else:
+            source = soup(_SPAN_JUNK, rng.randint(0, 30))
+            if rng.random() < 0.8:
+                source = rng.choice(["case J kind technological {", "case J kind clinical {\n"]) + source
+        case, diagnostics = parse_case(source, f"t{number}.acd")
+        out.append(f"== {number}")
+        out.extend(d.line() for d in diagnostics)
+        if case is not None:
+            out.extend(f"{what} {label} {s.file}:{s.line}:{s.column}+{s.length}" for what, label, s in _pinned_spans(case))
+    return "\n".join(out) + "\n"
+
+
+def test_parse_spans_match_golden():
+    # A lexer or parser change must leave this file byte-identical. After an
+    # intended change of spans or messages, rewrite it from `_span_report()`.
+    expected = (GOLDEN / "parse_spans.txt").read_text(encoding="utf-8")
+    assert _span_report() == expected

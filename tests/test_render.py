@@ -1,9 +1,11 @@
 import json
 import random
 
+import pytest
+
 from actool.analyze import bundle_metrics, case_metrics, impact
 from actool.diagnostics import Diagnostic, Severity
-from actool.model import AssuranceCase, CaseKind, SourceSpan
+from actool.model import AssuranceCase, CaseKind, SourceSpan, UnknownElementError
 from actool.render import report_json, to_dot
 from actool.validate import bundle_match_results
 
@@ -54,6 +56,16 @@ def test_highlight_fills_node(tac_case):
     line = next(l for l in dot.splitlines() if l.strip().startswith('"C2"'))
     assert "filled" in line and "fillcolor=lightgray" in line
     assert to_dot(tac_case).count("fillcolor") == 0
+
+
+def test_highlight_of_unknown_ids_raises(tac_case, corpus_resolved):
+    with pytest.raises(UnknownElementError, match="unknown element id 'GHOST' in case 'TAC-1'"):
+        to_dot(tac_case, frozenset({("TAC-1", "GHOST")}))
+    with pytest.raises(UnknownElementError, match=r"^unknown case id 'CAC-UF'$"):
+        to_dot(tac_case, frozenset({("CAC-UF", "C4")}))
+    for subject in (corpus_resolved, corpus_resolved.bundle):
+        with pytest.raises(UnknownElementError, match=r"^unknown case id 'NOPE'$"):
+            to_dot(subject, frozenset({("TAC-1", "C2"), ("NOPE", "C2")}))
 
 
 def test_bundle_render_clusters_and_resolution_edges(corpus_resolved):
