@@ -64,50 +64,25 @@ class _Token(NamedTuple):
     value: object = None
 
 
+_IDENT = r"[A-Za-z][A-Za-z0-9_-]*"
 _TOKEN_PATTERN = re.compile(  # blank space and comments, then one token; `\Z` matches the eof token
     r"(?:[ \t\r]+|//[^\n]*)*(?:(?P<break>[\n;])|(?P<punct>[{}\[\],.])"
     r'|(?P<string>"(?:[^"\\]+|\\[\s\S])*(?:(?P<closed>")|\\?\Z))'
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_-]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])|(?P<eof>\Z))"
+    rf"|(?P<ident>{_IDENT})|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])|(?P<eof>\Z))"
 )
 _ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid escape
-
-
-def _tokenize(source: str) -> tuple[list[_Token], list[tuple[int, int, str]]]:
-    """The tokens, ending in one eof token, and the P0 errors of the text as
-    (offset, length, message). Tokens and errors hold offsets, not spans:
-    the parser builds a span only for what it reports or keeps."""
-    tokens: list[_Token] = []
-    errors: list[tuple[int, int, str]] = []
-    for match in _TOKEN_PATTERN.finditer(source):
-        kind = match.lastgroup
-        text, start, value = match[kind], match.start(kind), None
-        if kind == "ident":
-            text = sys.intern(text)
-        elif kind == "number":
-            value = Decimal(text)
-        elif kind == "string":
-            closed = match["closed"] is not None
-            value = _unescape(text, start, closed, errors) if "\\" in text or not closed else text[1:-1]
-            if not closed:
-                continue
-        elif kind == "other":
-            errors.append((start, 1, f"unexpected character {text!r}"))
-            continue
-        # as _Token(...), minus the Python-level __new__ that cost a quarter of the loop
-        tokens.append(tuple.__new__(_Token, (kind, text, start, value)))
-    return tokens, errors
-
-
-def _unescape(text: str, start: int, closed: bool, errors: list[tuple[int, int, str]]) -> str:
-    """Decode a string token at offset `start`. Each invalid escape and a missing
-    closing quote is an error that runs from the opening quote to its end."""
-    end = len(text) - closed
-    for escape in _ESCAPE.finditer(text, 1, end):
-        if escape[1] is None:
-            errors.append((start, min(escape.start() + 2, len(text)), f"invalid escape sequence {escape[0]!r}"))
-    if not closed:
-        errors.append((start, end, "unterminated string"))
-    return _ESCAPE.sub(r"\1", text[1:end])
+# After a statement's first identifier: the rest of `ID supportedBy|inContextOf ID`.
+_EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[ \t\r]*[A-Za-z]')
+# A canonical node or edge line, from the end of the previous statement through
+# its newline: one-line strings with only `\"` and `\\` escapes, known flags,
+# no comment. It holds no lexical error, so skipping the lexer loses no P0.
+_LINE = re.compile(
+    r"(?:[ \t\r\n;]|//[^\n]*\n)*(?:"
+    rf'(?P<kind>{"|".join(NODE_KINDS)})[ \t]+(?P<id>{_IDENT})[ \t]+"(?P<text>[^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'
+    rf'(?P<flags>(?:[ \t]+(?:{"|".join(BOOL_FLAGS)}|concern[ \t]+(?:{"|".join(CONCERN_KINDS)})'
+    rf"|awayref[ \t]+{_IDENT}\.{_IDENT}))*)"
+    rf'|(?P<source>{_IDENT})[ \t]+(?P<edge>{"|".join(EDGE_KINDS)})[ \t]+(?P<target>{_IDENT}))[ \t\r]*\n'
+)
 
 
 class _Skip(Exception):
@@ -125,16 +100,53 @@ class _Parser:
     also skips to the boundary, but keeps the node with the flags read
     before the error.
 
+    Tokens are lexed one at a time from offset `pos`, when `peek` first asks
+    for one, so a statement read by a single regex match is never tokenized.
     Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
     for ids, edge sources, capability names and diagnostics.
     """
 
     def __init__(self, source: str, file_name: str):
+        self.source = source
         self.file_name = file_name
         self.newlines = [match.start() for match in re.finditer("\n", source)]
-        self.tokens, errors = _tokenize(source)
-        self.diagnostics = [Diagnostic("P0", Severity.ERROR, self.span(at, n), message) for at, n, message in errors]
-        self.index = 0
+        self.diagnostics: list[Diagnostic] = []
+        self.pos = 0  # where the next token is lexed
+        self.token: _Token | None = None  # the lexed token that `advance` consumes next
+
+    def _lex(self) -> _Token:
+        """Lex the token at `pos`, recording a P0 for each invalid piece of text before it."""
+        while True:
+            match = _TOKEN_PATTERN.match(self.source, self.pos)
+            self.pos = match.end()
+            kind = match.lastgroup
+            text, start, value = match[kind], match.start(kind), None
+            if kind == "ident":
+                text = sys.intern(text)
+            elif kind == "number":
+                value = Decimal(text)
+            elif kind == "string":
+                closed = match["closed"] is not None
+                value = self._unescape(text, start, closed) if "\\" in text or not closed else text[1:-1]
+                if not closed:
+                    continue
+            elif kind == "other":
+                self.error(f"unexpected character {text!r}", self.span(start, 1))
+                continue
+            # as _Token(...), minus the Python-level __new__ that cost a quarter of the loop
+            self.token = tuple.__new__(_Token, (kind, text, start, value))
+            return self.token
+
+    def _unescape(self, text: str, start: int, closed: bool) -> str:
+        """Decode a string token at offset `start`. Each invalid escape and a missing
+        closing quote is an error that runs from the opening quote to its end."""
+        end = len(text) - closed
+        for escape in _ESCAPE.finditer(text, 1, end):
+            if escape[1] is None:
+                self.error(f"invalid escape sequence {escape[0]!r}", self.span(start, escape.end()))
+        if not closed:
+            self.error("unterminated string", self.span(start, end))
+        return _ESCAPE.sub(r"\1", text[1:end])
 
     def span(self, start: int, length: int) -> SourceSpan:
         """The span of `length` characters from offset `start`. A `\\n` belongs
@@ -149,12 +161,12 @@ class _Parser:
     # --- token primitives -------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.index]
+        return self.token or self._lex()
 
     def advance(self) -> _Token:
-        token = self.tokens[self.index]
+        token = self.token or self._lex()
         if token.kind != "eof":
-            self.index += 1
+            self.token = None
         return token
 
     def at_punct(self, text: str) -> bool:
@@ -206,6 +218,11 @@ class _Parser:
 
     # --- blocks -------------------------------------------------------------
 
+    def drain(self) -> None:
+        """Lex the rest of the text, for its P0 errors."""
+        while self.advance().kind != "eof":
+            pass
+
     def header(self, word: str, rest: Callable[[], None] = lambda: None) -> _Token | None:
         """Read `WORD ID`, then `rest`, then `{`; the id token, or None after a P0 error."""
         self.skip_breaks()
@@ -216,13 +233,17 @@ class _Parser:
             self.skip_breaks()
             self.expect_punct("{")
         except _Skip:
+            self.drain()
             return None
         return id_token
 
-    def statements(self, statement: Callable[[], None]) -> None:
+    def statements(self, statement: Callable[[], None], line: Callable[[], bool] = lambda: False) -> None:
         """Call `statement` at each statement up to the closing `}`, after
-        which only blank space, `;` and comments may follow."""
+        which only blank space, `;` and comments may follow. Before a
+        statement is lexed, `line` may read it whole and say that it did."""
         while True:
+            if self.token is None and line():
+                continue
             self.skip_breaks()
             if self.peek().kind == "eof":
                 self.error("expected '}'")
@@ -232,6 +253,7 @@ class _Parser:
                 self.skip_breaks()
                 if self.peek().kind != "eof":
                     self.error("unexpected content after '}'")
+                    self.drain()
                 return
             try:
                 statement()
@@ -247,7 +269,8 @@ class _CaseParser(_Parser):
     whose flags are consumed but not checked. P7 is checked at each
     `associates` statement, and for a missing one after the last item. P2
     needs every node, so edges wait as (source, kind, target) token triples
-    until the items are read.
+    until the items are read. `_line` reads canonical node and edge lines
+    without tokens; every other statement goes to the token path.
     """
 
     def __init__(self, source: str, file_name: str):
@@ -264,7 +287,7 @@ class _CaseParser(_Parser):
         if id_token is None:
             return ParseResult(None, sorted_diagnostics(self.diagnostics))
         self.case_id = id_token.text
-        self.statements(self._statement)
+        self.statements(self._statement, self._line)
         if self.kind is CaseKind.CLINICAL and self.associated is None:
             self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
@@ -297,7 +320,9 @@ class _CaseParser(_Parser):
         token = self.peek()
         if token.kind != "ident":
             self.fail(f"unexpected token {token.text!r}; expected a statement")
-        if token.text in NODE_KINDS:
+        if _EDGE_AHEAD.match(self.source, token.start + len(token.text)):  # even when the source is a keyword
+            self._edge()
+        elif token.text in NODE_KINDS:
             self._node()
         elif token.text == "associates":
             self._associates()
@@ -305,6 +330,39 @@ class _CaseParser(_Parser):
             self._capability()
         else:
             self._edge()
+
+    def _line(self) -> bool:
+        """Read a canonical node or edge line at `pos` in one match, as `_node` or `_edge` would; False,
+        having read nothing, for any other text and for a node that the token path reports (P1, P3)."""
+        match = _LINE.match(self.source, self.pos)
+        if match is None:
+            return False
+        kind, node_id, text, flags, source, edge, target = match.groups()
+        if kind is None:
+            source_token = _Token("ident", sys.intern(source), match.start("source"))
+            target_token = _Token("ident", sys.intern(target), match.start("target"))
+            self.edges.append((source_token, EDGE_KINDS[edge], target_token))
+        else:
+            node_id = sys.intern(node_id)
+            if node_id in self.elements:
+                return False
+            words = flags.split()  # flags, each `concern` and `awayref` followed by its value
+            if len(set(words)) < len(words):  # a repeated flag; a second `concern` or `awayref` is P3
+                return False
+            fields: dict[str, object] = {FLAG_FIELDS[word]: True for word in words if word in BOOL_FLAGS}
+            for word, value in zip(words, words[1:]):
+                if word == "concern":
+                    fields["concern"] = CONCERN_KINDS[value]
+                elif word == "awayref":
+                    fields["away_ref"] = tuple(map(sys.intern, value.split(".")))
+            statement = _ESCAPE.sub(r"\1", text) if "\\" in text else text
+            try:  # the model's flag rules are P3's: a flag on a non-claim, `awayref` without `undeveloped`
+                span = self.span(match.start("id"), len(node_id))
+                self.elements[node_id] = Element(node_id, NODE_KINDS[kind], statement, span=span, **fields)
+            except ValueError:
+                return False
+        self.pos = match.end()
+        return True
 
     def _node(self) -> None:
         kind = NODE_KINDS[self.advance().text]
@@ -463,7 +521,7 @@ def parse_bundle(
             tac = case
         else:
             cacs.append(case)
-    eof_span = parser.span_of(parser.tokens[-1])
+    eof_span = parser.span_of(parser.peek())
     if id_token is not None and not tac_seen:
         fail("P6", eof_span, "bundle requires a tac entry")
     if id_token is not None and not any(slot == "cac" for slot, _, _ in entries):

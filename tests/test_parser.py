@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actool.diagnostics import Severity
-from actool.model import CaseKind, ConcernKind, EdgeKind, ElementKind
-from actool.parser import parse_bundle, parse_case, print_case
+from actool.model import AssuranceCase, CaseKind, ConcernKind, Direction, Edge, EdgeKind, Element, ElementKind
+from actool.parser import _CaseParser, parse_bundle, parse_case, print_case
 
 import helpers
-from conftest import GOLDEN
+from conftest import CORPUS, GOLDEN
 
 
 def errors(result):
@@ -385,8 +385,10 @@ def _tac(*lines):
 _CAPABILITY = "provides capability power unit W range "
 _MANIFEST_FILES = {"t.acd": TAC_MIN, "c.acd": CAC_MIN}
 
-# One input per P0 message of the case and manifest parsers: the file name,
-# the text, every diagnostic line, and what survived (the body lines of the
+# One input per P0 message of the case and manifest parsers, and lexical P0s
+# where the parser reads no statement: after a header error, after the closing
+# `}` and in a statement skipped to recover. Each entry: the file name, the
+# text, every diagnostic line, and what survived (the body lines of the
 # canonical case text, or the bundle's case ids; None for no case/bundle).
 RECOVERY_SITES = {
     "case-word": ("t.acd", 'bogus T kind technological {\nclaim OK "ok"\n}\n',
@@ -466,6 +468,28 @@ RECOVERY_SITES = {
     "bundle-close": ("m.acb", 'bundle B {\ntac "t.acd"\ncac "c.acd" "x"\n',
                      ["m.acb:3:13: error P0: expected end of statement", "m.acb:4:1: error P0: expected '}'"],
                      ["T", "C"]),
+    "lex-after-header": ("t.acd", 'case T kind other {\nclaim OK "ok" @\nclaim B "\\q"\n}\n',
+                         ["t.acd:1:13: error P0: expected case kind ('monolithic', 'technological' or 'clinical')",
+                          "t.acd:2:15: error P0: unexpected character '@'",
+                          "t.acd:3:9: error P0: invalid escape sequence '\\\\q'"], None),
+    "lex-after-brace": ("t.acd", 'case T kind technological {\nclaim OK "ok"\n}\n@ "\\q"\n"open',
+                        ["t.acd:4:1: error P0: unexpected character '@'",
+                         "t.acd:4:3: error P0: invalid escape sequence '\\\\q'",
+                         "t.acd:4:3: error P0: unexpected content after '}'",
+                         "t.acd:5:1: error P0: unterminated string"], ['claim OK "ok"']),
+    "lex-in-skipped": ("t.acd", _tac('claim A root "\\q" @ 1..2'),
+                       ["t.acd:2:9: error P0: expected statement string",
+                        "t.acd:2:14: error P0: invalid escape sequence '\\\\q'",
+                        "t.acd:2:19: error P0: unexpected character '@'"], ['claim OK "ok"']),
+    "lex-after-bundle-header": ("m.acb", 'bundle {\ntac "t.acd" @\ncac "\\q"\n}\n',
+                                ["m.acb:1:8: error P0: expected bundle id",
+                                 "m.acb:2:13: error P0: unexpected character '@'",
+                                 "m.acb:3:5: error P0: invalid escape sequence '\\\\q'"], None),
+    "lex-after-bundle-brace": ("m.acb", 'bundle B {\ntac "t.acd"\n} @ "\\q"',
+                               ["m.acb:3:3: error P0: unexpected character '@'",
+                                "m.acb:3:5: error P0: invalid escape sequence '\\\\q'",
+                                "m.acb:3:5: error P0: unexpected content after '}'",
+                                "m.acb:3:9: error P6: bundle requires at least one cac"], None),
 }
 
 
@@ -661,3 +685,95 @@ def test_parse_spans_match_golden():
     # intended change of spans or messages, rewrite it from `_span_report()`.
     expected = (GOLDEN / "parse_spans.txt").read_text(encoding="utf-8")
     assert _span_report() == expected
+
+
+def _with_comments(source: str) -> str:
+    """`source` with ` // x` at the end of every line but the first and last:
+    each statement then goes to the token path, and no id moves."""
+    lines = source.split("\n")
+    for number in range(1, len(lines) - 2):
+        line = lines[number]
+        lines[number] = line[:-1] + " // x\r" if line.endswith("\r") else line + " // x"
+    return "\n".join(lines)
+
+
+_KEYWORDS = sorted(
+    {kind.value for enum in (ElementKind, CaseKind, EdgeKind, ConcernKind, Direction) for kind in enum}
+    | {"associates", "capability", "unit", "range", "case", "kind", "root", "public", "undeveloped", "module",
+       "concern", "awayref", "bundle", "tac", "cac"}
+)
+
+
+def test_print_case_round_trips_keyword_ids():
+    # Each keyword as an element id, the source and target of both edge kinds
+    # and an away reference; `claim supportedBy E` is an edge, not a node.
+    elements = [Element(word, ElementKind.CLAIM, word) for word in _KEYWORDS]
+    elements += [Element("E", ElementKind.EVIDENCE, "e"), Element("X", ElementKind.CONTEXT, "x"),
+                 Element("A", ElementKind.CLAIM, "a", is_undeveloped=True, away_ref=("claim", "supportedBy"))]
+    edges = [Edge(word, "E", EdgeKind.SUPPORTED_BY) for word in _KEYWORDS]
+    edges += [Edge(word, "X", EdgeKind.IN_CONTEXT_OF) for word in _KEYWORDS]
+    edges += [Edge("A", word, EdgeKind.SUPPORTED_BY) for word in _KEYWORDS]
+    printed = print_case(AssuranceCase("case", CaseKind.MONOLITHIC, tuple(elements), tuple(edges)))
+    for source in (printed, _with_comments(printed)):
+        result = parse_case(source, "k.acd")
+        assert [d.line() for d in result.diagnostics] == []
+        assert print_case(result.case) == printed
+
+
+_MIXED_IDS = ["N0", "N1", "N2", "N3", "N-4", "n_5", "claim", "evidence", "associates", "provides", "requires",
+              "supportedBy", "inContextOf", "root", "concern", "case"]
+_MIXED_STRINGS = ['"plain"', '"say \\"hi\\""', '"back \\\\ slash"', '"bad \\q escape"', '""', '"µé ≤ // in text"']
+_MIXED_FLAGS = ["root", "public", "undeveloped", "module", "concern safety", "concern effectiveness", "awayref T.C2",
+                "awayref claim.root"]
+
+
+def _mixed_case_text(rng: random.Random) -> str:
+    """A case of hundreds of one-line statements: escapes, `\\r\\n`, duplicate
+    and keyword ids, misused and repeated flags, `awayref` without
+    `undeveloped` and dangling edges."""
+    kind = rng.choice(list(CaseKind))
+    lines = [f"case K kind {kind.value} {{"] + (["  associates T"] if kind is CaseKind.CLINICAL else [])
+    for _ in range(rng.randint(100, 300)):
+        gap = rng.choice([" ", " ", " ", "\t", "  "])
+        if rng.random() < 0.5:
+            words = [rng.choice(list(ElementKind)).value, rng.choice(_MIXED_IDS), rng.choice(_MIXED_STRINGS)]
+            words += rng.choices(_MIXED_FLAGS, k=rng.choice([0, 0, 1, 2, 3]))
+        elif rng.random() < 0.95:
+            ends = _MIXED_IDS + ["GHOST"]
+            words = [rng.choice(ends), rng.choice(list(EdgeKind)).value, rng.choice(ends)]
+        else:
+            words = [rng.choice(list(Direction)).value, "capability", rng.choice(_MIXED_IDS), "unit W range [0, 1]"]
+        lines.append("  " + gap.join(words))
+    return "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines) + "}\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_statement_regex_and_token_path_agree(seed):
+    source = _mixed_case_text(random.Random(seed))
+    fast, slow = parse_case(source, "k.acd"), parse_case(_with_comments(source), "k.acd")
+    assert sorted(d.line() for d in fast.diagnostics) == sorted(d.line() for d in slow.diagnostics)
+    assert print_case(fast.case) == print_case(slow.case)
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
+def test_canonical_node_and_edge_lines_skip_the_token_path(monkeypatch):
+    # A count, not a timing: a statement regex that silently matched nothing
+    # would send every line through `_node` and `_edge`.
+    calls = {"_node": 0, "_edge": 0}
+    for name in calls:
+        def counted(self, name=name, method=getattr(_CaseParser, name)):
+            calls[name] += 1
+            method(self)
+
+        monkeypatch.setattr(_CaseParser, name, counted)
+    for path in sorted(CORPUS.glob("*.acd")):
+        assert parse_case(path.read_text(encoding="utf-8"), path.name).case.elements
+    assert calls == {"_node": 0, "_edge": 0}
+    rng = random.Random(26)
+    multi_line = 0
+    for _ in range(40):
+        case = helpers.gen_case(rng)
+        assert print_case(parse_case(print_case(case), "gen.acd").case) == print_case(case)
+        multi_line += sum("\n" in element.statement for element in case.elements)
+    assert calls == {"_node": multi_line, "_edge": 0}
