@@ -9,9 +9,8 @@ can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .link import ResolvedBundle
 from .model import (
@@ -28,8 +27,7 @@ from .model import (
 from .validate import has_evidence_support, is_leaf_claim
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     changed: frozenset[tuple[str, str]]
     affected: dict[str, frozenset[str]]
     affected_cacs: frozenset[str]
@@ -67,8 +65,7 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     )
 
 
-@dataclass(frozen=True)
-class CaseMetrics:
+class CaseMetrics(NamedTuple):
     case_id: str
     kind: CaseKind
     element_counts: dict[str, int]
@@ -87,8 +84,7 @@ class CaseMetrics:
         return sum(self.edge_counts.values())
 
 
-@dataclass(frozen=True)
-class BundleMetrics:
+class BundleMetrics(NamedTuple):
     cases: tuple[CaseMetrics, ...]
     cross_link_count: int
 

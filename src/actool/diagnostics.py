@@ -7,9 +7,8 @@ format is `<file>:<line>:<col>: <severity> <RULEID>: <message>`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import SourceSpan
 
@@ -19,8 +18,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule_id: str
     severity: Severity
     span: SourceSpan

@@ -9,8 +9,7 @@ subtrees beneath the away-claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, has_errors
 from .model import (
@@ -25,8 +24,7 @@ from .model import (
 from .validate import link_rule_diagnostics
 
 
-@dataclass(frozen=True)
-class ResolvedBundle:
+class ResolvedBundle(NamedTuple):
     """A bundle whose cross-case references all point at real, public claims."""
 
     bundle: Bundle
@@ -83,7 +81,7 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
     elements = []
     for element in cac.elements:
         if (cac.id, element.id) in resolved.resolutions:
-            elements.append(replace(element, is_undeveloped=False, away_ref=None))
+            elements.append(element._replace(is_undeveloped=False, away_ref=None))
         else:
             elements.append(element)
     edges = list(cac.edges)
@@ -108,7 +106,7 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
             original = tac.element(node)
             # root-ness is a per-case property; away references never survive
             # inlining. undeveloped stays so copied claims still pass G5.
-            elements.append(replace(original, id=names[node], away_ref=None, is_root=False))
+            elements.append(original._replace(id=names[node], away_ref=None, is_root=False))
         # the subtree is closed under out-edges, so every target has a name
         for node in subtree:
             for edge in tac.out_edges(node):

@@ -12,11 +12,11 @@ is a pure function of its inputs and safe for concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Context, Decimal
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
@@ -63,16 +63,27 @@ class CycleError(ValueError):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    column: int
-    length: int = 0
+class _Checked:
+    """Mixin for a value whose constructor checks its fields: `_make` and
+    `_replace` build through that constructor, so the checks hold for copies."""
 
-    def __post_init__(self):
-        if self.line < 1 or self.column < 1 or self.length < 0:
-            raise ValueError(f"invalid source span {self.line}:{self.column}+{self.length}")
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class SourceSpan(_Checked, namedtuple("SourceSpan", "file line column length")):
+    __slots__ = ()
+
+    def __new__(cls, file: str, line: int, column: int, length: int = 0):
+        if line < 1 or column < 1 or length < 0:
+            raise ValueError(f"invalid source span {line}:{column}+{length}")
+        return tuple.__new__(cls, (file, line, column, length))
 
 
 UNKNOWN_SPAN = SourceSpan("<unknown>", 1, 1, 0)
@@ -83,8 +94,8 @@ def _check_id(value: str, what: str) -> None:
         raise ValueError(f"invalid {what} {value!r}")
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Checked, namedtuple("Element", "id kind statement is_root is_public is_undeveloped is_module "
+                                              "concern away_ref span")):
     """One GSN node.
 
     The root/undeveloped/module flags and the away reference are restricted
@@ -92,45 +103,38 @@ class Element:
     not developed locally.
     """
 
-    id: str
-    kind: ElementKind
-    statement: str
-    is_root: bool = False
-    is_public: bool = False
-    is_undeveloped: bool = False
-    is_module: bool = False
-    concern: ConcernKind | None = None
-    away_ref: tuple[str, str] | None = None
-    span: SourceSpan = UNKNOWN_SPAN
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_id(self.id, "element id")
-        if self.kind is not ElementKind.CLAIM:
+    def __new__(cls, id: str, kind: ElementKind, statement: str, is_root: bool = False, is_public: bool = False,
+                is_undeveloped: bool = False, is_module: bool = False, concern: ConcernKind | None = None,
+                away_ref: tuple[str, str] | None = None, span: SourceSpan = UNKNOWN_SPAN):
+        _check_id(id, "element id")
+        if kind is not ElementKind.CLAIM:
             for flag, name in (
-                (self.is_root, "root"),
-                (self.is_undeveloped, "undeveloped"),
-                (self.is_module, "module"),
-                (self.away_ref is not None, "awayref"),
+                (is_root, "root"),
+                (is_undeveloped, "undeveloped"),
+                (is_module, "module"),
+                (away_ref is not None, "awayref"),
             ):
                 if flag:
-                    raise ValueError(f"'{name}' only applies to claims, not {self.kind.value} {self.id!r}")
-        if self.away_ref is not None:
-            if not self.is_undeveloped:
-                raise ValueError(f"away-referenced claim {self.id!r} must be undeveloped")
-            _check_id(self.away_ref[0], "case id")
-            _check_id(self.away_ref[1], "element id")
+                    raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")
+        if away_ref is not None:
+            if not is_undeveloped:
+                raise ValueError(f"away-referenced claim {id!r} must be undeveloped")
+            _check_id(away_ref[0], "case id")
+            _check_id(away_ref[1], "element id")
+        fields = (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern, away_ref, span)
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: str
     target: str
     kind: EdgeKind
     span: SourceSpan = UNKNOWN_SPAN
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(_Checked, namedtuple("Capability", "name direction unit low high span")):
     """A named, unit-bearing output interval.
 
     Provided capabilities state what a technological case delivers; required
@@ -138,25 +142,52 @@ class Capability:
     decimals, never floats.
     """
 
-    name: str
-    direction: Direction
-    unit: str
-    low: Decimal
-    high: Decimal
-    span: SourceSpan = UNKNOWN_SPAN
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_id(self.name, "capability name")
-        if not isinstance(self.low, Decimal):
-            object.__setattr__(self, "low", Decimal(self.low))
-        if not isinstance(self.high, Decimal):
-            object.__setattr__(self, "high", Decimal(self.high))
-        if not (self.low.is_finite() and self.high.is_finite()):
-            raise ValueError(f"capability {self.name!r} must have finite bounds")
+    def __new__(cls, name: str, direction: Direction, unit: str, low: Decimal, high: Decimal,
+                span: SourceSpan = UNKNOWN_SPAN):
+        _check_id(name, "capability name")
+        low, high = Decimal(low), Decimal(high)
+        if not (low.is_finite() and high.is_finite()):
+            raise ValueError(f"capability {name!r} must have finite bounds")
+        return tuple.__new__(cls, (name, direction, unit, low, high, span))
 
 
-@dataclass(frozen=True)
-class AssuranceCase:
+class _Record(_Checked):
+    """Base of the values that keep private state (lazily built indexes) in
+    slots beside their fields: equality, hashing, `repr` and pickling read the
+    fields named in `_fields` only, and no attribute can be reassigned."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        return self._asdict() == other._asdict() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(self._asdict().values())
+
+
+class AssuranceCase(_Record):
     """One parsed assurance case.
 
     Element ids are unique within the case, and every edge names two
@@ -172,36 +203,27 @@ class AssuranceCase:
     runs once, on the first call that needs it.
     """
 
-    id: str
-    kind: CaseKind
-    elements: tuple[Element, ...]
-    edges: tuple[Edge, ...] = ()
-    capabilities: tuple[Capability, ...] = ()
-    associated_tac: str | None = None
-    span: SourceSpan = UNKNOWN_SPAN
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    _out_edges: dict | None = field(init=False, repr=False, compare=False)
-    _in_edges: dict | None = field(init=False, repr=False, compare=False)
+    _fields = ("id", "kind", "elements", "edges", "capabilities", "associated_tac", "span")
+    __slots__ = (*_fields, "_by_id", "_out_edges", "_in_edges", "_cycle")
 
-    def __post_init__(self):
-        _check_id(self.id, "case id")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "capabilities", tuple(self.capabilities))
+    def __init__(self, id: str, kind: CaseKind, elements: tuple[Element, ...], edges: tuple[Edge, ...] = (),
+                 capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
+                 span: SourceSpan = UNKNOWN_SPAN):
+        _check_id(id, "case id")
+        elements, edges, capabilities = tuple(elements), tuple(edges), tuple(capabilities)
         by_id: dict[str, Element] = {}
-        for element in self.elements:
+        for element in elements:
             if element.id in by_id:
-                raise ValueError(f"duplicate element id {element.id!r} in case {self.id!r}")
+                raise ValueError(f"duplicate element id {element.id!r} in case {id!r}")
             by_id[element.id] = element
-        if self.associated_tac is not None and self.kind is not CaseKind.CLINICAL:
-            raise ValueError(f"only a clinical case may associate a technological case ({self.id!r})")
-        for edge in self.edges:
+        if associated_tac is not None and kind is not CaseKind.CLINICAL:
+            raise ValueError(f"only a clinical case may associate a technological case ({id!r})")
+        for edge in edges:
             if edge.source not in by_id or edge.target not in by_id:
                 missing = edge.target if edge.source in by_id else edge.source
-                raise ValueError(f"edge references unknown element {missing!r} in case {self.id!r}")
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out_edges", None)
-        object.__setattr__(self, "_in_edges", None)
+                raise ValueError(f"edge references unknown element {missing!r} in case {id!r}")
+        self._set(id=id, kind=kind, elements=elements, edges=edges, capabilities=capabilities,
+                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None)
 
     def element(self, element_id: str) -> Element:
         try:
@@ -215,18 +237,20 @@ class AssuranceCase:
     def out_edges(self, element_id: str) -> tuple[Edge, ...]:
         """Edges whose source is the element, in declaration order."""
         if self._out_edges is None:
-            object.__setattr__(self, "_out_edges", _group_edges(self.edges, attrgetter("source")))
+            self._set(_out_edges=_group_edges(self.edges, attrgetter("source")))
         return self._out_edges.get(element_id, ())
 
     def in_edges(self, element_id: str) -> tuple[Edge, ...]:
         """Edges whose target is the element, in declaration order."""
         if self._in_edges is None:
-            object.__setattr__(self, "_in_edges", _group_edges(self.edges, attrgetter("target")))
+            self._set(_in_edges=_group_edges(self.edges, attrgetter("target")))
         return self._in_edges.get(element_id, ())
 
-    @cached_property
-    def _cycle(self) -> list[str] | None:
-        return supported_by_dfs(self)[1]
+    def _first_cycle(self) -> list[str] | None:
+        """The cycle of `supported_by_dfs`; the walk runs on the first call only."""
+        if not hasattr(self, "_cycle"):  # the slot stays unset until then
+            self._set(_cycle=supported_by_dfs(self)[1])
+        return self._cycle
 
 
 def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...]]:
@@ -238,26 +262,25 @@ def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...
     return {node: tuple(group) for node, group in groups.items()}
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(_Checked, namedtuple("Bundle", "tac cacs")):
     """One technological case plus the clinical cases linked to it."""
 
-    tac: AssuranceCase
-    cacs: tuple[AssuranceCase, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "cacs", tuple(self.cacs))
-        if self.tac.kind is not CaseKind.TECHNOLOGICAL:
-            raise ValueError(f"bundle tac {self.tac.id!r} must be a technological case")
-        if not self.cacs:
+    def __new__(cls, tac: AssuranceCase, cacs: tuple[AssuranceCase, ...]):
+        cacs = tuple(cacs)
+        if tac.kind is not CaseKind.TECHNOLOGICAL:
+            raise ValueError(f"bundle tac {tac.id!r} must be a technological case")
+        if not cacs:
             raise ValueError("bundle requires at least one cac")
-        seen = {self.tac.id}
-        for cac in self.cacs:
+        seen = {tac.id}
+        for cac in cacs:
             if cac.kind is not CaseKind.CLINICAL:
                 raise ValueError(f"bundle cac {cac.id!r} must be a clinical case")
             if cac.id in seen:
                 raise ValueError(f"duplicate case id {cac.id!r} in bundle")
             seen.add(cac.id)
+        return tuple.__new__(cls, (tac, cacs))
 
     def cases(self) -> tuple[AssuranceCase, ...]:
         return (self.tac, *self.cacs)
@@ -333,7 +356,8 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
 
 def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
     """Find one cycle in the supportedBy subgraph, as [n0, n1, ..., n0]; None if acyclic."""
-    return None if case._cycle is None else list(case._cycle)
+    cycle = case._first_cycle()
+    return None if cycle is None else list(cycle)
 
 
 def ancestors(case: AssuranceCase, node: str) -> set[str]:
@@ -343,8 +367,9 @@ def ancestors(case: AssuranceCase, node: str) -> set[str]:
     subgraph is not acyclic.
     """
     case.element(node)
-    if case._cycle is not None:
-        raise CycleError(list(case._cycle))
+    cycle = case._first_cycle()
+    if cycle is not None:
+        raise CycleError(list(cycle))
     above = reach([node], lambda n: [e.source for e in case.in_edges(n) if e.kind is EdgeKind.SUPPORTED_BY])
     return set(above[1:])
 

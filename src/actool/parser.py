@@ -19,6 +19,7 @@ import re
 import sys
 from bisect import bisect_left
 from decimal import Decimal
+from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, Severity, sorted_diagnostics
@@ -553,11 +554,11 @@ def print_case(case: AssuranceCase) -> str:
         [] if case.associated_tac is None else [f"  associates {case.associated_tac}"],
         [
             f"  {e.kind.value} {e.id} {_escape(e.statement)}{_flag_text(e)}"
-            for e in sorted(case.elements, key=lambda e: e.id)
+            for e in sorted(case.elements, key=attrgetter("id"))
         ],
         [
             f"  {e.source} {e.kind.value} {e.target}"
-            for e in sorted(case.edges, key=lambda e: (e.source, e.kind.value, e.target))
+            for e in sorted(case.edges, key=attrgetter("source", "kind.value", "target"))
         ],
         [
             f"  {c.direction.value} capability {c.name} unit {c.unit} "

@@ -13,6 +13,7 @@ The JSON report schema is documented in FORMATS.md.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .analyze import BundleMetrics, CaseMetrics, ImpactReport
@@ -76,10 +77,10 @@ def _case_body(
     case: AssuranceCase, highlight: frozenset[tuple[str, str]], prefix: str, indent: str
 ) -> list[str]:
     lines = []
-    for element in sorted(case.elements, key=lambda e: e.id):
+    for element in sorted(case.elements, key=attrgetter("id")):
         highlighted = (case.id, element.id) in highlight
         lines.append(indent + _node_line(f"{prefix}{element.id}", element, highlighted))
-    for edge in sorted(case.edges, key=lambda e: (e.source, e.kind.value, e.target)):
+    for edge in sorted(case.edges, key=attrgetter("source", "kind.value", "target")):
         lines.append(indent + _edge_line(f"{prefix}{edge.source}", f"{prefix}{edge.target}", edge.kind))
     return lines
 

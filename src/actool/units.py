@@ -8,10 +8,12 @@ dimensions. The built-in table can be extended from a `.units` file with one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
 from enum import Enum
 from typing import Iterable
+
+from .model import _Checked, _Record
 
 
 class UnitError(ValueError):
@@ -28,31 +30,27 @@ class Dimension(Enum):
     INTENSITY = "Intensity"
 
 
-@dataclass(frozen=True)
-class UnitDef:
-    symbol: str
-    dimension: Dimension
-    scale_to_base: Decimal
+class UnitDef(_Checked, namedtuple("UnitDef", "symbol dimension scale_to_base")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.scale_to_base, Decimal):
-            object.__setattr__(self, "scale_to_base", Decimal(self.scale_to_base))
-        if not self.scale_to_base.is_finite():
-            raise UnitError(f"unit {self.symbol!r} must have a finite scale")
-        if self.scale_to_base <= 0:
-            raise UnitError(f"unit {self.symbol!r} must have a positive scale")
+    def __new__(cls, symbol: str, dimension: Dimension, scale_to_base: Decimal):
+        scale_to_base = Decimal(scale_to_base)
+        if not scale_to_base.is_finite():
+            raise UnitError(f"unit {symbol!r} must have a finite scale")
+        if scale_to_base <= 0:
+            raise UnitError(f"unit {symbol!r} must have a positive scale")
+        return tuple.__new__(cls, (symbol, dimension, scale_to_base))
 
 
-@dataclass(frozen=True)
-class UnitTable:
-    units: tuple[UnitDef, ...]
-    _by_symbol: dict = field(init=False, repr=False, compare=False)
+class UnitTable(_Record):
+    _fields = ("units",)
+    __slots__ = ("units", "_by_symbol")
 
-    def __post_init__(self):
-        object.__setattr__(self, "units", tuple(self.units))
+    def __init__(self, units: Iterable[UnitDef]):
+        units = tuple(units)
         by_symbol: dict[str, UnitDef] = {}
         base_seen: dict[Dimension, str] = {}
-        for unit in self.units:
+        for unit in units:
             if unit.symbol in by_symbol:
                 raise UnitError(f"unit {unit.symbol!r} defined twice")
             by_symbol[unit.symbol] = unit
@@ -63,10 +61,10 @@ class UnitTable:
                         f"{base_seen[unit.dimension]!r} and {unit.symbol!r}"
                     )
                 base_seen[unit.dimension] = unit.symbol
-        for unit in self.units:
+        for unit in units:
             if unit.dimension not in base_seen:
                 raise UnitError(f"dimension {unit.dimension.value} has no base unit")
-        object.__setattr__(self, "_by_symbol", by_symbol)
+        self._set(units=units, _by_symbol=by_symbol)
 
     def find(self, symbol: str) -> UnitDef | None:
         return self._by_symbol.get(symbol)

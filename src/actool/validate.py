@@ -9,9 +9,8 @@ evaluation is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, Severity, sorted_diagnostics
 from .model import (
@@ -37,8 +36,7 @@ class MatchStatus(Enum):
     MISSING = "missing"
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     required: Capability
     status: MatchStatus
     matched_provider: Capability | None = None

@@ -72,6 +72,26 @@ def test_module_invocation_runs_the_cli():
     assert len(err) == 1 and "error S1:" in err[0]
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    # `dataclasses` pulls in `inspect`, `ast` and `dis`: about 20 ms of every
+    # CLI start. Only modules that importing actool.cli adds are checked.
+    script = (
+        "import json, sys; before = set(sys.modules); import actool.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    added = json.loads(done.stdout)
+    assert "actool.cli" in added
+    assert [name for name in ("dataclasses", "inspect") if name in added] == []
+
+
 def test_validate_bad_s2(capsys):
     assert run(["validate", corpus("bad_s2.acb")]) == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -3,7 +3,6 @@ listed severity, and no rule it does not list."""
 
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 from actool.diagnostics import Severity
@@ -83,8 +82,8 @@ def emitted_diagnostics():
     for _ in range(100):
         bundles.append(helpers.gen_valid_bundle(rng))
         # arbitrary members, with ids the generator's away references use
-        tac = replace(helpers.gen_case(rng), id="CASE-0", kind=CaseKind.TECHNOLOGICAL, associated_tac=None)
-        cac = replace(helpers.gen_case(rng), id="CASE-1", kind=CaseKind.CLINICAL, associated_tac="CASE-0")
+        tac = helpers.gen_case(rng)._replace(id="CASE-0", kind=CaseKind.TECHNOLOGICAL, associated_tac=None)
+        cac = helpers.gen_case(rng)._replace(id="CASE-1", kind=CaseKind.CLINICAL, associated_tac="CASE-0")
         bundles.append(Bundle(tac, (cac,)))
     for case in cases:
         if case is not None:
