@@ -19,7 +19,6 @@ from .model import (
     Capability,
     CaseKind,
     ConcernKind,
-    CycleError,
     Direction,
     Edge,
     EdgeKind,
@@ -27,8 +26,6 @@ from .model import (
     ElementKind,
     SourceSpan,
     UnknownElementError,
-    ancestors,
-    children,
     format_decimal,
     supported_by_cycle,
 )

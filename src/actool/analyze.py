@@ -36,9 +36,10 @@ class ImpactReport(NamedTuple):
 def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     """Elements to revisit when the changed elements are modified.
 
-    Affected = the changed elements, their in-case ancestors over both edge
-    kinds, and, for every affected technological element targeted by a
-    resolution, the referencing away-claim and its ancestors, transitively.
+    Affected = the changed elements, every element above them in their case
+    over both edge kinds, and, for every affected technological element
+    targeted by a resolution, the referencing away-claim and every element
+    above it, transitively.
     """
     bundle = resolved.bundle
     cases = {case.id: case for case in bundle.cases()}

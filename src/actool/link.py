@@ -50,12 +50,6 @@ def resolve_links(bundle: Bundle) -> tuple[ResolvedBundle | None, list[Diagnosti
     return ResolvedBundle(bundle, resolutions), diagnostics
 
 
-def subtree_size(case: AssuranceCase, root: str) -> int:
-    """Number of elements reachable from `root` (inclusive) over both edge kinds."""
-    case.element(root)
-    return len(reach([root], lambda node: [edge.target for edge in case.out_edges(node)]))
-
-
 def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
     """Inline one clinical case into a monolithic view.
 

@@ -55,14 +55,6 @@ class UnknownElementError(LookupError):
     """Raised when an operation names an element or case id that does not exist."""
 
 
-class CycleError(ValueError):
-    """Raised when a traversal requires an acyclic supportedBy graph but finds a cycle."""
-
-    def __init__(self, cycle: list[str]):
-        super().__init__("supportedBy cycle: " + " -> ".join(cycle))
-        self.cycle = cycle
-
-
 class _Checked:
     """Mixin for a value whose constructor checks its fields: `_make` and
     `_replace` build through that constructor, so the checks hold for copies."""
@@ -199,12 +191,11 @@ class AssuranceCase(_Record):
 
     `out_edges` and `in_edges` answer adjacency queries from an index of
     the edges by endpoint, each half built on its first query, so that
-    parse-only paths never pay for it. The supportedBy cycle check, too,
-    runs once, on the first call that needs it.
+    parse-only paths never pay for it.
     """
 
     _fields = ("id", "kind", "elements", "edges", "capabilities", "associated_tac", "span")
-    __slots__ = (*_fields, "_by_id", "_out_edges", "_in_edges", "_cycle")
+    __slots__ = (*_fields, "_by_id", "_out_edges", "_in_edges")
 
     def __init__(self, id: str, kind: CaseKind, elements: tuple[Element, ...], edges: tuple[Edge, ...] = (),
                  capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
@@ -245,12 +236,6 @@ class AssuranceCase(_Record):
         if self._in_edges is None:
             self._set(_in_edges=_group_edges(self.edges, attrgetter("target")))
         return self._in_edges.get(element_id, ())
-
-    def _first_cycle(self) -> list[str] | None:
-        """The cycle of `supported_by_dfs`; the walk runs on the first call only."""
-        if not hasattr(self, "_cycle"):  # the slot stays unset until then
-            self._set(_cycle=supported_by_dfs(self)[1])
-        return self._cycle
 
 
 def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...]]:
@@ -295,12 +280,6 @@ def _element_pairs(cases: dict[str, AssuranceCase], pairs) -> frozenset[tuple[st
             raise UnknownElementError(f"unknown case id {case_id!r}")
         cases[case_id].element(element_id)
     return frozenset(pairs)
-
-
-def children(case: AssuranceCase, node: str, kind: EdgeKind) -> list[str]:
-    """Targets of the node's outgoing edges of the given kind, in declaration order."""
-    case.element(node)
-    return [edge.target for edge in case.out_edges(node) if edge.kind is kind]
 
 
 def reach(starts, successors) -> list:
@@ -356,22 +335,7 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
 
 def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
     """Find one cycle in the supportedBy subgraph, as [n0, n1, ..., n0]; None if acyclic."""
-    cycle = case._first_cycle()
-    return None if cycle is None else list(cycle)
-
-
-def ancestors(case: AssuranceCase, node: str) -> set[str]:
-    """All elements from which `node` is reachable over supportedBy edges.
-
-    Excludes `node` itself. Raises CycleError when the case's supportedBy
-    subgraph is not acyclic.
-    """
-    case.element(node)
-    cycle = case._first_cycle()
-    if cycle is not None:
-        raise CycleError(list(cycle))
-    above = reach([node], lambda n: [e.source for e in case.in_edges(n) if e.kind is EdgeKind.SUPPORTED_BY])
-    return set(above[1:])
+    return supported_by_dfs(case)[1]
 
 
 def format_decimal(value: Decimal) -> str:

@@ -51,6 +51,11 @@ _EDGE_TYPING = {
     EdgeKind.SUPPORTED_BY: ("G3", "a", SUPPORT_TARGETS),
     EdgeKind.IN_CONTEXT_OF: ("G4", "an", CONTEXT_TARGETS),
 }
+# G8: the one case kind that may declare capabilities of each direction
+_CAPABILITY_HOME = {
+    Direction.PROVIDED: CaseKind.TECHNOLOGICAL,
+    Direction.REQUIRED: CaseKind.CLINICAL,
+}
 
 
 def _error(rule: str, span, message: str, *elements: tuple[str, str]) -> Diagnostic:
@@ -162,24 +167,11 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
                 )
 
     for cap in case.capabilities:
-        if cap.direction is Direction.PROVIDED and case.kind is not CaseKind.TECHNOLOGICAL:
-            diagnostics.append(
-                _error(
-                    "G8",
-                    cap.span,
-                    f"a 'provides' capability is only allowed in a technological case "
-                    f"({cap.name!r} in {case.kind.value} case {cid!r})",
-                )
-            )
-        if cap.direction is Direction.REQUIRED and case.kind is not CaseKind.CLINICAL:
-            diagnostics.append(
-                _error(
-                    "G8",
-                    cap.span,
-                    f"a 'requires' capability is only allowed in a clinical case "
-                    f"({cap.name!r} in {case.kind.value} case {cid!r})",
-                )
-            )
+        home = _CAPABILITY_HOME[cap.direction]
+        if case.kind is not home:
+            message = f"a '{cap.direction.value}' capability is only allowed in a {home.value} case "
+            message += f"({cap.name!r} in {case.kind.value} case {cid!r})"
+            diagnostics.append(_error("G8", cap.span, message))
         if units.find(cap.unit) is None:
             diagnostics.append(_error("U1", cap.span, f"unknown unit {cap.unit!r} on capability {cap.name!r}"))
         if cap.low > cap.high:

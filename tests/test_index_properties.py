@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actool.analyze import case_metrics
-from actool.link import subtree_size
 from actool.model import (
     AssuranceCase,
     Bundle,
@@ -15,8 +14,7 @@ from actool.model import (
     EdgeKind,
     Element,
     ElementKind,
-    ancestors,
-    children,
+    reach,
     supported_by_cycle,
 )
 from actool.validate import validate_bundle, validate_case
@@ -90,8 +88,11 @@ def findings(diagnostics, rule: str) -> set:
 def test_children_and_subtree_size_match_edge_scans(case):
     for element in case.elements:
         for kind in EdgeKind:
-            assert children(case, element.id, kind) == helpers.brute_children(case, element.id, kind)
-        assert subtree_size(case, element.id) == len(helpers.brute_reachable(case, element.id))
+            children = [edge.target for edge in case.out_edges(element.id) if edge.kind is kind]
+            assert children == helpers.brute_children(case, element.id, kind)
+        subtree = reach([element.id], lambda node: [edge.target for edge in case.out_edges(node)])
+        assert len(subtree) == len(set(subtree))
+        assert set(subtree) == helpers.brute_reachable(case, element.id)
 
 
 @PROPERTY_SETTINGS
@@ -101,7 +102,8 @@ def test_ancestors_and_depth_match_edge_scans_on_acyclic_cases(case):
     below = {e.id: helpers.brute_reachable(case, e.id, supported_by) for e in case.elements}
     for element in case.elements:
         expected = {other for other, reached in below.items() if other != element.id and element.id in reached}
-        assert ancestors(case, element.id) == expected
+        above = reach([element.id], lambda n: [e.source for e in case.in_edges(n) if e.kind in supported_by])
+        assert set(above[1:]) == expected
     assert case_metrics(case).depth == helpers.brute_acyclic_depth(case)
 
 

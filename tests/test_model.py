@@ -3,42 +3,47 @@ from decimal import Decimal
 
 import pytest
 
+from actool.analyze import case_metrics
+from actool.cli import run
 from actool.model import (
     AssuranceCase,
     Capability,
     CaseKind,
-    CycleError,
     Direction,
     Edge,
     EdgeKind,
     Element,
     ElementKind,
-    UnknownElementError,
-    ancestors,
-    children,
+    reach,
     supported_by_cycle,
 )
 from actool.parser import print_case
+from actool.validate import validate_case
 
 import helpers
+from conftest import CORPUS, load_corpus_bundle
 
 
 def claim(id, **kw):
     return Element(id, ElementKind.CLAIM, f"statement {id}", **kw)
 
 
+def targets(case, node, kind):
+    return [edge.target for edge in case.out_edges(node) if edge.kind is kind]
+
+
+def supported_by_ancestors(case, node):
+    """Every element above `node` over supportedBy edges, by an upward walk."""
+    up = reach([node], lambda n: [e.source for e in case.in_edges(n) if e.kind is EdgeKind.SUPPORTED_BY])
+    return set(up[1:])
+
+
 def test_children_corpus_top_claim(cac_case):
-    assert children(cac_case, "C1", EdgeKind.SUPPORTED_BY) == ["S"]
+    assert targets(cac_case, "C1", EdgeKind.SUPPORTED_BY) == ["S"]
 
 
 def test_children_evidence_leaf(tac_case):
-    assert children(tac_case, "E1", EdgeKind.SUPPORTED_BY) == []
-    assert children(tac_case, "E1", EdgeKind.IN_CONTEXT_OF) == []
-
-
-def test_children_unknown_node(tac_case):
-    with pytest.raises(UnknownElementError, match="NOPE"):
-        children(tac_case, "NOPE", EdgeKind.SUPPORTED_BY)
+    assert tac_case.out_edges("E1") == ()
 
 
 def test_children_matches_edge_scan():
@@ -47,9 +52,7 @@ def test_children_matches_edge_scan():
         case = helpers.gen_case(rng, max_elements=10)
         for element in case.elements:
             for kind in EdgeKind:
-                assert children(case, element.id, kind) == helpers.brute_children(
-                    case, element.id, kind
-                )
+                assert targets(case, element.id, kind) == helpers.brute_children(case, element.id, kind)
 
 
 def test_children_union_covers_outgoing_edges():
@@ -57,23 +60,18 @@ def test_children_union_covers_outgoing_edges():
     for _ in range(40):
         case = helpers.gen_case(rng)
         for element in case.elements:
-            combined = [
-                (element.id, t, EdgeKind.SUPPORTED_BY)
-                for t in children(case, element.id, EdgeKind.SUPPORTED_BY)
-            ] + [
-                (element.id, t, EdgeKind.IN_CONTEXT_OF)
-                for t in children(case, element.id, EdgeKind.IN_CONTEXT_OF)
-            ]
-            outgoing = [(e.source, e.target, e.kind) for e in case.edges if e.source == element.id]
-            assert sorted(combined, key=str) == sorted(outgoing, key=str)
+            outgoing = [e for e in case.edges if e.source == element.id]
+            incoming = [e for e in case.edges if e.target == element.id]
+            assert list(case.out_edges(element.id)) == outgoing
+            assert list(case.in_edges(element.id)) == incoming
 
 
 def test_ancestors_context_has_none(tac_case):
-    assert ancestors(tac_case, "Xa") == set()
+    assert supported_by_ancestors(tac_case, "Xa") == set()
 
 
 def test_ancestors_away_claim(cac_case):
-    assert ancestors(cac_case, "C4") == {"S", "C1"}
+    assert supported_by_ancestors(cac_case, "C4") == {"S", "C1"}
 
 
 def test_ancestors_matches_brute_force():
@@ -85,46 +83,36 @@ def test_ancestors_matches_brute_force():
             continue
         checked += 1
         for element in case.elements:
-            assert ancestors(case, element.id) == helpers.brute_ancestors(case, element.id)
+            assert supported_by_ancestors(case, element.id) == helpers.brute_ancestors(case, element.id)
 
 
-def test_ancestors_reports_cycle():
-    case = AssuranceCase(
-        id="X",
-        kind=CaseKind.MONOLITHIC,
-        elements=(claim("A"), claim("B")),
-        edges=(
-            Edge("A", "B", EdgeKind.SUPPORTED_BY),
-            Edge("B", "A", EdgeKind.SUPPORTED_BY),
-        ),
-    )
-    with pytest.raises(CycleError) as exc:
-        ancestors(case, "A")
-    assert exc.value.cycle[0] == exc.value.cycle[-1]
-    assert set(exc.value.cycle) == {"A", "B"}
-
-
-def test_ancestors_of_every_element_walk_the_case_once(monkeypatch):
-    # The cycle check is a whole-case walk; repeating it per call made
-    # asking for every element's ancestors quadratic.
+def test_validate_and_metrics_walk_each_case_once(monkeypatch):
+    # Nothing caches the supportedBy walk, so a G2 or depth pass that walked
+    # once per element would make `validate` and `metrics` quadratic.
+    import actool.analyze
     import actool.model
 
     walks = []
     real = actool.model.supported_by_dfs
-    monkeypatch.setattr(actool.model, "supported_by_dfs", lambda case: walks.append(case.id) or real(case))
+
+    def counting(case):
+        walks.append(case.id)
+        return real(case)
+
+    monkeypatch.setattr(actool.model, "supported_by_dfs", counting)
+    monkeypatch.setattr(actool.analyze, "supported_by_dfs", counting)  # bound there by import
     rng = random.Random(15)
-    acyclic = helpers.gen_case(rng)
-    while real(acyclic)[1] is not None:
-        acyclic = helpers.gen_case(rng)
-    for element in acyclic.elements:
-        assert ancestors(acyclic, element.id) == helpers.brute_ancestors(acyclic, element.id)
-    assert walks == [acyclic.id]
-    cyclic = AssuranceCase("X", CaseKind.MONOLITHIC, (claim("A"), claim("B")),
-                           (Edge("A", "B", EdgeKind.SUPPORTED_BY), Edge("B", "A", EdgeKind.SUPPORTED_BY)))
-    for node in ("A", "B", "A"):
-        with pytest.raises(CycleError):
-            ancestors(cyclic, node)
-    assert walks == [acyclic.id, "X"]
+    for _ in range(20):
+        case = helpers.gen_case(rng)
+        for check in (validate_case, case_metrics):
+            walks.clear()
+            check(case)
+            assert walks == [case.id], check.__name__
+    bundle, _ = load_corpus_bundle()
+    for argv in (["validate"], ["validate", "--json"]):
+        walks.clear()
+        assert run([*argv, str(CORPUS / "bundle_mrgfus.acb")]) == 0
+        assert walks == [case.id for case in bundle.cases()], argv
 
 
 def test_cycle_finder_agrees_with_closed_walk_oracle():

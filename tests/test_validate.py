@@ -298,13 +298,35 @@ def test_g8_capability_placement():
     provided = Capability("p", Direction.PROVIDED, "W", Decimal(0), Decimal(1))
     required = Capability("r", Direction.REQUIRED, "W", Decimal(0), Decimal(1))
     mono = case_of(claim("A", is_root=True, is_undeveloped=True), capabilities=(provided, required))
-    assert len(by_rule(validate_case(mono), "G8")) == 2
+    assert [(d.severity, d.message, d.elements) for d in by_rule(validate_case(mono), "G8")] == [
+        (
+            Severity.ERROR,
+            "a 'provides' capability is only allowed in a technological case ('p' in monolithic case 'T')",
+            (),
+        ),
+        (
+            Severity.ERROR,
+            "a 'requires' capability is only allowed in a clinical case ('r' in monolithic case 'T')",
+            (),
+        ),
+    ]
     tech = case_of(
         claim("A", is_root=True, is_public=True, is_undeveloped=True),
         kind=CaseKind.TECHNOLOGICAL,
-        capabilities=(provided,),
+        capabilities=(provided, required),
     )
-    assert by_rule(validate_case(tech), "G8") == []
+    assert [d.message for d in by_rule(validate_case(tech), "G8")] == [
+        "a 'requires' capability is only allowed in a clinical case ('r' in technological case 'T')"
+    ]
+    clinical = case_of(
+        claim("A", is_root=True, is_undeveloped=True),
+        kind=CaseKind.CLINICAL,
+        capabilities=(provided, required),
+        id="K",
+    )
+    assert [d.message for d in by_rule(validate_case(clinical), "G8")] == [
+        "a 'provides' capability is only allowed in a technological case ('p' in clinical case 'K')"
+    ]
 
 
 def test_u1_unknown_unit_and_u2_empty_range():
