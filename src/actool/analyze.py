@@ -10,9 +10,8 @@ can be compared.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .link import ResolvedBundle
 from .model import (
     AssuranceCase,
     Bundle,
@@ -25,6 +24,9 @@ from .model import (
     supported_by_dfs,
 )
 from .validate import has_evidence_support, is_leaf_claim
+
+if TYPE_CHECKING:
+    from .link import ResolvedBundle
 
 
 class ImpactReport(NamedTuple):

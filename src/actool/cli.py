@@ -17,16 +17,17 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analyze import BundleMetrics, CaseMetrics, bundle_metrics, case_metrics, impact
+# Every command needs these; each imports the rest it calls, so it loads only the modules it runs.
 from .diagnostics import Diagnostic, Severity, has_errors, sorted_diagnostics
-from .link import ResolvedBundle, inline_bundle, resolve_links
 from .model import AssuranceCase, Bundle, UnknownElementError
 from .parser import parse_bundle, parse_case, print_case
-from .render import report_json, to_dot
-from .units import BUILTIN_UNITS, UnitError, UnitTable, parse_units_file
-from .validate import bundle_match_results, validate_bundle, validate_case
+
+if TYPE_CHECKING:
+    from .analyze import CaseMetrics
+    from .link import ResolvedBundle
+    from .units import UnitTable
 
 
 class _Failure(Exception):
@@ -43,6 +44,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_units() -> UnitTable:
+    from .units import BUILTIN_UNITS, UnitError, parse_units_file
     units_path = os.environ.get("AC_UNITS")
     if not units_path:
         return BUILTIN_UNITS
@@ -65,7 +67,9 @@ def _load(path: str, manifest: bool) -> tuple[AssuranceCase | Bundle | None, lis
 
 def _linked(path: str) -> tuple[Bundle | ResolvedBundle | None, list[Diagnostic]]:
     """Parse the manifest at `path` and resolve its links: the resolved
-    bundle, or the bare bundle when S1, S2 or S5 fail."""
+    bundle, the bare bundle when S1, S2 or S5 fail, or None when the
+    manifest does not parse."""
+    from .link import resolve_links
     bundle, diagnostics = _load(path, manifest=True)
     if bundle is None:
         return None, diagnostics
@@ -114,6 +118,7 @@ def _parse_pairs(spec: str, default_case: str | None = None) -> list[tuple[str, 
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import bundle_match_results, validate_bundle, validate_case
     units = _load_units()
     subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
     capabilities = None
@@ -128,6 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     diagnostics = sorted_diagnostics(diagnostics)
     _emit(diagnostics)
     if args.json:
+        from .render import report_json
         sys.stdout.write(report_json(diagnostics=diagnostics, capabilities=capabilities))
     return _exit_code(diagnostics, args.strict)
 
@@ -135,7 +141,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_link(args: argparse.Namespace) -> int:
     resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if not isinstance(resolved, ResolvedBundle):
+    if resolved is None or isinstance(resolved, Bundle):
         return 1
     for source, target in sorted(resolved.resolutions.items()):
         print(f"{source[0]}.{source[1]} -> {target[0]}.{target[1]}")
@@ -143,9 +149,10 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_impact(args: argparse.Namespace) -> int:
+    from .analyze import impact
     resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if not isinstance(resolved, ResolvedBundle):
+    if resolved is None or isinstance(resolved, Bundle):
         return 1
     report = impact(resolved, _parse_pairs(args.changed))
     print("changed: " + (", ".join(f"{c}.{e}" for c, e in sorted(report.changed)) or "(none)"))
@@ -163,15 +170,17 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _cmd_inline(args: argparse.Namespace) -> int:
+    from .link import inline_bundle
     resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if not isinstance(resolved, ResolvedBundle):
+    if resolved is None or isinstance(resolved, Bundle):
         return 1
     _write_output(print_case(inline_bundle(resolved, args.cac)), args.output)
     return _exit_code(diagnostics)
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import to_dot
     manifest = args.file.endswith(".acb")
     subject, diagnostics = _linked(args.file) if manifest else _load(args.file, manifest=False)
     _emit(diagnostics)
@@ -213,14 +222,16 @@ def _metrics_table(rows: list[CaseMetrics]) -> str:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .analyze import bundle_metrics, case_metrics
     subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
     _emit(diagnostics)
     if subject is None:
         return 1
     result = bundle_metrics(subject) if isinstance(subject, Bundle) else case_metrics(subject)
     if args.json:
+        from .render import report_json
         sys.stdout.write(report_json(metrics=result))
-    elif isinstance(result, BundleMetrics):
+    elif isinstance(subject, Bundle):
         sys.stdout.write(_metrics_table(list(result.cases)))
         sys.stdout.write(f"cross links: {result.cross_link_count}\n")
     else:
@@ -298,9 +309,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a short output may fail only here
+        return code
     except (_Failure, UnknownElementError) as exc:
         print(f"actool: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Files a command names fail as a _Failure or a P6 diagnostic, so this is stdout.
+        print(f"actool: cannot write standard output: {exc}", file=sys.stderr)
+        # Shutdown flushes stdout again: send it to os.devnull, or that fails and exits 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -12,13 +12,9 @@ The JSON report schema is documented in FORMATS.md.
 
 from __future__ import annotations
 
-import json
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .analyze import BundleMetrics, CaseMetrics, ImpactReport
-from .diagnostics import Diagnostic
-from .link import ResolvedBundle
 from .model import (
     AssuranceCase,
     Bundle,
@@ -28,7 +24,12 @@ from .model import (
     _element_pairs,
     format_decimal,
 )
-from .validate import MatchResult
+
+if TYPE_CHECKING:  # drawing a case loads none of these
+    from .analyze import BundleMetrics, CaseMetrics, ImpactReport
+    from .diagnostics import Diagnostic
+    from .link import ResolvedBundle
+    from .validate import MatchResult
 
 UNDEVELOPED_GLYPH = "\u25c7"
 
@@ -108,13 +109,7 @@ def to_dot(
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    if isinstance(subject, ResolvedBundle):
-        bundle = subject.bundle
-        cross = [
-            (f"{source[0]}.{source[1]}", f"{target[0]}.{target[1]}")
-            for source, target in subject.resolutions.items()
-        ]
-    else:
+    if isinstance(subject, Bundle):
         bundle = subject
         cross = []
         known = {case.id: case for case in bundle.cases()}
@@ -127,6 +122,12 @@ def to_dot(
                     cross.append(
                         (f"{case.id}.{element.id}", f"{element.away_ref[0]}.{element.away_ref[1]}")
                     )
+    else:  # a ResolvedBundle
+        bundle = subject.bundle
+        cross = [
+            (f"{source[0]}.{source[1]}", f"{target[0]}.{target[1]}")
+            for source, target in subject.resolutions.items()
+        ]
     highlight = _element_pairs({case.id: case for case in bundle.cases()}, highlight)
 
     lines = ["digraph bundle {", *header]
@@ -229,12 +230,14 @@ def report_json(
     Key order is fixed; decimal capability bounds are serialized as exact
     strings, so repeated runs are byte-identical.
     """
+    import json
     document: dict = {}
     if diagnostics is not None:
         document["diagnostics"] = [_diagnostic_json(d) for d in diagnostics]
     if capabilities is not None:
         document["capabilities"] = [_capability_json(case_id, r) for case_id, r in capabilities]
     if metrics is not None:
+        from .analyze import BundleMetrics
         if isinstance(metrics, BundleMetrics):
             document["metrics"] = bundle_metrics_json(metrics)
         else:

@@ -92,6 +92,86 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert [name for name in ("dataclasses", "inspect") if name in added] == []
 
 
+_LINKS = {"actool.link", "actool.validate", "actool.units"}  # link runs the S1/S2/S5 checks of validate
+_JSON = {"actool.render", "json"}
+# The modules besides actool.cli, actool.parser, actool.model and
+# actool.diagnostics that each command loads.
+_LOADED = {
+    "fmt tac_mrgfus.acd": set(),
+    "validate bundle_mrgfus.acb": {"actool.validate", "actool.units"},
+    "validate --json bundle_mrgfus.acb": {"actool.validate", "actool.units", *_JSON},
+    "link bundle_mrgfus.acb": _LINKS,
+    "inline bundle_mrgfus.acb --cac CAC-UF": _LINKS,
+    "impact bundle_mrgfus.acb --changed TAC-1.C2": {*_LINKS, "actool.analyze"},
+    "render tac_mrgfus.acd": {"actool.render"},
+    "render bundle_mrgfus.acb": {*_LINKS, "actool.render"},
+    "metrics bundle_mrgfus.acb": {"actool.analyze", "actool.validate", "actool.units"},
+    "metrics --json bundle_mrgfus.acb": {"actool.analyze", "actool.validate", "actool.units", *_JSON},
+}
+
+
+@pytest.mark.parametrize("command", _LOADED)
+def test_each_subcommand_loads_only_the_modules_it_runs(command):
+    # Each module a process imports costs its compile or unmarshal at every
+    # start, so a command loads the parser and only the modules it runs.
+    script = (
+        "import contextlib, io, sys; from actool.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = run(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('actool.') or m == 'json'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    env.pop("AC_UNITS", None)
+    argv = [corpus(a) if a.endswith((".acd", ".acb")) else a for a in command.split()]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, encoding="utf-8", timeout=60
+    )
+    code, *modules = done.stdout.split()
+    assert code == "0", done.stderr
+    assert set(modules) == {"actool.cli", "actool.parser", "actool.model", "actool.diagnostics", *_LOADED[command]}
+
+
+def _child(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    """`actool ARGV` in a child process with block-buffered stdout, as a shell runs it."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "actool.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env,
+        encoding="utf-8", timeout=60,
+    )
+
+
+def _write_failures(tmp_path) -> list[list[str]]:
+    """A short output, which fails only at the final flush, and one larger
+    than the stdout buffer, which fails in a write."""
+    big = tmp_path / "big.acd"
+    lines = ["case BIG kind monolithic {", '  claim R "root" root']
+    lines += [f'  evidence E{i} "evidence number {i}"' for i in range(500)]
+    lines += [f"  R supportedBy E{i}" for i in range(500)]
+    big.write_text("\n".join(lines) + "\n}\n", encoding="utf-8")
+    return [["link", corpus("bundle_mrgfus.acb")], ["fmt", corpus("tac_mrgfus.acd")], ["fmt", str(big)]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2(tmp_path):
+    for argv in _write_failures(tmp_path):
+        with open("/dev/full", "w") as full:
+            done = _child(argv, full)
+        assert (done.returncode, done.stderr) == (
+            2, "actool: cannot write standard output: [Errno 28] No space left on device\n"
+        ), argv
+
+
+def test_closed_stdout_pipe_exits_2(tmp_path):
+    for argv in _write_failures(tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _child(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "actool: cannot write standard output: [Errno 32] Broken pipe\n"), argv
+
+
 def test_validate_bad_s2(capsys):
     assert run(["validate", corpus("bad_s2.acb")]) == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -2,9 +2,15 @@
 pinned, so that adding or removing one is a visible change, and README's
 "Library" example imports only names that exist."""
 
+import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import actool
 
@@ -60,13 +66,39 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    # submodules appear as package attributes once imported; they are not exports
+    # The package resolves its names on first access, so `vars(actool)` holds
+    # only those already used; `__all__` and `dir()` list every one.
+    assert sorted(actool.__all__) == PUBLIC_NAMES
     public = sorted(
         name
-        for name, value in vars(actool).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(actool)
+        if not name.startswith("_") and not isinstance(getattr(actool, name), types.ModuleType)
     )
     assert public == PUBLIC_NAMES
+
+
+def test_public_names_are_the_submodules_objects():
+    # `__module__` names the defining submodule (for BUILTIN_UNITS, its class's)
+    for name in PUBLIC_NAMES:
+        value = getattr(actool, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        actool.no_such_name
+
+
+def test_import_actool_loads_no_submodule():
+    script = "import sys; import actool; print(sorted(m for m in sys.modules if m.startswith('actool.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(README.parent / "src")),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_readme_library_example_imports_public_names():
