@@ -14,8 +14,10 @@ Set AC_UNITS to a `.units` file to extend the built-in unit table. Only
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -304,12 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    help_text = io.StringIO()  # argparse drops an error writing `--help`, so it is written below
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(help_text):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code else 0
+        args = 2 if exc.code else 0
     try:
-        code = args.func(args)
+        sys.stdout.write(help_text.getvalue())
+        code = args if isinstance(args, int) else args.func(args)
         sys.stdout.flush()  # a short output may fail only here
         return code
     except (_Failure, UnknownElementError) as exc:

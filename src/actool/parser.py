@@ -102,7 +102,7 @@ class _Parser:
     before the error.
 
     Tokens are lexed one at a time from offset `pos`, when `peek` first asks
-    for one, so a statement read by a single regex match is never tokenized.
+    for one, so a run of lines read one regex match each is never tokenized.
     Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
     for ids, edge sources, capability names and diagnostics.
     """
@@ -269,9 +269,10 @@ class _CaseParser(_Parser):
     misuse) as each flag's payload parses, except on a dropped duplicate,
     whose flags are consumed but not checked. P7 is checked at each
     `associates` statement, and for a missing one after the last item. P2
-    needs every node, so edges wait as (source, kind, target) token triples
-    until the items are read. `_line` reads canonical node and edge lines
-    without tokens; every other statement goes to the token path.
+    needs every node, so edges wait as plain (source, offset, kind, target,
+    offset) tuples until the items are read. `_line` reads each run of
+    canonical node and edge lines without tokens, one match a line; every
+    other statement goes to the token path.
     """
 
     def __init__(self, source: str, file_name: str):
@@ -279,7 +280,7 @@ class _CaseParser(_Parser):
         self.case_id = ""
         self.kind = CaseKind.MONOLITHIC
         self.elements: dict[str, Element] = {}
-        self.edges: list[tuple[_Token, EdgeKind, _Token]] = []
+        self.edges: list[tuple[str, int, EdgeKind, str, int]] = []  # (source, its offset, kind, target, its offset)
         self.capabilities: list[Capability] = []
         self.associated: str | None = None
 
@@ -292,12 +293,14 @@ class _CaseParser(_Parser):
         if self.kind is CaseKind.CLINICAL and self.associated is None:
             self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
-        for source, kind, target in self.edges:
-            unknown = [endpoint for endpoint in (source, target) if endpoint.text not in self.elements]
-            for endpoint in unknown:
-                self._diag("P2", self.span_of(endpoint), f"edge references unknown element {endpoint.text!r}")
-            if not unknown:
-                edges.append(Edge(source.text, target.text, kind, self.span_of(source)))
+        elements, span = self.elements, self.span
+        for source, source_start, kind, target, target_start in self.edges:
+            if source in elements and target in elements:
+                edges.append(Edge(source, target, kind, span(source_start, len(source))))
+                continue
+            for endpoint, start in ((source, source_start), (target, target_start)):
+                if endpoint not in elements:
+                    self._diag("P2", span(start, len(endpoint)), f"edge references unknown element {endpoint!r}")
         case = AssuranceCase(
             id=self.case_id,
             kind=self.kind,
@@ -333,37 +336,46 @@ class _CaseParser(_Parser):
             self._edge()
 
     def _line(self) -> bool:
-        """Read a canonical node or edge line at `pos` in one match, as `_node` or `_edge` would; False,
-        having read nothing, for any other text and for a node that the token path reports (P1, P3)."""
-        match = _LINE.match(self.source, self.pos)
-        if match is None:
-            return False
-        kind, node_id, text, flags, source, edge, target = match.groups()
-        if kind is None:
-            source_token = _Token("ident", sys.intern(source), match.start("source"))
-            target_token = _Token("ident", sys.intern(target), match.start("target"))
-            self.edges.append((source_token, EDGE_KINDS[edge], target_token))
-        else:
-            node_id = sys.intern(node_id)
-            if node_id in self.elements:
-                return False
-            words = flags.split()  # flags, each `concern` and `awayref` followed by its value
-            if len(set(words)) < len(words):  # a repeated flag; a second `concern` or `awayref` is P3
-                return False
-            fields: dict[str, object] = {FLAG_FIELDS[word]: True for word in words if word in BOOL_FLAGS}
-            for word, value in zip(words, words[1:]):
-                if word == "concern":
-                    fields["concern"] = CONCERN_KINDS[value]
-                elif word == "awayref":
-                    fields["away_ref"] = tuple(map(sys.intern, value.split(".")))
-            statement = _ESCAPE.sub(r"\1", text) if "\\" in text else text
-            try:  # the model's flag rules are P3's: a flag on a non-claim, `awayref` without `undeveloped`
-                span = self.span(match.start("id"), len(node_id))
-                self.elements[node_id] = Element(node_id, NODE_KINDS[kind], statement, span=span, **fields)
-            except ValueError:
-                return False
-        self.pos = match.end()
-        return True
+        """Read the run of canonical node and edge lines at `pos`, one match each, as `_node` and `_edge`
+        would. The run stops, with `pos` at the start of the line, at any other text and at a node that
+        the token path reports (P1, P3). Whether it read anything."""
+        source, newlines, elements, edges = self.source, self.newlines, self.elements, self.edges
+        match_line, start = _LINE.match, self.pos
+        pos = start
+        while match := match_line(source, pos):
+            kind, node_id, text, flags, edge_source, edge, target = match.groups()
+            if kind is None:
+                edge_source, target = sys.intern(edge_source), sys.intern(target)
+                edges.append((edge_source, match.start("source"), EDGE_KINDS[edge], target, match.start("target")))
+            else:
+                node_id, id_start = sys.intern(node_id), match.start("id")
+                if node_id in elements:
+                    break
+                line = bisect_left(newlines, id_start)  # the line and column that `span` gives
+                column = id_start - (newlines[line - 1] if line else -1)
+                span = SourceSpan(self.file_name, line + 1, column, len(node_id))
+                statement = _ESCAPE.sub(r"\1", text) if "\\" in text else text
+                try:  # the model's flag rules are P3's: a flag on a non-claim, `awayref` without `undeveloped`
+                    if not flags:
+                        element = Element(node_id, NODE_KINDS[kind], statement, False, False, False, False, None,
+                                          None, span)
+                    else:
+                        words = flags.split()  # flags, each `concern` and `awayref` followed by its value
+                        if len(set(words)) < len(words):  # a repeated flag; a second `concern` or `awayref` is P3
+                            break
+                        fields: dict[str, object] = {FLAG_FIELDS[word]: True for word in words if word in BOOL_FLAGS}
+                        for word, value in zip(words, words[1:]):
+                            if word == "concern":
+                                fields["concern"] = CONCERN_KINDS[value]
+                            elif word == "awayref":
+                                fields["away_ref"] = tuple(map(sys.intern, value.split(".")))
+                        element = Element(node_id, NODE_KINDS[kind], statement, span=span, **fields)
+                except ValueError:
+                    break
+                elements[node_id] = element
+            pos = match.end()
+        self.pos = pos
+        return pos != start
 
     def _node(self) -> None:
         kind = NODE_KINDS[self.advance().text]
@@ -446,7 +458,8 @@ class _CaseParser(_Parser):
     def _edge(self) -> None:
         source = self.advance()
         kind = EDGE_KINDS[self.expect_word(*EDGE_KINDS, what="'supportedBy' or 'inContextOf'")]
-        self.edges.append((source, kind, self.expect("ident", "element id")))
+        target = self.expect("ident", "element id")
+        self.edges.append((source.text, source.start, kind, target.text, target.start))
         self.expect_terminator()
 
 
@@ -550,7 +563,8 @@ def print_case(case: AssuranceCase) -> str:
     Elements are sorted by id, edges by (source, kind, target), capabilities
     by (direction, name); this is the formatting `fmt` checks against.
     """
-    sections = [
+    lines = [f"case {case.id} kind {case.kind.value} {{"]
+    for section in (
         [] if case.associated_tac is None else [f"  associates {case.associated_tac}"],
         [
             f"  {e.kind.value} {e.id} {_escape(e.statement)}{_flag_text(e)}"
@@ -565,6 +579,8 @@ def print_case(case: AssuranceCase) -> str:
             f"range [{format_decimal(c.low)}, {format_decimal(c.high)}]"
             for c in sorted(case.capabilities, key=lambda c: (c.direction.value, c.name, c.unit, c.low, c.high))
         ],
-    ]
-    body = "\n\n".join("\n".join(lines) for lines in sections if lines)
-    return f"case {case.id} kind {case.kind.value} {{\n" + (body + "\n" if body else "") + "}\n"
+    ):
+        if section:
+            lines += [""] * (len(lines) > 1) + section  # a blank line between sections
+    lines.append("}\n")
+    return "\n".join(lines)  # one join: a `+` after it would copy the whole text again

@@ -104,10 +104,8 @@ def to_dot(
     ]
     if isinstance(subject, AssuranceCase):
         highlight = _element_pairs({subject.id: subject}, highlight)
-        lines = [f'digraph "{subject.id}" {{', *header]
-        lines.extend(_case_body(subject, highlight, "", "  "))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines = [f'digraph "{subject.id}" {{', *header, *_case_body(subject, highlight, "", "  "), "}\n"]
+        return "\n".join(lines)
 
     if isinstance(subject, Bundle):
         bundle = subject
@@ -138,8 +136,8 @@ def to_dot(
         lines.append("  }")
     for source, target in sorted(cross):
         lines.append(f'  "{source}" -> "{target}" [style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)  # one join: a `+` after it would copy the whole text again
 
 
 def _diagnostic_json(diagnostic: Diagnostic) -> dict:

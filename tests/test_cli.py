@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actool.cli import run
+from actool.cli import build_parser, run
 from actool.parser import parse_case, print_case
 
 from conftest import CORPUS, GOLDEN
@@ -39,6 +39,14 @@ def test_validate_corpus_cases_clean(capsys):
 def test_validate_no_arguments_usage(capsys):
     assert run(["validate"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_help_goes_to_stdout(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr() == (build_parser().format_help(), "")
+    assert run(["fmt", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: actool fmt [-h] [--check] file\n") and err == ""
 
 
 def test_unknown_subcommand(capsys):
@@ -130,10 +138,12 @@ def test_each_subcommand_loads_only_the_modules_it_runs(command):
     assert set(modules) == {"actool.cli", "actool.parser", "actool.model", "actool.diagnostics", *_LOADED[command]}
 
 
-def _child(argv: list[str], stdout) -> subprocess.CompletedProcess:
-    """`actool ARGV` in a child process with block-buffered stdout, as a shell runs it."""
+def _child(argv: list[str], stdout, unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """`actool ARGV` in a child process with block-buffered stdout, as a shell runs it, or unbuffered."""
     env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "actool.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env,
         encoding="utf-8", timeout=60,
@@ -141,14 +151,16 @@ def _child(argv: list[str], stdout) -> subprocess.CompletedProcess:
 
 
 def _write_failures(tmp_path) -> list[list[str]]:
-    """A short output, which fails only at the final flush, and one larger
-    than the stdout buffer, which fails in a write."""
+    """Short outputs, which fail only at the final flush (argparse's help
+    text among them), and one larger than the stdout buffer, which fails in
+    a write."""
     big = tmp_path / "big.acd"
     lines = ["case BIG kind monolithic {", '  claim R "root" root']
     lines += [f'  evidence E{i} "evidence number {i}"' for i in range(500)]
     lines += [f"  R supportedBy E{i}" for i in range(500)]
     big.write_text("\n".join(lines) + "\n}\n", encoding="utf-8")
-    return [["link", corpus("bundle_mrgfus.acb")], ["fmt", corpus("tac_mrgfus.acd")], ["fmt", str(big)]]
+    return [["link", corpus("bundle_mrgfus.acb")], ["fmt", corpus("tac_mrgfus.acd")], ["fmt", str(big)],
+            ["--help"], ["validate", "--help"]]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -159,6 +171,16 @@ def test_full_stdout_exits_2(tmp_path):
         assert (done.returncode, done.stderr) == (
             2, "actool: cannot write standard output: [Errno 28] No space left on device\n"
         ), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_into_full_unbuffered_stdout_exits_2():
+    # Unbuffered, the help text fails in argparse's own write, which drops the error.
+    with open("/dev/full", "w") as full:
+        done = _child(["--help"], full, unbuffered=True)
+    assert (done.returncode, done.stderr) == (
+        2, "actool: cannot write standard output: [Errno 28] No space left on device\n"
+    )
 
 
 def test_closed_stdout_pipe_exits_2(tmp_path):

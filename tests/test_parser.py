@@ -777,3 +777,32 @@ def test_canonical_node_and_edge_lines_skip_the_token_path(monkeypatch):
         assert print_case(parse_case(print_case(case), "gen.acd").case) == print_case(case)
         multi_line += sum("\n" in element.statement for element in case.elements)
     assert calls == {"_node": multi_line, "_edge": 0}
+
+
+@pytest.mark.parametrize("seed", [3, 14, 15])
+def test_a_run_resumes_after_each_token_path_statement(monkeypatch, seed):
+    # Four planted statements take the token path: a duplicate id (P1), a flag
+    # misuse (P3), the first of a `;`-joined pair and an edge with a comment.
+    # Every other line, the second of the pair too, is read by a run.
+    calls = {"_node": 0, "_edge": 0}
+    for name in calls:
+        def counted(self, name=name, method=getattr(_CaseParser, name)):
+            calls[name] += 1
+            method(self)
+
+        monkeypatch.setattr(_CaseParser, name, counted)
+    rng = random.Random(seed)
+    lines = ['  claim N0 "root claim" root']
+    lines += [f'  {rng.choice(["claim", "evidence", "context"])} N{i} "statement {i}"' for i in range(1, 150)]
+    lines += [f"  N{i // 4} supportedBy N{i}" for i in range(1, 150)]
+    for planted in ['  claim N7 "again"', '  evidence E "x" root', '  claim P1 "p"; claim P2 "q"',
+                    "  N0 supportedBy P1 // c"]:
+        lines.insert(rng.randrange(1, len(lines) + 1), planted)
+    source = "case K kind monolithic {\n" + "\n".join(lines) + "\n}\n"
+    fast = parse_case(source, "k.acd")
+    assert calls == {"_node": 3, "_edge": 1}
+    slow = parse_case(_with_comments(source), "k.acd")
+    assert sorted(d.rule_id for d in fast.diagnostics) == ["P1", "P3"]
+    assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
+    assert print_case(fast.case) == print_case(slow.case)
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)

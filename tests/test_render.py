@@ -1,11 +1,17 @@
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from actool.analyze import bundle_metrics, case_metrics, impact
 from actool.diagnostics import Diagnostic, Severity
-from actool.model import AssuranceCase, CaseKind, SourceSpan, UnknownElementError
+from actool.link import resolve_links
+from actool.model import (
+    AssuranceCase, Bundle, CaseKind, Edge, EdgeKind, Element, ElementKind, SourceSpan, UnknownElementError,
+)
+from actool.parser import print_case
 from actool.render import report_json, to_dot
 from actool.validate import bundle_match_results
 
@@ -137,3 +143,61 @@ def test_report_json_key_order_and_determinism(tac_case):
     second = report_json(diagnostics=[], metrics=case_metrics(tac_case))
     assert first == second
     assert list(json.loads(first)) == ["diagnostics", "metrics"]
+
+
+_WORDS = "the beam power focal depth hazard operator treatment sonication calibrated within limits".split()
+
+
+def _wide_bundle(rng: random.Random, tac_size: int = 1600, cacs: int = 4, away: int = 50) -> Bundle:
+    """A fan-out-4 technological case, a fifth of its claims undeveloped (so
+    the DOT text holds the glyph), and clinical cases of away-claims with a
+    documenting context each: tac_size + cacs * (2 * away + 1) elements."""
+    def statement() -> str:
+        return " ".join(rng.choice(_WORDS) for _ in range(rng.randint(5, 10))).capitalize() + "."
+
+    elements = [Element("T0", ElementKind.CLAIM, statement(), is_root=True)]
+    edges = []
+    for i in range(1, tac_size):
+        parent = elements[(i - 1) // 4]
+        parent = elements[0] if parent.kind is ElementKind.EVIDENCE else parent
+        kind = rng.choice([ElementKind.CLAIM, ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE])
+        claim = kind is ElementKind.CLAIM
+        elements.append(Element(f"T{i}", kind, statement(), is_public=claim and rng.random() < 0.5,
+                                is_undeveloped=claim and rng.random() < 0.2))
+        edges.append(Edge(parent.id, f"T{i}", EdgeKind.SUPPORTED_BY))
+    public = [element for element in elements if element.is_public]
+    members = []
+    for index in range(cacs):
+        cac_elements = [Element("C0", ElementKind.CLAIM, statement(), is_root=True)]
+        cac_edges = []
+        for slot in range(away):
+            target = rng.choice(public)
+            cac_elements.append(Element(f"A{slot}", ElementKind.CLAIM, target.statement, is_undeveloped=True,
+                                        away_ref=("TAC", target.id)))
+            cac_elements.append(Element(f"D{slot}", ElementKind.CONTEXT, statement()))
+            cac_edges.append(Edge("C0", f"A{slot}", EdgeKind.SUPPORTED_BY))
+            cac_edges.append(Edge(f"A{slot}", f"D{slot}", EdgeKind.IN_CONTEXT_OF))
+        members.append(AssuranceCase(f"CAC-{index}", CaseKind.CLINICAL, tuple(cac_elements), tuple(cac_edges),
+                                     associated_tac="TAC"))
+    return Bundle(AssuranceCase("TAC", CaseKind.TECHNOLOGICAL, tuple(elements), tuple(edges)), tuple(members))
+
+
+def _peak_ratio(serialize, subject) -> float:
+    """Peak memory traced while `serialize(subject)` runs, over the size of its result."""
+    tracemalloc.start()
+    try:
+        text = serialize(subject)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / sys.getsizeof(text)
+
+
+def test_serializers_join_their_output_once():
+    # Joining the lines and then adding the last newline copies the whole
+    # text a second time: about 3x the output for `to_dot`, 5x for `print_case`.
+    bundle = _wide_bundle(random.Random(7))
+    resolved, diagnostics = resolve_links(bundle)
+    assert diagnostics == [] and sum(len(case.elements) for case in bundle.cases()) == 2004
+    assert _peak_ratio(to_dot, resolved) <= 2.5
+    assert _peak_ratio(print_case, bundle.tac) <= 3.5
