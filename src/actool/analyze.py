@@ -9,8 +9,7 @@ can be compared.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (
     AssuranceCase,
@@ -20,10 +19,11 @@ from .model import (
     EdgeKind,
     ElementKind,
     _element_pairs,
+    has_evidence_support,
+    is_leaf_claim,
     reach,
     supported_by_dfs,
 )
-from .validate import has_evidence_support, is_leaf_claim
 
 if TYPE_CHECKING:
     from .link import ResolvedBundle
@@ -90,34 +90,6 @@ class CaseMetrics(NamedTuple):
 class BundleMetrics(NamedTuple):
     cases: tuple[CaseMetrics, ...]
     cross_link_count: int
-
-    def _total(self, kinds: type[Enum], counts_of: Callable[[CaseMetrics], dict[str, int]]) -> dict[str, int]:
-        totals = {kind.value: 0 for kind in kinds}
-        for case in self.cases:
-            for key, value in counts_of(case).items():
-                totals[key] += value
-        return totals
-
-    def total_element_counts(self) -> dict[str, int]:
-        return self._total(ElementKind, lambda case: case.element_counts)
-
-    def total_edge_counts(self) -> dict[str, int]:
-        return self._total(EdgeKind, lambda case: case.edge_counts)
-
-    def total_concern_counts(self) -> dict[str, int]:
-        return self._total(ConcernKind, lambda case: case.concern_counts)
-
-    @property
-    def total_elements(self) -> int:
-        return sum(case.element_total for case in self.cases)
-
-    @property
-    def total_edges(self) -> int:
-        return sum(case.edge_total for case in self.cases)
-
-    @property
-    def total_undeveloped(self) -> int:
-        return sum(case.undeveloped_count for case in self.cases)
 
 
 def _supported_by_depth(case: AssuranceCase) -> int:

@@ -67,17 +67,15 @@ def _load(path: str, manifest: bool) -> tuple[AssuranceCase | Bundle | None, lis
     return parse_bundle(text, lambda name: (base / name).read_bytes().decode("utf-8"), path)
 
 
-def _linked(path: str) -> tuple[Bundle | ResolvedBundle | None, list[Diagnostic]]:
+def _linked(path: str) -> tuple[ResolvedBundle | None, list[Diagnostic]]:
     """Parse the manifest at `path` and resolve its links: the resolved
-    bundle, the bare bundle when S1, S2 or S5 fail, or None when the
-    manifest does not parse."""
+    bundle, or None when the manifest does not parse or S1, S2 or S5 fail."""
     from .link import resolve_links
     bundle, diagnostics = _load(path, manifest=True)
     if bundle is None:
         return None, diagnostics
     resolved, link_diagnostics = resolve_links(bundle)
-    subject = resolved if resolved is not None else bundle
-    return subject, sorted_diagnostics([*diagnostics, *link_diagnostics])
+    return resolved, sorted_diagnostics([*diagnostics, *link_diagnostics])
 
 
 def _emit(diagnostics: Sequence[Diagnostic]) -> None:
@@ -143,7 +141,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_link(args: argparse.Namespace) -> int:
     resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if resolved is None or isinstance(resolved, Bundle):
+    if resolved is None:
         return 1
     for source, target in sorted(resolved.resolutions.items()):
         print(f"{source[0]}.{source[1]} -> {target[0]}.{target[1]}")
@@ -154,7 +152,7 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     from .analyze import impact
     resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if resolved is None or isinstance(resolved, Bundle):
+    if resolved is None:
         return 1
     report = impact(resolved, _parse_pairs(args.changed))
     print("changed: " + (", ".join(f"{c}.{e}" for c, e in sorted(report.changed)) or "(none)"))
@@ -175,7 +173,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
     from .link import inline_bundle
     resolved, diagnostics = _linked(args.file)
     _emit(diagnostics)
-    if resolved is None or isinstance(resolved, Bundle):
+    if resolved is None:
         return 1
     _write_output(print_case(inline_bundle(resolved, args.cac)), args.output)
     return _exit_code(diagnostics)
@@ -183,8 +181,10 @@ def _cmd_inline(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from .render import to_dot
-    manifest = args.file.endswith(".acb")
-    subject, diagnostics = _linked(args.file) if manifest else _load(args.file, manifest=False)
+    subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
+    if isinstance(subject, Bundle):
+        from .validate import link_rule_diagnostics
+        diagnostics = sorted_diagnostics([*diagnostics, *link_rule_diagnostics(subject)])
     _emit(diagnostics)
     if subject is None:
         return 1

@@ -338,6 +338,26 @@ def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
     return supported_by_dfs(case)[1]
 
 
+SUPPORT_SOURCES = (ElementKind.CLAIM, ElementKind.STRATEGY)
+
+
+def is_leaf_claim(case: AssuranceCase, element: Element) -> bool:
+    """A claim with no supportedBy edge to another claim or strategy."""
+    if element.kind is not ElementKind.CLAIM:
+        return False
+    return not any(
+        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind in SUPPORT_SOURCES
+        for edge in case.out_edges(element.id)
+    )
+
+
+def has_evidence_support(case: AssuranceCase, element: Element) -> bool:
+    return any(
+        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind is ElementKind.EVIDENCE
+        for edge in case.out_edges(element.id)
+    )
+
+
 def format_decimal(value: Decimal) -> str:
     """Plain decimal text: no exponent, no trailing fractional zeros, -0 folded
     to 0, and every significant digit kept."""

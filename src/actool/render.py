@@ -4,8 +4,9 @@ Shape mapping follows the usual GSN conventions: claims are boxes (module
 claims use the tabbed shape), strategies parallelograms, context-like nodes
 rounded boxes, evidence circles. Undeveloped claims carry a diamond glyph
 beneath their text. supportedBy edges are solid with filled arrowheads,
-inContextOf edges use open arrowheads, and cross-case resolution edges are
-dashed. Emission is fully sorted, so output is byte-stable.
+inContextOf edges use open arrowheads, and away references between the
+cases of a bundle are dashed. Emission is fully sorted, so output is
+byte-stable.
 
 The JSON report schema is documented in FORMATS.md.
 """
@@ -92,11 +93,11 @@ def to_dot(
 ) -> str:
     """Render a case or a bundle as a DOT digraph.
 
-    Bundles are drawn with one cluster per case; resolved away references
-    become dashed inter-cluster edges. A raw (unresolved) bundle falls back
-    to drawing dashed edges for whichever away references name an existing
-    element. `highlight` names the (case id, element id) pairs drawn filled;
-    a pair that names no element raises UnknownElementError, as in `impact`.
+    Bundles are drawn with one cluster per case, and every away reference
+    that names an element of a case in the bundle becomes a dashed
+    inter-cluster edge. A resolved bundle is drawn as its bundle.
+    `highlight` names the (case id, element id) pairs drawn filled; a pair
+    that names no element raises UnknownElementError, as in `impact`.
     """
     header = [
         "  graph [rankdir=TB, ranksep=0.6];",
@@ -107,26 +108,17 @@ def to_dot(
         lines = [f'digraph "{subject.id}" {{', *header, *_case_body(subject, highlight, "", "  "), "}\n"]
         return "\n".join(lines)
 
-    if isinstance(subject, Bundle):
-        bundle = subject
-        cross = []
-        known = {case.id: case for case in bundle.cases()}
-        for case in bundle.cases():
-            for element in case.elements:
-                if element.away_ref is None:
-                    continue
-                target_case = known.get(element.away_ref[0])
-                if target_case is not None and target_case.find(element.away_ref[1]) is not None:
-                    cross.append(
-                        (f"{case.id}.{element.id}", f"{element.away_ref[0]}.{element.away_ref[1]}")
-                    )
-    else:  # a ResolvedBundle
-        bundle = subject.bundle
-        cross = [
-            (f"{source[0]}.{source[1]}", f"{target[0]}.{target[1]}")
-            for source, target in subject.resolutions.items()
-        ]
-    highlight = _element_pairs({case.id: case for case in bundle.cases()}, highlight)
+    bundle = subject if isinstance(subject, Bundle) else subject.bundle
+    cases = {case.id: case for case in bundle.cases()}
+    highlight = _element_pairs(cases, highlight)
+    cross = []
+    for case in bundle.cases():
+        for element in case.elements:
+            if element.away_ref is None:
+                continue
+            target_case, target_id = element.away_ref
+            if target_case in cases and cases[target_case].find(target_id) is not None:
+                cross.append((f"{case.id}.{element.id}", f"{target_case}.{target_id}"))
 
     lines = ["digraph bundle {", *header]
     for case in sorted(bundle.cases(), key=lambda c: c.id):
@@ -192,13 +184,18 @@ def case_metrics_json(m: CaseMetrics) -> dict:
 
 
 def bundle_metrics_json(m: BundleMetrics) -> dict:
+    rows = [case_metrics_json(case) for case in m.cases]
+
+    def total(key: str) -> dict[str, int]:
+        return {name: sum(row[key][name] for row in rows) for name in rows[0][key]}
+
     return {
-        "cases": [case_metrics_json(case) for case in m.cases],
+        "cases": rows,
         "totals": {
-            "elements": {**m.total_element_counts(), "total": m.total_elements},
-            "edges": {**m.total_edge_counts(), "total": m.total_edges},
-            "undeveloped": m.total_undeveloped,
-            "concerns": m.total_concern_counts(),
+            "elements": total("elements"),
+            "edges": total("edges"),
+            "undeveloped": sum(row["undeveloped"] for row in rows),
+            "concerns": total("concerns"),
         },
         "crossLinks": m.cross_link_count,
     }

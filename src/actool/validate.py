@@ -20,9 +20,11 @@ from .model import (
     CaseKind,
     Direction,
     EdgeKind,
-    Element,
     ElementKind,
+    SUPPORT_SOURCES,
     format_decimal,
+    has_evidence_support,
+    is_leaf_claim,
     reach,
     supported_by_cycle,
 )
@@ -42,7 +44,6 @@ class MatchResult(NamedTuple):
     matched_provider: Capability | None = None
 
 
-SUPPORT_SOURCES = (ElementKind.CLAIM, ElementKind.STRATEGY)
 SUPPORT_TARGETS = (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE)
 CONTEXT_TARGETS = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
 # G3 and G4: the rule, the article before the edge kind, and the legal target
@@ -64,23 +65,6 @@ def _error(rule: str, span, message: str, *elements: tuple[str, str]) -> Diagnos
 
 def _warning(rule: str, span, message: str, *elements: tuple[str, str]) -> Diagnostic:
     return Diagnostic(rule, Severity.WARNING, span, message, tuple(elements))
-
-
-def is_leaf_claim(case: AssuranceCase, element: Element) -> bool:
-    """A claim with no supportedBy edge to another claim or strategy."""
-    if element.kind is not ElementKind.CLAIM:
-        return False
-    return not any(
-        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind in SUPPORT_SOURCES
-        for edge in case.out_edges(element.id)
-    )
-
-
-def has_evidence_support(case: AssuranceCase, element: Element) -> bool:
-    return any(
-        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind is ElementKind.EVIDENCE
-        for edge in case.out_edges(element.id)
-    )
 
 
 def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list[Diagnostic]:
@@ -129,7 +113,7 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
 
     for element in case.elements:
         if is_leaf_claim(case, element):
-            if not (has_evidence_support(case, element) or element.is_undeveloped or element.away_ref):
+            if not (has_evidence_support(case, element) or element.is_undeveloped):
                 diagnostics.append(
                     _error(
                         "G5",
@@ -325,8 +309,8 @@ def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
                     _error(
                         "S5",
                         element.span,
-                        f"away reference target {target_case}.{target_id} is a "
-                        f"{target.kind.value}, not a claim",
+                        f"away reference target {target_case}.{target_id} is "
+                        f"{'an' if target.kind.value[0] in 'aeiou' else 'a'} {target.kind.value}, not a claim",
                         (cac.id, element.id),
                         (tac.id, target_id),
                     )

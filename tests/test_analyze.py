@@ -10,6 +10,7 @@ from actool.link import resolve_links
 from actool.model import (
     AssuranceCase,
     CaseKind,
+    ConcernKind,
     Edge,
     EdgeKind,
     Element,
@@ -17,6 +18,7 @@ from actool.model import (
     UnknownElementError,
 )
 from actool.parser import print_case
+from actool.render import report_json
 
 import helpers
 
@@ -101,12 +103,16 @@ def test_corpus_case_metrics(tac_case, cac_case, mono_case):
     assert (mono.depth, mono.undeveloped_count, mono.evidence_coverage) == (6, 0, 1.0)
 
 
+def _metrics_json_totals(summary) -> dict:
+    """The `totals` object that `metrics --json` prints for a bundle."""
+    return json.loads(report_json(metrics=summary))["metrics"]["totals"]
+
+
 def test_bundle_metrics_and_complexity_comparison(corpus_bundle, mono_case):
     bundle = bundle_metrics(corpus_bundle)
     assert bundle.cross_link_count == 2
-    assert bundle.total_elements == 29
-    assert bundle.total_edges == 27
-    assert bundle.total_undeveloped == 2
+    totals = _metrics_json_totals(bundle)
+    assert (totals["elements"]["total"], totals["edges"]["total"], totals["undeveloped"]) == (29, 27, 2)
     # the split arrangement keeps each case smaller than the monolithic one
     mono_total = case_metrics(mono_case).element_total
     assert max(m.element_total for m in bundle.cases) < mono_total
@@ -117,8 +123,18 @@ def test_bundle_totals_equal_sum_of_cases():
     for _ in range(30):
         bundle = helpers.gen_valid_bundle(rng)
         summary = bundle_metrics(bundle)
-        assert summary.total_elements == sum(len(c.elements) for c in bundle.cases())
-        assert summary.total_edges == sum(len(c.edges) for c in bundle.cases())
+        totals = _metrics_json_totals(summary)
+        elements = [e for c in bundle.cases() for e in c.elements]
+        edges = [e for c in bundle.cases() for e in c.edges]
+        assert totals["elements"]["total"] == len(elements)
+        assert totals["edges"]["total"] == len(edges)
+        assert totals["undeveloped"] == sum(1 for e in elements if e.is_undeveloped)
+        for kind in ElementKind:
+            assert totals["elements"][kind.value] == sum(1 for e in elements if e.kind is kind)
+        for kind in EdgeKind:
+            assert totals["edges"][kind.value] == sum(1 for e in edges if e.kind is kind)
+        for kind in ConcernKind:
+            assert totals["concerns"][kind.value] == sum(1 for e in elements if e.concern is kind)
         resolved, _ = resolve_links(bundle)
         assert summary.cross_link_count == len(resolved.resolutions)
 

@@ -112,9 +112,10 @@ _LOADED = {
     "inline bundle_mrgfus.acb --cac CAC-UF": _LINKS,
     "impact bundle_mrgfus.acb --changed TAC-1.C2": {*_LINKS, "actool.analyze"},
     "render tac_mrgfus.acd": {"actool.render"},
-    "render bundle_mrgfus.acb": {*_LINKS, "actool.render"},
-    "metrics bundle_mrgfus.acb": {"actool.analyze", "actool.validate", "actool.units"},
-    "metrics --json bundle_mrgfus.acb": {"actool.analyze", "actool.validate", "actool.units", *_JSON},
+    "render bundle_mrgfus.acb": {"actool.render", "actool.validate", "actool.units"},
+    "metrics tac_mrgfus.acd": {"actool.analyze"},
+    "metrics bundle_mrgfus.acb": {"actool.analyze"},
+    "metrics --json bundle_mrgfus.acb": {"actool.analyze", *_JSON},
 }
 
 
@@ -361,6 +362,66 @@ def test_bundle_member_keeps_carriage_returns(tmp_path, capsys):
     manifest.write_text('bundle B {\n  tac "tac.acd"\n  cac "cac.acd"\n}\n', encoding="utf-8")
     assert run(["inline", str(manifest), "--cac", "CAC-UF"]) == 0
     assert "Clinical\rsafety:" in capsys.readouterr().out
+
+
+def test_metrics_table_for_one_case(capsys):
+    assert run(["metrics", corpus("tac_mrgfus.acd")]) == 0
+    assert capsys.readouterr() == (
+        "CASE   KIND           ELEMS  CLAIM  STRAT  CTX  ASSUM  JUST  EVID  SUP  INCTX  DEPTH  UNDEV  COVER  SAFE  EFFECT\n"
+        "TAC-1  technological  15     7      1      3    0      0     4     11   3      5      0      1.00   1     1\n",
+        "",
+    )
+
+
+def _member_bundle(tmp_path, tac: str, cac: str) -> str:
+    """A manifest in `tmp_path` over the given technological and clinical case texts."""
+    (tmp_path / "tac.acd").write_text(tac, encoding="utf-8")
+    (tmp_path / "cac.acd").write_text(cac, encoding="utf-8")
+    manifest = tmp_path / "b.acb"
+    manifest.write_text('bundle B {\n  tac "tac.acd"\n  cac "cac.acd"\n}\n', encoding="utf-8")
+    return str(manifest)
+
+
+def test_clinical_member_without_associates_fails_p7_and_s6(tmp_path, capsys):
+    cac = (CORPUS / "cac_uterine_fibroids.acd").read_text(encoding="utf-8")
+    assert cac.count("  associates TAC-1\n") == 1
+    manifest = _member_bundle(
+        tmp_path, (CORPUS / "tac_mrgfus.acd").read_text(encoding="utf-8"), cac.replace("  associates TAC-1\n", "")
+    )
+    assert run(["validate", manifest]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "cac.acd:5:6: error P7: clinical case 'CAC-UF' must declare 'associates'\n"
+        "cac.acd:5:6: error S6: clinical case 'CAC-UF' declares no associated technological case\n",
+    )
+
+
+def test_render_draws_a_tac_self_reference_and_reports_the_link_rules(tmp_path, capsys):
+    tac = (CORPUS / "tac_mrgfus.acd").read_text(encoding="utf-8")
+    assert tac.count("  claim C3 ") == 1
+    tac = tac.replace("  claim C3 ", '  claim C9 "refers to its own case" undeveloped awayref TAC-1.C2\n  claim C3 ')
+    manifest = _member_bundle(tmp_path, tac, (CORPUS / "cac_uterine_fibroids.acd").read_text(encoding="utf-8"))
+    assert run(["link", manifest]) == 0
+    link_err = capsys.readouterr().err
+    assert "warning S8: claim 'C9' references case 'TAC-1'" in link_err
+    assert run(["render", manifest]) == 0
+    out, err = capsys.readouterr()
+    assert err == link_err
+    dashed = [line.strip() for line in out.splitlines() if "[style=dashed]" in line]
+    assert dashed == [
+        '"CAC-UF.C4" -> "TAC-1.C2" [style=dashed];',
+        '"CAC-UF.C5" -> "TAC-1.C3" [style=dashed];',
+        '"TAC-1.C9" -> "TAC-1.C2" [style=dashed];',
+    ]
+
+
+@pytest.mark.parametrize("name", ["bundle_mrgfus.acb", "bad_s1.acb", "bad_s2.acb", "bad_s3.acb"])
+def test_render_reports_what_link_reports(name, capsys):
+    # render runs the link rules on the bundle it draws, so both print the same findings
+    link_code = run(["link", corpus(name)])
+    link_err = capsys.readouterr().err
+    render_code = run(["render", corpus(name)])
+    assert (render_code, capsys.readouterr().err) == (link_code, link_err)
 
 
 def test_inline_skips_copy_names_the_clinical_case_uses(tmp_path, capsys):

@@ -188,6 +188,19 @@ def test_bundle_shape_enforced(tac_case, cac_case):
     assert Bundle(tac_case, (cac_case,)).cases() == (tac_case, cac_case)
 
 
+def test_bundle_members_are_distinct_clinical_cases(tac_case, cac_case, mono_case):
+    from actool.model import Bundle
+
+    with pytest.raises(ValueError, match=r"^bundle cac 'MONO-UF' must be a clinical case$"):
+        Bundle(tac_case, (cac_case, mono_case))
+    with pytest.raises(ValueError, match=r"^bundle cac 'TAC-1' must be a clinical case$"):
+        Bundle(tac_case, (tac_case,))
+    with pytest.raises(ValueError, match=r"^duplicate case id 'CAC-UF' in bundle$"):
+        Bundle(tac_case, (cac_case, cac_case))
+    with pytest.raises(ValueError, match=r"^duplicate case id 'TAC-1' in bundle$"):
+        Bundle(tac_case, (cac_case._replace(id="TAC-1"),))
+
+
 @pytest.mark.parametrize("bound", ["NaN", "sNaN", "-NaN", "Infinity", "-Infinity"])
 def test_non_finite_capability_bounds_rejected(bound):
     # A NaN bound would raise decimal.InvalidOperation at the U2 comparison.

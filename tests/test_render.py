@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import tracemalloc
 
@@ -85,6 +86,44 @@ def test_bundle_render_clusters_and_resolution_edges(corpus_resolved):
 def test_raw_bundle_render_best_effort(corpus_bundle):
     dot = to_dot(corpus_bundle)
     assert '"CAC-UF.C4" -> "TAC-1.C2" [style=dashed];' in dot
+
+
+_DASHED = re.compile(r'^  "([^"]+)" -> "([^"]+)" \[style=dashed\];$', re.M)
+
+
+def _plant_tac_references(rng: random.Random, bundle: Bundle) -> Bundle:
+    """`bundle` with about a third of its technological claims turned into away
+    references: to an element of their own case, to a missing one, or to a
+    case outside the bundle. Each is an S8 warning, so the bundle still resolves."""
+    tac = bundle.tac
+    ids = [element.id for element in tac.elements]
+    elements = []
+    for element in tac.elements:
+        if element.kind is ElementKind.CLAIM and rng.random() < 0.35:
+            ref = rng.choice([(tac.id, rng.choice(ids)), (tac.id, rng.choice(ids)), (tac.id, "Gone"), ("Away", ids[0])])
+            element = element._replace(is_undeveloped=True, away_ref=ref)
+        elements.append(element)
+    return bundle._replace(tac=tac._replace(elements=tuple(elements)))
+
+
+def test_bundle_dashed_edges_are_the_away_references_that_name_an_element():
+    rng = random.Random(71)
+    drawn_self_references = 0
+    for _ in range(200):
+        bundle = _plant_tac_references(rng, helpers.gen_valid_bundle(rng))
+        resolved, _ = resolve_links(bundle)
+        dot = to_dot(resolved)
+        assert dot == to_dot(resolved.bundle)
+        elements_of = {case.id: {element.id for element in case.elements} for case in bundle.cases()}
+        expected = [
+            (f"{case.id}.{element.id}", ".".join(element.away_ref))
+            for case in bundle.cases()
+            for element in case.elements
+            if element.away_ref is not None and element.away_ref[1] in elements_of.get(element.away_ref[0], ())
+        ]
+        assert _DASHED.findall(dot) == sorted(expected)
+        drawn_self_references += sum(1 for source, _ in expected if source.startswith(f"{bundle.tac.id}."))
+    assert drawn_self_references > 30
 
 
 def test_report_json_empty_diagnostics():

@@ -97,6 +97,12 @@ def test_non_finite_scales_rejected(scale):
         UnitDef("x", Dimension.POWER, Decimal(scale))
 
 
+@pytest.mark.parametrize("scale", ["0", "-0", "0.000", "-1", "-0.001"])
+def test_zero_and_negative_scales_rejected(scale):
+    with pytest.raises(UnitError, match=r"^x.units:2: scale must be positive$"):
+        parse_units_file(f"# units\nx Power {scale}\n", "x.units")
+
+
 def test_matching_exact_beyond_28_digits():
     required = [Capability("p", Direction.REQUIRED, "W", Decimal(0), Decimal("1000.0000000000000000000000000001"))]
     provided = [Capability("p", Direction.PROVIDED, "kW", Decimal(0), Decimal(1))]
@@ -532,6 +538,25 @@ def test_s5_target_missing_not_claim_not_public():
     assert len(s5) == 3
     messages = " | ".join(d.message for d in s5)
     assert "does not exist" in messages and "not a claim" in messages and "not public" in messages
+
+
+def test_s5_non_claim_target_message_names_its_kind_with_its_article():
+    tac = minimal_tac(
+        Element("E1", ElementKind.EVIDENCE, "e"),
+        Element("AS1", ElementKind.ASSUMPTION, "a"),
+        Element("X1", ElementKind.CONTEXT, "x"),
+    )
+    cac = minimal_cac(
+        claim("A1", is_undeveloped=True, away_ref=("T", "E1")),
+        claim("A2", is_undeveloped=True, away_ref=("T", "AS1")),
+        claim("A3", is_undeveloped=True, away_ref=("T", "X1")),
+    )
+    s5 = by_rule(validate_bundle(Bundle(tac, (cac,))), "S5")
+    assert sorted(d.message for d in s5) == [
+        "away reference target T.AS1 is an assumption, not a claim",
+        "away reference target T.E1 is an evidence, not a claim",
+        "away reference target T.X1 is a context, not a claim",
+    ]
 
 
 def test_s6_wrong_association():
