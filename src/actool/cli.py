@@ -118,16 +118,15 @@ def _parse_pairs(spec: str, default_case: str | None = None) -> list[tuple[str, 
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .validate import bundle_match_results, validate_bundle, validate_case
+    from .validate import _bundle_findings, validate_case
     units = _load_units()
     subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
     capabilities = None
     if isinstance(subject, Bundle):
         for case in subject.cases():
             diagnostics.extend(validate_case(case, units))
-        diagnostics.extend(validate_bundle(subject, units))
-        if args.json:
-            capabilities = bundle_match_results(subject, units)
+        bundle_diagnostics, capabilities = _bundle_findings(subject, units)
+        diagnostics.extend(bundle_diagnostics)
     elif subject is not None:
         diagnostics.extend(validate_case(subject, units))
     diagnostics = sorted_diagnostics(diagnostics)

@@ -18,6 +18,7 @@ from .model import (
     CaseKind,
     Edge,
     EdgeKind,
+    Element,
     UnknownElementError,
     reach,
 )
@@ -97,10 +98,11 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
             copy_counts[node] = count
             names[node] = name
         for node in subtree:
-            original = tac.element(node)
+            _, kind, statement, _, public, undeveloped, module, concern, _, span = tac.element(node)
             # root-ness is a per-case property; away references never survive
             # inlining. undeveloped stays so copied claims still pass G5.
-            elements.append(original._replace(id=names[node], away_ref=None, is_root=False))
+            elements.append(Element(names[node], kind, statement, False, public, undeveloped, module, concern, None,
+                                    span))
         # the subtree is closed under out-edges, so every target has a name
         for node in subtree:
             for edge in tac.out_edges(node):

@@ -100,21 +100,23 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
     def __new__(cls, id: str, kind: ElementKind, statement: str, is_root: bool = False, is_public: bool = False,
                 is_undeveloped: bool = False, is_module: bool = False, concern: ConcernKind | None = None,
                 away_ref: tuple[str, str] | None = None, span: SourceSpan = UNKNOWN_SPAN):
-        _check_id(id, "element id")
-        if kind is not ElementKind.CLAIM:
-            for flag, name in (
-                (is_root, "root"),
-                (is_undeveloped, "undeveloped"),
-                (is_module, "module"),
-                (away_ref is not None, "awayref"),
-            ):
-                if flag:
-                    raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")
-        if away_ref is not None:
-            if not is_undeveloped:
-                raise ValueError(f"away-referenced claim {id!r} must be undeveloped")
-            _check_id(away_ref[0], "case id")
-            _check_id(away_ref[1], "element id")
+        if not ID_PATTERN.match(id):  # `_check_id`, inlined for the parser's hot loop
+            raise ValueError(f"invalid element id {id!r}")
+        if is_root or is_undeveloped or is_module or away_ref is not None:  # the flags that only claims take
+            if kind is not ElementKind.CLAIM:
+                for flag, name in (
+                    (is_root, "root"),
+                    (is_undeveloped, "undeveloped"),
+                    (is_module, "module"),
+                    (away_ref is not None, "awayref"),
+                ):
+                    if flag:
+                        raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")
+            if away_ref is not None:
+                if not is_undeveloped:
+                    raise ValueError(f"away-referenced claim {id!r} must be undeveloped")
+                _check_id(away_ref[0], "case id")
+                _check_id(away_ref[1], "element id")
         fields = (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern, away_ref, span)
         return tuple.__new__(cls, fields)
 

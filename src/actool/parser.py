@@ -75,14 +75,16 @@ _ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid 
 # After a statement's first identifier: the rest of `ID supportedBy|inContextOf ID`.
 _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[ \t\r]*[A-Za-z]')
 # A canonical node or edge line, from the end of the previous statement through
-# its newline: one-line strings with only `\"` and `\\` escapes, known flags,
-# no comment. It holds no lexical error, so skipping the lexer loses no P0.
+# its newline: one-line strings with only `\"` and `\\` escapes, each flag at most
+# once and in the order `print_case` writes them, no comment. It holds no lexical
+# error, so skipping the lexer loses no P0. Groups: 1 node kind, 2 id, 3 statement,
+# 4-7 the BOOL_FLAGS, 8 concern, 9-10 awayref; 11 edge source, 12 edge kind, 13 target.
 _LINE = re.compile(
     r"(?:[ \t\r\n;]|//[^\n]*\n)*(?:"
-    rf'(?P<kind>{"|".join(NODE_KINDS)})[ \t]+(?P<id>{_IDENT})[ \t]+"(?P<text>[^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'
-    rf'(?P<flags>(?:[ \t]+(?:{"|".join(BOOL_FLAGS)}|concern[ \t]+(?:{"|".join(CONCERN_KINDS)})'
-    rf"|awayref[ \t]+{_IDENT}\.{_IDENT}))*)"
-    rf'|(?P<source>{_IDENT})[ \t]+(?P<edge>{"|".join(EDGE_KINDS)})[ \t]+(?P<target>{_IDENT}))[ \t\r]*\n'
+    rf'({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'
+    + "".join(rf"(?:[ \t]+({flag}))?" for flag in BOOL_FLAGS)
+    + rf'(?:[ \t]+concern[ \t]+({"|".join(CONCERN_KINDS)}))?(?:[ \t]+awayref[ \t]+({_IDENT})\.({_IDENT}))?'
+    rf'|({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT}))[ \t\r]*\n'
 )
 
 
@@ -269,10 +271,11 @@ class _CaseParser(_Parser):
     misuse) as each flag's payload parses, except on a dropped duplicate,
     whose flags are consumed but not checked. P7 is checked at each
     `associates` statement, and for a missing one after the last item. P2
-    needs every node, so edges wait as plain (source, offset, kind, target,
-    offset) tuples until the items are read. `_line` reads each run of
-    canonical node and edge lines without tokens, one match a line; every
-    other statement goes to the token path.
+    is checked in `parse`, after the last item: an edge that `_line` reads
+    after both its ends is built there and then, and every other edge waits
+    in `edges` as a plain (source, offset, kind, target, offset) tuple.
+    `_line` reads each run of canonical node and edge lines without tokens,
+    one match a line; every other statement goes to the token path.
     """
 
     def __init__(self, source: str, file_name: str):
@@ -280,7 +283,7 @@ class _CaseParser(_Parser):
         self.case_id = ""
         self.kind = CaseKind.MONOLITHIC
         self.elements: dict[str, Element] = {}
-        self.edges: list[tuple[str, int, EdgeKind, str, int]] = []  # (source, its offset, kind, target, its offset)
+        self.edges: list[Edge | tuple[str, int, EdgeKind, str, int]] = []  # or (source, offset, kind, target, offset)
         self.capabilities: list[Capability] = []
         self.associated: str | None = None
 
@@ -294,7 +297,11 @@ class _CaseParser(_Parser):
             self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
         elements, span = self.elements, self.span
-        for source, source_start, kind, target, target_start in self.edges:
+        for edge in self.edges:
+            if edge.__class__ is Edge:
+                edges.append(edge)
+                continue
+            source, source_start, kind, target, target_start = edge
             if source in elements and target in elements:
                 edges.append(Edge(source, target, kind, span(source_start, len(source))))
                 continue
@@ -337,42 +344,39 @@ class _CaseParser(_Parser):
 
     def _line(self) -> bool:
         """Read the run of canonical node and edge lines at `pos`, one match each, as `_node` and `_edge`
-        would. The run stops, with `pos` at the start of the line, at any other text and at a node that
-        the token path reports (P1, P3). Whether it read anything."""
+        would. An edge whose two ends are declared is built here; one with a forward reference waits,
+        as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text
+        and at a node that the token path reports (P1, P3). Whether it read anything."""
         source, newlines, elements, edges = self.source, self.newlines, self.elements, self.edges
-        match_line, start = _LINE.match, self.pos
+        match_line, file_name, start = _LINE.match, self.file_name, self.pos
         pos = start
         while match := match_line(source, pos):
-            kind, node_id, text, flags, edge_source, edge, target = match.groups()
+            (kind, name, text, root, public, undeveloped, module, concern, away_case, away_id,
+             edge_source, edge, target) = match.groups()
             if kind is None:
-                edge_source, target = sys.intern(edge_source), sys.intern(target)
-                edges.append((edge_source, match.start("source"), EDGE_KINDS[edge], target, match.start("target")))
+                name, name_start, target = sys.intern(edge_source), match.start(11), sys.intern(target)
+                if name not in elements or target not in elements:
+                    edges.append((name, name_start, EDGE_KINDS[edge], target, match.start(13)))
+                    pos = match.end()
+                    continue
             else:
-                node_id, id_start = sys.intern(node_id), match.start("id")
-                if node_id in elements:
+                name, name_start = sys.intern(name), match.start(2)
+                if name in elements:
                     break
-                line = bisect_left(newlines, id_start)  # the line and column that `span` gives
-                column = id_start - (newlines[line - 1] if line else -1)
-                span = SourceSpan(self.file_name, line + 1, column, len(node_id))
+            line = bisect_left(newlines, name_start)  # the line and column that `span` gives
+            span = SourceSpan(file_name, line + 1, name_start - (newlines[line - 1] if line else -1), len(name))
+            if kind is None:
+                edges.append(Edge(name, target, EDGE_KINDS[edge], span))
+            else:
                 statement = _ESCAPE.sub(r"\1", text) if "\\" in text else text
                 try:  # the model's flag rules are P3's: a flag on a non-claim, `awayref` without `undeveloped`
-                    if not flags:
-                        element = Element(node_id, NODE_KINDS[kind], statement, False, False, False, False, None,
-                                          None, span)
-                    else:
-                        words = flags.split()  # flags, each `concern` and `awayref` followed by its value
-                        if len(set(words)) < len(words):  # a repeated flag; a second `concern` or `awayref` is P3
-                            break
-                        fields: dict[str, object] = {FLAG_FIELDS[word]: True for word in words if word in BOOL_FLAGS}
-                        for word, value in zip(words, words[1:]):
-                            if word == "concern":
-                                fields["concern"] = CONCERN_KINDS[value]
-                            elif word == "awayref":
-                                fields["away_ref"] = tuple(map(sys.intern, value.split(".")))
-                        element = Element(node_id, NODE_KINDS[kind], statement, span=span, **fields)
+                    elements[name] = Element(
+                        name, NODE_KINDS[kind], statement, root is not None, public is not None,
+                        undeveloped is not None, module is not None,
+                        None if concern is None else CONCERN_KINDS[concern],
+                        None if away_case is None else (sys.intern(away_case), sys.intern(away_id)), span)
                 except ValueError:
                     break
-                elements[node_id] = element
             pos = match.end()
         self.pos = pos
         return pos != start

@@ -345,6 +345,11 @@ def validate_bundle(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[Di
     Member cases are assumed to be parsed already; their G-rule findings are
     not repeated here. Run validate_case per member for those.
     """
+    return _bundle_findings(bundle, units)[0]
+
+
+def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic], list[tuple[str, MatchResult]]]:
+    """`validate_bundle`'s diagnostics and the `bundle_match_results` that S4 read."""
     diagnostics = link_rule_diagnostics(bundle)
     tac = bundle.tac
 
@@ -366,7 +371,8 @@ def validate_bundle(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[Di
                     )
                 )
 
-    for _, result in bundle_match_results(bundle, units):
+    matches = bundle_match_results(bundle, units)
+    for _, result in matches:
         if result.status is not MatchStatus.SATISFIED:
             req = result.required
             diagnostics.append(
@@ -390,4 +396,4 @@ def validate_bundle(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[Di
                 )
             diagnostics.append(_error("S6", cac.span, message))
 
-    return sorted_diagnostics(diagnostics)
+    return sorted_diagnostics(diagnostics), matches

@@ -1,5 +1,7 @@
 import random
+import re
 from decimal import Decimal
+from itertools import combinations
 
 import pytest
 
@@ -115,6 +117,24 @@ def test_validate_and_metrics_walk_each_case_once(monkeypatch):
         assert walks == [case.id for case in bundle.cases()], argv
 
 
+def test_validate_json_matches_each_bundle_requirement_once(monkeypatch):
+    # S4 and the JSON `capabilities` section read one matching pass.
+    import actool.validate
+
+    matched = []
+    real = actool.validate.match_capabilities
+
+    def counting(required, provided, units):
+        matched.append([cap.name for cap in required])
+        return real(required, provided, units)
+
+    monkeypatch.setattr(actool.validate, "match_capabilities", counting)
+    bundle, _ = load_corpus_bundle()
+    assert run(["validate", "--json", str(CORPUS / "bundle_mrgfus.acb")]) == 0
+    assert matched == [[cap.name for cap in cac.capabilities] for cac in bundle.cacs]
+    assert all(matched)
+
+
 def test_cycle_finder_agrees_with_closed_walk_oracle():
     rng = random.Random(14)
     for _ in range(200):
@@ -165,6 +185,39 @@ def test_flag_restrictions_enforced():
         Element("C1", ElementKind.CLAIM, "x", away_ref=("T", "C2"))  # not undeveloped
     with pytest.raises(ValueError):
         Element("bad id!", ElementKind.CLAIM, "x")
+
+
+_CLAIM_ONLY = ("root", "undeveloped", "module", "awayref")  # in the order the constructor checks them
+_CLAIM_ONLY_FIELDS = {"root": ("is_root", True), "undeveloped": ("is_undeveloped", True),
+                      "module": ("is_module", True), "awayref": ("away_ref", ("T", "C2"))}
+
+
+@pytest.mark.parametrize("kind", [kind for kind in ElementKind if kind is not ElementKind.CLAIM])
+@pytest.mark.parametrize("flags", [s for n in range(1, 5) for s in combinations(_CLAIM_ONLY, n)], ids="+".join)
+def test_claim_only_flags_name_the_first_in_check_order(kind, flags):
+    fields = dict(_CLAIM_ONLY_FIELDS[flag] for flag in flags)
+    message = f"'{flags[0]}' only applies to claims, not {kind.value} 'N1'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Element("N1", kind, "x", is_public=True, **fields)
+
+
+@pytest.mark.parametrize("element, message", [
+    (lambda: Element("C1", ElementKind.CLAIM, "x", away_ref=("T", "C2")),
+     "away-referenced claim 'C1' must be undeveloped"),
+    (lambda: Element("C1", ElementKind.CLAIM, "x", is_root=True, is_module=True, away_ref=("T", "C2")),
+     "away-referenced claim 'C1' must be undeveloped"),
+    (lambda: Element("9C", ElementKind.CLAIM, "x"), "invalid element id '9C'"),
+    (lambda: Element("", ElementKind.EVIDENCE, "x", is_root=True), "invalid element id ''"),
+    (lambda: Element("C1", ElementKind.CLAIM, "x", is_undeveloped=True, away_ref=("T.1", "C2")),
+     "invalid case id 'T.1'"),
+    (lambda: Element("C1", ElementKind.CLAIM, "x", is_undeveloped=True, away_ref=("T", "C 2")),
+     "invalid element id 'C 2'"),
+    (lambda: Element("C1", ElementKind.CLAIM, "x", is_undeveloped=True, away_ref=("-", "-")),
+     "invalid case id '-'"),
+])
+def test_element_constructor_messages(element, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        element()
 
 
 def test_duplicate_element_ids_rejected():

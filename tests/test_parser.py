@@ -2,13 +2,24 @@ import ast
 import random
 import re
 from decimal import Decimal
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actool.diagnostics import Severity
-from actool.model import AssuranceCase, CaseKind, ConcernKind, Direction, Edge, EdgeKind, Element, ElementKind
+from actool.model import (
+    UNKNOWN_SPAN,
+    AssuranceCase,
+    CaseKind,
+    ConcernKind,
+    Direction,
+    Edge,
+    EdgeKind,
+    Element,
+    ElementKind,
+)
 from actool.parser import _CaseParser, parse_bundle, parse_case, print_case
 
 import helpers
@@ -806,3 +817,58 @@ def test_a_run_resumes_after_each_token_path_statement(monkeypatch, seed):
     assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
     assert print_case(fast.case) == print_case(slow.case)
     assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
+def _token_path_calls(monkeypatch) -> dict[str, int]:
+    """How often `_node` and `_edge` run from here on."""
+    calls = {"_node": 0, "_edge": 0}
+    for name in calls:
+        def counted(self, name=name, method=getattr(_CaseParser, name)):
+            calls[name] += 1
+            method(self)
+
+        monkeypatch.setattr(_CaseParser, name, counted)
+    return calls
+
+
+def test_every_flag_combination_the_model_accepts_stays_in_the_run(monkeypatch):
+    # Each kind with every combination of the four boolean flags, a concern
+    # and an away reference that `Element` accepts: `print_case` writes the
+    # flags in the order `_LINE` reads them, so no line takes the token path.
+    calls = _token_path_calls(monkeypatch)
+    elements = []
+    for kind, (root, public, undeveloped, module), concern, away_ref in product(
+        ElementKind, product((False, True), repeat=4), (None, *ConcernKind), (None, ("T", "C2"))
+    ):
+        try:
+            elements.append(Element(f"{kind.value}{len(elements)}", kind, f"statement {len(elements)}", root, public,
+                                    undeveloped, module, concern, away_ref))
+        except ValueError:
+            continue
+    assert len(elements) == 72 + 5 * 6  # claims: 96 less 24 away references without `undeveloped`
+    ids = [element.id for element in elements]
+    edges = [Edge(a, b, [*EdgeKind][number % 2]) for number, (a, b) in enumerate(zip(ids, ids[1:]))]
+    printed = print_case(AssuranceCase("K", CaseKind.MONOLITHIC, tuple(elements), tuple(edges)))
+    fast = parse_case(printed, "k.acd")
+    assert calls == {"_node": 0, "_edge": 0}
+    assert fast.diagnostics == []
+    assert sorted(element._replace(span=UNKNOWN_SPAN) for element in fast.case.elements) == sorted(elements)
+    assert print_case(fast.case) == printed
+    slow = parse_case(_with_comments(printed), "k.acd")
+    assert calls == {"_node": len(elements), "_edge": len(edges)}
+    assert fast.case == slow.case
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
+@pytest.mark.parametrize("flags", ["public root", "root root", "module undeveloped", "concern safety public",
+                                   "awayref T.C2 undeveloped", "public public", "concern safety concern effectiveness"])
+def test_flags_out_of_order_or_repeated_take_the_token_path_once(monkeypatch, flags):
+    calls = _token_path_calls(monkeypatch)
+    source = ('case K kind monolithic {\n  claim A "a" root\n  claim B "b" ' + flags
+              + '\n  claim C "c" public\n  A supportedBy B\n  A inContextOf C\n}\n')
+    fast = parse_case(source, "k.acd")
+    assert calls == {"_node": 1, "_edge": 0}  # B alone; the run resumes at C
+    slow = parse_case(_with_comments(source), "k.acd")
+    assert fast.case.element("B") == slow.case.element("B")
+    assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
+    assert fast.case == slow.case
