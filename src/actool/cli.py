@@ -14,6 +14,7 @@ Set AC_UNITS to a `.units` file to extend the built-in unit table. Only
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -304,6 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code. The cyclic garbage collector
+    is paused for the command, since actool's values form no reference cycles
+    and the collector would only walk them, and is left as the caller had it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     help_text = io.StringIO()  # argparse drops an error writing `--help`, so it is written below
     try:

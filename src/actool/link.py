@@ -103,10 +103,10 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
             # inlining. undeveloped stays so copied claims still pass G5.
             elements.append(Element(names[node], kind, statement, False, public, undeveloped, module, concern, None,
                                     span))
-        # the subtree is closed under out-edges, so every target has a name
+        # the subtree is closed under out-edges, so every target has a name; Edge checks nothing, so build it directly
         for node in subtree:
             for edge in tac.out_edges(node):
-                edges.append(Edge(names[node], names[edge.target], edge.kind, edge.span))
+                edges.append(tuple.__new__(Edge, (names[node], names[edge.target], edge.kind, edge.span)))
         edges.append(Edge(away.id, names[target_id], EdgeKind.SUPPORTED_BY, away.span))
 
     return AssuranceCase(

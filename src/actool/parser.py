@@ -156,7 +156,8 @@ class _Parser:
         to the line it ends, so a newline break token is reported on that line."""
         line = bisect_left(self.newlines, start)
         line_start = self.newlines[line - 1] + 1 if line else 0
-        return SourceSpan(self.file_name, line + 1, start - line_start + 1, length)
+        # as SourceSpan(...), minus its checks: line and column are at least 1, and every caller's length is a size
+        return tuple.__new__(SourceSpan, (self.file_name, line + 1, start - line_start + 1, length))
 
     def span_of(self, token: _Token) -> SourceSpan:
         return self.span(token.start, len(token.text))
@@ -296,14 +297,14 @@ class _CaseParser(_Parser):
         if self.kind is CaseKind.CLINICAL and self.associated is None:
             self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
-        elements, span = self.elements, self.span
+        elements, span, new = self.elements, self.span, tuple.__new__
         for edge in self.edges:
             if edge.__class__ is Edge:
                 edges.append(edge)
                 continue
             source, source_start, kind, target, target_start = edge
             if source in elements and target in elements:
-                edges.append(Edge(source, target, kind, span(source_start, len(source))))
+                edges.append(new(Edge, (source, target, kind, span(source_start, len(source)))))  # Edge checks nothing
                 continue
             for endpoint, start in ((source, source_start), (target, target_start)):
                 if endpoint not in elements:
@@ -348,7 +349,7 @@ class _CaseParser(_Parser):
         as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text
         and at a node that the token path reports (P1, P3). Whether it read anything."""
         source, newlines, elements, edges = self.source, self.newlines, self.elements, self.edges
-        match_line, file_name, start = _LINE.match, self.file_name, self.pos
+        match_line, file_name, start, new = _LINE.match, self.file_name, self.pos, tuple.__new__
         pos = start
         while match := match_line(source, pos):
             (kind, name, text, root, public, undeveloped, module, concern, away_case, away_id,
@@ -363,10 +364,10 @@ class _CaseParser(_Parser):
                 name, name_start = sys.intern(name), match.start(2)
                 if name in elements:
                     break
-            line = bisect_left(newlines, name_start)  # the line and column that `span` gives
-            span = SourceSpan(file_name, line + 1, name_start - (newlines[line - 1] if line else -1), len(name))
+            line = bisect_left(newlines, name_start)  # `span` inlined: its line, column and unchecked build
+            span = new(SourceSpan, (file_name, line + 1, name_start - (newlines[line - 1] if line else -1), len(name)))
             if kind is None:
-                edges.append(Edge(name, target, EDGE_KINDS[edge], span))
+                edges.append(new(Edge, (name, target, EDGE_KINDS[edge], span)))
             else:
                 statement = _ESCAPE.sub(r"\1", text) if "\\" in text else text
                 try:  # the model's flag rules are P3's: a flag on a non-claim, `awayref` without `undeveloped`

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actool import cli
 from actool.cli import build_parser, run
 from actool.parser import parse_case, print_case
 
+import helpers
 from conftest import CORPUS, GOLDEN
 
 
@@ -193,6 +197,99 @@ def test_closed_stdout_pipe_exits_2(tmp_path):
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (2, "actool: cannot write standard output: [Errno 32] Broken pipe\n"), argv
+
+
+class _FailingStdout:
+    """A stdout whose every write fails; `fileno` is a file the test owns,
+    which `run` points at os.devnull after the failure."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise OSError(28, "No space left on device")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_pauses_the_collector_and_restores_the_callers_setting(enabled, tmp_path, capsys, monkeypatch):
+    real_parse_case = cli.parse_case
+    seen = []
+
+    def parse_case_recording_the_collector(*args):
+        seen.append(gc.isenabled())
+        return real_parse_case(*args)
+
+    monkeypatch.setattr(cli, "parse_case", parse_case_recording_the_collector)
+    bundle = corpus("bundle_mrgfus.acb")
+    runs = [
+        (["validate", corpus("tac_mrgfus.acd")], 0),
+        (["validate", corpus("bad_s1.acb")], 1),  # diagnostics
+        (["validate", "--bogus"], 2),  # usage error
+        (["--help"], 0),
+        (["impact", bundle, "--changed", "TAC-1.GHOST"], 2),  # UnknownElementError
+        (["impact", bundle, "--changed", "GHOST"], 2),  # a _Failure
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in runs:
+            assert run(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        with open(tmp_path / "stdout", "w") as sink:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", _FailingStdout(sink.fileno()))
+                assert run(["fmt", corpus("tac_mrgfus.acd")]) == 2
+            assert gc.isenabled() is enabled
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "parse_case", mock.Mock(side_effect=RuntimeError("escapes run")))
+            with pytest.raises(RuntimeError):
+                run(["fmt", corpus("tac_mrgfus.acd")])
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert "cannot write standard output: [Errno 28]" in capsys.readouterr().err
+    assert seen and not any(seen)  # parse_case ran with the collector paused
+
+
+_GARBLED = """case G kind technological {
+  claim C1 "root" root
+  claim C1 "again"
+  evidence E1 "e" root
+  C1 supportedBy GHOST
+  @@@ claim "x
+}
+"""
+
+
+def test_a_run_leaves_cyclic_garbage_that_does_not_grow_with_its_input(tmp_path, capsys):
+    # `run` pauses the collector, which is safe only while actool's own values
+    # form no reference cycles: a command's cyclic garbage is argparse's alone.
+    case = helpers.gen_case(random.Random(5), max_elements=800)
+    assert len(case.elements) > 500
+    (tmp_path / "big.acd").write_text(print_case(case), encoding="utf-8")
+    (tmp_path / "garbled.acd").write_text(_GARBLED, encoding="utf-8")
+    counts, modules, flags = [], set(), gc.get_debug()
+    gc.collect()
+    for path in (tmp_path / "big.acd", CORPUS / "tac_mrgfus.acd", tmp_path / "garbled.acd"):
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run(["validate", str(path)])
+            gc.collect()
+            counts.append(len(gc.garbage))
+            modules |= {type(value).__module__ for value in gc.garbage}
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.collect()  # the cleared objects still form cycles; free them before the next run
+    assert {"P0:", "P1:", "P2:", "P3:"} <= {line.split()[2] for line in capsys.readouterr().err.splitlines()}
+    assert len(set(counts)) == 1, counts
+    assert [name for name in modules if name.split(".")[0] == "actool"] == []
 
 
 def test_validate_bad_s2(capsys):

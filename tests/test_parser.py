@@ -12,6 +12,7 @@ from actool.diagnostics import Severity
 from actool.model import (
     UNKNOWN_SPAN,
     AssuranceCase,
+    Bundle,
     CaseKind,
     ConcernKind,
     Direction,
@@ -19,6 +20,7 @@ from actool.model import (
     EdgeKind,
     Element,
     ElementKind,
+    SourceSpan,
 )
 from actool.parser import _CaseParser, parse_bundle, parse_case, print_case
 
@@ -655,13 +657,11 @@ _SPAN_FILES = {"t.acd": TAC_MIN, "c.acd": CAC_MIN, "c2.acd": CAC_MIN, "m.acd": M
                "bad.acd": 'case C9 kind clinical {\nassociates T\nclaim C1 "c" root undeveloped; claim C1 "d" @\n}'}
 
 
-def _span_report() -> str:
-    """For a fixed seeded set of mutated `gen_case` texts, token-soup case
-    texts and token-soup manifests: every sorted diagnostic line, and the
-    span of the case, each element, edge and capability. Recorded in
-    `golden/parse_spans.txt`; a lexer or parser change must keep it."""
+def _span_results():
+    """(number, bundle or case or None, diagnostics) for a fixed seeded set of
+    mutated `gen_case` texts (0-249), token-soup case texts (250-439) and
+    token-soup manifests (440-499)."""
     rng = random.Random(91)
-    out: list[str] = []
 
     def soup(words: list[str], count: int) -> str:
         return "".join(rng.choice(words) + rng.choice([" ", " ", "\n", ";", "\r\n", ""]) for _ in range(count))
@@ -670,9 +670,7 @@ def _span_report() -> str:
         if number >= 440:
             source = rng.choice(["bundle B {", "bundle B {\n", "bundle {", ""]) + soup(_SPAN_ENTRIES, rng.randint(0, 6))
             source += rng.choice(["}", "}\n", "", "} x", "\n}\n\n"])
-            bundle, diagnostics = parse_bundle(source, dict_loader(_SPAN_FILES), f"m{number}.acb")
-            out.append(f"== {number} bundle {bundle is not None}")
-            out.extend(d.line() for d in diagnostics)
+            yield (number, *parse_bundle(source, dict_loader(_SPAN_FILES), f"m{number}.acb"))
             continue
         if number < 250:
             source = print_case(helpers.gen_case(rng, max_elements=6))
@@ -683,11 +681,19 @@ def _span_report() -> str:
             source = soup(_SPAN_JUNK, rng.randint(0, 30))
             if rng.random() < 0.8:
                 source = rng.choice(["case J kind technological {", "case J kind clinical {\n"]) + source
-        case, diagnostics = parse_case(source, f"t{number}.acd")
-        out.append(f"== {number}")
+        yield (number, *parse_case(source, f"t{number}.acd"))
+
+
+def _span_report() -> str:
+    """For each of `_span_results`: every sorted diagnostic line, and the
+    span of the case, each element, edge and capability. Recorded in
+    `golden/parse_spans.txt`; a lexer or parser change must keep it."""
+    out: list[str] = []
+    for number, value, diagnostics in _span_results():
+        out.append(f"== {number} bundle {value is not None}" if number >= 440 else f"== {number}")
         out.extend(d.line() for d in diagnostics)
-        if case is not None:
-            out.extend(f"{what} {label} {s.file}:{s.line}:{s.column}+{s.length}" for what, label, s in _pinned_spans(case))
+        if number < 440 and value is not None:
+            out.extend(f"{what} {label} {s.file}:{s.line}:{s.column}+{s.length}" for what, label, s in _pinned_spans(value))
     return "\n".join(out) + "\n"
 
 
@@ -696,6 +702,29 @@ def test_parse_spans_match_golden():
     # intended change of spans or messages, rewrite it from `_span_report()`.
     expected = (GOLDEN / "parse_spans.txt").read_text(encoding="utf-8")
     assert _span_report() == expected
+
+
+def test_parsed_spans_and_edges_pass_their_constructors_checks():
+    # The parser builds SourceSpan and Edge values without their constructors;
+    # each must be of the exact type, and one the checked constructor accepts.
+    results = [(value, diagnostics) for _, value, diagnostics in _span_results()]
+    for path in sorted(CORPUS.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".acb":
+            results.append(parse_bundle(text, lambda name: (CORPUS / name).read_text(encoding="utf-8"), path.name))
+        else:
+            results.append(parse_case(text, path.name))
+    cases = 0
+    for value, diagnostics in results:
+        spans = [d.span for d in diagnostics]
+        for case in value.cases() if isinstance(value, Bundle) else () if value is None else (value,):
+            cases += 1
+            spans += [span for _, _, span in _pinned_spans(case)]
+            for edge in case.edges:
+                assert type(edge) is Edge and Edge(*edge) == edge, edge
+        for span in spans:
+            assert type(span) is SourceSpan and SourceSpan(*span) == span, span
+    assert cases > 300
 
 
 def _with_comments(source: str) -> str:
