@@ -156,8 +156,7 @@ class _Parser:
         to the line it ends, so a newline break token is reported on that line."""
         line = bisect_left(self.newlines, start)
         line_start = self.newlines[line - 1] + 1 if line else 0
-        # as SourceSpan(...), minus its checks: line and column are at least 1, and every caller's length is a size
-        return tuple.__new__(SourceSpan, (self.file_name, line + 1, start - line_start + 1, length))
+        return SourceSpan(self.file_name, line + 1, start - line_start + 1, length)
 
     def span_of(self, token: _Token) -> SourceSpan:
         return self.span(token.start, len(token.text))
@@ -297,14 +296,14 @@ class _CaseParser(_Parser):
         if self.kind is CaseKind.CLINICAL and self.associated is None:
             self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
-        elements, span, new = self.elements, self.span, tuple.__new__
+        elements, span = self.elements, self.span
         for edge in self.edges:
             if edge.__class__ is Edge:
                 edges.append(edge)
                 continue
             source, source_start, kind, target, target_start = edge
             if source in elements and target in elements:
-                edges.append(new(Edge, (source, target, kind, span(source_start, len(source)))))  # Edge checks nothing
+                edges.append(Edge(source, target, kind, span(source_start, len(source))))
                 continue
             for endpoint, start in ((source, source_start), (target, target_start)):
                 if endpoint not in elements:
@@ -364,7 +363,8 @@ class _CaseParser(_Parser):
                 name, name_start = sys.intern(name), match.start(2)
                 if name in elements:
                     break
-            line = bisect_left(newlines, name_start)  # `span` inlined: its line, column and unchecked build
+            # `span` inlined, minus SourceSpan's checks: line and column are at least 1, the length a size
+            line = bisect_left(newlines, name_start)
             span = new(SourceSpan, (file_name, line + 1, name_start - (newlines[line - 1] if line else -1), len(name)))
             if kind is None:
                 edges.append(new(Edge, (name, target, EDGE_KINDS[edge], span)))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from actool import cli
 from actool.cli import build_parser, run
+from actool.model import Bundle, Edge, EdgeKind, Element, ElementKind
 from actool.parser import parse_case, print_case
 
 import helpers
@@ -267,6 +268,31 @@ _GARBLED = """case G kind technological {
 """
 
 
+def _cyclic_garbage(argv: list[str]) -> tuple[int, set[str]]:
+    """The number of objects that one `run(argv)` leaves as cyclic garbage, and their types' modules."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(argv)
+        gc.collect()
+        return len(gc.garbage), {type(value).__module__ for value in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()  # the cleared objects still form cycles; free them before the next run
+
+
+def _assert_garbage_is_not_actools_and_does_not_grow(runs: list[list[str]]) -> None:
+    counts, modules = [], set()
+    for argv in runs:
+        count, names = _cyclic_garbage(argv)
+        counts.append(count)
+        modules |= names
+    assert len(set(counts)) == 1, counts
+    assert [name for name in modules if name.split(".")[0] == "actool"] == []
+
+
 def test_a_run_leaves_cyclic_garbage_that_does_not_grow_with_its_input(tmp_path, capsys):
     # `run` pauses the collector, which is safe only while actool's own values
     # form no reference cycles: a command's cyclic garbage is argparse's alone.
@@ -274,22 +300,60 @@ def test_a_run_leaves_cyclic_garbage_that_does_not_grow_with_its_input(tmp_path,
     assert len(case.elements) > 500
     (tmp_path / "big.acd").write_text(print_case(case), encoding="utf-8")
     (tmp_path / "garbled.acd").write_text(_GARBLED, encoding="utf-8")
-    counts, modules, flags = [], set(), gc.get_debug()
-    gc.collect()
-    for path in (tmp_path / "big.acd", CORPUS / "tac_mrgfus.acd", tmp_path / "garbled.acd"):
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            run(["validate", str(path)])
-            gc.collect()
-            counts.append(len(gc.garbage))
-            modules |= {type(value).__module__ for value in gc.garbage}
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-            gc.collect()  # the cleared objects still form cycles; free them before the next run
+    paths = (tmp_path / "big.acd", CORPUS / "tac_mrgfus.acd", tmp_path / "garbled.acd")
+    _assert_garbage_is_not_actools_and_does_not_grow([["validate", str(path)] for path in paths])
     assert {"P0:", "P1:", "P2:", "P3:"} <= {line.split()[2] for line in capsys.readouterr().err.splitlines()}
-    assert len(set(counts)) == 1, counts
-    assert [name for name in modules if name.split(".")[0] == "actool"] == []
+
+
+def _linked_bundle() -> Bundle:
+    """The first generated valid bundle whose clinical cases refer to the technological case."""
+    rng = random.Random(7)
+    while True:
+        bundle = helpers.gen_valid_bundle(rng)
+        if any(e.away_ref for cac in bundle.cacs for e in cac.elements):
+            return bundle
+
+
+def _write_padded_bundle(directory: Path, bundle: Bundle, padding: int) -> Path:
+    """Write `bundle` with `padding` more evidence under each public claim of
+    its technological case, which every bundle command then reads or copies."""
+    tac = bundle.tac
+    elements, edges = list(tac.elements), list(tac.edges)
+    for claim in [e for e in tac.elements if e.is_public]:
+        for index in range(padding):
+            evidence = Element(f"{claim.id}_PAD{index}", ElementKind.EVIDENCE, f"padding {index}")
+            elements.append(evidence)
+            edges.append(Edge(claim.id, evidence.id, EdgeKind.SUPPORTED_BY))
+    directory.mkdir()
+    (directory / "tac.acd").write_text(print_case(tac._replace(elements=tuple(elements), edges=tuple(edges))),
+                                       encoding="utf-8")
+    lines = ['  tac "tac.acd"']
+    for index, cac in enumerate(bundle.cacs):
+        (directory / f"cac{index}.acd").write_text(print_case(cac), encoding="utf-8")
+        lines.append(f'  cac "cac{index}.acd"')
+    manifest = directory / "bundle.acb"
+    manifest.write_text("bundle B {\n" + "\n".join(lines) + "\n}\n", encoding="utf-8")
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["validate", "inline", "impact", "link", "render"])
+def test_a_bundle_command_leaves_cyclic_garbage_that_does_not_grow_with_its_input(command, tmp_path, capsys):
+    # The bundle commands run parse_bundle, link, analyze and render code under the paused collector too.
+    bundle = _linked_bundle()
+    cac, target = next((cac, e.away_ref) for cac in bundle.cacs for e in cac.elements if e.away_ref)
+    options = {
+        "validate": ["--json"],
+        "inline": ["--cac", cac.id],
+        "impact": ["--changed", ".".join(target)],
+        "link": [],
+        "render": ["--highlight", ".".join(target)],
+    }[command]
+    manifests = [_write_padded_bundle(tmp_path / f"pad{padding}", bundle, padding) for padding in (0, 2, 200)]
+    for manifest in manifests:  # each run is a clean one, so the counts compare like with like
+        assert run([command, str(manifest), *options]) == 0, capsys.readouterr().err
+    if command in ("inline", "render"):  # the largest bundle's padding reaches the output
+        assert f"{target[1]}_PAD199" in capsys.readouterr().out
+    _assert_garbage_is_not_actools_and_does_not_grow([[command, str(manifest), *options] for manifest in manifests])
 
 
 def test_validate_bad_s2(capsys):
