@@ -9,7 +9,7 @@ subtrees beneath the away-claims.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, has_errors
 from .model import (
@@ -29,7 +29,16 @@ class ResolvedBundle(NamedTuple):
     """A bundle whose cross-case references all point at real, public claims."""
 
     bundle: Bundle
-    resolutions: Mapping[tuple[str, str], tuple[str, str]]
+
+    @property
+    def resolutions(self) -> dict[tuple[str, str], tuple[str, str]]:
+        """Each clinical away reference, `(cac id, element id) -> (tac id, claim id)`, read afresh from the bundle."""
+        return {
+            (cac.id, element.id): element.away_ref
+            for cac in self.bundle.cacs
+            for element in cac.elements
+            if element.away_ref is not None
+        }
 
 
 def resolve_links(bundle: Bundle) -> tuple[ResolvedBundle | None, list[Diagnostic]]:
@@ -42,13 +51,7 @@ def resolve_links(bundle: Bundle) -> tuple[ResolvedBundle | None, list[Diagnosti
     diagnostics = link_rule_diagnostics(bundle)
     if has_errors(diagnostics):
         return None, diagnostics
-    resolutions = {
-        (cac.id, element.id): element.away_ref
-        for cac in bundle.cacs
-        for element in cac.elements
-        if element.away_ref is not None
-    }
-    return ResolvedBundle(bundle, resolutions), diagnostics
+    return ResolvedBundle(bundle), diagnostics
 
 
 def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
@@ -73,20 +76,15 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
         raise UnknownElementError(f"unknown clinical case id {cac_id!r} in bundle")
     tac = bundle.tac
 
-    elements = []
-    for element in cac.elements:
-        if (cac.id, element.id) in resolved.resolutions:
-            elements.append(element._replace(is_undeveloped=False, away_ref=None))
-        else:
-            elements.append(element)
+    elements = [element if element.away_ref is None else element._replace(is_undeveloped=False, away_ref=None)
+                for element in cac.elements]
     edges = list(cac.edges)
 
     copy_counts: dict[str, int] = {}
     for away in cac.elements:
-        key = (cac.id, away.id)
-        if key not in resolved.resolutions:
+        if away.away_ref is None:
             continue
-        target_id = resolved.resolutions[key][1]
+        target_id = away.away_ref[1]
         subtree = reach([target_id], lambda node: [edge.target for edge in tac.out_edges(node)])
         names: dict[str, str] = {}
         for node in subtree:

@@ -29,7 +29,6 @@ from .model import (
 if TYPE_CHECKING:  # drawing a case loads none of these
     from .analyze import BundleMetrics, CaseMetrics, ImpactReport
     from .diagnostics import Diagnostic
-    from .link import ResolvedBundle
     from .validate import MatchResult
 
 UNDEVELOPED_GLYPH = "\u25c7"
@@ -87,17 +86,14 @@ def _case_body(
     return lines
 
 
-def to_dot(
-    subject: AssuranceCase | Bundle | ResolvedBundle,
-    highlight: Iterable[tuple[str, str]] = frozenset(),
-) -> str:
+def to_dot(subject: AssuranceCase | Bundle, highlight: Iterable[tuple[str, str]] = frozenset()) -> str:
     """Render a case or a bundle as a DOT digraph.
 
     Bundles are drawn with one cluster per case, and every away reference
     that names an element of a case in the bundle becomes a dashed
-    inter-cluster edge. A resolved bundle is drawn as its bundle.
-    `highlight` names the (case id, element id) pairs drawn filled; a pair
-    that names no element raises UnknownElementError, as in `impact`.
+    inter-cluster edge. `highlight` names the (case id, element id) pairs
+    drawn filled; a pair that names no element raises UnknownElementError,
+    as in `impact`.
     """
     header = [
         "  graph [rankdir=TB, ranksep=0.6];",
@@ -108,11 +104,10 @@ def to_dot(
         lines = [f'digraph "{subject.id}" {{', *header, *_case_body(subject, highlight, "", "  "), "}\n"]
         return "\n".join(lines)
 
-    bundle = subject if isinstance(subject, Bundle) else subject.bundle
-    cases = {case.id: case for case in bundle.cases()}
+    cases = {case.id: case for case in subject.cases()}
     highlight = _element_pairs(cases, highlight)
     cross = []
-    for case in bundle.cases():
+    for case in subject.cases():
         for element in case.elements:
             if element.away_ref is None:
                 continue
@@ -121,7 +116,7 @@ def to_dot(
                 cross.append((f"{case.id}.{element.id}", f"{target_case}.{target_id}"))
 
     lines = ["digraph bundle {", *header]
-    for case in sorted(bundle.cases(), key=lambda c: c.id):
+    for case in sorted(subject.cases(), key=lambda c: c.id):
         lines.append(f'  subgraph "cluster_{case.id}" {{')
         lines.append(f'    label="{case.id} ({case.kind.value})";')
         lines.extend(_case_body(case, highlight, f"{case.id}.", "    "))

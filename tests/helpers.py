@@ -456,18 +456,17 @@ def brute_g3_violated(case: AssuranceCase) -> bool:
     return False
 
 
-def brute_affected(
-    bundle: Bundle,
-    resolutions: dict[tuple[str, str], tuple[str, str]],
-    changed: set[tuple[str, str]],
-) -> dict[str, set[str]]:
-    """Reverse reachability on the union graph by fixpoint relaxation."""
+def brute_affected(bundle: Bundle, changed: set[tuple[str, str]]) -> dict[str, set[str]]:
+    """Reverse reachability on the union graph by fixpoint relaxation. The
+    cross edges come straight from the clinical cases' away references."""
     edges: list[tuple[tuple[str, str], tuple[str, str]]] = []
     for case in bundle.cases():
         for edge in case.edges:
             edges.append(((case.id, edge.source), (case.id, edge.target)))
-    for away, target in resolutions.items():
-        edges.append((away, target))
+    for cac in bundle.cacs:
+        for element in cac.elements:
+            if element.away_ref is not None:
+                edges.append(((cac.id, element.id), element.away_ref))
     affected = set(changed)
     while True:
         added = False

@@ -213,7 +213,7 @@ def test_criterion_06_impact_oracle():
         pairs = [(c.id, e.id) for c in bundle.cases() for e in c.elements]
         changed = set(rng.sample(pairs, k=min(len(pairs), rng.randint(0, 3))))
         report = impact(resolved, changed)
-        expected = helpers.brute_affected(bundle, dict(resolved.resolutions), changed)
+        expected = helpers.brute_affected(bundle, changed)
         assert {k: set(v) for k, v in report.affected.items()} == expected
         assert report.affected_cacs == frozenset(
             cac.id for cac in bundle.cacs if expected[cac.id]

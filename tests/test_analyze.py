@@ -65,7 +65,7 @@ def test_impact_matches_brute_force_random():
         pairs = [(c.id, e.id) for c in bundle.cases() for e in c.elements]
         changed = set(rng.sample(pairs, k=min(len(pairs), rng.randint(0, 3))))
         report = impact(resolved, changed)
-        expected = helpers.brute_affected(bundle, dict(resolved.resolutions), changed)
+        expected = helpers.brute_affected(bundle, changed)
         assert {k: set(v) for k, v in report.affected.items()} == expected
 
 

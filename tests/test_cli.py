@@ -217,6 +217,35 @@ class _FailingStdout:
         return self.fd
 
 
+class _FullStringIO(io.StringIO):
+    """An in-memory stdout, with no descriptor, whose every write fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_write_to_a_stdout_without_a_descriptor_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStringIO())
+    assert run(["fmt", corpus("tac_mrgfus.acd")]) == 2
+    assert capsys.readouterr().err == "actool: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+def test_failed_writes_to_stdout_leave_no_descriptor_open(capsys, monkeypatch):
+    def open_descriptors() -> int:
+        return len(os.listdir("/dev/fd"))
+
+    before = open_descriptors()
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                assert run(["fmt", corpus("tac_mrgfus.acd")]) == 2
+    assert open_descriptors() == before
+    assert capsys.readouterr().err.count("actool: cannot write standard output: [Errno 32] Broken pipe\n") == 5
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_run_pauses_the_collector_and_restores_the_callers_setting(enabled, tmp_path, capsys, monkeypatch):
     real_parse_case = cli.parse_case

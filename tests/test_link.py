@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from actool.analyze import impact
 from actool.diagnostics import Severity
 from actool.link import inline_bundle, resolve_links
 from actool.model import (
@@ -208,9 +209,9 @@ def test_inline_node_count_invariant_random():
         for cac in bundle.cacs:
             inlined = inline_bundle(resolved, cac.id)
             expected = len(cac.elements) + sum(
-                len(helpers.brute_reachable(bundle.tac, target_id))
-                for (case_id, _), (_, target_id) in resolved.resolutions.items()
-                if case_id == cac.id
+                len(helpers.brute_reachable(bundle.tac, element.away_ref[1]))
+                for element in cac.elements
+                if element.away_ref is not None
             )
             assert len(inlined.elements) == expected
             assert all(e.away_ref is None for e in inlined.elements)
@@ -233,13 +234,45 @@ def test_inline_preserves_validity_random():
             ]
 
 
+def test_link_table_is_read_from_the_away_references_and_cannot_drift():
+    rng = random.Random(45)
+    linked = 0
+    for _ in range(200):
+        bundle = helpers.gen_valid_bundle(rng)
+        resolved, diagnostics = resolve_links(bundle)
+        assert resolved is not None, [d.line() for d in diagnostics]
+        expected = {}
+        for cac in bundle.cacs:
+            for element in cac.elements:
+                if element.away_ref is not None:
+                    expected[(cac.id, element.id)] = element.away_ref
+        pairs = [(c.id, e.id) for c in bundle.cases() for e in c.elements]
+        changed = set(rng.sample(pairs, k=min(len(pairs), 2)))
+        inlined = [print_case(inline_bundle(resolved, cac.id)) for cac in bundle.cacs]
+        report = impact(resolved, changed)
+
+        table = resolved.resolutions
+        assert table == expected
+        table.clear()  # a caller's copy: the resolved bundle keeps its links
+        assert [print_case(inline_bundle(resolved, cac.id)) for cac in bundle.cacs] == inlined
+        assert impact(resolved, changed) == report
+        assert resolved.resolutions == expected
+        linked += bool(expected)
+    assert linked > 100
+
+
 def test_resolved_cross_edges_point_into_tac_only():
     rng = random.Random(43)
     for _ in range(40):
         bundle = helpers.gen_valid_bundle(rng)
         resolved, _ = resolve_links(bundle)
+        assert resolved is not None
         cac_ids = {cac.id for cac in bundle.cacs}
-        for (source_case, _), (target_case, target_id) in resolved.resolutions.items():
-            assert source_case in cac_ids
-            assert target_case == bundle.tac.id
-            assert bundle.tac.element(target_id).is_public
+        for case in bundle.cases():
+            for element in case.elements:
+                if element.away_ref is None:
+                    continue
+                target_case, target_id = element.away_ref
+                assert case.id in cac_ids
+                assert target_case == bundle.tac.id
+                assert bundle.tac.element(target_id).is_public

@@ -46,7 +46,7 @@ def test_empty_case_renders():
 
 def test_dot_deterministic(tac_case, corpus_resolved):
     assert to_dot(tac_case) == to_dot(tac_case)
-    assert to_dot(corpus_resolved) == to_dot(corpus_resolved)
+    assert to_dot(corpus_resolved.bundle) == to_dot(corpus_resolved.bundle)
 
 
 def test_dot_node_count_matches_element_count():
@@ -70,13 +70,12 @@ def test_highlight_of_unknown_ids_raises(tac_case, corpus_resolved):
         to_dot(tac_case, frozenset({("TAC-1", "GHOST")}))
     with pytest.raises(UnknownElementError, match=r"^unknown case id 'CAC-UF'$"):
         to_dot(tac_case, frozenset({("CAC-UF", "C4")}))
-    for subject in (corpus_resolved, corpus_resolved.bundle):
-        with pytest.raises(UnknownElementError, match=r"^unknown case id 'NOPE'$"):
-            to_dot(subject, frozenset({("TAC-1", "C2"), ("NOPE", "C2")}))
+    with pytest.raises(UnknownElementError, match=r"^unknown case id 'NOPE'$"):
+        to_dot(corpus_resolved.bundle, frozenset({("TAC-1", "C2"), ("NOPE", "C2")}))
 
 
 def test_bundle_render_clusters_and_resolution_edges(corpus_resolved):
-    dot = to_dot(corpus_resolved)
+    dot = to_dot(corpus_resolved.bundle)
     assert 'subgraph "cluster_CAC-UF"' in dot
     assert 'subgraph "cluster_TAC-1"' in dot
     assert '"CAC-UF.C4" -> "TAC-1.C2" [style=dashed];' in dot
@@ -112,8 +111,7 @@ def test_bundle_dashed_edges_are_the_away_references_that_name_an_element():
     for _ in range(200):
         bundle = _plant_tac_references(rng, helpers.gen_valid_bundle(rng))
         resolved, _ = resolve_links(bundle)
-        dot = to_dot(resolved)
-        assert dot == to_dot(resolved.bundle)
+        dot = to_dot(resolved.bundle)
         elements_of = {case.id: {element.id for element in case.elements} for case in bundle.cases()}
         expected = [
             (f"{case.id}.{element.id}", ".".join(element.away_ref))
@@ -238,5 +236,5 @@ def test_serializers_join_their_output_once():
     bundle = _wide_bundle(random.Random(7))
     resolved, diagnostics = resolve_links(bundle)
     assert diagnostics == [] and sum(len(case.elements) for case in bundle.cases()) == 2004
-    assert _peak_ratio(to_dot, resolved) <= 2.5
+    assert _peak_ratio(to_dot, resolved.bundle) <= 2.5
     assert _peak_ratio(print_case, bundle.tac) <= 3.5
