@@ -304,6 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built at import, once per process: `parse_args` keeps no state on it, and building it leaves
+# reference cycles that a run, which pauses the collector, would otherwise leave behind every time.
+_PARSER = build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code. The cyclic garbage collector
     is paused for the command, since actool's values form no reference cycles
@@ -318,11 +323,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
     help_text = io.StringIO()  # argparse drops an error writing `--help`, so it is written below
     try:
         with redirect_stdout(help_text):
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         args = 2 if exc.code else 0
     try:

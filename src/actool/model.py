@@ -218,6 +218,16 @@ class AssuranceCase(_Record):
         self._set(id=id, kind=kind, elements=elements, edges=edges, capabilities=capabilities,
                   associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None)
 
+    @classmethod
+    def _parsed(cls, id: str, kind: CaseKind, by_id: dict[str, Element], edges: tuple[Edge, ...],
+                capabilities: tuple[Capability, ...], associated_tac: str | None, span: SourceSpan) -> AssuranceCase:
+        """The case the parser built, without `__init__`'s checks, which the parser has made;
+        `by_id` maps each element's id to it in declaration order and becomes the index."""
+        case = object.__new__(cls)
+        case._set(id=id, kind=kind, elements=tuple(by_id.values()), edges=edges, capabilities=capabilities,
+                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None)
+        return case
+
     def element(self, element_id: str) -> Element:
         try:
             return self._by_id[element_id]

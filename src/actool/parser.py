@@ -19,6 +19,7 @@ import re
 import sys
 from bisect import bisect_left
 from decimal import Decimal
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
@@ -77,15 +78,21 @@ _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[
 # A canonical node or edge line, from the end of the previous statement through
 # its newline: one-line strings with only `\"` and `\\` escapes, each flag at most
 # once and in the order `print_case` writes them, no comment. It holds no lexical
-# error, so skipping the lexer loses no P0. Groups: 1 node kind, 2 id, 3 statement,
-# 4-7 the BOOL_FLAGS, 8 concern, 9-10 awayref; 11 edge source, 12 edge kind, 13 target.
+# error, so skipping the lexer loses no P0. Groups: 1 the blank and comment lines
+# before it, each through its newline; 2 node kind, 3 id, 4 statement, 5-8 the
+# BOOL_FLAGS, 9 concern, 10-11 awayref; 12 edge source, 13 edge kind, 14 target.
+# Group 4 runs to the last `"` on the line that the flags and the newline follow,
+# a scan far cheaper than one for escapes; no flag holds a `"`, so that is the
+# closing quote. A statement holding `"` or `\` must then match `_STATEMENT`, the
+# string body with only `\"` and `\\` escapes, or the line is not canonical.
 _LINE = re.compile(
-    r"(?:[ \t\r\n;]|//[^\n]*\n)*(?:"
-    rf'({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'
+    r"((?:[ \t\r;]*(?://[^\n]*)?\n)*)[ \t\r;]*(?:"
+    rf'({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^\n]*)"'
     + "".join(rf"(?:[ \t]+({flag}))?" for flag in BOOL_FLAGS)
     + rf'(?:[ \t]+concern[ \t]+({"|".join(CONCERN_KINDS)}))?(?:[ \t]+awayref[ \t]+({_IDENT})\.({_IDENT}))?'
     rf'|({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT}))[ \t\r]*\n'
 )
+_STATEMENT = re.compile(r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*\Z')
 
 
 class _Skip(Exception):
@@ -106,13 +113,17 @@ class _Parser:
     Tokens are lexed one at a time from offset `pos`, when `peek` first asks
     for one, so a run of lines read one regex match each is never tokenized.
     Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
-    for ids, edge sources, capability names and diagnostics.
+    for ids, edge sources, capability names and diagnostics. Spans are mostly
+    asked for in text order, so `cursor` holds the last offset located, its
+    line and the offset that line starts at, and `locate` moves it forward
+    by counting the newlines in between. An offset behind it is looked up in
+    `newlines`, the table of every newline offset, built on first use.
     """
 
     def __init__(self, source: str, file_name: str):
         self.source = source
         self.file_name = file_name
-        self.newlines = [match.start() for match in re.finditer("\n", source)]
+        self.cursor = (0, 1, 0)  # (offset, its line, the offset its line starts at)
         self.diagnostics: list[Diagnostic] = []
         self.pos = 0  # where the next token is lexed
         self.token: _Token | None = None  # the lexed token that `advance` consumes next
@@ -151,12 +162,28 @@ class _Parser:
             self.error("unterminated string", self.span(start, end))
         return _ESCAPE.sub(r"\1", text[1:end])
 
+    @cached_property
+    def newlines(self) -> list[int]:
+        return [match.start() for match in re.finditer("\n", self.source)]
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """The line of `offset` and the offset that line starts at. A `\\n`
+        belongs to the line it ends."""
+        at, line, line_start = self.cursor
+        if offset < at:
+            index = bisect_left(self.newlines, offset)
+            return index + 1, self.newlines[index - 1] + 1 if index else 0
+        gap = self.source.count("\n", at, offset)
+        if gap:
+            line += gap
+            line_start = self.source.rfind("\n", at, offset) + 1
+        self.cursor = (offset, line, line_start)
+        return line, line_start
+
     def span(self, start: int, length: int) -> SourceSpan:
-        """The span of `length` characters from offset `start`. A `\\n` belongs
-        to the line it ends, so a newline break token is reported on that line."""
-        line = bisect_left(self.newlines, start)
-        line_start = self.newlines[line - 1] + 1 if line else 0
-        return SourceSpan(self.file_name, line + 1, start - line_start + 1, length)
+        """The span of `length` characters from offset `start`."""
+        line, line_start = self.locate(start)
+        return SourceSpan(self.file_name, line, start - line_start + 1, length)
 
     def span_of(self, token: _Token) -> SourceSpan:
         return self.span(token.start, len(token.text))
@@ -275,7 +302,10 @@ class _CaseParser(_Parser):
     after both its ends is built there and then, and every other edge waits
     in `edges` as a plain (source, offset, kind, target, offset) tuple.
     `_line` reads each run of canonical node and edge lines without tokens,
-    one match a line; every other statement goes to the token path.
+    one match a line, and carries the line number from match to match;
+    every other statement goes to the token path. Of the spans kept, only
+    those `parse` makes for waiting edges lie behind `_Parser`'s cursor.
+    `elements`, the id dict, becomes the case's index.
     """
 
     def __init__(self, source: str, file_name: str):
@@ -291,10 +321,10 @@ class _CaseParser(_Parser):
         id_token = self.header("case", self._kind)
         if id_token is None:
             return ParseResult(None, sorted_diagnostics(self.diagnostics))
-        self.case_id = id_token.text
+        self.case_id, case_span = id_token.text, self.span_of(id_token)
         self.statements(self._statement, self._line)
         if self.kind is CaseKind.CLINICAL and self.associated is None:
-            self._diag("P7", self.span_of(id_token), f"clinical case {self.case_id!r} must declare 'associates'")
+            self._diag("P7", case_span, f"clinical case {self.case_id!r} must declare 'associates'")
         edges: list[Edge] = []
         elements, span = self.elements, self.span
         for edge in self.edges:
@@ -308,15 +338,10 @@ class _CaseParser(_Parser):
             for endpoint, start in ((source, source_start), (target, target_start)):
                 if endpoint not in elements:
                     self._diag("P2", span(start, len(endpoint)), f"edge references unknown element {endpoint!r}")
-        case = AssuranceCase(
-            id=self.case_id,
-            kind=self.kind,
-            elements=tuple(self.elements.values()),
-            edges=tuple(edges),
-            capabilities=tuple(self.capabilities),
-            associated_tac=self.associated,
-            span=self.span_of(id_token),
-        )
+        # AssuranceCase's checks hold: an identifier as the id, unique element ids (P1), declared edge ends (P2)
+        # and `associates` only in a clinical case (P7)
+        case = AssuranceCase._parsed(self.case_id, self.kind, elements, tuple(edges), tuple(self.capabilities),
+                                     self.associated, case_span)
         return ParseResult(case, sorted_diagnostics(self.diagnostics))
 
     def _diag(self, rule: str, span: SourceSpan, message: str, *elements: tuple[str, str]) -> None:
@@ -347,39 +372,44 @@ class _CaseParser(_Parser):
         would. An edge whose two ends are declared is built here; one with a forward reference waits,
         as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text
         and at a node that the token path reports (P1, P3). Whether it read anything."""
-        source, newlines, elements, edges = self.source, self.newlines, self.elements, self.edges
-        match_line, file_name, start, new = _LINE.match, self.file_name, self.pos, tuple.__new__
-        pos = start
+        source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
+        match_line, new, pos = _LINE.match, tuple.__new__, self.pos
+        start = pos
+        line, line_start = self.locate(pos)  # of `pos`, carried from match to match
         while match := match_line(source, pos):
-            (kind, name, text, root, public, undeveloped, module, concern, away_case, away_id,
+            (lead, kind, name, text, root, public, undeveloped, module, concern, away_case, away_id,
              edge_source, edge, target) = match.groups()
-            if kind is None:
-                name, name_start, target = sys.intern(edge_source), match.start(11), sys.intern(target)
-                if name not in elements or target not in elements:
-                    edges.append((name, name_start, EDGE_KINDS[edge], target, match.start(13)))
-                    pos = match.end()
-                    continue
+            if lead:  # the blank and comment lines before this one
+                row, row_start = line + lead.count("\n"), match.end(1)
             else:
-                name, name_start = sys.intern(name), match.start(2)
-                if name in elements:
-                    break
-            # `span` inlined, minus SourceSpan's checks: line and column are at least 1, the length a size
-            line = bisect_left(newlines, name_start)
-            span = new(SourceSpan, (file_name, line + 1, name_start - (newlines[line - 1] if line else -1), len(name)))
+                row, row_start = line, line_start
             if kind is None:
-                edges.append(new(Edge, (name, target, EDGE_KINDS[edge], span)))
+                name, name_start, target = sys.intern(edge_source), match.start(12), sys.intern(target)
+                if name in elements and target in elements:
+                    # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
+                    span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(name)))
+                    edges.append(new(Edge, (name, target, EDGE_KINDS[edge], span)))
+                else:
+                    edges.append((name, name_start, EDGE_KINDS[edge], target, match.start(14)))
             else:
-                statement = _ESCAPE.sub(r"\1", text) if "\\" in text else text
-                try:  # the model's flag rules are P3's: a flag on a non-claim, `awayref` without `undeveloped`
-                    elements[name] = Element(
-                        name, NODE_KINDS[kind], statement, root is not None, public is not None,
-                        undeveloped is not None, module is not None,
-                        None if concern is None else CONCERN_KINDS[concern],
-                        None if away_case is None else (sys.intern(away_case), sys.intern(away_id)), span)
-                except ValueError:
+                name, name_start = sys.intern(name), match.start(3)
+                # the model's flag rules are P3's: a flag that only claims take, `awayref` without `undeveloped`
+                if (name in elements or kind != "claim" and (root or undeveloped or module or away_case)
+                        or away_case and not undeveloped):
                     break
-            pos = match.end()
-        self.pos = pos
+                if '"' in text or "\\" in text:
+                    if not _STATEMENT.match(text):
+                        break
+                    text = _ESCAPE.sub(r"\1", text)
+                # Element(...), minus its checks: `_IDENT` is the model's id pattern
+                span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(name)))
+                elements[name] = new(Element, (
+                    name, NODE_KINDS[kind], text, root is not None, public is not None, undeveloped is not None,
+                    module is not None, None if concern is None else CONCERN_KINDS[concern],
+                    None if away_case is None else (sys.intern(away_case), sys.intern(away_id)), span))
+            pos = line_start = match.end()
+            line = row + 1
+        self.pos, self.cursor = pos, (pos, line, line_start)
         return pos != start
 
     def _node(self) -> None:

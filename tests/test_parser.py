@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from actool.diagnostics import Severity
 from actool.model import (
+    ID_PATTERN,
     UNKNOWN_SPAN,
     AssuranceCase,
     Bundle,
@@ -22,7 +23,7 @@ from actool.model import (
     ElementKind,
     SourceSpan,
 )
-from actool.parser import _CaseParser, parse_bundle, parse_case, print_case
+from actool.parser import _IDENT, _CaseParser, parse_bundle, parse_case, print_case
 
 import helpers
 from conftest import CORPUS, GOLDEN
@@ -574,9 +575,11 @@ def test_diagnostic_spans_index_real_positions():
 
 
 # Places where offsets and lines are easy to get wrong: a string across
-# lines, `\r\n` endings, no final newline, `;` between statements. Each
-# entry: the text, its diagnostic lines, and (what, name, line:col+length)
-# for the case, its elements, edges and capabilities.
+# lines, `\r\n` endings, no final newline, `;` between statements, and spans
+# asked for behind the line-run parser's cursor (the header's P7, P2 and an
+# edge read before its target). Each entry: the text, its diagnostic lines,
+# and (what, name, line:col+length) for the case, its elements, edges and
+# capabilities.
 SPAN_CORNERS = {
     "string_across_lines": (
         'case A kind monolithic {\n  claim C1 "one\ntwo" root; claim C2 "x" bogus\n  C1 supportedBy 7\n}\n',
@@ -601,6 +604,15 @@ SPAN_CORNERS = {
         ["t.acd:1:137: error P2: edge references unknown element 'E9'"],
         [("case", "T", "1:6+1"), ("element", "C1", "1:35+2"), ("element", "E1", "1:52+2"), ("edge", "C1", "1:60+2"),
          ("capability", "p", "1:99+1")],
+    ),
+    "backward_spans": (
+        'case C kind clinical {\r\n  claim C1 "x" root\r\n  C1 supportedBy E1\r\n  E1 inContextOf GHOST\r\n'
+        '  evidence E1 "e \\"q\\""\r\n\r\n  // late\r\n  context X1 "x"; X1 inContextOf C1\r\n  GHOST supportedBy X1\r\n}\r\n',
+        ["t.acd:1:6: error P7: clinical case 'C' must declare 'associates'",
+         "t.acd:4:18: error P2: edge references unknown element 'GHOST'",
+         "t.acd:9:3: error P2: edge references unknown element 'GHOST'"],
+        [("case", "C", "1:6+1"), ("element", "C1", "2:9+2"), ("element", "E1", "5:12+2"), ("element", "X1", "8:11+2"),
+         ("edge", "C1", "3:3+2"), ("edge", "X1", "8:19+2")],
     ),
 }
 
@@ -704,10 +716,11 @@ def test_parse_spans_match_golden():
     assert _span_report() == expected
 
 
-def test_parsed_spans_and_edges_pass_their_constructors_checks():
-    # The line-run parser builds SourceSpan and Edge values without their
-    # constructors; each must be of the exact type, and each span one that
-    # SourceSpan's checked constructor accepts (Edge's checks nothing).
+def test_parsed_values_pass_their_constructors_checks():
+    # The line-run parser builds SourceSpan, Edge and Element values, and the
+    # case, without their constructors; each must be of the exact type and
+    # one that its checked constructor accepts (Edge's checks nothing), and
+    # the case's index must find what the public constructor's would.
     results = [(value, diagnostics) for _, value, diagnostics in _span_results()]
     for path in sorted(CORPUS.iterdir()):
         text = path.read_text(encoding="utf-8")
@@ -723,6 +736,12 @@ def test_parsed_spans_and_edges_pass_their_constructors_checks():
             spans += [span for _, _, span in _pinned_spans(case)]
             for edge in case.edges:
                 assert type(edge) is Edge, edge
+            for element in case.elements:
+                assert type(element) is Element and Element(*element) == element, element
+            checked = AssuranceCase(*case._asdict().values())
+            assert type(case) is AssuranceCase and checked == case
+            assert [case.find(e.id) for e in checked.elements] == [checked.find(e.id) for e in checked.elements]
+            assert case.find("NO-SUCH-ID") is None
         for span in spans:
             assert type(span) is SourceSpan and SourceSpan(*span) == span, span
     assert cases > 300
@@ -768,24 +787,40 @@ _MIXED_FLAGS = ["root", "public", "undeveloped", "module", "concern safety", "co
                 "awayref claim.root"]
 
 
+def _mixed_statement(rng: random.Random) -> str:
+    gap = rng.choice([" ", " ", " ", "\t", "  "])
+    if rng.random() < 0.5:
+        words = [rng.choice(list(ElementKind)).value, rng.choice(_MIXED_IDS), rng.choice(_MIXED_STRINGS)]
+        words += rng.choices(_MIXED_FLAGS, k=rng.choice([0, 0, 1, 2, 3]))
+        if rng.random() < 0.05:  # a second string after the flags
+            words.append(rng.choice(_MIXED_STRINGS))
+    elif rng.random() < 0.95:
+        ends = _MIXED_IDS + ["GHOST"]
+        words = [rng.choice(ends), rng.choice(list(EdgeKind)).value, rng.choice(ends)]
+    else:
+        words = [rng.choice(list(Direction)).value, "capability", rng.choice(_MIXED_IDS), "unit W range [0, 1]"]
+    return gap.join(words)
+
+
 def _mixed_case_text(rng: random.Random) -> str:
     """A case of hundreds of one-line statements: escapes, `\\r\\n`, duplicate
     and keyword ids, misused and repeated flags, `awayref` without
-    `undeveloped` and dangling edges."""
+    `undeveloped`, dangling edges, a second string after a node's flags,
+    `;`-joined pairs, and blank and comment lines between statements."""
     kind = rng.choice(list(CaseKind))
     lines = [f"case K kind {kind.value} {{"] + (["  associates T"] if kind is CaseKind.CLINICAL else [])
     for _ in range(rng.randint(100, 300)):
-        gap = rng.choice([" ", " ", " ", "\t", "  "])
-        if rng.random() < 0.5:
-            words = [rng.choice(list(ElementKind)).value, rng.choice(_MIXED_IDS), rng.choice(_MIXED_STRINGS)]
-            words += rng.choices(_MIXED_FLAGS, k=rng.choice([0, 0, 1, 2, 3]))
-        elif rng.random() < 0.95:
-            ends = _MIXED_IDS + ["GHOST"]
-            words = [rng.choice(ends), rng.choice(list(EdgeKind)).value, rng.choice(ends)]
-        else:
-            words = [rng.choice(list(Direction)).value, "capability", rng.choice(_MIXED_IDS), "unit W range [0, 1]"]
-        lines.append("  " + gap.join(words))
+        lines.append("  " + _mixed_statement(rng))
+        if rng.random() < 0.05:
+            lines[-1] += rng.choice([";", "; ", " ;"]) + _mixed_statement(rng)
+        if rng.random() < 0.1:
+            lines += rng.choices(["", "  ", "// between", "  // between ; \"x\"", ";"], k=rng.randint(1, 3))
     return "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines) + "}\n"
+
+
+def test_line_regex_ids_are_the_model_ids():
+    # `_line` builds elements without their constructor's id check, which `_IDENT` makes.
+    assert _IDENT + r"\Z" == ID_PATTERN.pattern
 
 
 @settings(max_examples=40, deadline=None)
