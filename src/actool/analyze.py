@@ -19,8 +19,7 @@ from .model import (
     EdgeKind,
     ElementKind,
     _element_pairs,
-    has_evidence_support,
-    is_leaf_claim,
+    _leaves_and_evidenced,
     reach,
     supported_by_dfs,
 )
@@ -95,45 +94,32 @@ class BundleMetrics(NamedTuple):
 def _supported_by_depth(case: AssuranceCase) -> int:
     """Longest supportedBy path, counted in nodes; the back edges of the
     depth-first walk are ignored (G2 reports the cycle they close)."""
-    depth: dict[str, int] = {}
-    for node in supported_by_dfs(case)[0]:
-        # a target not yet in `depth` is still on the walk's path: a back edge
-        depth[node] = 1 + max(
-            [depth.get(edge.target, 0) for edge in case.out_edges(node) if edge.kind is EdgeKind.SUPPORTED_BY],
-            default=0,
-        )
+    supported_by = case._kind_targets()[0]
+    postorder = supported_by_dfs(case)[0]
+    depth = dict.fromkeys(postorder, 0)  # a target still at 0 is on the walk's path: a back edge
+    for node in postorder:
+        targets = supported_by.get(node)
+        depth[node] = 1 + max(map(depth.__getitem__, targets)) if targets else 1
     return max(depth.values(), default=0)
 
 
 def case_metrics(case: AssuranceCase) -> CaseMetrics:
     """Structural measures for one case; see FORMATS.md for the emitted keys."""
-    element_counts = {kind.value: 0 for kind in ElementKind}
-    concern_counts = {kind.value: 0 for kind in ConcernKind}
-    undeveloped = 0
-    for element in case.elements:
-        element_counts[element.kind.value] += 1
-        if element.concern is not None:
-            concern_counts[element.concern.value] += 1
-        if element.is_undeveloped:
-            undeveloped += 1
-    edge_counts = {kind.value: 0 for kind in EdgeKind}
-    for edge in case.edges:
-        edge_counts[edge.kind.value] += 1
-    leaves = [e for e in case.elements if is_leaf_claim(case, e)]
-    if leaves:
-        covered = sum(1 for leaf in leaves if has_evidence_support(case, leaf))
-        coverage = covered / len(leaves)
-    else:
-        coverage = 1.0
+    elements = case.elements
+    kinds = [element.kind for element in elements]
+    concerns = [element.concern for element in elements]
+    edge_kinds = [edge.kind for edge in case.edges]
+    leaves, evidenced = _leaves_and_evidenced(case)
+    coverage = len(evidenced.intersection([leaf.id for leaf in leaves])) / len(leaves) if leaves else 1.0
     return CaseMetrics(
         case_id=case.id,
         kind=case.kind,
-        element_counts=element_counts,
-        edge_counts=edge_counts,
+        element_counts={kind.value: kinds.count(kind) for kind in ElementKind},
+        edge_counts={kind.value: edge_kinds.count(kind) for kind in EdgeKind},
         depth=_supported_by_depth(case),
-        undeveloped_count=undeveloped,
+        undeveloped_count=len([element for element in elements if element.is_undeveloped]),
         evidence_coverage=coverage,
-        concern_counts=concern_counts,
+        concern_counts={kind.value: concerns.count(kind) for kind in ConcernKind},
     )
 
 

@@ -18,7 +18,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+_IDENT = r"[A-Za-z][A-Za-z0-9_-]*"  # the text of an element, case or capability id
+ID_PATTERN = re.compile(_IDENT + r"\Z")
 
 
 class ElementKind(Enum):
@@ -193,11 +194,14 @@ class AssuranceCase(_Record):
 
     `out_edges` and `in_edges` answer adjacency queries from an index of
     the edges by endpoint, each half built on its first query, so that
-    parse-only paths never pay for it.
+    parse-only paths never pay for it. The G rules and the metrics read a
+    second, private index instead: each source's supportedBy targets and,
+    apart, its inContextOf targets, as ids in declaration order. One pass over
+    the edges builds it when the first of them runs on the case.
     """
 
     _fields = ("id", "kind", "elements", "edges", "capabilities", "associated_tac", "span")
-    __slots__ = (*_fields, "_by_id", "_out_edges", "_in_edges")
+    __slots__ = (*_fields, "_by_id", "_out_edges", "_in_edges", "_targets")
 
     def __init__(self, id: str, kind: CaseKind, elements: tuple[Element, ...], edges: tuple[Edge, ...] = (),
                  capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
@@ -216,7 +220,8 @@ class AssuranceCase(_Record):
                 missing = edge.target if edge.source in by_id else edge.source
                 raise ValueError(f"edge references unknown element {missing!r} in case {id!r}")
         self._set(id=id, kind=kind, elements=elements, edges=edges, capabilities=capabilities,
-                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None)
+                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None,
+                  _targets=None)
 
     @classmethod
     def _parsed(cls, id: str, kind: CaseKind, by_id: dict[str, Element], edges: tuple[Edge, ...],
@@ -225,7 +230,8 @@ class AssuranceCase(_Record):
         `by_id` maps each element's id to it in declaration order and becomes the index."""
         case = object.__new__(cls)
         case._set(id=id, kind=kind, elements=tuple(by_id.values()), edges=edges, capabilities=capabilities,
-                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None)
+                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None,
+                  _targets=None)
         return case
 
     def element(self, element_id: str) -> Element:
@@ -248,6 +254,21 @@ class AssuranceCase(_Record):
         if self._in_edges is None:
             self._set(_in_edges=_group_edges(self.edges, attrgetter("target")))
         return self._in_edges.get(element_id, ())
+
+    def _kind_targets(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The supportedBy and the inContextOf targets of each source that has any."""
+        if self._targets is None:
+            self._set(_targets=_targets_by_kind(self.edges))
+        return self._targets
+
+
+def _targets_by_kind(edges: tuple[Edge, ...]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    supported_by: dict[str, list[str]] = {}
+    in_context_of: dict[str, list[str]] = {}
+    support = EdgeKind.SUPPORTED_BY
+    for source, target, kind, _ in edges:
+        (supported_by if kind is support else in_context_of).setdefault(source, []).append(target)
+    return supported_by, in_context_of
 
 
 def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...]]:
@@ -315,6 +336,7 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
     closes, as [n0, n1, ..., n0], or None if the subgraph is acyclic. The
     stack is explicit, so chain length is not bounded by the recursion limit.
     """
+    supported_by = case._kind_targets()[0]
     finished: dict[str, bool] = {}  # False while on the path, True once done
     postorder: list[str] = []
     cycle = None
@@ -323,17 +345,14 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
             continue
         finished[element.id] = False
         path = [element.id]
-        pending = [iter(case.out_edges(element.id))]
+        pending = [iter(supported_by.get(element.id, ()))]
         while pending:
-            for edge in pending[-1]:
-                if edge.kind is not EdgeKind.SUPPORTED_BY:
-                    continue
-                target = edge.target
+            for target in pending[-1]:
                 done = finished.get(target)
                 if done is None:
                     finished[target] = False
                     path.append(target)
-                    pending.append(iter(case.out_edges(target)))
+                    pending.append(iter(supported_by.get(target, ())))
                     break
                 if not done and cycle is None:
                     cycle = path[path.index(target):] + [target]
@@ -353,21 +372,22 @@ def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
 SUPPORT_SOURCES = (ElementKind.CLAIM, ElementKind.STRATEGY)
 
 
-def is_leaf_claim(case: AssuranceCase, element: Element) -> bool:
-    """A claim with no supportedBy edge to another claim or strategy."""
-    if element.kind is not ElementKind.CLAIM:
-        return False
-    return not any(
-        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind in SUPPORT_SOURCES
-        for edge in case.out_edges(element.id)
-    )
-
-
-def has_evidence_support(case: AssuranceCase, element: Element) -> bool:
-    return any(
-        edge.kind is EdgeKind.SUPPORTED_BY and case.element(edge.target).kind is ElementKind.EVIDENCE
-        for edge in case.out_edges(element.id)
-    )
+def _leaves_and_evidenced(case: AssuranceCase) -> tuple[list[Element], set[str]]:
+    """The leaf claims, those with no supportedBy edge to a claim or strategy,
+    in declaration order; and the ids of the elements with a supportedBy edge
+    to evidence."""
+    by_id = case._by_id
+    claim, strategy, evidence = ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE
+    argued: set[str] = set()
+    evidenced: set[str] = set()
+    for source, targets in case._kind_targets()[0].items():
+        for target in targets:
+            kind = by_id[target].kind
+            if kind is evidence:
+                evidenced.add(source)
+            elif kind is claim or kind is strategy:
+                argued.add(source)
+    return [e for e in case.elements if e.kind is claim and e.id not in argued], evidenced
 
 
 def format_decimal(value: Decimal) -> str:

@@ -36,6 +36,7 @@ from .model import (
     Element,
     ElementKind,
     SourceSpan,
+    _IDENT,
     format_decimal,
 )
 
@@ -66,7 +67,6 @@ class _Token(NamedTuple):
     value: object = None
 
 
-_IDENT = r"[A-Za-z][A-Za-z0-9_-]*"
 _TOKEN_PATTERN = re.compile(  # blank space and comments, then one token; `\Z` matches the eof token
     r"(?:[ \t\r]+|//[^\n]*)*(?:(?P<break>[\n;])|(?P<punct>[{}\[\],.])"
     r'|(?P<string>"(?:[^"\\]+|\\[\s\S])*(?:(?P<closed>")|\\?\Z))'

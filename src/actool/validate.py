@@ -22,9 +22,8 @@ from .model import (
     EdgeKind,
     ElementKind,
     SUPPORT_SOURCES,
+    _leaves_and_evidenced,
     format_decimal,
-    has_evidence_support,
-    is_leaf_claim,
     reach,
     supported_by_cycle,
 )
@@ -47,11 +46,10 @@ class MatchResult(NamedTuple):
 SUPPORT_TARGETS = (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE)
 CONTEXT_TARGETS = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
 # G3 and G4: the rule, the article before the edge kind, and the legal target
-# kinds of each edge kind; both kinds start at a claim or strategy
-_EDGE_TYPING = {
-    EdgeKind.SUPPORTED_BY: ("G3", "a", SUPPORT_TARGETS),
-    EdgeKind.IN_CONTEXT_OF: ("G4", "an", CONTEXT_TARGETS),
-}
+# kinds of a supportedBy and of an inContextOf edge; both kinds start at a
+# claim or strategy
+_SUPPORTED_BY_TYPING = ("G3", "a", SUPPORT_TARGETS)
+_IN_CONTEXT_OF_TYPING = ("G4", "an", CONTEXT_TARGETS)
 # G8: the one case kind that may declare capabilities of each direction
 _CAPABILITY_HOME = {
     Direction.PROVIDED: CaseKind.TECHNOLOGICAL,
@@ -98,34 +96,38 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
             )
         )
 
-    for edge in case.edges:
-        source = case.element(edge.source)
-        target = case.element(edge.target)
-        rule, article, allowed = _EDGE_TYPING[edge.kind]
-        if source.kind not in SUPPORT_SOURCES or target.kind not in allowed:
-            end, bad = ("source", source) if source.kind not in SUPPORT_SOURCES else ("target", target)
-            message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {article} {edge.kind.value} edge"
-            diagnostics.append(_error(rule, edge.span, message, (cid, bad.id)))
-        elif rule == "G3" and source.kind is ElementKind.STRATEGY and target.kind is not ElementKind.CLAIM:
+    by_id = case._by_id
+    for source_id, target_id, edge_kind, span in case.edges:
+        source, target = by_id[source_id], by_id[target_id]
+        source_kind, target_kind = source.kind, target.kind
+        support = edge_kind is EdgeKind.SUPPORTED_BY
+        rule, article, allowed = _SUPPORTED_BY_TYPING if support else _IN_CONTEXT_OF_TYPING
+        if source_kind not in SUPPORT_SOURCES or target_kind not in allowed:
+            end, bad = ("source", source) if source_kind not in SUPPORT_SOURCES else ("target", target)
+            message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {article} {edge_kind.value} edge"
+            diagnostics.append(_error(rule, span, message, (cid, bad.id)))
+        elif support and source_kind is ElementKind.STRATEGY and target_kind is not ElementKind.CLAIM:
             message = f"strategy {source.id!r} must be supported by claims only, "
-            message += f"not {target.kind.value} {target.id!r}"
-            diagnostics.append(_error(rule, edge.span, message, (cid, source.id), (cid, target.id)))
+            message += f"not {target_kind.value} {target.id!r}"
+            diagnostics.append(_error(rule, span, message, (cid, source.id), (cid, target.id)))
 
-    for element in case.elements:
-        if is_leaf_claim(case, element):
-            if not (has_evidence_support(case, element) or element.is_undeveloped):
-                diagnostics.append(
-                    _error(
-                        "G5",
-                        element.span,
-                        f"leaf claim {element.id!r} has no supporting evidence and is not "
-                        "marked undeveloped",
-                        (cid, element.id),
-                    )
+    leaves, evidenced = _leaves_and_evidenced(case)
+    for leaf in leaves:
+        if not (leaf.id in evidenced or leaf.is_undeveloped):
+            diagnostics.append(
+                _error(
+                    "G5",
+                    leaf.span,
+                    f"leaf claim {leaf.id!r} has no supporting evidence and is not marked undeveloped",
+                    (cid, leaf.id),
                 )
+            )
 
+    supported_by, in_context_of = case._kind_targets()
     if len(roots) == 1:
-        reachable = set(reach([roots[0].id], lambda node: [edge.target for edge in case.out_edges(node)]))
+        reachable = set(
+            reach([roots[0].id], lambda node: (*supported_by.get(node, ()), *in_context_of.get(node, ())))
+        )
         for element in case.elements:
             if element.id not in reachable:
                 diagnostics.append(
@@ -138,17 +140,15 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
                 )
 
     for element in case.elements:
-        if element.kind is ElementKind.STRATEGY:
-            supported = any(edge.kind is EdgeKind.SUPPORTED_BY for edge in case.out_edges(element.id))
-            if not supported:
-                diagnostics.append(
-                    _error(
-                        "G7",
-                        element.span,
-                        f"strategy {element.id!r} has no supporting claim",
-                        (cid, element.id),
-                    )
+        if element.kind is ElementKind.STRATEGY and element.id not in supported_by:
+            diagnostics.append(
+                _error(
+                    "G7",
+                    element.span,
+                    f"strategy {element.id!r} has no supporting claim",
+                    (cid, element.id),
                 )
+            )
 
     for cap in case.capabilities:
         home = _CAPABILITY_HOME[cap.direction]

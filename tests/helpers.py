@@ -195,6 +195,50 @@ class _ValidCaseBuilder:
                 self._develop(child, depth - 1)
 
 
+def gen_tree_case(rng: random.Random, size: int) -> AssuranceCase:
+    """A case of `size` elements grown as a GSN tree from claim N0: each new
+    element hangs under an earlier claim or strategy, over supportedBy or, for
+    a context, assumption or justification, inContextOf. Then the tree is
+    disturbed: a few elements hang nowhere, some claims are undeveloped, some
+    strategies and claims stay unsupported, the root count is sometimes 0 or
+    2, and extra edges of both kinds between random elements (self-loops
+    included) add cycles and ill-typed edges."""
+    contextual = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
+    kinds = [ElementKind.CLAIM, *rng.choices(list(ElementKind), weights=(5, 2, 1, 1, 1, 3), k=size - 1)]
+    claims = [i for i, kind in enumerate(kinds) if kind is ElementKind.CLAIM]
+    roots = rng.choice([{0}, {0}, {0}, set(), {0, rng.choice(claims)}])
+    edges = []
+    holders = [0]
+    for i in range(1, size):
+        if rng.random() >= 0.03:
+            kind = EdgeKind.IN_CONTEXT_OF if kinds[i] in contextual else EdgeKind.SUPPORTED_BY
+            edges.append((rng.choice(holders), i, kind))
+        if kinds[i] in (ElementKind.CLAIM, ElementKind.STRATEGY):
+            holders.append(i)
+    for _ in range(rng.choice([0, 1, 3, size // 20])):
+        edges.append((rng.randrange(size), rng.randrange(size), rng.choice(list(EdgeKind))))
+    for _ in range(rng.choice([0, 0, 1])):
+        node = rng.randrange(size)
+        edges.append((node, node, EdgeKind.SUPPORTED_BY))
+    rng.shuffle(edges)
+    elements = tuple(
+        Element(
+            f"N{i}",
+            kind,
+            "",
+            is_root=i in roots,
+            is_undeveloped=kind is ElementKind.CLAIM and rng.random() < 0.1,
+        )
+        for i, kind in enumerate(kinds)
+    )
+    return AssuranceCase(
+        id="TREE",
+        kind=CaseKind.MONOLITHIC,
+        elements=elements,
+        edges=tuple(Edge(f"N{a}", f"N{b}", kind) for a, b, kind in edges),
+    )
+
+
 def gen_valid_case(
     rng: random.Random, case_id: str, kind: CaseKind, max_elements: int = 12
 ) -> AssuranceCase:

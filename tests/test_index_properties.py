@@ -1,6 +1,9 @@
 """Property tests: the edge-indexed passes agree with brute-force scans of the
 edge list (the oracles in helpers) on random cases of up to 40 elements with
-random kinds, flags and edges, cycles and self-loops included."""
+random kinds, flags and edges, cycles and self-loops included, and on seeded
+disturbed trees of 150 to 300 elements."""
+
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -129,6 +132,25 @@ def test_depth_cycle_and_g2_match_recursive_walk(case):
         assert g2 == []
     else:
         assert g2 == [("supportedBy cycle: " + " -> ".join(cycle), tuple((case.id, node) for node in cycle[:-1]))]
+
+
+def test_graph_passes_match_edge_scans_on_large_cases():
+    rng = random.Random(21)
+    cycles = 0
+    for _ in range(60):
+        case = helpers.gen_tree_case(rng, rng.randint(150, 300))
+        diagnostics = validate_case(case)
+        metrics = case_metrics(case)
+        assert findings(diagnostics, "G5") == {(case.id, node) for node in helpers.brute_g5(case)}
+        assert findings(diagnostics, "G6") == {(case.id, node) for node in helpers.brute_g6(case)}
+        assert findings(diagnostics, "G7") == {(case.id, node) for node in helpers.brute_g7(case)}
+        assert metrics.evidence_coverage == helpers.brute_evidence_coverage(case)
+        depth, cycle = helpers.brute_dfs(case)
+        assert metrics.depth == depth
+        g2 = [d.message for d in diagnostics if d.rule_id == "G2"]
+        assert g2 == ([] if cycle is None else ["supportedBy cycle: " + " -> ".join(cycle)])
+        cycles += cycle is not None
+    assert 10 <= cycles <= 50  # both branches of the walk are exercised
 
 
 @PROPERTY_SETTINGS

@@ -90,31 +90,43 @@ def test_ancestors_matches_brute_force():
 
 def test_validate_and_metrics_walk_each_case_once(monkeypatch):
     # Nothing caches the supportedBy walk, so a G2 or depth pass that walked
-    # once per element would make `validate` and `metrics` quadratic.
+    # once per element would make `validate` and `metrics` quadratic; the
+    # per-kind target index is built once per case and kept on it.
     import actool.analyze
     import actool.model
 
     walks = []
-    real = actool.model.supported_by_dfs
+    builds = []
+    real_walk = actool.model.supported_by_dfs
+    real_build = actool.model._targets_by_kind
 
-    def counting(case):
+    def counting_walk(case):
         walks.append(case.id)
-        return real(case)
+        return real_walk(case)
 
-    monkeypatch.setattr(actool.model, "supported_by_dfs", counting)
-    monkeypatch.setattr(actool.analyze, "supported_by_dfs", counting)  # bound there by import
+    def counting_build(edges):
+        builds.append(edges)
+        return real_build(edges)
+
+    monkeypatch.setattr(actool.model, "supported_by_dfs", counting_walk)
+    monkeypatch.setattr(actool.analyze, "supported_by_dfs", counting_walk)  # bound there by import
+    monkeypatch.setattr(actool.model, "_targets_by_kind", counting_build)
     rng = random.Random(15)
     for _ in range(20):
         case = helpers.gen_case(rng)
         for check in (validate_case, case_metrics):
             walks.clear()
-            check(case)
+            builds.clear()
+            check(case._replace())  # an equal case with no index built yet
             assert walks == [case.id], check.__name__
+            assert builds == [case.edges], check.__name__
     bundle, _ = load_corpus_bundle()
     for argv in (["validate"], ["validate", "--json"]):
         walks.clear()
+        builds.clear()
         assert run([*argv, str(CORPUS / "bundle_mrgfus.acb")]) == 0
         assert walks == [case.id for case in bundle.cases()], argv
+        assert builds == [case.edges for case in bundle.cases()], argv
 
 
 def test_validate_json_matches_each_bundle_requirement_once(monkeypatch):
