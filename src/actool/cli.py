@@ -340,19 +340,18 @@ def _run(argv: Sequence[str] | None) -> int:
     except OSError as exc:
         # Files a command names fail as a _Failure or a P6 diagnostic, so this is stdout.
         print(f"actool: cannot write standard output: {exc}", file=sys.stderr)
-        try:
-            stdout_fd = sys.stdout.fileno()
-        except io.UnsupportedOperation:  # an in-memory stdout has no descriptor to redirect
-            return 2
-        # Shutdown flushes stdout again: send it to os.devnull, or that fails and exits 120.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stdout_fd)
-        os.close(devnull)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # what `run` reported: shutdown flushes stdout again, which would fail and exit 120
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

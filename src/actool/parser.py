@@ -16,7 +16,6 @@ are dropped so the resulting value never violates the model invariants.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_left
 from decimal import Decimal
 from functools import cached_property
@@ -79,14 +78,15 @@ _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[
 # its newline: one-line strings with only `\"` and `\\` escapes, each flag at most
 # once and in the order `print_case` writes them, no comment. It holds no lexical
 # error, so skipping the lexer loses no P0. Groups: 1 the blank and comment lines
-# before it, each through its newline; 2 node kind, 3 id, 4 statement, 5-8 the
+# before it from the first `//` or newline on, so the line starts after group 1's
+# last newline (indentation is read once); 2 node kind, 3 id, 4 statement, 5-8 the
 # BOOL_FLAGS, 9 concern, 10-11 awayref; 12 edge source, 13 edge kind, 14 target.
 # Group 4 runs to the last `"` on the line that the flags and the newline follow,
 # a scan far cheaper than one for escapes; no flag holds a `"`, so that is the
 # closing quote. A statement holding `"` or `\` must then match `_STATEMENT`, the
 # string body with only `\"` and `\\` escapes, or the line is not canonical.
 _LINE = re.compile(
-    r"((?:[ \t\r;]*(?://[^\n]*)?\n)*)[ \t\r;]*(?:"
+    r"[ \t\r;]*((?:(?://[^\n]*)?\n[ \t\r;]*)*)(?:"
     rf'({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^\n]*)"'
     + "".join(rf"(?:[ \t]+({flag}))?" for flag in BOOL_FLAGS)
     + rf'(?:[ \t]+concern[ \t]+({"|".join(CONCERN_KINDS)}))?(?:[ \t]+awayref[ \t]+({_IDENT})\.({_IDENT}))?'
@@ -135,9 +135,7 @@ class _Parser:
             self.pos = match.end()
             kind = match.lastgroup
             text, start, value = match[kind], match.start(kind), None
-            if kind == "ident":
-                text = sys.intern(text)
-            elif kind == "number":
+            if kind == "number":
                 value = Decimal(text)
             elif kind == "string":
                 closed = match["closed"] is not None
@@ -305,7 +303,8 @@ class _CaseParser(_Parser):
     one match a line, and carries the line number from match to match;
     every other statement goes to the token path. Of the spans kept, only
     those `parse` makes for waiting edges lie behind `_Parser`'s cursor.
-    `elements`, the id dict, becomes the case's index.
+    `elements`, the id dict, becomes the case's index; an edge's ends are
+    its id strings, taken from the ends' elements, so nothing is interned.
     """
 
     def __init__(self, source: str, file_name: str):
@@ -332,8 +331,9 @@ class _CaseParser(_Parser):
                 edges.append(edge)
                 continue
             source, source_start, kind, target, target_start = edge
-            if source in elements and target in elements:
-                edges.append(Edge(source, target, kind, span(source_start, len(source))))
+            head, tail = elements.get(source), elements.get(target)
+            if head is not None and tail is not None:  # the ends are the id dict's own strings
+                edges.append(Edge(head.id, tail.id, kind, span(source_start, len(source))))
                 continue
             for endpoint, start in ((source, source_start), (target, target_start)):
                 if endpoint not in elements:
@@ -373,26 +373,26 @@ class _CaseParser(_Parser):
         as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text
         and at a node that the token path reports (P1, P3). Whether it read anything."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
-        match_line, new, pos = _LINE.match, tuple.__new__, self.pos
+        match_line, new, get, pos = _LINE.match, tuple.__new__, elements.get, self.pos
         start = pos
         line, line_start = self.locate(pos)  # of `pos`, carried from match to match
         while match := match_line(source, pos):
             (lead, kind, name, text, root, public, undeveloped, module, concern, away_case, away_id,
              edge_source, edge, target) = match.groups()
             if lead:  # the blank and comment lines before this one
-                row, row_start = line + lead.count("\n"), match.end(1)
+                row, row_start = line + lead.count("\n"), match.start(1) + lead.rfind("\n") + 1
             else:
                 row, row_start = line, line_start
             if kind is None:
-                name, name_start, target = sys.intern(edge_source), match.start(12), sys.intern(target)
-                if name in elements and target in elements:
+                name_start, head, tail = match.start(12), get(edge_source), get(target)
+                if head is not None and tail is not None:
                     # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
-                    span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(name)))
-                    edges.append(new(Edge, (name, target, EDGE_KINDS[edge], span)))
+                    span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(edge_source)))
+                    edges.append(new(Edge, (head[0], tail[0], EDGE_KINDS[edge], span)))  # the ends' ids
                 else:
-                    edges.append((name, name_start, EDGE_KINDS[edge], target, match.start(14)))
+                    edges.append((edge_source, name_start, EDGE_KINDS[edge], target, match.start(14)))
             else:
-                name, name_start = sys.intern(name), match.start(3)
+                name_start = match.start(3)
                 # the model's flag rules are P3's: a flag that only claims take, `awayref` without `undeveloped`
                 if (name in elements or kind != "claim" and (root or undeveloped or module or away_case)
                         or away_case and not undeveloped):
@@ -406,7 +406,7 @@ class _CaseParser(_Parser):
                 elements[name] = new(Element, (
                     name, NODE_KINDS[kind], text, root is not None, public is not None, undeveloped is not None,
                     module is not None, None if concern is None else CONCERN_KINDS[concern],
-                    None if away_case is None else (sys.intern(away_case), sys.intern(away_id)), span))
+                    None if away_case is None else (away_case, away_id), span))
             pos = line_start = match.end()
             line = row + 1
         self.pos, self.cursor = pos, (pos, line, line_start)

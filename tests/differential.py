@@ -1,0 +1,135 @@
+"""Compare what two source trees of actool make of one seeded input set.
+
+    python tests/differential.py --against REF [--seed N] [--count K] [--python PATH]
+
+REF is a commit of this repository; its `src/` is extracted with `git archive`
+into a temporary directory, and the working tree's `src/` is compared with it.
+The inputs are `helpers.mixed_case_text` texts, the case and manifest files of
+`perfbench/gen.py`'s case-tree, case-chain and bundle-wide shapes at the
+benchmark's size, and the corpus. Each tree reads every input in its own
+child process, run by PATH (default: this interpreter) with
+`PYTHONHASHSEED=0`, and reports one SHA-256 per input of
+`repr(parse_case(...))` or `repr(parse_bundle(...))` and `print_case` of each
+case parsed. On a mismatch the first differing input and both outputs around
+their first difference are printed. Exit status: 0 when every digest
+matches, 1 otherwise.
+
+The file name keeps pytest from collecting it; `test_differential.py` runs
+`compare` on two pairs of trees without git.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict[str, str]]]:
+    """(name, the file to parse, the files a manifest may load) for each input;
+    a name ending in `.acb` is parsed as a bundle manifest."""
+    sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench")) if path not in sys.path]
+    import gen
+    import helpers
+
+    rng = random.Random(seed)
+    found = [(f"mixed-{number}.acd", helpers.mixed_case_text(random.Random(rng.getrandbits(64))), {})
+             for number in range(count)]
+    shapes = [gen.case_tree(seed, size).files, gen.case_chain(seed, size // 2).files, gen.bundle_wide(seed, size).files]
+    shapes.append({path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "corpus").iterdir())})
+    for files in shapes:
+        found += [(name, text, files if name.endswith(".acb") else {}) for name, text in files.items()]
+    return found
+
+
+def _output(name: str, text: str, files: dict[str, str]) -> str:
+    """What the tree on `sys.path` makes of one input."""
+    from actool.parser import parse_bundle, parse_case, print_case
+
+    if name.endswith(".acb"):
+        result = parse_bundle(text, files.__getitem__, name)
+        cases = () if result[0] is None else result[0].cases()
+    else:
+        result = parse_case(text, name)
+        cases = () if result.case is None else (result.case,)
+    return "\n".join([repr(result), *map(print_case, cases)])
+
+
+def _child(path: str, show: int | None) -> None:
+    with open(path, encoding="utf-8") as handle:
+        found = json.load(handle)
+    if show is not None:
+        sys.stdout.write(_output(*found[show]))
+        return
+    for entry in found:
+        print(hashlib.sha256(_output(*entry).encode()).hexdigest())
+
+
+def _run(src: Path, path: str, python: str, show: int | None = None) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8",
+               PYTHONDONTWRITEBYTECODE="1")
+    argv = [python, __file__, "--child", path] + ([] if show is None else ["--show", str(show)])
+    done = subprocess.run(argv, env=env, capture_output=True, encoding="utf-8", check=False)
+    if done.returncode:
+        raise RuntimeError(f"{python} on {src} failed:\n{done.stderr}")
+    return done.stdout
+
+
+def compare(left: Path, right: Path, found: list[tuple[str, str, dict[str, str]]], python: str = sys.executable) -> int:
+    """The number of inputs whose digests differ between the `src` trees
+    `left` and `right`; the first of them is printed."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "inputs.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(found, handle)
+        digests = [_run(src, path, python).split() for src in (left, right)]
+        differing = [number for number, (a, b) in enumerate(zip(*digests)) if a != b]
+        if differing:
+            first = differing[0]
+            name, text, _ = found[first]
+            print(f"first differing input: {name} (input {first})\n{text[:2000]}")
+            a, b = (_run(src, path, python, first) for src in (left, right))
+            at = next((at for at, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            print(f"the outputs first differ at character {at}:")
+            for src, output in ((left, a), (right, b)):
+                print(f"{src}: ...{output[max(at - 300, 0):at + 300]}...")
+    return len(differing)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REF", help="the commit whose src/ the working tree is compared with")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--count", type=int, default=200, help="how many mixed case texts")
+    parser.add_argument("--python", default=sys.executable, help="the interpreter that runs both trees")
+    parser.add_argument("--child", metavar="INPUTS", help=argparse.SUPPRESS)
+    parser.add_argument("--show", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        _child(args.child, args.show)
+        return 0
+    if not args.against:
+        parser.error("--against REF is required")
+    archive = subprocess.run(["git", "archive", "--format=tar", args.against, "src"], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    found = inputs(args.seed, args.count)
+    with tempfile.TemporaryDirectory() as other:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(other, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        mismatches = compare(ROOT / "src", Path(other) / "src", found, args.python)
+    print(f"{mismatches} mismatches in {len(found)} inputs: working tree vs {args.against}, {args.python}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

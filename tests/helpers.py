@@ -548,3 +548,48 @@ def enum_typed_digraphs(n: int):
                 if mask >> bit & 1
             )
             yield AssuranceCase(id="ENUM", kind=CaseKind.MONOLITHIC, elements=elements, edges=edges)
+
+
+_MIXED_IDS = ["N0", "N1", "N2", "N3", "N-4", "n_5", "claim", "evidence", "associates", "provides", "requires",
+              "supportedBy", "inContextOf", "root", "concern", "case"]
+_MIXED_STRINGS = ['"plain"', '"say \\"hi\\""', '"back \\\\ slash"', '"bad \\q escape"', '""', '"µé ≤ // in text"']
+_MIXED_FLAGS = ["root", "public", "undeveloped", "module", "concern safety", "concern effectiveness", "awayref T.C2",
+                "awayref claim.root"]
+
+
+def _mixed_statement(rng: random.Random) -> str:
+    gap = rng.choice([" ", " ", " ", "\t", "  "])
+    if rng.random() < 0.5:
+        words = [rng.choice(list(ElementKind)).value, rng.choice(_MIXED_IDS), rng.choice(_MIXED_STRINGS)]
+        words += rng.choices(_MIXED_FLAGS, k=rng.choice([0, 0, 1, 2, 3]))
+        if rng.random() < 0.05:  # a second string after the flags
+            words.append(rng.choice(_MIXED_STRINGS))
+    elif rng.random() < 0.95:
+        ends = _MIXED_IDS + ["GHOST"]
+        words = [rng.choice(ends), rng.choice(list(EdgeKind)).value, rng.choice(ends)]
+    else:
+        words = [rng.choice(list(Direction)).value, "capability", rng.choice(_MIXED_IDS), "unit W range [0, 1]"]
+    return gap.join(words)
+
+
+_MIXED_GAPS = ["", "  ", "\t", "\r", " \t\r ", ";", "// between", "  // between ; \"x\"", "; // between",
+               "\t// between", ";\t;// c"]
+
+
+def mixed_case_text(rng: random.Random) -> str:
+    """A case of hundreds of one-line statements: escapes, `\\r\\n`, duplicate
+    and keyword ids, misused and repeated flags, `awayref` without
+    `undeveloped`, dangling edges, a second string after a node's flags,
+    `;`-joined pairs, and blank and comment lines, led by blanks, tabs, `\\r`
+    or `;`, between statements and before the closing `}`."""
+    kind = rng.choice(list(CaseKind))
+    lines = [f"case K kind {kind.value} {{"] + (["  associates T"] if kind is CaseKind.CLINICAL else [])
+    for _ in range(rng.randint(100, 300)):
+        lines.append("  " + _mixed_statement(rng))
+        if rng.random() < 0.05:
+            lines[-1] += rng.choice([";", "; ", " ;"]) + _mixed_statement(rng)
+        if rng.random() < 0.1:
+            lines += rng.choices(_MIXED_GAPS, k=rng.randint(1, 3))
+    if rng.random() < 0.5:
+        lines.append(rng.choice(["  // last", "\t// last", ";// last"]))
+    return "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines) + "}\n"

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -201,8 +202,7 @@ def test_closed_stdout_pipe_exits_2(tmp_path):
 
 
 class _FailingStdout:
-    """A stdout whose every write fails; `fileno` is a file the test owns,
-    which `run` points at os.devnull after the failure."""
+    """A stdout whose every write fails; `fileno` is a file the test owns."""
 
     def __init__(self, fd: int):
         self.fd = fd
@@ -238,12 +238,31 @@ def test_failed_writes_to_stdout_leave_no_descriptor_open(capsys, monkeypatch):
     for _ in range(5):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        with open(write_end, "w") as stdout:
-            with monkeypatch.context() as patch:
-                patch.setattr(sys, "stdout", stdout)
-                assert run(["fmt", corpus("tac_mrgfus.acd")]) == 2
+        stdout = open(write_end, "w")
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert run(["fmt", corpus("tac_mrgfus.acd")]) == 2
+        with pytest.raises(BrokenPipeError):  # the output `run` could not write is still the caller's
+            stdout.close()
     assert open_descriptors() == before
     assert capsys.readouterr().err.count("actool: cannot write standard output: [Errno 32] Broken pipe\n") == 5
+
+
+def test_a_failed_write_leaves_the_callers_stdout_descriptor_alone(capsys, monkeypatch):
+    # Only `main`, whose process is about to exit, sends stdout to os.devnull.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w", closefd=False)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert run(["fmt", corpus("tac_mrgfus.acd")]) == 2
+        assert stat.S_ISFIFO(os.fstat(write_end).st_mode)
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            stdout.close()
+        os.close(write_end)
+    assert capsys.readouterr().err == "actool: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

@@ -575,9 +575,10 @@ def test_diagnostic_spans_index_real_positions():
 
 
 # Places where offsets and lines are easy to get wrong: a string across
-# lines, `\r\n` endings, no final newline, `;` between statements, and spans
+# lines, `\r\n` endings, no final newline, `;` between statements, spans
 # asked for behind the line-run parser's cursor (the header's P7, P2 and an
-# edge read before its target). Each entry: the text, its diagnostic lines,
+# edge read before its target), and statements read right after comment and
+# blank lines led by tabs and `;`. Each entry: the text, its diagnostic lines,
 # and (what, name, line:col+length) for the case, its elements, edges and
 # capabilities.
 SPAN_CORNERS = {
@@ -613,6 +614,12 @@ SPAN_CORNERS = {
          "t.acd:9:3: error P2: edge references unknown element 'GHOST'"],
         [("case", "C", "1:6+1"), ("element", "C1", "2:9+2"), ("element", "E1", "5:12+2"), ("element", "X1", "8:11+2"),
          ("edge", "C1", "3:3+2"), ("edge", "X1", "8:19+2")],
+    ),
+    "after_comment_lines": (
+        'case A kind monolithic {\n  claim C1 "x" root\n  // one\n\t// two\n \t claim C2 "y"\n;\n  ;  // three\n'
+        "\tC1 supportedBy C2\n  C2 inContextOf GHOST\n}\n",
+        ["t.acd:9:18: error P2: edge references unknown element 'GHOST'"],
+        [("case", "A", "1:6+1"), ("element", "C1", "2:9+2"), ("element", "C2", "5:10+2"), ("edge", "C1", "8:2+2")],
     ),
 }
 
@@ -780,44 +787,6 @@ def test_print_case_round_trips_keyword_ids():
         assert print_case(result.case) == printed
 
 
-_MIXED_IDS = ["N0", "N1", "N2", "N3", "N-4", "n_5", "claim", "evidence", "associates", "provides", "requires",
-              "supportedBy", "inContextOf", "root", "concern", "case"]
-_MIXED_STRINGS = ['"plain"', '"say \\"hi\\""', '"back \\\\ slash"', '"bad \\q escape"', '""', '"µé ≤ // in text"']
-_MIXED_FLAGS = ["root", "public", "undeveloped", "module", "concern safety", "concern effectiveness", "awayref T.C2",
-                "awayref claim.root"]
-
-
-def _mixed_statement(rng: random.Random) -> str:
-    gap = rng.choice([" ", " ", " ", "\t", "  "])
-    if rng.random() < 0.5:
-        words = [rng.choice(list(ElementKind)).value, rng.choice(_MIXED_IDS), rng.choice(_MIXED_STRINGS)]
-        words += rng.choices(_MIXED_FLAGS, k=rng.choice([0, 0, 1, 2, 3]))
-        if rng.random() < 0.05:  # a second string after the flags
-            words.append(rng.choice(_MIXED_STRINGS))
-    elif rng.random() < 0.95:
-        ends = _MIXED_IDS + ["GHOST"]
-        words = [rng.choice(ends), rng.choice(list(EdgeKind)).value, rng.choice(ends)]
-    else:
-        words = [rng.choice(list(Direction)).value, "capability", rng.choice(_MIXED_IDS), "unit W range [0, 1]"]
-    return gap.join(words)
-
-
-def _mixed_case_text(rng: random.Random) -> str:
-    """A case of hundreds of one-line statements: escapes, `\\r\\n`, duplicate
-    and keyword ids, misused and repeated flags, `awayref` without
-    `undeveloped`, dangling edges, a second string after a node's flags,
-    `;`-joined pairs, and blank and comment lines between statements."""
-    kind = rng.choice(list(CaseKind))
-    lines = [f"case K kind {kind.value} {{"] + (["  associates T"] if kind is CaseKind.CLINICAL else [])
-    for _ in range(rng.randint(100, 300)):
-        lines.append("  " + _mixed_statement(rng))
-        if rng.random() < 0.05:
-            lines[-1] += rng.choice([";", "; ", " ;"]) + _mixed_statement(rng)
-        if rng.random() < 0.1:
-            lines += rng.choices(["", "  ", "// between", "  // between ; \"x\"", ";"], k=rng.randint(1, 3))
-    return "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines) + "}\n"
-
-
 def test_line_regex_ids_are_the_model_ids():
     # `_line` builds elements without their constructor's id check, which `_IDENT` makes.
     assert _IDENT + r"\Z" == ID_PATTERN.pattern
@@ -826,7 +795,7 @@ def test_line_regex_ids_are_the_model_ids():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_statement_regex_and_token_path_agree(seed):
-    source = _mixed_case_text(random.Random(seed))
+    source = helpers.mixed_case_text(random.Random(seed))
     fast, slow = parse_case(source, "k.acd"), parse_case(_with_comments(source), "k.acd")
     assert sorted(d.line() for d in fast.diagnostics) == sorted(d.line() for d in slow.diagnostics)
     assert print_case(fast.case) == print_case(slow.case)
@@ -937,3 +906,30 @@ def test_flags_out_of_order_or_repeated_take_the_token_path_once(monkeypatch, fl
     assert fast.case.element("B") == slow.case.element("B")
     assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
     assert fast.case == slow.case
+
+
+def _edge_ends_are_id_strings(case: AssuranceCase) -> bool:
+    return all(edge.source is case.element(edge.source).id and edge.target is case.element(edge.target).id
+               for edge in case.edges)
+
+
+def test_edge_ends_are_their_elements_id_strings(monkeypatch):
+    # Each id string is kept once: an edge end that copied it would cost memory
+    # and a full comparison in every later dict lookup. Edges built in a run,
+    # edges that wait for their target, the token path's, and bundle members'.
+    calls = _token_path_calls(monkeypatch)
+    rng = random.Random(29)
+    cases = []
+    for _ in range(20):
+        header, *body, end = print_case(helpers.gen_case(rng)).split("\n")
+        edges_first = [line for line in body if " supportedBy " in line or " inContextOf " in line]
+        edges_first += [line for line in body if line not in edges_first]
+        for source in ("\n".join([header, *body, end]), "\n".join([header, *edges_first, end])):
+            cases += [parse_case(source, "k.acd").case, parse_case(_with_comments(source), "k.acd").case]
+    cases += [parse_case(helpers.mixed_case_text(random.Random(seed)), "k.acd").case for seed in range(5)]
+    bundle, _ = parse_bundle((CORPUS / "bundle_mrgfus.acb").read_text(encoding="utf-8"),
+                             lambda name: (CORPUS / name).read_text(encoding="utf-8"), "bundle_mrgfus.acb")
+    cases += bundle.cases()
+    assert calls["_edge"] > 100 and sum(len(case.edges) for case in cases) > 500
+    for case in cases:
+        assert _edge_ends_are_id_strings(case), case.id
