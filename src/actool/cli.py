@@ -20,7 +20,7 @@ import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # Every command needs these; each imports the rest it calls, so it loads only the modules it runs.
 from .diagnostics import Diagnostic, Severity, has_errors, sorted_diagnostics
@@ -257,56 +257,39 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     return _exit_code(diagnostics)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="actool",
-        description="Validate, link, and analyze assurance cases written in the .acd DSL.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a case or bundle and run the rule catalog")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="write a JSON report to stdout")
-    p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("link", help="resolve away references and print the resolution table")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_link)
-
-    p = sub.add_parser("impact", help="report elements affected by changing the given elements")
-    p.add_argument("file")
-    p.add_argument("--changed", required=True, metavar="CASE.ID[,CASE.ID...]")
-    p.set_defaults(func=_cmd_impact)
-
-    p = sub.add_parser("inline", help="inline one clinical case into a monolithic case")
-    p.add_argument("file")
-    p.add_argument("--cac", required=True, metavar="ID")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_inline)
-
-    p = sub.add_parser("render", help="emit a DOT diagram")
-    p.add_argument("file")
-    p.add_argument("--highlight", metavar="CASE.ID[,CASE.ID...]")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("metrics", help="structural metrics as a table or JSON")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("fmt", help="canonical pretty-print of a case file")
-    p.add_argument("file")
-    p.add_argument("--check", action="store_true", help="exit 1 when the file is not canonical")
-    p.set_defaults(func=_cmd_fmt)
-
-    return parser
+# The one argparse tree, built at import: `parse_args` keeps no state on it, and building it leaves reference
+# cycles that a run, which pauses the collector, would otherwise leave behind every time.
+_PARSER = argparse.ArgumentParser(
+    prog="actool",
+    description="Validate, link, and analyze assurance cases written in the .acd DSL.",
+)
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 
 
-# Built at import, once per process: `parse_args` keeps no state on it, and building it leaves
-# reference cycles that a run, which pauses the collector, would otherwise leave behind every time.
-_PARSER = build_parser()
+def _command(name: str, func: Callable[[argparse.Namespace], int], help: str) -> argparse.ArgumentParser:
+    """Add the subcommand `name` to `_PARSER`: it reads a `file` argument and runs `func`."""
+    command = _COMMANDS.add_parser(name, help=help)
+    command.add_argument("file")
+    command.set_defaults(func=func)
+    return command
+
+
+_validate = _command("validate", _cmd_validate, "parse a case or bundle and run the rule catalog")
+_validate.add_argument("--json", action="store_true", help="write a JSON report to stdout")
+_validate.add_argument("--strict", action="store_true", help="treat warnings as errors")
+_command("link", _cmd_link, "resolve away references and print the resolution table")
+_impact = _command("impact", _cmd_impact, "report elements affected by changing the given elements")
+_impact.add_argument("--changed", required=True, metavar="CASE.ID[,CASE.ID...]")
+_inline = _command("inline", _cmd_inline, "inline one clinical case into a monolithic case")
+_inline.add_argument("--cac", required=True, metavar="ID")
+_inline.add_argument("-o", "--output", metavar="FILE")
+_render = _command("render", _cmd_render, "emit a DOT diagram")
+_render.add_argument("--highlight", metavar="CASE.ID[,CASE.ID...]")
+_render.add_argument("-o", "--output", metavar="FILE")
+_metrics = _command("metrics", _cmd_metrics, "structural metrics as a table or JSON")
+_metrics.add_argument("--json", action="store_true")
+_fmt = _command("fmt", _cmd_fmt, "canonical pretty-print of a case file")
+_fmt.add_argument("--check", action="store_true", help="exit 1 when the file is not canonical")
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -87,14 +87,22 @@ def _check_id(value: str, what: str) -> None:
         raise ValueError(f"invalid {what} {value!r}")
 
 
+# The node flags as the DSL names them, in the order `print_case` writes them, and the Element field each sets
+FLAG_FIELDS = {"root": "is_root", "public": "is_public", "undeveloped": "is_undeveloped", "module": "is_module",
+               "concern": "concern", "awayref": "away_ref"}
+# The flags that only claims take
+CLAIM_ONLY_FLAGS = ("root", "undeveloped", "module", "awayref")
+# A flag and the flag it needs: an away-referenced claim is developed in the case it references, not here
+FLAG_NEEDS = ("awayref", "undeveloped")
+# An element's values of the CLAIM_ONLY_FLAGS, and of the two FLAG_NEEDS, in order
+_claim_only = attrgetter(*(FLAG_FIELDS[flag] for flag in CLAIM_ONLY_FLAGS))
+_needs = attrgetter(*(FLAG_FIELDS[flag] for flag in FLAG_NEEDS))
+
+
 class Element(_Checked, namedtuple("Element", "id kind statement is_root is_public is_undeveloped is_module "
                                               "concern away_ref span")):
-    """One GSN node.
-
-    The root/undeveloped/module flags and the away reference are restricted
-    to claims; an away-referenced claim must also be undeveloped, since it is
-    not developed locally.
-    """
+    """One GSN node. Only a claim may carry a flag of `CLAIM_ONLY_FLAGS`, and a
+    claim with an away reference must be undeveloped too (`FLAG_NEEDS`)."""
 
     __slots__ = ()
 
@@ -103,23 +111,20 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
                 away_ref: tuple[str, str] | None = None, span: SourceSpan = UNKNOWN_SPAN):
         if not ID_PATTERN.match(id):  # `_check_id`, inlined for the parser's hot loop
             raise ValueError(f"invalid element id {id!r}")
-        if is_root or is_undeveloped or is_module or away_ref is not None:  # the flags that only claims take
-            if kind is not ElementKind.CLAIM:
-                for flag, name in (
-                    (is_root, "root"),
-                    (is_undeveloped, "undeveloped"),
-                    (is_module, "module"),
-                    (away_ref is not None, "awayref"),
-                ):
-                    if flag:
-                        raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")
-            if away_ref is not None:
-                if not is_undeveloped:
-                    raise ValueError(f"away-referenced claim {id!r} must be undeveloped")
-                _check_id(away_ref[0], "case id")
-                _check_id(away_ref[1], "element id")
-        fields = (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern, away_ref, span)
-        return tuple.__new__(cls, fields)
+        if away_ref is not None and len(away_ref) != 2:  # so a given reference is a true value below
+            raise ValueError(f"away reference {away_ref!r} of {id!r} is not a (case id, element id) pair")
+        element = tuple.__new__(cls, (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern,
+                                      away_ref, span))
+        if kind is not ElementKind.CLAIM and any(_claim_only(element)):
+            name = next(flag for flag, value in zip(CLAIM_ONLY_FLAGS, _claim_only(element)) if value)
+            raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")
+        needing, needed = _needs(element)
+        if needing and not needed:
+            raise ValueError(f"away-referenced claim {id!r} must be undeveloped")
+        if away_ref is not None:
+            _check_id(away_ref[0], "case id")
+            _check_id(away_ref[1], "element id")
+        return element
 
 
 class Edge(NamedTuple):
@@ -127,6 +132,11 @@ class Edge(NamedTuple):
     target: str
     kind: EdgeKind
     span: SourceSpan = UNKNOWN_SPAN
+
+
+# The canonical order of a case's elements and of its edges, in which `print_case` and `to_dot` write them
+ELEMENT_ORDER = attrgetter("id")
+EDGE_ORDER = attrgetter("source", "kind.value", "target")
 
 
 class Capability(_Checked, namedtuple("Capability", "name direction unit low high span")):

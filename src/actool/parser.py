@@ -19,11 +19,15 @@ import re
 from bisect import bisect_left
 from decimal import Decimal
 from functools import cached_property
-from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
-from .diagnostics import Diagnostic, Severity, sorted_diagnostics
+from .diagnostics import Diagnostic, finding, sorted_diagnostics
 from .model import (
+    CLAIM_ONLY_FLAGS,
+    EDGE_ORDER,
+    ELEMENT_ORDER,
+    FLAG_FIELDS,
+    FLAG_NEEDS,
     AssuranceCase,
     Bundle,
     Capability,
@@ -44,14 +48,6 @@ CASE_KINDS = {kind.value: kind for kind in CaseKind}
 EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
 CONCERN_KINDS = {kind.value: kind for kind in ConcernKind}
 BOOL_FLAGS = ("root", "public", "undeveloped", "module")
-FLAG_FIELDS = {
-    "root": "is_root",
-    "public": "is_public",
-    "undeveloped": "is_undeveloped",
-    "module": "is_module",
-    "concern": "concern",
-    "awayref": "away_ref",
-}
 
 
 class ParseResult(NamedTuple):
@@ -74,23 +70,39 @@ _TOKEN_PATTERN = re.compile(  # blank space and comments, then one token; `\Z` m
 _ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid escape
 # After a statement's first identifier: the rest of `ID supportedBy|inContextOf ID`.
 _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[ \t\r]*[A-Za-z]')
+
+
+def _flag(flag: str, text: str) -> str:
+    """The optional part of `_LINE` that reads `flag`, spelled `text`. It matches only where the model's flag
+    rules let it: a claim-only flag in a claim's line (group `claim` is set), the first flag of FLAG_NEEDS
+    only after the second. A line that breaks them, a P3 for the token path to report, is no canonical line."""
+    part = rf"(?:[ \t]+{text})?"
+    if flag == FLAG_NEEDS[0]:
+        part = f"(?({FLAG_NEEDS[1]}){part})"
+    return f"(?(claim){part})" if flag in CLAIM_ONLY_FLAGS else part
+
+
 # A canonical node or edge line, from the end of the previous statement through
 # its newline: one-line strings with only `\"` and `\\` escapes, each flag at most
-# once and in the order `print_case` writes them, no comment. It holds no lexical
-# error, so skipping the lexer loses no P0. Groups: 1 the blank and comment lines
-# before it from the first `//` or newline on, so the line starts after group 1's
-# last newline (indentation is read once); 2 node kind, 3 id, 4 statement, 5-8 the
-# BOOL_FLAGS, 9 concern, 10-11 awayref; 12 edge source, 13 edge kind, 14 target.
-# Group 4 runs to the last `"` on the line that the flags and the newline follow,
+# once, in the order `print_case` writes them and where the model allows it (see
+# `_flag`), no comment. It holds no lexical error, so skipping the lexer loses no
+# P0. Groups: 1 the blank and comment lines before it from the first `//` or
+# newline on, so the line starts after group 1's last newline (indentation is
+# read once); 2 node kind, 3 (`claim`) set for a claim, 4 id, 5 statement, 6-9 the
+# BOOL_FLAGS, each named after its flag, 10 concern, 11-12 awayref; 13 edge
+# source, 14 edge kind, 15 target.
+# Group 5 runs to the last `"` on the line that the flags and the newline follow,
 # a scan far cheaper than one for escapes; no flag holds a `"`, so that is the
 # closing quote. A statement holding `"` or `\` must then match `_STATEMENT`, the
 # string body with only `\"` and `\\` escapes, or the line is not canonical.
 _LINE = re.compile(
-    r"[ \t\r;]*((?:(?://[^\n]*)?\n[ \t\r;]*)*)(?:"
-    rf'({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^\n]*)"'
-    + "".join(rf"(?:[ \t]+({flag}))?" for flag in BOOL_FLAGS)
-    + rf'(?:[ \t]+concern[ \t]+({"|".join(CONCERN_KINDS)}))?(?:[ \t]+awayref[ \t]+({_IDENT})\.({_IDENT}))?'
-    rf'|({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT}))[ \t\r]*\n'
+    r"[ \t\r;]*((?:(?://[^\n]*)?\n[ \t\r;]*)*)(?:("
+    + "|".join("claim(?P<claim>)" if kind == "claim" else kind for kind in NODE_KINDS)
+    + rf')[ \t]+({_IDENT})[ \t]+"([^\n]*)"'
+    + "".join(_flag(flag, f"(?P<{flag}>{flag})") for flag in BOOL_FLAGS)
+    + _flag("concern", rf'concern[ \t]+({"|".join(CONCERN_KINDS)})')
+    + _flag("awayref", rf"awayref[ \t]+({_IDENT})\.({_IDENT})")
+    + rf'|({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT}))[ \t\r]*\n'
 )
 _STATEMENT = re.compile(r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*\Z')
 
@@ -206,9 +218,7 @@ class _Parser:
             self.advance()
 
     def error(self, message: str, span: SourceSpan | None = None) -> None:
-        self.diagnostics.append(
-            Diagnostic("P0", Severity.ERROR, span or self.span_of(self.peek()), message)
-        )
+        self.diagnostics.append(finding("P0", span or self.span_of(self.peek()), message))
 
     def fail(self, message: str, span: SourceSpan | None = None) -> NoReturn:
         self.error(message, span)
@@ -323,7 +333,8 @@ class _CaseParser(_Parser):
         self.case_id, case_span = id_token.text, self.span_of(id_token)
         self.statements(self._statement, self._line)
         if self.kind is CaseKind.CLINICAL and self.associated is None:
-            self._diag("P7", case_span, f"clinical case {self.case_id!r} must declare 'associates'")
+            message = f"clinical case {self.case_id!r} must declare 'associates'"
+            self.diagnostics.append(finding("P7", case_span, message))
         edges: list[Edge] = []
         elements, span = self.elements, self.span
         for edge in self.edges:
@@ -337,15 +348,13 @@ class _CaseParser(_Parser):
                 continue
             for endpoint, start in ((source, source_start), (target, target_start)):
                 if endpoint not in elements:
-                    self._diag("P2", span(start, len(endpoint)), f"edge references unknown element {endpoint!r}")
+                    message = f"edge references unknown element {endpoint!r}"
+                    self.diagnostics.append(finding("P2", span(start, len(endpoint)), message))
         # AssuranceCase's checks hold: an identifier as the id, unique element ids (P1), declared edge ends (P2)
         # and `associates` only in a clinical case (P7)
         case = AssuranceCase._parsed(self.case_id, self.kind, elements, tuple(edges), tuple(self.capabilities),
                                      self.associated, case_span)
         return ParseResult(case, sorted_diagnostics(self.diagnostics))
-
-    def _diag(self, rule: str, span: SourceSpan, message: str, *elements: tuple[str, str]) -> None:
-        self.diagnostics.append(Diagnostic(rule, Severity.ERROR, span, message, tuple(elements)))
 
     def _kind(self) -> None:
         self.expect_word("kind")
@@ -370,32 +379,30 @@ class _CaseParser(_Parser):
     def _line(self) -> bool:
         """Read the run of canonical node and edge lines at `pos`, one match each, as `_node` and `_edge`
         would. An edge whose two ends are declared is built here; one with a forward reference waits,
-        as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text
-        and at a node that the token path reports (P1, P3). Whether it read anything."""
+        as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text,
+        a flag misuse (P3) among it, and at a duplicate id (P1). Whether it read anything."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
         match_line, new, get, pos = _LINE.match, tuple.__new__, elements.get, self.pos
         start = pos
         line, line_start = self.locate(pos)  # of `pos`, carried from match to match
         while match := match_line(source, pos):
-            (lead, kind, name, text, root, public, undeveloped, module, concern, away_case, away_id,
+            (lead, kind, _, name, text, root, public, undeveloped, module, concern, away_case, away_id,
              edge_source, edge, target) = match.groups()
             if lead:  # the blank and comment lines before this one
                 row, row_start = line + lead.count("\n"), match.start(1) + lead.rfind("\n") + 1
             else:
                 row, row_start = line, line_start
             if kind is None:
-                name_start, head, tail = match.start(12), get(edge_source), get(target)
+                name_start, head, tail = match.start(13), get(edge_source), get(target)
                 if head is not None and tail is not None:
                     # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
                     span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(edge_source)))
                     edges.append(new(Edge, (head[0], tail[0], EDGE_KINDS[edge], span)))  # the ends' ids
                 else:
-                    edges.append((edge_source, name_start, EDGE_KINDS[edge], target, match.start(14)))
+                    edges.append((edge_source, name_start, EDGE_KINDS[edge], target, match.start(15)))
             else:
-                name_start = match.start(3)
-                # the model's flag rules are P3's: a flag that only claims take, `awayref` without `undeveloped`
-                if (name in elements or kind != "claim" and (root or undeveloped or module or away_case)
-                        or away_case and not undeveloped):
+                name_start = match.start(4)
+                if name in elements:  # P1
                     break
                 if '"' in text or "\\" in text:
                     if not _STATEMENT.match(text):
@@ -420,35 +427,35 @@ class _CaseParser(_Parser):
         first = self.elements.get(node_id)
         if first is not None:
             message = f"duplicate element id {node_id!r} (first declared at line {first.span.line})"
-            self._diag("P1", self.span_of(id_token), message, (self.case_id, node_id))
+            self.diagnostics.append(finding("P1", self.span_of(id_token), message, (self.case_id, node_id)))
 
         def misuse(token: _Token, message: str) -> None:
             if first is None:
-                self._diag("P3", self.span_of(token), message, (self.case_id, node_id))
+                self.diagnostics.append(finding("P3", self.span_of(token), message, (self.case_id, node_id)))
 
         fields: dict[str, object] = {}
-        away_token: _Token | None = None
+        needing, needed = FLAG_NEEDS
+        needing_token: _Token | None = None
         try:
             while self.peek().kind == "ident":
                 token = self.advance()
                 value = self._flag_value(token)
                 name, field = token.text, FLAG_FIELDS[token.text]
-                if name in ("root", "undeveloped", "module") and kind is not ElementKind.CLAIM:
-                    misuse(token, f"flag {name!r} is not allowed on {kind.value} {node_id!r}")
-                elif name == "awayref" and kind is not ElementKind.CLAIM:
-                    misuse(token, f"'awayref' is not allowed on {kind.value} {node_id!r}")
-                elif name in ("concern", "awayref") and field in fields:
+                if name in CLAIM_ONLY_FLAGS and kind is not ElementKind.CLAIM:
+                    flag = f"flag {name!r}" if name in BOOL_FLAGS else repr(name)
+                    misuse(token, f"{flag} is not allowed on {kind.value} {node_id!r}")
+                elif name not in BOOL_FLAGS and field in fields:  # a flag with a payload, repeated
                     misuse(token, f"duplicate {name!r} flag on {node_id!r}")
                 else:
                     fields[field] = value
-                    if name == "awayref":
-                        away_token = token
+                    if name == needing:
+                        needing_token = token
             self.expect_terminator()
         except _Skip:  # the node keeps the flags read before the error
             self.recover()
-        if away_token is not None and "is_undeveloped" not in fields:
-            misuse(away_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
-            del fields["away_ref"]
+        if needing_token is not None and FLAG_FIELDS[needed] not in fields:
+            misuse(needing_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
+            del fields[FLAG_FIELDS[needing]]
         if first is None:
             self.elements[node_id] = Element(node_id, kind, statement.value, span=self.span_of(id_token), **fields)
 
@@ -468,11 +475,13 @@ class _CaseParser(_Parser):
         self.advance()
         target = self.expect("ident", "case id after 'associates'")
         if self.kind is not CaseKind.CLINICAL:
-            self._diag("P7", self.span_of(target), "'associates' is only allowed in a clinical case")
+            message = "'associates' is only allowed in a clinical case"
         elif self.associated is not None:
-            self._diag("P7", self.span_of(target), "duplicate 'associates' declaration")
+            message = "duplicate 'associates' declaration"
         else:
-            self.associated = target.text
+            self.associated, message = target.text, None
+        if message is not None:
+            self.diagnostics.append(finding("P7", self.span_of(target), message))
         self.expect_terminator()
 
     def _capability(self) -> None:
@@ -531,9 +540,6 @@ def parse_bundle(
         parser.statements(entry)
     diagnostics = parser.diagnostics
 
-    def fail(rule: str, span: SourceSpan, message: str) -> None:
-        diagnostics.append(Diagnostic(rule, Severity.ERROR, span, message))
-
     expected = {"tac": CaseKind.TECHNOLOGICAL, "cac": CaseKind.CLINICAL}
     tac: AssuranceCase | None = None
     tac_seen = False
@@ -542,28 +548,25 @@ def parse_bundle(
     for slot, path, span in entries:
         if slot == "tac":
             if tac_seen:
-                fail("P6", span, "duplicate 'tac' entry")
+                diagnostics.append(finding("P6", span, "duplicate 'tac' entry"))
                 continue
             tac_seen = True
         try:
             text = file_loader(path)
         except (OSError, ValueError) as exc:
-            fail("P6", span, f"cannot read case file {path!r}: {exc}")
+            diagnostics.append(finding("P6", span, f"cannot read case file {path!r}: {exc}"))
             continue
         case, case_diagnostics = parse_case(text, path)
         diagnostics.extend(case_diagnostics)
         if case is None:
             continue
         if case.kind is not expected[slot]:
-            fail(
-                "P4",
-                span,
-                f"bundle slot '{slot}' requires a {expected[slot].value} case, "
-                f"but {path!r} declares a {case.kind.value} case",
-            )
+            message = f"bundle slot '{slot}' requires a {expected[slot].value} case, "
+            diagnostics.append(finding("P4", span, message + f"but {path!r} declares a {case.kind.value} case"))
             continue
         if case.id in case_ids:
-            fail("P5", span, f"duplicate case id {case.id!r} in bundle (also in {case_ids[case.id]!r})")
+            message = f"duplicate case id {case.id!r} in bundle (also in {case_ids[case.id]!r})"
+            diagnostics.append(finding("P5", span, message))
             continue
         case_ids[case.id] = path
         if slot == "tac":
@@ -572,9 +575,9 @@ def parse_bundle(
             cacs.append(case)
     eof_span = parser.span_of(parser.peek())
     if id_token is not None and not tac_seen:
-        fail("P6", eof_span, "bundle requires a tac entry")
+        diagnostics.append(finding("P6", eof_span, "bundle requires a tac entry"))
     if id_token is not None and not any(slot == "cac" for slot, _, _ in entries):
-        fail("P6", eof_span, "bundle requires at least one cac")
+        diagnostics.append(finding("P6", eof_span, "bundle requires at least one cac"))
     complete = tac is not None and cacs and len(cacs) + 1 == len(entries)  # no entry was dropped
     return (Bundle(tac, tuple(cacs)) if complete else None), sorted_diagnostics(diagnostics)
 
@@ -603,11 +606,11 @@ def print_case(case: AssuranceCase) -> str:
         [] if case.associated_tac is None else [f"  associates {case.associated_tac}"],
         [
             f"  {e.kind.value} {e.id} {_escape(e.statement)}{_flag_text(e)}"
-            for e in sorted(case.elements, key=attrgetter("id"))
+            for e in sorted(case.elements, key=ELEMENT_ORDER)
         ],
         [
             f"  {e.source} {e.kind.value} {e.target}"
-            for e in sorted(case.edges, key=attrgetter("source", "kind.value", "target"))
+            for e in sorted(case.edges, key=EDGE_ORDER)
         ],
         [
             f"  {c.direction.value} capability {c.name} unit {c.unit} "

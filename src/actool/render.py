@@ -13,10 +13,11 @@ The JSON report schema is documented in FORMATS.md.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import (
+    EDGE_ORDER,
+    ELEMENT_ORDER,
     AssuranceCase,
     Bundle,
     EdgeKind,
@@ -78,10 +79,10 @@ def _case_body(
     case: AssuranceCase, highlight: frozenset[tuple[str, str]], prefix: str, indent: str
 ) -> list[str]:
     lines = []
-    for element in sorted(case.elements, key=attrgetter("id")):
+    for element in sorted(case.elements, key=ELEMENT_ORDER):
         highlighted = (case.id, element.id) in highlight
         lines.append(indent + _node_line(f"{prefix}{element.id}", element, highlighted))
-    for edge in sorted(case.edges, key=attrgetter("source", "kind.value", "target")):
+    for edge in sorted(case.edges, key=EDGE_ORDER):
         lines.append(indent + _edge_line(f"{prefix}{edge.source}", f"{prefix}{edge.target}", edge.kind))
     return lines
 

@@ -2,9 +2,10 @@
 
 G-rules check one case against the GSN structure conventions, S-rules check
 the discipline between a technological case and its clinical cases, U-rules
-check capability units and ranges. The full catalog, with severities, is in
-RULES.md. Diagnostics come back sorted by (file, line, column, rule id);
-evaluation is deterministic.
+check capability units and ranges. The full catalog is in RULES.md; each
+rule's severity comes from `diagnostics.RULES`, and a test checks that table
+against RULES.md's severity column. Diagnostics come back sorted by (file,
+line, column, rule id); evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .diagnostics import Diagnostic, Severity, sorted_diagnostics
+from .diagnostics import Diagnostic, finding, sorted_diagnostics
 from .model import (
     AssuranceCase,
     Bundle,
@@ -45,11 +46,10 @@ class MatchResult(NamedTuple):
 
 SUPPORT_TARGETS = (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE)
 CONTEXT_TARGETS = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
-# G3 and G4: the rule, the article before the edge kind, and the legal target
-# kinds of a supportedBy and of an inContextOf edge; both kinds start at a
-# claim or strategy
-_SUPPORTED_BY_TYPING = ("G3", "a", SUPPORT_TARGETS)
-_IN_CONTEXT_OF_TYPING = ("G4", "an", CONTEXT_TARGETS)
+# G3 and G4: the rule and the legal target kinds of a supportedBy and of an
+# inContextOf edge; both kinds start at a claim or strategy
+_SUPPORTED_BY_TYPING = ("G3", SUPPORT_TARGETS)
+_IN_CONTEXT_OF_TYPING = ("G4", CONTEXT_TARGETS)
 # G8: the one case kind that may declare capabilities of each direction
 _CAPABILITY_HOME = {
     Direction.PROVIDED: CaseKind.TECHNOLOGICAL,
@@ -57,12 +57,9 @@ _CAPABILITY_HOME = {
 }
 
 
-def _error(rule: str, span, message: str, *elements: tuple[str, str]) -> Diagnostic:
-    return Diagnostic(rule, Severity.ERROR, span, message, tuple(elements))
-
-
-def _warning(rule: str, span, message: str, *elements: tuple[str, str]) -> Diagnostic:
-    return Diagnostic(rule, Severity.WARNING, span, message, tuple(elements))
+def _article(word: str) -> str:
+    """`word` after its indefinite article: 'an evidence', 'a supportedBy'."""
+    return f"{'an' if word[0] in 'aeiou' else 'a'} {word}"
 
 
 def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list[Diagnostic]:
@@ -73,55 +70,36 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
     roots = [e for e in case.elements if e.is_root]
     if len(roots) != 1:
         if not roots:
-            diagnostics.append(_error("G1", case.span, f"case {cid!r} declares no root claim"))
+            diagnostics.append(finding("G1", case.span, f"case {cid!r} declares no root claim"))
         else:
-            diagnostics.append(
-                _error(
-                    "G1",
-                    roots[1].span,
-                    f"case {cid!r} declares {len(roots)} root claims; exactly one is required",
-                    *((cid, r.id) for r in roots),
-                )
-            )
+            message = f"case {cid!r} declares {len(roots)} root claims; exactly one is required"
+            diagnostics.append(finding("G1", roots[1].span, message, *((cid, r.id) for r in roots)))
 
     cycle = supported_by_cycle(case)
     if cycle is not None:
-        first = case.element(cycle[0])
-        diagnostics.append(
-            _error(
-                "G2",
-                first.span,
-                "supportedBy cycle: " + " -> ".join(cycle),
-                *((cid, node) for node in cycle[:-1]),
-            )
-        )
+        message = "supportedBy cycle: " + " -> ".join(cycle)
+        diagnostics.append(finding("G2", case.element(cycle[0]).span, message, *((cid, node) for node in cycle[:-1])))
 
     by_id = case._by_id
     for source_id, target_id, edge_kind, span in case.edges:
         source, target = by_id[source_id], by_id[target_id]
         source_kind, target_kind = source.kind, target.kind
         support = edge_kind is EdgeKind.SUPPORTED_BY
-        rule, article, allowed = _SUPPORTED_BY_TYPING if support else _IN_CONTEXT_OF_TYPING
+        rule, allowed = _SUPPORTED_BY_TYPING if support else _IN_CONTEXT_OF_TYPING
         if source_kind not in SUPPORT_SOURCES or target_kind not in allowed:
             end, bad = ("source", source) if source_kind not in SUPPORT_SOURCES else ("target", target)
-            message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {article} {edge_kind.value} edge"
-            diagnostics.append(_error(rule, span, message, (cid, bad.id)))
+            message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {_article(edge_kind.value)} edge"
+            diagnostics.append(finding(rule, span, message, (cid, bad.id)))
         elif support and source_kind is ElementKind.STRATEGY and target_kind is not ElementKind.CLAIM:
             message = f"strategy {source.id!r} must be supported by claims only, "
             message += f"not {target_kind.value} {target.id!r}"
-            diagnostics.append(_error(rule, span, message, (cid, source.id), (cid, target.id)))
+            diagnostics.append(finding(rule, span, message, (cid, source.id), (cid, target.id)))
 
     leaves, evidenced = _leaves_and_evidenced(case)
     for leaf in leaves:
         if not (leaf.id in evidenced or leaf.is_undeveloped):
-            diagnostics.append(
-                _error(
-                    "G5",
-                    leaf.span,
-                    f"leaf claim {leaf.id!r} has no supporting evidence and is not marked undeveloped",
-                    (cid, leaf.id),
-                )
-            )
+            message = f"leaf claim {leaf.id!r} has no supporting evidence and is not marked undeveloped"
+            diagnostics.append(finding("G5", leaf.span, message, (cid, leaf.id)))
 
     supported_by, in_context_of = case._kind_targets()
     if len(roots) == 1:
@@ -130,43 +108,26 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
         )
         for element in case.elements:
             if element.id not in reachable:
-                diagnostics.append(
-                    _warning(
-                        "G6",
-                        element.span,
-                        f"element {element.id!r} is not reachable from the root claim",
-                        (cid, element.id),
-                    )
-                )
+                message = f"element {element.id!r} is not reachable from the root claim"
+                diagnostics.append(finding("G6", element.span, message, (cid, element.id)))
 
     for element in case.elements:
         if element.kind is ElementKind.STRATEGY and element.id not in supported_by:
-            diagnostics.append(
-                _error(
-                    "G7",
-                    element.span,
-                    f"strategy {element.id!r} has no supporting claim",
-                    (cid, element.id),
-                )
-            )
+            message = f"strategy {element.id!r} has no supporting claim"
+            diagnostics.append(finding("G7", element.span, message, (cid, element.id)))
 
     for cap in case.capabilities:
         home = _CAPABILITY_HOME[cap.direction]
         if case.kind is not home:
             message = f"a '{cap.direction.value}' capability is only allowed in a {home.value} case "
             message += f"({cap.name!r} in {case.kind.value} case {cid!r})"
-            diagnostics.append(_error("G8", cap.span, message))
+            diagnostics.append(finding("G8", cap.span, message))
         if units.find(cap.unit) is None:
-            diagnostics.append(_error("U1", cap.span, f"unknown unit {cap.unit!r} on capability {cap.name!r}"))
+            diagnostics.append(finding("U1", cap.span, f"unknown unit {cap.unit!r} on capability {cap.name!r}"))
         if cap.low > cap.high:
-            diagnostics.append(
-                _error(
-                    "U2",
-                    cap.span,
-                    f"capability {cap.name!r} has an empty range "
-                    f"[{format_decimal(cap.low)}, {format_decimal(cap.high)}]",
-                )
-            )
+            message = f"capability {cap.name!r} has an empty range "
+            message += f"[{format_decimal(cap.low)}, {format_decimal(cap.high)}]"
+            diagnostics.append(finding("U2", cap.span, message))
 
     return sorted_diagnostics(diagnostics)
 
@@ -258,84 +219,38 @@ def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
             continue
         target_case = element.away_ref[0]
         if target_case in cac_ids:
-            diagnostics.append(
-                _error(
-                    "S1",
-                    element.span,
-                    f"technological case {tac.id!r} references clinical case {target_case!r} "
-                    f"from claim {element.id!r}; references must point from clinical to "
-                    "technological cases only",
-                    (tac.id, element.id),
-                )
-            )
+            rule = "S1"
+            message = f"technological case {tac.id!r} references clinical case {target_case!r} from claim "
+            message += f"{element.id!r}; references must point from clinical to technological cases only"
         else:
-            diagnostics.append(
-                _warning(
-                    "S8",
-                    element.span,
-                    f"claim {element.id!r} references case {target_case!r}; the technological "
-                    "case should be self-contained",
-                    (tac.id, element.id),
-                )
-            )
+            rule = "S8"
+            message = f"claim {element.id!r} references case {target_case!r}; the technological case "
+            message += "should be self-contained"
+        diagnostics.append(finding(rule, element.span, message, (tac.id, element.id)))
     for cac in bundle.cacs:
         for element in cac.elements:
             if element.away_ref is None:
                 continue
             target_case, target_id = element.away_ref
+            away = (cac.id, element.id)
             if target_case != tac.id:
-                diagnostics.append(
-                    _error(
-                        "S2",
-                        element.span,
-                        f"claim {element.id!r} references case {target_case!r}; away references "
-                        f"must target the associated technological case {tac.id!r}",
-                        (cac.id, element.id),
-                    )
-                )
+                message = f"claim {element.id!r} references case {target_case!r}; away references must target "
+                message += f"the associated technological case {tac.id!r}"
+                diagnostics.append(finding("S2", element.span, message, away))
                 continue
             target = tac.find(target_id)
             if target is None:
-                diagnostics.append(
-                    _error(
-                        "S5",
-                        element.span,
-                        f"away reference target {target_case}.{target_id} does not exist",
-                        (cac.id, element.id),
-                    )
-                )
+                message = f"away reference target {target_case}.{target_id} does not exist"
+                diagnostics.append(finding("S5", element.span, message, away))
             elif target.kind is not ElementKind.CLAIM:
-                diagnostics.append(
-                    _error(
-                        "S5",
-                        element.span,
-                        f"away reference target {target_case}.{target_id} is "
-                        f"{'an' if target.kind.value[0] in 'aeiou' else 'a'} {target.kind.value}, not a claim",
-                        (cac.id, element.id),
-                        (tac.id, target_id),
-                    )
-                )
+                message = f"away reference target {target_case}.{target_id} is {_article(target.kind.value)}, "
+                diagnostics.append(finding("S5", element.span, message + "not a claim", away, (tac.id, target_id)))
             elif not target.is_public:
-                diagnostics.append(
-                    _error(
-                        "S5",
-                        element.span,
-                        f"away reference target {target_case}.{target_id} is not public",
-                        (cac.id, element.id),
-                        (tac.id, target_id),
-                    )
-                )
+                message = f"away reference target {target_case}.{target_id} is not public"
+                diagnostics.append(finding("S5", element.span, message, away, (tac.id, target_id)))
             elif element.statement != target.statement:
-                diagnostics.append(
-                    _warning(
-                        "S7",
-                        element.span,
-                        f"statement of claim {element.id!r} differs from its target "
-                        f"{target_case}.{target_id}",
-                        (cac.id, element.id),
-                        (tac.id, target_id),
-                    )
-                )
+                message = f"statement of claim {element.id!r} differs from its target {target_case}.{target_id}"
+                diagnostics.append(finding("S7", element.span, message, away, (tac.id, target_id)))
     return diagnostics
 
 
@@ -362,28 +277,16 @@ def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic]
                 for edge in cac.out_edges(element.id)
             )
             if not documented:
-                diagnostics.append(
-                    _error(
-                        "S3",
-                        element.span,
-                        f"away-resolved claim {element.id!r} has no documenting context",
-                        (cac.id, element.id),
-                    )
-                )
+                message = f"away-resolved claim {element.id!r} has no documenting context"
+                diagnostics.append(finding("S3", element.span, message, (cac.id, element.id)))
 
     matches = bundle_match_results(bundle, units)
     for _, result in matches:
         if result.status is not MatchStatus.SATISFIED:
             req = result.required
-            diagnostics.append(
-                _error(
-                    "S4",
-                    req.span,
-                    f"required capability {req.name!r} "
-                    f"[{format_decimal(req.low)}, {format_decimal(req.high)}] {req.unit} "
-                    f"is not satisfied: {_STATUS_DETAIL[result.status]}",
-                )
-            )
+            message = f"required capability {req.name!r} [{format_decimal(req.low)}, {format_decimal(req.high)}] "
+            message += f"{req.unit} is not satisfied: {_STATUS_DETAIL[result.status]}"
+            diagnostics.append(finding("S4", req.span, message))
 
     for cac in bundle.cacs:
         if cac.associated_tac != tac.id:
@@ -394,6 +297,6 @@ def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic]
                     f"clinical case {cac.id!r} associates {cac.associated_tac!r}; "
                     f"expected the bundle's technological case {tac.id!r}"
                 )
-            diagnostics.append(_error("S6", cac.span, message))
+            diagnostics.append(finding("S6", cac.span, message))
 
     return sorted_diagnostics(diagnostics), matches

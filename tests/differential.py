@@ -4,15 +4,18 @@
 
 REF is a commit of this repository; its `src/` is extracted with `git archive`
 into a temporary directory, and the working tree's `src/` is compared with it.
-The inputs are `helpers.mixed_case_text` texts, the case and manifest files of
-`perfbench/gen.py`'s case-tree, case-chain and bundle-wide shapes at the
-benchmark's size, and the corpus. Each tree reads every input in its own
-child process, run by PATH (default: this interpreter) with
-`PYTHONHASHSEED=0`, and reports one SHA-256 per input of
-`repr(parse_case(...))` or `repr(parse_bundle(...))` and `print_case` of each
-case parsed. On a mismatch the first differing input and both outputs around
-their first difference are printed. Exit status: 0 when every digest
-matches, 1 otherwise.
+The inputs are `helpers.mixed_case_text` texts, the `print_case` texts of
+`helpers.gen_case` cases and of `helpers.gen_valid_bundle` members with their
+manifest, the case and manifest files of `perfbench/gen.py`'s case-tree,
+case-chain and bundle-wide shapes at the benchmark's size, and the corpus.
+Each tree reads every input in its own child process, run by PATH (default:
+this interpreter) with `PYTHONHASHSEED=0`, and reports one SHA-256 per input
+of `repr(parse_case(...))` or `repr(parse_bundle(...))`, `print_case` of each
+case parsed, the `Diagnostic.line()`s of `validate_case` on each case and, for
+a bundle, of `validate_bundle` and `resolve_links`, and the `report_json` of
+those diagnostics and the bundle's capability matches. On a mismatch the
+first differing input and both outputs around their first difference are
+printed. Exit status: 0 when every digest matches, 1 otherwise.
 
 The file name keeps pytest from collecting it; `test_differential.py` runs
 `compare` on two pairs of trees without git.
@@ -42,9 +45,17 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
     import gen
     import helpers
 
+    from actool.parser import print_case
+
     rng = random.Random(seed)
     found = [(f"mixed-{number}.acd", helpers.mixed_case_text(random.Random(rng.getrandbits(64))), {})
              for number in range(count)]
+    found += [(f"gen-{number}.acd", print_case(helpers.gen_case(rng)), {}) for number in range(count)]
+    for number in range(count // 2):
+        bundle = helpers.gen_valid_bundle(rng)
+        files = {f"{case.id}.acd": print_case(case) for case in bundle.cases()}
+        manifest = "".join(f'  {"tac" if case is bundle.tac else "cac"} "{case.id}.acd"\n' for case in bundle.cases())
+        found.append((f"valid-{number}.acb", f"bundle B{number} {{\n{manifest}}}\n", files))
     shapes = [gen.case_tree(seed, size).files, gen.case_chain(seed, size // 2).files, gen.bundle_wide(seed, size).files]
     shapes.append({path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "corpus").iterdir())})
     for files in shapes:
@@ -54,15 +65,25 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
 
 def _output(name: str, text: str, files: dict[str, str]) -> str:
     """What the tree on `sys.path` makes of one input."""
+    from actool.link import resolve_links
     from actool.parser import parse_bundle, parse_case, print_case
+    from actool.render import report_json
+    from actool.validate import bundle_match_results, validate_bundle, validate_case
 
+    bundle, capabilities = None, None
     if name.endswith(".acb"):
         result = parse_bundle(text, files.__getitem__, name)
-        cases = () if result[0] is None else result[0].cases()
+        bundle = result[0]
+        cases = () if bundle is None else bundle.cases()
     else:
         result = parse_case(text, name)
         cases = () if result.case is None else (result.case,)
-    return "\n".join([repr(result), *map(print_case, cases)])
+    diagnostics = [diagnostic for case in cases for diagnostic in validate_case(case)]
+    if bundle is not None:
+        diagnostics += [*validate_bundle(bundle), *resolve_links(bundle)[1]]
+        capabilities = bundle_match_results(bundle)
+    report = report_json(diagnostics=diagnostics, capabilities=capabilities)
+    return "\n".join([repr(result), *map(print_case, cases), *(d.line() for d in diagnostics), report])
 
 
 def _child(path: str, show: int | None) -> None:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actool import cli
-from actool.cli import build_parser, run
+from actool.cli import run
 from actool.model import Bundle, Edge, EdgeKind, Element, ElementKind
 from actool.parser import parse_case, print_case
 
@@ -49,7 +49,7 @@ def test_validate_no_arguments_usage(capsys):
 
 def test_help_goes_to_stdout(capsys):
     assert run(["--help"]) == 0
-    assert capsys.readouterr() == (build_parser().format_help(), "")
+    assert capsys.readouterr() == (cli._PARSER.format_help(), "")
     assert run(["fmt", "--help"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: actool fmt [-h] [--check] file\n") and err == ""

@@ -226,6 +226,12 @@ def test_claim_only_flags_name_the_first_in_check_order(kind, flags):
      "invalid element id 'C 2'"),
     (lambda: Element("C1", ElementKind.CLAIM, "x", is_undeveloped=True, away_ref=("-", "-")),
      "invalid case id '-'"),
+    (lambda: Element("C1", ElementKind.CLAIM, "x", is_undeveloped=True, away_ref=("T", "C2", "C3")),
+     "away reference ('T', 'C2', 'C3') of 'C1' is not a (case id, element id) pair"),
+    (lambda: Element("C1", ElementKind.CLAIM, "x", is_undeveloped=True, away_ref=()),
+     "away reference () of 'C1' is not a (case id, element id) pair"),
+    (lambda: Element("E1", ElementKind.EVIDENCE, "x", away_ref=()),
+     "away reference () of 'E1' is not a (case id, element id) pair"),
 ])
 def test_element_constructor_messages(element, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -2,7 +2,7 @@ import ast
 import random
 import re
 from decimal import Decimal
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -890,6 +890,35 @@ def test_every_flag_combination_the_model_accepts_stays_in_the_run(monkeypatch):
     assert print_case(fast.case) == printed
     slow = parse_case(_with_comments(printed), "k.acd")
     assert calls == {"_node": len(elements), "_edge": len(edges)}
+    assert fast.case == slow.case
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
+def test_every_flag_misuse_leaves_the_run_once(monkeypatch):
+    # Each kind but claim with every non-empty set of the claim-only flags, and a claim with `awayref` but no
+    # `undeveloped` beside every set of its other flags, each written in `print_case`'s flag order and followed by
+    # a canonical line. Each misuse is read once, by the token path, and reads as it does in the commented text.
+    calls = _token_path_calls(monkeypatch)
+    claim_only = [flags for n in range(1, 5) for flags in combinations(("root", "undeveloped", "module", "awayref"), n)]
+    lines, messages = ['  claim A "a" root'], []
+    for kind in [kind for kind in ElementKind if kind is not ElementKind.CLAIM]:
+        for flag_set in claim_only:
+            node_id = f"N{len(lines)}"
+            lines += [f'  {kind.value} {node_id} "s" ' + " ".join(flag_set).replace("awayref", "awayref T.C2"),
+                      f'  evidence E{len(lines)} "e"']
+            messages += [f"{'flag ' * (flag != 'awayref')}{flag!r} is not allowed on {kind.value} {node_id!r}"
+                         for flag in flag_set]
+    for flag_set in product(("", " root"), ("", " public"), ("", " module"), ("", " concern safety")):
+        node_id = f"N{len(lines)}"
+        lines += [f'  claim {node_id} "s"{"".join(flag_set)} awayref T.C2', f'  evidence E{len(lines)} "e"']
+        messages.append(f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
+    source = "case K kind monolithic {\n" + "\n".join(lines) + "\n}\n"
+    fast = parse_case(source, "k.acd")
+    assert calls == {"_node": 5 * 15 + 16, "_edge": 0}
+    assert sorted(d.message for d in fast.diagnostics) == sorted(messages)
+    assert {d.rule_id for d in fast.diagnostics} == {"P3"}
+    slow = parse_case(_with_comments(source), "k.acd")
+    assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
     assert fast.case == slow.case
     assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
 

@@ -1,19 +1,23 @@
-"""RULES.md is the rule catalog: the code emits every rule it lists, with the
-listed severity, and no rule it does not list."""
+"""RULES.md is the rule catalog: `diagnostics.RULES`, the table every
+diagnostic takes its severity from, holds exactly its rules and severities,
+and the code emits every rule it lists, with the listed severity, and no rule
+it does not list."""
 
 import random
 import re
 from pathlib import Path
 
-from actool.diagnostics import Severity
-from actool.model import Bundle, CaseKind
+import pytest
+
+from actool.diagnostics import RULES, Severity, finding
+from actool.model import UNKNOWN_SPAN, Bundle, CaseKind
 from actool.parser import parse_bundle, parse_case, print_case
 from actool.validate import validate_bundle, validate_case
 
 import helpers
 from conftest import CORPUS
 
-RULES = Path(__file__).resolve().parent.parent / "RULES.md"
+RULES_MD = Path(__file__).resolve().parent.parent / "RULES.md"
 SEVERITY = {"E": Severity.ERROR, "W": Severity.WARNING}
 
 # Findings the corpus and the generators do not produce.
@@ -48,7 +52,7 @@ MANIFESTS = (
 
 
 def catalog() -> dict[str, Severity]:
-    rows = re.findall(r"^\| ([A-Z]\d+) \| ([EW]) \|", RULES.read_text(encoding="utf-8"), re.MULTILINE)
+    rows = re.findall(r"^\| ([A-Z]\d+) \| ([EW]) \|", RULES_MD.read_text(encoding="utf-8"), re.MULTILINE)
     return {rule: SEVERITY[sev] for rule, sev in rows}
 
 
@@ -102,3 +106,12 @@ def test_emitted_rules_have_their_catalog_severity():
         assert diagnostic.severity is table[diagnostic.rule_id], diagnostic.line()
         seen.add(diagnostic.rule_id)
     assert seen == set(table)
+
+
+def test_the_severity_table_is_the_catalog():
+    assert list(RULES.items()) == list(catalog().items())
+
+
+def test_a_rule_id_outside_the_catalog_raises():
+    with pytest.raises(KeyError, match="G9"):
+        finding("G9", UNKNOWN_SPAN, "no such rule")
