@@ -49,10 +49,15 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     referrers: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for source, target in resolved.resolutions.items():
         referrers.setdefault(target, []).append(source)
+    sources: dict[str, dict[str, list[str]]] = {}  # per case: each element's in-edge sources
+    for case_id, case in cases.items():
+        sources[case_id] = by_target = {}
+        for edge in case.edges:
+            by_target.setdefault(edge.target, []).append(edge.source)
 
     def above(node: tuple[str, str]) -> list[tuple[str, str]]:
         case_id, element_id = node
-        parents = [(case_id, edge.source) for edge in cases[case_id].in_edges(element_id)]
+        parents = [(case_id, source) for source in sources[case_id].get(element_id, ())]
         return parents + referrers.get(node, [])
 
     per_case: dict[str, set[str]] = {case_id: set() for case_id in cases}

@@ -79,13 +79,16 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
     elements = [element if element.away_ref is None else element._replace(is_undeveloped=False, away_ref=None)
                 for element in cac.elements]
     edges = list(cac.edges)
+    out: dict[str, list[Edge]] = {}  # the technological edges by source, in declaration order
+    for edge in tac.edges:
+        out.setdefault(edge.source, []).append(edge)
 
     copy_counts: dict[str, int] = {}
     for away in cac.elements:
         if away.away_ref is None:
             continue
         target_id = away.away_ref[1]
-        subtree = reach([target_id], lambda node: [edge.target for edge in tac.out_edges(node)])
+        subtree = reach([target_id], lambda node: [edge.target for edge in out.get(node, ())])
         names: dict[str, str] = {}
         for node in subtree:
             count = copy_counts.get(node, 0) + 1
@@ -103,7 +106,7 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
                                     span))
         # the subtree is closed under out-edges, so every target has a name; Edge checks nothing, so build it directly
         for node in subtree:
-            for edge in tac.out_edges(node):
+            for edge in out.get(node, ()):
                 edges.append(tuple.__new__(Edge, (names[node], names[edge.target], edge.kind, edge.span)))
         edges.append(Edge(away.id, names[target_id], EdgeKind.SUPPORTED_BY, away.span))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
@@ -202,16 +202,16 @@ class AssuranceCase(_Record):
     are deliberately not enforced here — they are reported as diagnostics by
     the validator so that partially authored cases remain representable.
 
-    `out_edges` and `in_edges` answer adjacency queries from an index of
-    the edges by endpoint, each half built on its first query, so that
-    parse-only paths never pay for it. The G rules and the metrics read a
-    second, private index instead: each source's supportedBy targets and,
-    apart, its inContextOf targets, as ids in declaration order. One pass over
-    the edges builds it when the first of them runs on the case.
+    A case keeps one adjacency index, private to this package: each
+    source's supportedBy targets and, apart, its inContextOf targets, as ids
+    in declaration order (`_kind_targets`). One pass over the edges builds it
+    when the first walk that reads it runs on the case, so that parse-only
+    paths never pay for it. A walk that needs edges by their target, or whole
+    `Edge`s, groups `edges` itself in the one pass it makes.
     """
 
     _fields = ("id", "kind", "elements", "edges", "capabilities", "associated_tac", "span")
-    __slots__ = (*_fields, "_by_id", "_out_edges", "_in_edges", "_targets")
+    __slots__ = (*_fields, "_by_id", "_targets")
 
     def __init__(self, id: str, kind: CaseKind, elements: tuple[Element, ...], edges: tuple[Edge, ...] = (),
                  capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
@@ -230,8 +230,7 @@ class AssuranceCase(_Record):
                 missing = edge.target if edge.source in by_id else edge.source
                 raise ValueError(f"edge references unknown element {missing!r} in case {id!r}")
         self._set(id=id, kind=kind, elements=elements, edges=edges, capabilities=capabilities,
-                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None,
-                  _targets=None)
+                  associated_tac=associated_tac, span=span, _by_id=by_id, _targets=None)
 
     @classmethod
     def _parsed(cls, id: str, kind: CaseKind, by_id: dict[str, Element], edges: tuple[Edge, ...],
@@ -240,8 +239,7 @@ class AssuranceCase(_Record):
         `by_id` maps each element's id to it in declaration order and becomes the index."""
         case = object.__new__(cls)
         case._set(id=id, kind=kind, elements=tuple(by_id.values()), edges=edges, capabilities=capabilities,
-                  associated_tac=associated_tac, span=span, _by_id=by_id, _out_edges=None, _in_edges=None,
-                  _targets=None)
+                  associated_tac=associated_tac, span=span, _by_id=by_id, _targets=None)
         return case
 
     def element(self, element_id: str) -> Element:
@@ -253,20 +251,9 @@ class AssuranceCase(_Record):
     def find(self, element_id: str) -> Element | None:
         return self._by_id.get(element_id)
 
-    def out_edges(self, element_id: str) -> tuple[Edge, ...]:
-        """Edges whose source is the element, in declaration order."""
-        if self._out_edges is None:
-            self._set(_out_edges=_group_edges(self.edges, attrgetter("source")))
-        return self._out_edges.get(element_id, ())
-
-    def in_edges(self, element_id: str) -> tuple[Edge, ...]:
-        """Edges whose target is the element, in declaration order."""
-        if self._in_edges is None:
-            self._set(_in_edges=_group_edges(self.edges, attrgetter("target")))
-        return self._in_edges.get(element_id, ())
-
     def _kind_targets(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """The supportedBy and the inContextOf targets of each source that has any."""
+        """The supportedBy and the inContextOf targets of each source that has
+        any. Two threads that race to build it build equal maps, so either may win."""
         if self._targets is None:
             self._set(_targets=_targets_by_kind(self.edges))
         return self._targets
@@ -279,15 +266,6 @@ def _targets_by_kind(edges: tuple[Edge, ...]) -> tuple[dict[str, list[str]], dic
     for source, target, kind, _ in edges:
         (supported_by if kind is support else in_context_of).setdefault(source, []).append(target)
     return supported_by, in_context_of
-
-
-def _group_edges(edges: tuple[Edge, ...], endpoint) -> dict[str, tuple[Edge, ...]]:
-    """Edges keyed by `endpoint(edge)`, in declaration order. Two threads
-    that race to build the same index build equal maps, so either may win."""
-    groups: dict[str, list[Edge]] = {}
-    for edge in edges:
-        groups.setdefault(endpoint(edge), []).append(edge)
-    return {node: tuple(group) for node, group in groups.items()}
 
 
 class Bundle(_Checked, namedtuple("Bundle", "tac cacs")):
@@ -405,4 +383,4 @@ def format_decimal(value: Decimal) -> str:
     to 0, and every significant digit kept."""
     if value == 0:
         return "0"
-    return format(value.normalize(Context(prec=len(value.as_tuple().digits))), "f")
+    return format(value.normalize(Context(prec=len(value.as_tuple().digits), Emax=MAX_EMAX, Emin=MIN_EMIN)), "f")

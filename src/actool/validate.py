@@ -269,13 +269,11 @@ def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic]
     tac = bundle.tac
 
     for cac in bundle.cacs:
+        in_context_of, by_id = cac._kind_targets()[1], cac._by_id
         for element in cac.elements:
             if element.away_ref is None:
                 continue
-            documented = any(
-                edge.kind is EdgeKind.IN_CONTEXT_OF and cac.element(edge.target).kind is ElementKind.CONTEXT
-                for edge in cac.out_edges(element.id)
-            )
+            documented = any(by_id[target].kind is ElementKind.CONTEXT for target in in_context_of.get(element.id, ()))
             if not documented:
                 message = f"away-resolved claim {element.id!r} has no documenting context"
                 diagnostics.append(finding("S3", element.span, message, (cac.id, element.id)))

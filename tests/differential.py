@@ -13,12 +13,18 @@ this interpreter) with `PYTHONHASHSEED=0`, and reports one SHA-256 per input
 of `repr(parse_case(...))` or `repr(parse_bundle(...))`, `print_case` of each
 case parsed, the `Diagnostic.line()`s of `validate_case` on each case and, for
 a bundle, of `validate_bundle` and `resolve_links`, and the `report_json` of
-those diagnostics and the bundle's capability matches. On a mismatch the
-first differing input and both outputs around their first difference are
-printed. Exit status: 0 when every digest matches, 1 otherwise.
+those diagnostics and the bundle's capability matches. The digest also covers
+`to_dot` and the `report_json` of `case_metrics` of each case, `to_dot` and
+the `report_json` of `bundle_metrics` of a bundle and, for a bundle that
+resolves, the `report_json` of `impact` on every 7th technological element in
+declaration order and the `repr` and `print_case` of `inline_bundle` for each
+clinical case. On a mismatch the first differing input and both outputs
+around their first difference are printed. Exit status: 0 when every digest
+matches, 1 otherwise.
 
 The file name keeps pytest from collecting it; `test_differential.py` runs
-`compare` on two pairs of trees without git.
+`compare` on pairs of trees without git, and on one tree under two
+interpreters.
 """
 
 from __future__ import annotations
@@ -65,9 +71,10 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
 
 def _output(name: str, text: str, files: dict[str, str]) -> str:
     """What the tree on `sys.path` makes of one input."""
-    from actool.link import resolve_links
+    from actool.analyze import bundle_metrics, case_metrics, impact
+    from actool.link import inline_bundle, resolve_links
     from actool.parser import parse_bundle, parse_case, print_case
-    from actool.render import report_json
+    from actool.render import report_json, to_dot
     from actool.validate import bundle_match_results, validate_bundle, validate_case
 
     bundle, capabilities = None, None
@@ -79,11 +86,20 @@ def _output(name: str, text: str, files: dict[str, str]) -> str:
         result = parse_case(text, name)
         cases = () if result.case is None else (result.case,)
     diagnostics = [diagnostic for case in cases for diagnostic in validate_case(case)]
+    drawn = [part for case in cases for part in (to_dot(case), report_json(metrics=case_metrics(case)))]
     if bundle is not None:
-        diagnostics += [*validate_bundle(bundle), *resolve_links(bundle)[1]]
+        resolved, link_diagnostics = resolve_links(bundle)
+        diagnostics += [*validate_bundle(bundle), *link_diagnostics]
         capabilities = bundle_match_results(bundle)
+        drawn += [to_dot(bundle), report_json(metrics=bundle_metrics(bundle))]
+        if resolved is not None:
+            changed = [(bundle.tac.id, element.id) for element in bundle.tac.elements[::7]]
+            drawn.append(report_json(impact=impact(resolved, changed)))
+            for cac in bundle.cacs:
+                inlined = inline_bundle(resolved, cac.id)
+                drawn += [repr(inlined), print_case(inlined)]
     report = report_json(diagnostics=diagnostics, capabilities=capabilities)
-    return "\n".join([repr(result), *map(print_case, cases), *(d.line() for d in diagnostics), report])
+    return "\n".join([repr(result), *map(print_case, cases), *(d.line() for d in diagnostics), report, *drawn])
 
 
 def _child(path: str, show: int | None) -> None:
@@ -106,24 +122,27 @@ def _run(src: Path, path: str, python: str, show: int | None = None) -> str:
     return done.stdout
 
 
-def compare(left: Path, right: Path, found: list[tuple[str, str, dict[str, str]]], python: str = sys.executable) -> int:
+def compare(left: Path, right: Path, found: list[tuple[str, str, dict[str, str]]],
+            pythons: tuple[str, str] = (sys.executable, sys.executable)) -> int:
     """The number of inputs whose digests differ between the `src` trees
-    `left` and `right`; the first of them is printed."""
+    `left` and `right`, run by the interpreters `pythons` in the same order;
+    the first of them is printed."""
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "inputs.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(found, handle)
-        digests = [_run(src, path, python).split() for src in (left, right)]
+        sides = list(zip((left, right), pythons))
+        digests = [_run(src, path, python).split() for src, python in sides]
         differing = [number for number, (a, b) in enumerate(zip(*digests)) if a != b]
         if differing:
             first = differing[0]
             name, text, _ = found[first]
             print(f"first differing input: {name} (input {first})\n{text[:2000]}")
-            a, b = (_run(src, path, python, first) for src in (left, right))
+            a, b = (_run(src, path, python, first) for src, python in sides)
             at = next((at for at, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
             print(f"the outputs first differ at character {at}:")
-            for src, output in ((left, a), (right, b)):
-                print(f"{src}: ...{output[max(at - 300, 0):at + 300]}...")
+            for (src, python), output in zip(sides, (a, b)):
+                print(f"{src} under {python}: ...{output[max(at - 300, 0):at + 300]}...")
     return len(differing)
 
 
@@ -147,7 +166,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as other:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(other, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-        mismatches = compare(ROOT / "src", Path(other) / "src", found, args.python)
+        mismatches = compare(ROOT / "src", Path(other) / "src", found, (args.python, args.python))
     print(f"{mismatches} mismatches in {len(found)} inputs: working tree vs {args.against}, {args.python}")
     return 1 if mismatches else 0
 

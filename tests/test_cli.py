@@ -562,6 +562,24 @@ def test_fmt_sees_carriage_returns(tmp_path, capsys):
     assert 'claim C "a\rb" root' in capsys.readouterr().out
 
 
+def test_fmt_and_validate_keep_bounds_past_the_default_exponent_range(tmp_path):
+    # 1,000,001 integer digits, and a 1 at the 1,000,001st fractional place:
+    # both beyond the default decimal context's Emax and Emin.
+    huge, tiny = "1" + "0" * 1_000_000, "0." + "0" * 1_000_000 + "1"
+    text = (
+        'case X kind technological {\n  claim C "c" root undeveloped\n\n'
+        f"  provides capability big unit W range [{huge}, 0]\n"
+        f"  provides capability small unit W range [0, {tiny}]\n}}\n"
+    )
+    path = tmp_path / "wide.acd"
+    path.write_text(text, encoding="utf-8")
+    done = _child(["fmt", str(path)], subprocess.PIPE)
+    assert (done.returncode, done.stderr, done.stdout == text) == (0, "", True)
+    done = _child(["validate", str(path)], subprocess.PIPE)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert f"error U2: capability 'big' has an empty range [{huge}, 0]" in done.stderr
+
+
 def test_bundle_member_keeps_carriage_returns(tmp_path, capsys):
     (tmp_path / "tac.acd").write_bytes((CORPUS / "tac_mrgfus.acd").read_bytes())
     cac = (CORPUS / "cac_uterine_fibroids.acd").read_bytes()

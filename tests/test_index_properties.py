@@ -91,9 +91,10 @@ def findings(diagnostics, rule: str) -> set:
 def test_children_and_subtree_size_match_edge_scans(case):
     for element in case.elements:
         for kind in EdgeKind:
-            children = [edge.target for edge in case.out_edges(element.id) if edge.kind is kind]
+            children = dict(zip(EdgeKind, case._kind_targets()))[kind].get(element.id, [])
             assert children == helpers.brute_children(case, element.id, kind)
-        subtree = reach([element.id], lambda node: [edge.target for edge in case.out_edges(node)])
+        supported_by, in_context_of = case._kind_targets()
+        subtree = reach([element.id], lambda node: supported_by.get(node, []) + in_context_of.get(node, []))
         assert len(subtree) == len(set(subtree))
         assert set(subtree) == helpers.brute_reachable(case, element.id)
 
@@ -101,11 +102,14 @@ def test_children_and_subtree_size_match_edge_scans(case):
 @PROPERTY_SETTINGS
 @given(cases(acyclic=True))
 def test_ancestors_and_depth_match_edge_scans_on_acyclic_cases(case):
-    supported_by = (EdgeKind.SUPPORTED_BY,)
-    below = {e.id: helpers.brute_reachable(case, e.id, supported_by) for e in case.elements}
+    below = {e.id: helpers.brute_reachable(case, e.id, (EdgeKind.SUPPORTED_BY,)) for e in case.elements}
+    sources = {}
+    for source, targets in case._kind_targets()[0].items():
+        for target in targets:
+            sources.setdefault(target, []).append(source)
     for element in case.elements:
         expected = {other for other, reached in below.items() if other != element.id and element.id in reached}
-        above = reach([element.id], lambda n: [e.source for e in case.in_edges(n) if e.kind in supported_by])
+        above = reach([element.id], lambda n: sources.get(n, []))
         assert set(above[1:]) == expected
     assert case_metrics(case).depth == helpers.brute_acyclic_depth(case)
 

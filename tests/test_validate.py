@@ -17,6 +17,7 @@ from actool.model import (
     EdgeKind,
     Element,
     ElementKind,
+    format_decimal,
 )
 from actool.units import BUILTIN_UNITS, Dimension, UnitDef, UnitError, parse_units_file
 from actool.validate import (
@@ -117,6 +118,29 @@ def test_conversion_exact_at_extreme_exponents():
     )
     assert table.to_base(Decimal(2), "huge") == Decimal("2e999999999")
     assert table.to_base(Decimal("0.5"), "tiny") == Decimal("5e-1000000000")
+
+
+def _assert_plain_and_exact(value: Decimal) -> None:
+    text = format_decimal(value)
+    assert "E" not in text.upper() and Decimal(text) == value
+
+
+@pytest.mark.parametrize("value", ["1E+1000000", "1E-1000001", "-4.5E+1000000", "12345E-1000010"])
+def test_format_decimal_past_the_default_exponent_range(value):
+    # The default context's Emax and Emin are 999999 and -999999.
+    _assert_plain_and_exact(Decimal(value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(
+    lambda digits, exponent, small, negative: Decimal((negative, digits, -exponent if small else exponent)),
+    st.lists(st.integers(0, 9), max_size=30).map(lambda d: (1, *d)),
+    st.integers(999_000, 1_100_000),
+    st.booleans(),
+    st.booleans(),
+))
+def test_format_decimal_exact_at_wide_exponents(value):
+    _assert_plain_and_exact(value)
 
 
 def long_decimals():
