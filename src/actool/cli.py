@@ -119,6 +119,7 @@ def _parse_pairs(spec: str, default_case: str | None = None) -> list[tuple[str, 
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .units import UnitError
     from .validate import _bundle_findings, validate_case
     units = _load_units()
     subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
@@ -126,7 +127,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if isinstance(subject, Bundle):
         for case in subject.cases():
             diagnostics.extend(validate_case(case, units))
-        bundle_diagnostics, capabilities = _bundle_findings(subject, units)
+        try:
+            bundle_diagnostics, capabilities = _bundle_findings(subject, units)
+        except UnitError as exc:  # a capability bound that overflows in its base unit
+            raise _Failure(str(exc)) from exc
         diagnostics.extend(bundle_diagnostics)
     elif subject is not None:
         diagnostics.extend(validate_case(subject, units))

@@ -109,8 +109,7 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
     def __new__(cls, id: str, kind: ElementKind, statement: str, is_root: bool = False, is_public: bool = False,
                 is_undeveloped: bool = False, is_module: bool = False, concern: ConcernKind | None = None,
                 away_ref: tuple[str, str] | None = None, span: SourceSpan = UNKNOWN_SPAN):
-        if not ID_PATTERN.match(id):  # `_check_id`, inlined for the parser's hot loop
-            raise ValueError(f"invalid element id {id!r}")
+        _check_id(id, "element id")
         if away_ref is not None and len(away_ref) != 2:  # so a given reference is a true value below
             raise ValueError(f"away reference {away_ref!r} of {id!r} is not a (case id, element id) pair")
         element = tuple.__new__(cls, (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern,

@@ -16,9 +16,7 @@ are dropped so the resulting value never violates the model invariants.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from decimal import Decimal
-from functools import cached_property
 from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, finding, sorted_diagnostics
@@ -91,14 +89,15 @@ def _flag(flag: str, text: str) -> str:
 # read once); 2 node kind, 3 (`claim`) set for a claim, 4 id, 5 statement, 6-9 the
 # BOOL_FLAGS, each named after its flag, 10 concern, 11-12 awayref; 13 edge
 # source, 14 edge kind, 15 target.
-# Group 5 runs to the last `"` on the line that the flags and the newline follow,
-# a scan far cheaper than one for escapes; no flag holds a `"`, so that is the
-# closing quote. A statement holding `"` or `\` must then match `_STATEMENT`, the
-# string body with only `\"` and `\\` escapes, or the line is not canonical.
+# Group 5 runs to a `"` that the flags and the newline follow. It stops at each
+# `"`, so a `;`-joined line fails at its first `;`, and it scans far faster than
+# an escape-aware body. A statement holding `\` or a newline must then match
+# `_STATEMENT`, the one-line string body with only `\"` and `\\` escapes, or the
+# line is not canonical.
 _LINE = re.compile(
     r"[ \t\r;]*((?:(?://[^\n]*)?\n[ \t\r;]*)*)(?:("
     + "|".join("claim(?P<claim>)" if kind == "claim" else kind for kind in NODE_KINDS)
-    + rf')[ \t]+({_IDENT})[ \t]+"([^\n]*)"'
+    + rf')[ \t]+({_IDENT})[ \t]+"([^"]*(?:\\"[^"]*)*)"'
     + "".join(_flag(flag, f"(?P<{flag}>{flag})") for flag in BOOL_FLAGS)
     + _flag("concern", rf'concern[ \t]+({"|".join(CONCERN_KINDS)})')
     + _flag("awayref", rf"awayref[ \t]+({_IDENT})\.({_IDENT})")
@@ -125,11 +124,10 @@ class _Parser:
     Tokens are lexed one at a time from offset `pos`, when `peek` first asks
     for one, so a run of lines read one regex match each is never tokenized.
     Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
-    for ids, edge sources, capability names and diagnostics. Spans are mostly
-    asked for in text order, so `cursor` holds the last offset located, its
-    line and the offset that line starts at, and `locate` moves it forward
-    by counting the newlines in between. An offset behind it is looked up in
-    `newlines`, the table of every newline offset, built on first use.
+    for ids, edge sources, capability names and diagnostics. `locate` moves
+    `cursor` over the text between two offsets, and spans are asked for in
+    text order but for a few within one statement and `_CaseParser`'s
+    waiting edges, so a parse stays linear in the text.
     """
 
     def __init__(self, source: str, file_name: str):
@@ -172,21 +170,14 @@ class _Parser:
             self.error("unterminated string", self.span(start, end))
         return _ESCAPE.sub(r"\1", text[1:end])
 
-    @cached_property
-    def newlines(self) -> list[int]:
-        return [match.start() for match in re.finditer("\n", self.source)]
-
     def locate(self, offset: int) -> tuple[int, int]:
-        """The line of `offset` and the offset that line starts at. A `\\n`
-        belongs to the line it ends."""
+        """The line of `offset` and the offset that line starts at; a `\\n` belongs to the line it ends. The cursor
+        moves either way, counting the line breaks it passes, so a span asked for out of order pays for the distance."""
         at, line, line_start = self.cursor
-        if offset < at:
-            index = bisect_left(self.newlines, offset)
-            return index + 1, self.newlines[index - 1] + 1 if index else 0
-        gap = self.source.count("\n", at, offset)
+        gap = self.source.count("\n", at, offset) - self.source.count("\n", offset, at)  # one count is empty
         if gap:
             line += gap
-            line_start = self.source.rfind("\n", at, offset) + 1
+            line_start = self.source.rfind("\n", 0, offset) + 1
         self.cursor = (offset, line, line_start)
         return line, line_start
 
@@ -404,7 +395,7 @@ class _CaseParser(_Parser):
                 name_start = match.start(4)
                 if name in elements:  # P1
                     break
-                if '"' in text or "\\" in text:
+                if "\\" in text or "\n" in text:
                     if not _STATEMENT.match(text):
                         break
                     text = _ESCAPE.sub(r"\1", text)

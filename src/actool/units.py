@@ -9,7 +9,7 @@ dimensions. The built-in table can be extended from a `.units` file with one
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, Overflow, localcontext
 from enum import Enum
 from typing import Iterable
 
@@ -77,12 +77,15 @@ class UnitTable(_Record):
 
     def to_base(self, value: Decimal, symbol: str) -> Decimal:
         """Exact product: the precision covers the digits of both factors and
-        the exponent range is the widest there is."""
+        the exponent range is the widest there is. UnitError if it overflows."""
         scale = self.lookup(symbol).scale_to_base
         with localcontext() as context:
             context.prec = len(value.as_tuple().digits) + len(scale.as_tuple().digits)
             context.Emax, context.Emin = MAX_EMAX, MIN_EMIN
-            return value * scale
+            try:
+                return value * scale
+            except Overflow:
+                raise UnitError(f"{value} {symbol} is too large to convert to its base unit") from None
 
     def extended(self, extra: Iterable[UnitDef]) -> UnitTable:
         return UnitTable((*self.units, *extra))

@@ -142,7 +142,8 @@ def match_capabilities(
     A requirement is satisfied by the first provider (declaration order) with
     the same name, the same dimension, and a base-unit interval containing
     the required one. Comparison is exact decimal arithmetic on closed
-    intervals. Unknown unit symbols raise UnitError.
+    intervals. Unknown unit symbols, and a bound whose base-unit value
+    overflows `decimal`'s exponent range, raise UnitError.
     """
     for cap in required:
         if cap.direction is not Direction.REQUIRED:

@@ -7,7 +7,9 @@ into a temporary directory, and the working tree's `src/` is compared with it.
 The inputs are `helpers.mixed_case_text` texts, the `print_case` texts of
 `helpers.gen_case` cases and of `helpers.gen_valid_bundle` members with their
 manifest, the case and manifest files of `perfbench/gen.py`'s case-tree,
-case-chain and bundle-wide shapes at the benchmark's size, and the corpus.
+case-chain and bundle-wide shapes at the benchmark's size, three variants of
+each case-tree case file (its edge lines first, ` // c` at the end of every
+line, and every statement joined by `;` on the header's line), and the corpus.
 Each tree reads every input in its own child process, run by PATH (default:
 this interpreter) with `PYTHONHASHSEED=0`, and reports one SHA-256 per input
 of `repr(parse_case(...))` or `repr(parse_bundle(...))`, `print_case` of each
@@ -66,7 +68,22 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
     shapes.append({path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "corpus").iterdir())})
     for files in shapes:
         found += [(name, text, files if name.endswith(".acb") else {}) for name, text in files.items()]
+    found += [variant for name, text in shapes[0].items() if name.endswith(".acd") for variant in _variants(name, text)]
     return found
+
+
+def _variants(name: str, text: str) -> list[tuple[str, str, dict[str, str]]]:
+    """A case file of one-line statements read three other ways: with its edges
+    waiting for their targets, by the token path, and with no line break."""
+    header, _, rest = text.partition("\n")
+    body, _, end = rest.rpartition("}")
+    lines = [line.strip() for line in body.split("\n") if line.strip()]
+    nodes_last = sorted(lines, key=lambda line: '"' in line or not (" supportedBy " in line or " inContextOf " in line))
+    edges_first = [header, *(f"  {line}" for line in nodes_last), "}" + end]
+    stem = name.removesuffix(".acd")
+    return [(f"{stem}-edges-first.acd", "\n".join(edges_first), {}),
+            (f"{stem}-commented.acd", "".join(f"{line} // c\n" for line in text.splitlines()), {}),
+            (f"{stem}-one-line.acd", f"{header} {'; '.join(lines)} }}{end}", {})]
 
 
 def _output(name: str, text: str, files: dict[str, str]) -> str:

@@ -691,6 +691,22 @@ def test_ac_units_extends_table(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"actool: {units}:1: scale must be finite\n"
 
 
+def test_capability_bound_that_overflows_its_base_unit_exits_2(tmp_path, capsys, monkeypatch):
+    for name in ("bundle_mrgfus.acb", "tac_mrgfus.acd"):
+        (tmp_path / name).write_bytes((CORPUS / name).read_bytes())
+    cac = (CORPUS / "cac_uterine_fibroids.acd").read_text(encoding="utf-8")
+    assert cac.count("acoustic_power unit W ") == 1
+    (tmp_path / "cac_uterine_fibroids.acd").write_text(cac.replace("acoustic_power unit W ", "acoustic_power unit xW "),
+                                                       encoding="utf-8")
+    units = tmp_path / "x.units"
+    units.write_text("xW Power 1E+999999999999999999\n", encoding="utf-8")
+    monkeypatch.setenv("AC_UNITS", str(units))
+    for json_flag in ([], ["--json"]):
+        assert run(["validate", *json_flag, str(tmp_path / "bundle_mrgfus.acb")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "actool: 50 xW is too large to convert to its base unit\n")
+
+
 def test_repeat_runs_byte_identical(capsys):
     commands = [
         ["validate", "--json", corpus("bundle_mrgfus.acb")],

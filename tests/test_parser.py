@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import timeit
 from decimal import Decimal
 from itertools import combinations, product
 
@@ -23,7 +24,7 @@ from actool.model import (
     ElementKind,
     SourceSpan,
 )
-from actool.parser import _IDENT, _CaseParser, parse_bundle, parse_case, print_case
+from actool.parser import _IDENT, _CaseParser, _Parser, parse_bundle, parse_case, print_case
 
 import helpers
 from conftest import CORPUS, GOLDEN
@@ -962,3 +963,34 @@ def test_edge_ends_are_their_elements_id_strings(monkeypatch):
     assert calls["_edge"] > 100 and sum(len(case.edges) for case in cases) > 500
     for case in cases:
         assert _edge_ends_are_id_strings(case), case.id
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet='\n\r;"ab', max_size=120), st.data())
+def test_locate_answers_offsets_asked_for_in_any_order(source, data):
+    # The parser asks in text order but for a few spans; the cursor must also be right after a long jump back.
+    parser = _Parser(source, "f")
+    offsets = data.draw(st.lists(st.integers(0, len(source)), max_size=20))
+    for offset in [*offsets, len(source), 0, *offsets[::-1]]:
+        assert parser.locate(offset) == (source.count("\n", 0, offset) + 1, source.rfind("\n", 0, offset) + 1)
+
+
+def _joined(count: int, closing: str) -> str:
+    """`count` claims joined by `;` on one line after the header line; a blank
+    last line, so that `_with_comments` comments the line of claims."""
+    return "case K kind monolithic {\n  " + "; ".join(f'claim N{i} "s {i}"' for i in range(count)) + closing + "\n"
+
+
+@pytest.mark.parametrize("closing", [" }\n", "\n}\n"])
+def test_statements_joined_on_one_line_parse_in_linear_time(closing):
+    # A run tries `_LINE` before each statement; a statement scan that read to
+    # the end of the line made k statements cost k times the line.
+    def seconds(count: int) -> float:
+        source = _joined(count, closing)
+        best = min(timeit.repeat(lambda: parse_case(source, "k.acd"), number=1, repeat=3))
+        fast, slow = parse_case(source, "k.acd"), parse_case(_with_comments(source), "k.acd")
+        assert len(fast.case.elements) == count and fast.diagnostics == slow.diagnostics == []
+        assert fast.case == slow.case and _pinned_spans(fast.case) == _pinned_spans(slow.case)
+        return best
+
+    assert seconds(8 * 250) / seconds(250) < 24  # about 8 when linear, about 60 when quadratic

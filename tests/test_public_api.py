@@ -2,6 +2,7 @@
 pinned, so that adding or removing one is a visible change, and README's
 "Library" example imports only names that exist."""
 
+import ast
 import importlib
 import os
 import re
@@ -106,3 +107,17 @@ def test_readme_library_example_imports_public_names():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     assert block.startswith("from actool import (")
     exec(compile(block, "README.md", "exec"), {})  # ImportError names a name actool lacks
+
+
+def test_the_library_imports_only_the_standard_library():
+    # README's "no dependencies outside the standard library", function-level imports included.
+    for path in sorted((README.parent / "src" / "actool").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)

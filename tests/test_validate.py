@@ -120,6 +120,12 @@ def test_conversion_exact_at_extreme_exponents():
     assert table.to_base(Decimal("0.5"), "tiny") == Decimal("5e-1000000000")
 
 
+def test_conversion_that_overflows_raises_unit_error():
+    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E+999999999999999999"))])
+    with pytest.raises(UnitError, match=r"^50 xW is too large to convert to its base unit$"):
+        table.to_base(Decimal(50), "xW")
+
+
 def _assert_plain_and_exact(value: Decimal) -> None:
     text = format_decimal(value)
     assert "E" not in text.upper() and Decimal(text) == value
