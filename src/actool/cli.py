@@ -69,14 +69,16 @@ def _load(path: str, manifest: bool) -> tuple[AssuranceCase | Bundle | None, lis
 
 
 def _linked(path: str) -> tuple[ResolvedBundle | None, list[Diagnostic]]:
-    """Parse the manifest at `path` and resolve its links: the resolved
-    bundle, or None when the manifest does not parse or S1, S2 or S5 fail."""
+    """Parse the manifest at `path`, resolve its links and emit the diagnostics:
+    the resolved bundle, or None when the manifest does not parse or S1, S2 or S5 fail."""
     from .link import resolve_links
     bundle, diagnostics = _load(path, manifest=True)
-    if bundle is None:
-        return None, diagnostics
-    resolved, link_diagnostics = resolve_links(bundle)
-    return resolved, sorted_diagnostics([*diagnostics, *link_diagnostics])
+    resolved = None
+    if bundle is not None:
+        resolved, link_diagnostics = resolve_links(bundle)
+        diagnostics = sorted_diagnostics([*diagnostics, *link_diagnostics])
+    _emit(diagnostics)
+    return resolved, diagnostics
 
 
 def _emit(diagnostics: Sequence[Diagnostic]) -> None:
@@ -129,7 +131,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             diagnostics.extend(validate_case(case, units))
         try:
             bundle_diagnostics, capabilities = _bundle_findings(subject, units)
-        except UnitError as exc:  # a capability bound that overflows in its base unit
+        except UnitError as exc:  # a capability bound that overflows or underflows in its base unit
             raise _Failure(str(exc)) from exc
         diagnostics.extend(bundle_diagnostics)
     elif subject is not None:
@@ -144,7 +146,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_link(args: argparse.Namespace) -> int:
     resolved, diagnostics = _linked(args.file)
-    _emit(diagnostics)
     if resolved is None:
         return 1
     for source, target in sorted(resolved.resolutions.items()):
@@ -155,7 +156,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
 def _cmd_impact(args: argparse.Namespace) -> int:
     from .analyze import impact
     resolved, diagnostics = _linked(args.file)
-    _emit(diagnostics)
     if resolved is None:
         return 1
     report = impact(resolved, _parse_pairs(args.changed))
@@ -176,7 +176,6 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 def _cmd_inline(args: argparse.Namespace) -> int:
     from .link import inline_bundle
     resolved, diagnostics = _linked(args.file)
-    _emit(diagnostics)
     if resolved is None:
         return 1
     _write_output(print_case(inline_bundle(resolved, args.cac)), args.output)

@@ -5,8 +5,9 @@ terms: claims, strategies, contexts, assumptions, justifications and evidence,
 connected by supportedBy and inContextOf edges. A bundle pairs one
 technological case with the clinical cases that build on it.
 
-All values are immutable after construction; every operation in this module
-is a pure function of its inputs and safe for concurrent use.
+A value's fields are read-only; every operation in this module is a pure
+function of its inputs and safe for concurrent use. A case's private index
+lives in its instance dict and is not part of the value.
 """
 
 from __future__ import annotations
@@ -157,41 +158,7 @@ class Capability(_Checked, namedtuple("Capability", "name direction unit low hig
         return tuple.__new__(cls, (name, direction, unit, low, high, span))
 
 
-class _Record(_Checked):
-    """Base of the values that keep private state (lazily built indexes) in
-    slots beside their fields: equality, hashing, `repr` and pickling read the
-    fields named in `_fields` only, and no attribute can be reassigned."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
-
-    def __eq__(self, other):
-        return self._asdict() == other._asdict() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self._asdict().values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(self._asdict().values())
-
-
-class AssuranceCase(_Record):
+class AssuranceCase(_Checked, namedtuple("AssuranceCase", "id kind elements edges capabilities associated_tac span")):
     """One parsed assurance case.
 
     Element ids are unique within the case, and every edge names two
@@ -209,12 +176,9 @@ class AssuranceCase(_Record):
     `Edge`s, groups `edges` itself in the one pass it makes.
     """
 
-    _fields = ("id", "kind", "elements", "edges", "capabilities", "associated_tac", "span")
-    __slots__ = (*_fields, "_by_id", "_targets")
-
-    def __init__(self, id: str, kind: CaseKind, elements: tuple[Element, ...], edges: tuple[Edge, ...] = (),
-                 capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
-                 span: SourceSpan = UNKNOWN_SPAN):
+    def __new__(cls, id: str, kind: CaseKind, elements: tuple[Element, ...], edges: tuple[Edge, ...] = (),
+                capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
+                span: SourceSpan = UNKNOWN_SPAN):
         _check_id(id, "case id")
         elements, edges, capabilities = tuple(elements), tuple(edges), tuple(capabilities)
         by_id: dict[str, Element] = {}
@@ -228,17 +192,17 @@ class AssuranceCase(_Record):
             if edge.source not in by_id or edge.target not in by_id:
                 missing = edge.target if edge.source in by_id else edge.source
                 raise ValueError(f"edge references unknown element {missing!r} in case {id!r}")
-        self._set(id=id, kind=kind, elements=elements, edges=edges, capabilities=capabilities,
-                  associated_tac=associated_tac, span=span, _by_id=by_id, _targets=None)
+        case = tuple.__new__(cls, (id, kind, elements, edges, capabilities, associated_tac, span))
+        case._by_id, case._targets = by_id, None
+        return case
 
     @classmethod
     def _parsed(cls, id: str, kind: CaseKind, by_id: dict[str, Element], edges: tuple[Edge, ...],
                 capabilities: tuple[Capability, ...], associated_tac: str | None, span: SourceSpan) -> AssuranceCase:
-        """The case the parser built, without `__init__`'s checks, which the parser has made;
+        """The case the parser built, without `__new__`'s checks, which the parser has made;
         `by_id` maps each element's id to it in declaration order and becomes the index."""
-        case = object.__new__(cls)
-        case._set(id=id, kind=kind, elements=tuple(by_id.values()), edges=edges, capabilities=capabilities,
-                  associated_tac=associated_tac, span=span, _by_id=by_id, _targets=None)
+        case = tuple.__new__(cls, (id, kind, tuple(by_id.values()), edges, capabilities, associated_tac, span))
+        case._by_id, case._targets = by_id, None
         return case
 
     def element(self, element_id: str) -> Element:
@@ -254,7 +218,7 @@ class AssuranceCase(_Record):
         """The supportedBy and the inContextOf targets of each source that has
         any. Two threads that race to build it build equal maps, so either may win."""
         if self._targets is None:
-            self._set(_targets=_targets_by_kind(self.edges))
+            self._targets = _targets_by_kind(self.edges)
         return self._targets
 
 

@@ -9,11 +9,11 @@ dimensions. The built-in table can be extended from a `.units` file with one
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, Overflow, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, Overflow, Underflow, localcontext
 from enum import Enum
 from typing import Iterable
 
-from .model import _Checked, _Record
+from .model import _Checked
 
 
 class UnitError(ValueError):
@@ -42,11 +42,8 @@ class UnitDef(_Checked, namedtuple("UnitDef", "symbol dimension scale_to_base"))
         return tuple.__new__(cls, (symbol, dimension, scale_to_base))
 
 
-class UnitTable(_Record):
-    _fields = ("units",)
-    __slots__ = ("units", "_by_symbol")
-
-    def __init__(self, units: Iterable[UnitDef]):
+class UnitTable(_Checked, namedtuple("UnitTable", "units")):
+    def __new__(cls, units: Iterable[UnitDef]):
         units = tuple(units)
         by_symbol: dict[str, UnitDef] = {}
         base_seen: dict[Dimension, str] = {}
@@ -64,7 +61,9 @@ class UnitTable(_Record):
         for unit in units:
             if unit.dimension not in base_seen:
                 raise UnitError(f"dimension {unit.dimension.value} has no base unit")
-        self._set(units=units, _by_symbol=by_symbol)
+        table = tuple.__new__(cls, (units,))
+        table._by_symbol = by_symbol
+        return table
 
     def find(self, symbol: str) -> UnitDef | None:
         return self._by_symbol.get(symbol)
@@ -77,15 +76,19 @@ class UnitTable(_Record):
 
     def to_base(self, value: Decimal, symbol: str) -> Decimal:
         """Exact product: the precision covers the digits of both factors and
-        the exponent range is the widest there is. UnitError if it overflows."""
+        the exponent range is the widest there is. UnitError if it overflows, or
+        underflows so far that it would have to be rounded."""
         scale = self.lookup(symbol).scale_to_base
         with localcontext() as context:
             context.prec = len(value.as_tuple().digits) + len(scale.as_tuple().digits)
             context.Emax, context.Emin = MAX_EMAX, MIN_EMIN
+            context.traps[Underflow] = True
             try:
                 return value * scale
             except Overflow:
                 raise UnitError(f"{value} {symbol} is too large to convert to its base unit") from None
+            except Underflow:
+                raise UnitError(f"{value} {symbol} is too small to convert to its base unit") from None
 
     def extended(self, extra: Iterable[UnitDef]) -> UnitTable:
         return UnitTable((*self.units, *extra))

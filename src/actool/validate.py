@@ -143,7 +143,7 @@ def match_capabilities(
     the same name, the same dimension, and a base-unit interval containing
     the required one. Comparison is exact decimal arithmetic on closed
     intervals. Unknown unit symbols, and a bound whose base-unit value
-    overflows `decimal`'s exponent range, raise UnitError.
+    overflows or underflows `decimal`'s exponent range, raise UnitError.
     """
     for cap in required:
         if cap.direction is not Direction.REQUIRED:

@@ -20,8 +20,10 @@ those diagnostics and the bundle's capability matches. The digest also covers
 the `report_json` of `bundle_metrics` of a bundle and, for a bundle that
 resolves, the `report_json` of `impact` on every 7th technological element in
 declaration order and the `repr` and `print_case` of `inline_bundle` for each
-clinical case. On a mismatch the first differing input and both outputs
-around their first difference are printed. Exit status: 0 when every digest
+clinical case. Last come, for each case parsed and for a bundle, the `repr`
+of its `pickle` and `copy.copy` twins and whether each twin equals the
+original. On a mismatch the first differing input and both outputs around
+their first difference are printed. Exit status: 0 when every digest
 matches, 1 otherwise.
 
 The file name keeps pytest from collecting it; `test_differential.py` runs
@@ -32,10 +34,12 @@ interpreters.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -116,7 +120,10 @@ def _output(name: str, text: str, files: dict[str, str]) -> str:
                 inlined = inline_bundle(resolved, cac.id)
                 drawn += [repr(inlined), print_case(inlined)]
     report = report_json(diagnostics=diagnostics, capabilities=capabilities)
-    return "\n".join([repr(result), *map(print_case, cases), *(d.line() for d in diagnostics), report, *drawn])
+    values = cases if bundle is None else (*cases, bundle)
+    twins = [f"{twin!r} {twin == value}" for value in values
+             for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value))]
+    return "\n".join([repr(result), *map(print_case, cases), *(d.line() for d in diagnostics), report, *drawn, *twins])
 
 
 def _child(path: str, show: int | None) -> None:

@@ -707,6 +707,22 @@ def test_capability_bound_that_overflows_its_base_unit_exits_2(tmp_path, capsys,
         assert (captured.out, captured.err) == ("", "actool: 50 xW is too large to convert to its base unit\n")
 
 
+def test_capability_bound_that_underflows_its_base_unit_exits_2(tmp_path, capsys, monkeypatch):
+    (tmp_path / "bundle_mrgfus.acb").write_bytes((CORPUS / "bundle_mrgfus.acb").read_bytes())
+    edits = [("tac_mrgfus.acd", "unit W range [0, 300]", "unit W range [0, 0]"),
+             ("cac_uterine_fibroids.acd", "unit W range [50, 200]", "unit xW range [0.0000000001, 0.0000000001]")]
+    for name, old, new in edits:  # a provided [0, 0] W would satisfy the requirement if it converted to 0 W
+        text = (CORPUS / name).read_text(encoding="utf-8")
+        assert text.count(f"acoustic_power {old}") == 1
+        (tmp_path / name).write_text(text.replace(f"acoustic_power {old}", f"acoustic_power {new}"), encoding="utf-8")
+    units = tmp_path / "x.units"
+    units.write_text("xW Power 1E-999999999999999999\n", encoding="utf-8")
+    monkeypatch.setenv("AC_UNITS", str(units))
+    for json_flag in ([], ["--json"]):
+        assert run(["validate", *json_flag, str(tmp_path / "bundle_mrgfus.acb")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "actool: 1E-10 xW is too small to convert to its base unit\n")
+
 def test_repeat_runs_byte_identical(capsys):
     commands = [
         ["validate", "--json", corpus("bundle_mrgfus.acb")],

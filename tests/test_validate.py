@@ -126,6 +126,13 @@ def test_conversion_that_overflows_raises_unit_error():
         table.to_base(Decimal(50), "xW")
 
 
+def test_conversion_that_underflows_raises_unit_error():
+    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E-999999999999999999"))])
+    assert table.to_base(Decimal("0.1"), "xW") == Decimal("1E-1000000000000000000")  # subnormal but exact
+    with pytest.raises(UnitError, match=r"^1E-10 xW is too small to convert to its base unit$"):
+        table.to_base(Decimal("0.0000000001"), "xW")
+
+
 def _assert_plain_and_exact(value: Decimal) -> None:
     text = format_decimal(value)
     assert "E" not in text.upper() and Decimal(text) == value

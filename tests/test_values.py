@@ -1,7 +1,7 @@
-"""The contract of actool's model values: fields are read-only, equal values
-hash equal, constructors take their fields by position or keyword, `_replace`
-re-runs the constructor's checks, and `repr` of the parsed corpus is pinned
-in `golden/value_reprs.txt`."""
+"""The contract of actool's model values: each is a named tuple whose fields
+are read-only, equal values hash equal, constructors take their fields by
+position or keyword, `_replace` re-runs the constructor's checks, and `repr`
+of the parsed corpus is pinned in `golden/value_reprs.txt`."""
 
 from __future__ import annotations
 
@@ -88,6 +88,11 @@ def _corpus_values() -> dict[type, object]:
     }
 
 
+def test_every_value_is_a_named_tuple():
+    for kind, fields in FIELDS.items():
+        assert issubclass(kind, tuple) and kind._fields == fields, kind.__name__
+
+
 @pytest.mark.parametrize("kind", list(FIELDS), ids=lambda kind: kind.__name__)
 def test_fields_are_read_only(kind):
     value = _corpus_values()[kind]
@@ -120,8 +125,14 @@ def test_equal_values_hash_equal():
 @pytest.mark.parametrize("kind", list(FIELDS), ids=lambda kind: kind.__name__)
 def test_pickle_and_copy_round_trip(kind):
     value = _corpus_values()[kind]
+    if kind is AssuranceCase:
+        value._kind_targets()  # the twins copy an index that has been built
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is kind and twin == value
+        if kind is AssuranceCase:
+            assert twin._kind_targets() == value._kind_targets()
+        elif kind is UnitTable:
+            assert twin.find("W") == value.find("W") is not None
 
 
 def test_constructor_defaults():
