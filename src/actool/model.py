@@ -58,10 +58,13 @@ class UnknownElementError(LookupError):
 
 
 class _Checked:
-    """Mixin for a value whose constructor checks its fields: `_make` and
-    `_replace` build through that constructor, so the checks hold for copies."""
+    """Mixin for a value whose constructor checks its fields: `_make`, `_replace`, `pickle` and
+    `copy` build through it, so the checks hold for copies and a private index is rebuilt, not carried."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @classmethod
     def _make(cls, iterable):

@@ -9,7 +9,7 @@ dimensions. The built-in table can be extended from a `.units` file with one
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, Overflow, Underflow, localcontext
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from typing import Iterable
 
@@ -74,24 +74,26 @@ class UnitTable(_Checked, namedtuple("UnitTable", "units")):
             raise UnitError(f"unknown unit {symbol!r}")
         return unit
 
-    def to_base(self, value: Decimal, symbol: str) -> Decimal:
-        """Exact product: the precision covers the digits of both factors and
-        the exponent range is the widest there is. UnitError if it overflows, or
-        underflows so far that it would have to be rounded."""
-        scale = self.lookup(symbol).scale_to_base
-        with localcontext() as context:
-            context.prec = len(value.as_tuple().digits) + len(scale.as_tuple().digits)
-            context.Emax, context.Emin = MAX_EMAX, MIN_EMIN
-            context.traps[Underflow] = True
-            try:
-                return value * scale
-            except Overflow:
-                raise UnitError(f"{value} {symbol} is too large to convert to its base unit") from None
-            except Underflow:
-                raise UnitError(f"{value} {symbol} is too small to convert to its base unit") from None
-
     def extended(self, extra: Iterable[UnitDef]) -> UnitTable:
         return UnitTable((*self.units, *extra))
+
+
+def in_base(value: Decimal, scale: Decimal) -> tuple[int, int]:
+    """`value` times the positive `scale`, exactly, as (coefficient, exponent): coefficient × 10**exponent.
+    A coefficient is read through a Decimal with exponent 0, which `int` converts without a digit limit."""
+    sign, digits, exponent = value.as_tuple()
+    _, scale_digits, scale_exponent = scale.as_tuple()
+    return int(Decimal((sign, digits, 0))) * int(Decimal((0, scale_digits, 0))), exponent + scale_exponent
+
+
+def at_most(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a <= b for two `in_base` pairs. The coefficient with the larger exponent is shifted
+    across the gap, but by no more than the other coefficient's bit length: shifted that far,
+    a non-zero coefficient already outweighs the other, so only its sign decides."""
+    (a_coefficient, a_exponent), (b_coefficient, b_exponent) = a, b
+    if a_exponent >= b_exponent:
+        return a_coefficient * 10 ** min(a_exponent - b_exponent, b_coefficient.bit_length()) <= b_coefficient
+    return a_coefficient <= b_coefficient * 10 ** min(b_exponent - a_exponent, a_coefficient.bit_length())
 
 
 BUILTIN_UNITS = UnitTable(

@@ -28,7 +28,7 @@ from .model import (
     reach,
     supported_by_cycle,
 )
-from .units import BUILTIN_UNITS, UnitTable
+from .units import BUILTIN_UNITS, UnitTable, at_most, in_base
 
 
 class MatchStatus(Enum):
@@ -141,9 +141,9 @@ def match_capabilities(
 
     A requirement is satisfied by the first provider (declaration order) with
     the same name, the same dimension, and a base-unit interval containing
-    the required one. Comparison is exact decimal arithmetic on closed
-    intervals. Unknown unit symbols, and a bound whose base-unit value
-    overflows or underflows `decimal`'s exponent range, raise UnitError.
+    the required one. Comparison is exact on closed intervals, with no
+    rounding, for every bound and every unit scale. Unknown unit symbols
+    raise UnitError.
     """
     for cap in required:
         if cap.direction is not Direction.REQUIRED:
@@ -159,20 +159,16 @@ def match_capabilities(
             results.append(MatchResult(req, MatchStatus.MISSING))
             continue
         same_dimension = [
-            p for p in candidates if units.lookup(p.unit).dimension is req_unit.dimension
+            (p, unit.scale_to_base) for p in candidates
+            if (unit := units.lookup(p.unit)).dimension is req_unit.dimension
         ]
         if not same_dimension:
             results.append(MatchResult(req, MatchStatus.UNIT_MISMATCH))
             continue
-        low = units.to_base(req.low, req.unit)
-        high = units.to_base(req.high, req.unit)
-        match = None
-        for provider in same_dimension:
-            if units.to_base(provider.low, provider.unit) <= low and high <= units.to_base(
-                provider.high, provider.unit
-            ):
-                match = provider
-                break
+        low = in_base(req.low, req_unit.scale_to_base)
+        high = in_base(req.high, req_unit.scale_to_base)
+        match = next((p for p, scale in same_dimension
+                      if at_most(in_base(p.low, scale), low) and at_most(high, in_base(p.high, scale))), None)
         if match is not None:
             results.append(MatchResult(req, MatchStatus.SATISFIED, match))
         else:

@@ -691,37 +691,61 @@ def test_ac_units_extends_table(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"actool: {units}:1: scale must be finite\n"
 
 
-def test_capability_bound_that_overflows_its_base_unit_exits_2(tmp_path, capsys, monkeypatch):
-    for name in ("bundle_mrgfus.acb", "tac_mrgfus.acd"):
-        (tmp_path / name).write_bytes((CORPUS / name).read_bytes())
-    cac = (CORPUS / "cac_uterine_fibroids.acd").read_text(encoding="utf-8")
-    assert cac.count("acoustic_power unit W ") == 1
-    (tmp_path / "cac_uterine_fibroids.acd").write_text(cac.replace("acoustic_power unit W ", "acoustic_power unit xW "),
-                                                       encoding="utf-8")
-    units = tmp_path / "x.units"
-    units.write_text("xW Power 1E+999999999999999999\n", encoding="utf-8")
-    monkeypatch.setenv("AC_UNITS", str(units))
-    for json_flag in ([], ["--json"]):
-        assert run(["validate", *json_flag, str(tmp_path / "bundle_mrgfus.acb")]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "actool: 50 xW is too large to convert to its base unit\n")
-
-
-def test_capability_bound_that_underflows_its_base_unit_exits_2(tmp_path, capsys, monkeypatch):
+def _acoustic_power_bundle(tmp_path, monkeypatch, provided: str, required: str, scale: str) -> str:
+    """The corpus bundle in `tmp_path` with the acoustic power ranges `provided` and `required`
+    (`unit U range [L, H]`) and `AC_UNITS` naming a unit `xW` of `scale` W; the manifest's path."""
     (tmp_path / "bundle_mrgfus.acb").write_bytes((CORPUS / "bundle_mrgfus.acb").read_bytes())
-    edits = [("tac_mrgfus.acd", "unit W range [0, 300]", "unit W range [0, 0]"),
-             ("cac_uterine_fibroids.acd", "unit W range [50, 200]", "unit xW range [0.0000000001, 0.0000000001]")]
-    for name, old, new in edits:  # a provided [0, 0] W would satisfy the requirement if it converted to 0 W
+    edits = [("tac_mrgfus.acd", "unit W range [0, 300]", provided),
+             ("cac_uterine_fibroids.acd", "unit W range [50, 200]", required)]
+    for name, old, new in edits:
         text = (CORPUS / name).read_text(encoding="utf-8")
         assert text.count(f"acoustic_power {old}") == 1
         (tmp_path / name).write_text(text.replace(f"acoustic_power {old}", f"acoustic_power {new}"), encoding="utf-8")
     units = tmp_path / "x.units"
-    units.write_text("xW Power 1E-999999999999999999\n", encoding="utf-8")
+    units.write_text(f"xW Power {scale}\n", encoding="utf-8")
     monkeypatch.setenv("AC_UNITS", str(units))
+    return str(tmp_path / "bundle_mrgfus.acb")
+
+
+def _assert_acoustic_power_verdict(manifest: str, capsys, status: str) -> None:
+    """`validate` with and without `--json` judges the acoustic power requirement `status`,
+    with one S4 on stderr when it is not satisfied, and every other requirement satisfied."""
     for json_flag in ([], ["--json"]):
-        assert run(["validate", *json_flag, str(tmp_path / "bundle_mrgfus.acb")]) == 2
+        assert run(["validate", *json_flag, manifest]) == (0 if status == "satisfied" else 1)
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "actool: 1E-10 xW is too small to convert to its base unit\n")
+        if status == "satisfied":
+            assert captured.err == ""
+        else:
+            assert captured.err.count("\n") == 1 and " error S4: " in captured.err
+            assert "required capability 'acoustic_power' " in captured.err
+        if json_flag:
+            verdicts = {entry["name"]: entry["status"] for entry in json.loads(captured.out)["capabilities"]}
+            assert verdicts.pop("acoustic_power") == status
+            assert set(verdicts.values()) == {"satisfied"}
+        else:
+            assert captured.out == ""
+
+
+def test_capability_bound_past_the_largest_decimal_exponent_gets_a_verdict(tmp_path, capsys, monkeypatch):
+    # 50 xW is 5E+1000000000000000000 W, past decimal's largest exponent, and far above 300 W.
+    manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 300]", "unit xW range [50, 200]",
+                                      "1E+999999999999999999")
+    _assert_acoustic_power_verdict(manifest, capsys, "rangeNotCovered")
+
+
+def test_capability_bound_below_the_smallest_decimal_exponent_gets_a_verdict(tmp_path, capsys, monkeypatch):
+    # 1E-10 xW is 1E-1000000000000000009 W: not 0 W, so a provided [0, 0] W does not cover it.
+    manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 0]",
+                                      "unit xW range [0.0000000001, 0.0000000001]", "1E-999999999999999999")
+    _assert_acoustic_power_verdict(manifest, capsys, "rangeNotCovered")
+
+
+def test_capability_bound_below_the_smallest_decimal_exponent_is_covered(tmp_path, capsys, monkeypatch):
+    # 0.01 xW is 1E-1000000000000000001 W, inside [0, 300] W.
+    manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 300]", "unit xW range [0.01, 0.01]",
+                                      "1E-999999999999999999")
+    _assert_acoustic_power_verdict(manifest, capsys, "satisfied")
+
 
 def test_repeat_runs_byte_identical(capsys):
     commands = [

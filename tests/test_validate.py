@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_ETINY, Decimal
 from fractions import Fraction
 
 import pytest
@@ -81,7 +81,8 @@ def test_parse_units_file():
         ("uW", Dimension.POWER),
     ]
     extended = BUILTIN_UNITS.extended(defs)
-    assert extended.to_base(Decimal(1500000), "us") == Decimal("1.5")
+    assert verdict(extended, ("s", "1.5", "1.5"), ("us", 1500000, 1500000)) is MatchStatus.SATISFIED
+    assert verdict(extended, ("s", "1.5", "1.5"), ("us", 1500001, 1500001)) is MatchStatus.RANGE_NOT_COVERED
     with pytest.raises(UnitError, match="unknown dimension"):
         parse_units_file("x Sound 1\n")
     with pytest.raises(UnitError, match="expected"):
@@ -112,25 +113,116 @@ def test_matching_exact_beyond_28_digits():
     assert match_capabilities(required, provided, BUILTIN_UNITS)[0].status is MatchStatus.SATISFIED
 
 
-def test_conversion_exact_at_extreme_exponents():
+def verdict(table, required, provided):
+    """The status of one requirement `(unit, low, high)` against one provider `(unit, low, high)`."""
+    return match_capabilities([req("p", *required)], [prov("p", *provided)], table)[0].status
+
+
+def test_matching_exact_at_extreme_exponents():
     table = BUILTIN_UNITS.extended(
         [UnitDef("huge", Dimension.POWER, Decimal("1e999999999")), UnitDef("tiny", Dimension.POWER, Decimal("1e-999999999"))]
     )
-    assert table.to_base(Decimal(2), "huge") == Decimal("2e999999999")
-    assert table.to_base(Decimal("0.5"), "tiny") == Decimal("5e-1000000000")
+    assert verdict(table, ("W", "2e999999999", "2e999999999"), ("huge", 2, 2)) is MatchStatus.SATISFIED
+    point = ("W", "2.000001e999999999", "2.000001e999999999")
+    assert verdict(table, point, ("huge", 0, 2)) is MatchStatus.RANGE_NOT_COVERED
+    assert verdict(table, ("W", "5e-1000000000", "5e-1000000000"), ("tiny", "0.5", 1)) is MatchStatus.SATISFIED
+    assert verdict(table, ("W", "4.9e-1000000000", "5e-1000000000"), ("tiny", "0.5", 1)) is MatchStatus.RANGE_NOT_COVERED
 
 
-def test_conversion_that_overflows_raises_unit_error():
-    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E+999999999999999999"))])
-    with pytest.raises(UnitError, match=r"^50 xW is too large to convert to its base unit$"):
-        table.to_base(Decimal(50), "xW")
+def test_matching_past_the_largest_decimal_exponent():
+    # 50 xW is 5E+1000000000000000000 W, which no Decimal can hold; so is 500 yW.
+    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E+999999999999999999")),
+                                    UnitDef("yW", Dimension.POWER, Decimal("1E+999999999999999998"))])
+    assert verdict(table, ("xW", 50, 50), ("W", 0, 300)) is MatchStatus.RANGE_NOT_COVERED
+    assert verdict(table, ("W", 0, 300), ("xW", 0, 50)) is MatchStatus.SATISFIED
+    assert verdict(table, ("xW", 50, 50), ("yW", 0, 500)) is MatchStatus.SATISFIED
+    assert verdict(table, ("xW", 50, 50), ("yW", 0, 499)) is MatchStatus.RANGE_NOT_COVERED
 
 
-def test_conversion_that_underflows_raises_unit_error():
-    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E-999999999999999999"))])
-    assert table.to_base(Decimal("0.1"), "xW") == Decimal("1E-1000000000000000000")  # subnormal but exact
-    with pytest.raises(UnitError, match=r"^1E-10 xW is too small to convert to its base unit$"):
-        table.to_base(Decimal("0.0000000001"), "xW")
+def test_matching_below_the_smallest_decimal_exponent():
+    # 1E-10 xW is 1E-1000000000000000009 W: not 0 W, and 1E+999999999999999988 zW.
+    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E-999999999999999999")),
+                                    UnitDef("zW", Dimension.POWER, Decimal(f"1E{MIN_ETINY}"))])
+    point = ("xW", "0.0000000001", "0.0000000001")
+    assert verdict(table, point, ("W", 0, 0)) is MatchStatus.RANGE_NOT_COVERED
+    assert verdict(table, point, ("W", 0, 300)) is MatchStatus.SATISFIED
+    assert verdict(table, ("xW", "0.01", "0.01"), ("W", 0, 300)) is MatchStatus.SATISFIED
+    high = "1E+999999999999999989"
+    assert verdict(table, point, ("zW", "1E+999999999999999988", high)) is MatchStatus.SATISFIED
+    assert verdict(table, point, ("zW", "1.000000001E+999999999999999988", high)) is MatchStatus.RANGE_NOT_COVERED
+
+
+@pytest.mark.parametrize("required, provided, status", [
+    (("huge", 0, 0), ("tiny", -1, 1), MatchStatus.SATISFIED),
+    (("huge", "-0", 0), ("tiny", 0, 0), MatchStatus.SATISFIED),
+    (("huge", 1, 1), ("tiny", -1, 1), MatchStatus.RANGE_NOT_COVERED),
+    (("huge", -1, -1), ("tiny", -1, 1), MatchStatus.RANGE_NOT_COVERED),
+    (("tiny", -9, 9), ("huge", -1, 1), MatchStatus.SATISFIED),
+    (("tiny", -9, 9), ("huge", 0, 1), MatchStatus.RANGE_NOT_COVERED),
+    (("tiny", -9, 9), ("huge", -1, 0), MatchStatus.RANGE_NOT_COVERED),
+    (("tiny", 1, 1), ("W", 0, "1E-999999999999999999"), MatchStatus.SATISFIED),
+    (("tiny", -1, 1), ("W", "-1E-999999999999999999", 0), MatchStatus.RANGE_NOT_COVERED),
+])
+def test_matching_across_the_whole_exponent_range(required, provided, status):
+    # Base-unit bounds 1E+999999999999999999 and 1E-1999999999999999997 apart: only signs decide.
+    table = BUILTIN_UNITS.extended([UnitDef("huge", Dimension.POWER, Decimal(f"1E{MAX_EMAX}")),
+                                    UnitDef("tiny", Dimension.POWER, Decimal(f"1E{MIN_ETINY}"))])
+    assert verdict(table, required, provided) is status
+
+
+def test_matching_exact_on_bounds_of_more_than_4300_digits():
+    # 5,001 digits: past the limit of int's conversion from a decimal string.
+    digits = (7, *random.Random(5).choices(range(10), k=4999), 5)
+    below_digits = (*digits[:-1], 4)
+    bound, bound_in_thousands = Decimal((0, digits, 0)), Decimal((0, digits, -3))
+    below, below_in_thousands = Decimal((0, below_digits, 0)), Decimal((0, below_digits, -3))
+    for required, provided, status in [
+        (("W", 0, bound), ("W", 0, bound), MatchStatus.SATISFIED),
+        (("W", 0, bound), ("W", 0, below), MatchStatus.RANGE_NOT_COVERED),
+        (("W", 0, bound), ("kW", 0, bound_in_thousands), MatchStatus.SATISFIED),
+        (("W", 0, bound), ("kW", 0, below_in_thousands), MatchStatus.RANGE_NOT_COVERED),
+        (("mW", bound, bound), ("W", 0, bound_in_thousands), MatchStatus.SATISFIED),
+        (("mW", bound, bound), ("W", below_in_thousands, below_in_thousands), MatchStatus.RANGE_NOT_COVERED),
+    ]:
+        assert verdict(BUILTIN_UNITS, required, provided) is status
+
+
+def extreme_scales():
+    """Scales of up to 12 digits whose exponent is within 40 of the smallest or the largest there is."""
+    return st.builds(
+        lambda digits, offset, small: Decimal((0, digits, MIN_ETINY + offset if small else
+                                                MAX_EMAX - len(digits) + 1 - offset)),
+        st.lists(st.integers(0, 9), max_size=11).map(lambda d: (1, *d)),
+        st.integers(0, 40),
+        st.booleans(),
+    )
+
+
+def dsl_decimals():
+    """Bounds as the DSL writes them: up to 12 digits, at most 6 after the point."""
+    return st.builds(lambda digits, exponent, negative: Decimal((negative, digits, -exponent)),
+                     st.lists(st.integers(0, 9), min_size=1, max_size=12), st.integers(0, 6), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(dsl_decimals(), dsl_decimals(), extreme_scales(), st.integers(0, 40), st.sampled_from([-1, 0, 1]))
+def test_a_point_one_unit_past_a_bound_at_extreme_scales(low, high, scale, shift, nudge):
+    # The provider is in `big`; each point lies on one of its bounds, or one unit in a digit past
+    # the last digit of both bounds to one side, written in `near`, whose exponent is `shift` from big's.
+    low, high = min(low, high), max(low, high)
+    _, scale_digits, scale_exponent = scale.as_tuple()
+    near_exponent = scale_exponent + shift if scale_exponent < 0 else scale_exponent - shift
+    table = BUILTIN_UNITS.extended([UnitDef("big", Dimension.POWER, scale),
+                                    UnitDef("near", Dimension.POWER, Decimal((0, (1,), near_exponent)))])
+    last = min(low.as_tuple().exponent, high.as_tuple().exponent) - 1
+    scale_coefficient = int(Decimal((0, scale_digits, 0)))
+    for bound, inward in ((low, 1), (high, -1)):
+        sign, digits, exponent = bound.as_tuple()
+        coefficient = int(Decimal((sign, digits, 0))) * scale_coefficient * 10 ** (exponent - last) + nudge
+        point = Decimal(f"{coefficient}E{last + scale_exponent - near_exponent}")
+        covered = nudge == 0 or (nudge == inward and low < high)
+        assert verdict(table, ("near", point, point), ("big", low, high)) is \
+            (MatchStatus.SATISFIED if covered else MatchStatus.RANGE_NOT_COVERED)
 
 
 def _assert_plain_and_exact(value: Decimal) -> None:
@@ -167,23 +259,23 @@ def long_decimals():
 
 
 @settings(max_examples=200, deadline=None)
-@given(long_decimals(), long_decimals(), long_decimals(), st.sampled_from([-1, 0, 1]))
-def test_conversion_and_matching_exact_against_fractions(low, high, scale, nudge):
+@given(long_decimals(), long_decimals(), long_decimals())
+def test_matching_exact_against_fractions(low, high, scale):
     low, high, scale = min(low, high), max(low, high), abs(scale)
     table = BUILTIN_UNITS.extended([UnitDef("big", Dimension.POWER, scale)])
-    for value in (low, high):
-        assert Fraction(table.to_base(value, "big")) == Fraction(value) * Fraction(scale)
-    # A point requirement in W at the provided upper bound, moved by one unit
-    # in the digit after the last digit of the exact product.
-    sign, digits, exponent = high.as_tuple()
-    _, scale_digits, scale_exponent = scale.as_tuple()
-    product = int("".join(map(str, digits))) * int("".join(map(str, scale_digits)))
-    point = Decimal(f"{'-' if sign else ''}{product * 10 + nudge}e{exponent + scale_exponent - 1}")
-    required = [Capability("p", Direction.REQUIRED, "W", point, point)]
     provided = [Capability("p", Direction.PROVIDED, "big", low, high)]
-    covered = Fraction(low) * Fraction(scale) <= Fraction(point) <= Fraction(high) * Fraction(scale)
-    status = match_capabilities(required, provided, table)[0].status
-    assert status is (MatchStatus.SATISFIED if covered else MatchStatus.RANGE_NOT_COVERED)
+    _, scale_digits, scale_exponent = scale.as_tuple()
+    for bound in (low, high):
+        # A point requirement in W at a provided bound, and moved by one unit
+        # in the digit after the last digit of the exact product.
+        sign, digits, exponent = bound.as_tuple()
+        product = int("".join(map(str, digits))) * int("".join(map(str, scale_digits)))
+        for nudge in (-1, 0, 1):
+            point = Decimal(f"{'-' if sign else ''}{product * 10 + nudge}e{exponent + scale_exponent - 1}")
+            required = [Capability("p", Direction.REQUIRED, "W", point, point)]
+            covered = Fraction(low) * Fraction(scale) <= Fraction(point) <= Fraction(high) * Fraction(scale)
+            status = match_capabilities(required, provided, table)[0].status
+            assert status is (MatchStatus.SATISFIED if covered else MatchStatus.RANGE_NOT_COVERED)
 
 
 # --- G rules -----------------------------------------------------------------

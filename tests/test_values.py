@@ -135,6 +135,18 @@ def test_pickle_and_copy_round_trip(kind):
             assert twin.find("W") == value.find("W") is not None
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickle_carries_the_fields_and_no_private_index(protocol):
+    # The constructor rebuilds the index; a walk's index is built again when it is first read.
+    case = load_corpus_case("tac_mrgfus.acd")
+    case._kind_targets()
+    for value, index in ((case, b"_by_id"), (case, b"_targets"), (BUILTIN_UNITS, b"_by_symbol")):
+        assert index not in pickle.dumps(value, protocol)
+    twin = pickle.loads(pickle.dumps(case, protocol))
+    assert twin == case and twin.element("C1") is not None and twin._targets is None
+    assert pickle.loads(pickle.dumps(BUILTIN_UNITS, protocol)).find("W") == BUILTIN_UNITS.find("W")
+
+
 def test_constructor_defaults():
     span = SourceSpan("f", 2, 3)
     assert span.length == 0
