@@ -182,7 +182,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .render import to_dot
     subject, diagnostics = _load(args.file, args.file.endswith(".acb"))
     if isinstance(subject, Bundle):
-        from .validate import link_rule_diagnostics
+        from .link import link_rule_diagnostics
         diagnostics = sorted_diagnostics([*diagnostics, *link_rule_diagnostics(subject)])
     _emit(diagnostics)
     if subject is None:

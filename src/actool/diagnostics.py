@@ -48,6 +48,11 @@ def finding(rule: str, span: SourceSpan, message: str, *elements: tuple[str, str
     return Diagnostic(rule, RULES[rule], span, message, elements)
 
 
+def _article(word: str) -> str:
+    """`word` after its indefinite article: 'an evidence', 'a supportedBy'."""
+    return f"{'an' if word[0] in 'aeiou' else 'a'} {word}"
+
+
 def sort_key(diagnostic: Diagnostic) -> tuple:
     span = diagnostic.span
     return (span.file, span.line, span.column, diagnostic.rule_id, diagnostic.message)

@@ -4,14 +4,14 @@ Resolution maps every away-claim of every clinical case to its target claim
 in the technological case, provided the direction and target rules (S1, S2,
 S5) hold. Inlining materializes the split arrangement back into a single
 monolithic case for one clinical case, copying the referenced technological
-subtrees beneath the away-claims.
+subtrees beneath the away-claims. The away-reference rules live here.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, has_errors
+from .diagnostics import Diagnostic, _article, finding, has_errors
 from .model import (
     AssuranceCase,
     Bundle,
@@ -19,10 +19,10 @@ from .model import (
     Edge,
     EdgeKind,
     Element,
+    ElementKind,
     UnknownElementError,
     reach,
 )
-from .validate import link_rule_diagnostics
 
 
 class ResolvedBundle(NamedTuple):
@@ -41,12 +41,61 @@ class ResolvedBundle(NamedTuple):
         }
 
 
+def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
+    """S1, S2, S5 (errors) plus S7, S8 (warnings): the away-reference rules.
+
+    The one implementation that `resolve_links`, `validate_bundle` and the
+    `render` of a bundle all call, so the three report identical messages.
+    """
+    diagnostics: list[Diagnostic] = []
+    tac = bundle.tac
+    cac_ids = {cac.id for cac in bundle.cacs}
+    for element in tac.elements:
+        if element.away_ref is None:
+            continue
+        target_case = element.away_ref[0]
+        if target_case in cac_ids:
+            rule = "S1"
+            message = f"technological case {tac.id!r} references clinical case {target_case!r} from claim "
+            message += f"{element.id!r}; references must point from clinical to technological cases only"
+        else:
+            rule = "S8"
+            message = f"claim {element.id!r} references case {target_case!r}; the technological case "
+            message += "should be self-contained"
+        diagnostics.append(finding(rule, element.span, message, (tac.id, element.id)))
+    for cac in bundle.cacs:
+        for element in cac.elements:
+            if element.away_ref is None:
+                continue
+            target_case, target_id = element.away_ref
+            away = (cac.id, element.id)
+            if target_case != tac.id:
+                message = f"claim {element.id!r} references case {target_case!r}; away references must target "
+                message += f"the associated technological case {tac.id!r}"
+                diagnostics.append(finding("S2", element.span, message, away))
+                continue
+            target = tac.find(target_id)
+            if target is None:
+                message = f"away reference target {target_case}.{target_id} does not exist"
+                diagnostics.append(finding("S5", element.span, message, away))
+            elif target.kind is not ElementKind.CLAIM:
+                message = f"away reference target {target_case}.{target_id} is {_article(target.kind.value)}, "
+                diagnostics.append(finding("S5", element.span, message + "not a claim", away, (tac.id, target_id)))
+            elif not target.is_public:
+                message = f"away reference target {target_case}.{target_id} is not public"
+                diagnostics.append(finding("S5", element.span, message, away, (tac.id, target_id)))
+            elif element.statement != target.statement:
+                message = f"statement of claim {element.id!r} differs from its target {target_case}.{target_id}"
+                diagnostics.append(finding("S7", element.span, message, away, (tac.id, target_id)))
+    return diagnostics
+
+
 def resolve_links(bundle: Bundle) -> tuple[ResolvedBundle | None, list[Diagnostic]]:
     """Resolve every clinical away reference into the technological case.
 
-    Produces a ResolvedBundle only when rules S1, S2 and S5 hold; the
-    returned diagnostics reuse the validator's rule implementations, so
-    messages match validate_bundle exactly. Warnings do not block resolution.
+    Produces a ResolvedBundle only when rules S1, S2 and S5 hold; the rules
+    live in this module, and validate_bundle calls the same implementation,
+    so messages match it exactly. Warnings do not block resolution.
     """
     diagnostics = link_rule_diagnostics(bundle)
     if has_errors(diagnostics):

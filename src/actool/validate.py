@@ -2,10 +2,11 @@
 
 G-rules check one case against the GSN structure conventions, S-rules check
 the discipline between a technological case and its clinical cases, U-rules
-check capability units and ranges. The full catalog is in RULES.md; each
-rule's severity comes from `diagnostics.RULES`, and a test checks that table
-against RULES.md's severity column. Diagnostics come back sorted by (file,
-line, column, rule id); evaluation is deterministic.
+check capability units and ranges. S3, S4 and S6 are checked here; the
+away-reference rules S1, S2, S5, S7 and S8 come from `link`. The full catalog
+is in RULES.md; each rule's severity comes from `diagnostics.RULES`, and a test
+checks that table against RULES.md's severity column. Diagnostics come back
+sorted by (file, line, column, rule id); evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .diagnostics import Diagnostic, finding, sorted_diagnostics
+from .diagnostics import Diagnostic, _article, finding, sorted_diagnostics
 from .model import (
     AssuranceCase,
     Bundle,
@@ -55,11 +56,6 @@ _CAPABILITY_HOME = {
     Direction.PROVIDED: CaseKind.TECHNOLOGICAL,
     Direction.REQUIRED: CaseKind.CLINICAL,
 }
-
-
-def _article(word: str) -> str:
-    """`word` after its indefinite article: 'an evidence', 'a supportedBy'."""
-    return f"{'an' if word[0] in 'aeiou' else 'a'} {word}"
 
 
 def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list[Diagnostic]:
@@ -202,55 +198,6 @@ _STATUS_DETAIL = {
 }
 
 
-def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
-    """S1, S2, S5 (errors) plus S7, S8 (warnings): the away-reference rules.
-
-    Shared by validate_bundle and the link resolver so both report identical
-    messages.
-    """
-    diagnostics: list[Diagnostic] = []
-    tac = bundle.tac
-    cac_ids = {cac.id for cac in bundle.cacs}
-    for element in tac.elements:
-        if element.away_ref is None:
-            continue
-        target_case = element.away_ref[0]
-        if target_case in cac_ids:
-            rule = "S1"
-            message = f"technological case {tac.id!r} references clinical case {target_case!r} from claim "
-            message += f"{element.id!r}; references must point from clinical to technological cases only"
-        else:
-            rule = "S8"
-            message = f"claim {element.id!r} references case {target_case!r}; the technological case "
-            message += "should be self-contained"
-        diagnostics.append(finding(rule, element.span, message, (tac.id, element.id)))
-    for cac in bundle.cacs:
-        for element in cac.elements:
-            if element.away_ref is None:
-                continue
-            target_case, target_id = element.away_ref
-            away = (cac.id, element.id)
-            if target_case != tac.id:
-                message = f"claim {element.id!r} references case {target_case!r}; away references must target "
-                message += f"the associated technological case {tac.id!r}"
-                diagnostics.append(finding("S2", element.span, message, away))
-                continue
-            target = tac.find(target_id)
-            if target is None:
-                message = f"away reference target {target_case}.{target_id} does not exist"
-                diagnostics.append(finding("S5", element.span, message, away))
-            elif target.kind is not ElementKind.CLAIM:
-                message = f"away reference target {target_case}.{target_id} is {_article(target.kind.value)}, "
-                diagnostics.append(finding("S5", element.span, message + "not a claim", away, (tac.id, target_id)))
-            elif not target.is_public:
-                message = f"away reference target {target_case}.{target_id} is not public"
-                diagnostics.append(finding("S5", element.span, message, away, (tac.id, target_id)))
-            elif element.statement != target.statement:
-                message = f"statement of claim {element.id!r} differs from its target {target_case}.{target_id}"
-                diagnostics.append(finding("S7", element.span, message, away, (tac.id, target_id)))
-    return diagnostics
-
-
 def validate_bundle(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[Diagnostic]:
     """Evaluate the separation rules S1-S8 on a bundle.
 
@@ -262,6 +209,7 @@ def validate_bundle(bundle: Bundle, units: UnitTable = BUILTIN_UNITS) -> list[Di
 
 def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic], list[tuple[str, MatchResult]]]:
     """`validate_bundle`'s diagnostics and the `bundle_match_results` that S4 read."""
+    from .link import link_rule_diagnostics  # a case validation loads no linker
     diagnostics = link_rule_diagnostics(bundle)
     tac = bundle.tac
 
@@ -288,10 +236,8 @@ def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic]
             if cac.associated_tac is None:
                 message = f"clinical case {cac.id!r} declares no associated technological case"
             else:
-                message = (
-                    f"clinical case {cac.id!r} associates {cac.associated_tac!r}; "
-                    f"expected the bundle's technological case {tac.id!r}"
-                )
+                message = f"clinical case {cac.id!r} associates {cac.associated_tac!r}; "
+                message += f"expected the bundle's technological case {tac.id!r}"
             diagnostics.append(finding("S6", cac.span, message))
 
     return sorted_diagnostics(diagnostics), matches

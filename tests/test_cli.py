@@ -106,19 +106,20 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert [name for name in ("dataclasses", "inspect") if name in added] == []
 
 
-_LINKS = {"actool.link", "actool.validate", "actool.units"}  # link runs the S1/S2/S5 checks of validate
+_LINKS = {"actool.link"}
 _JSON = {"actool.render", "json"}
 # The modules besides actool.cli, actool.parser, actool.model and
 # actool.diagnostics that each command loads.
 _LOADED = {
     "fmt tac_mrgfus.acd": set(),
-    "validate bundle_mrgfus.acb": {"actool.validate", "actool.units"},
-    "validate --json bundle_mrgfus.acb": {"actool.validate", "actool.units", *_JSON},
+    "validate tac_mrgfus.acd": {"actool.validate", "actool.units"},
+    "validate bundle_mrgfus.acb": {"actool.validate", "actool.units", "actool.link"},
+    "validate --json bundle_mrgfus.acb": {"actool.validate", "actool.units", "actool.link", *_JSON},
     "link bundle_mrgfus.acb": _LINKS,
     "inline bundle_mrgfus.acb --cac CAC-UF": _LINKS,
     "impact bundle_mrgfus.acb --changed TAC-1.C2": {*_LINKS, "actool.analyze"},
     "render tac_mrgfus.acd": {"actool.render"},
-    "render bundle_mrgfus.acb": {"actool.render", "actool.validate", "actool.units"},
+    "render bundle_mrgfus.acb": {"actool.render", "actool.link"},
     "metrics tac_mrgfus.acd": {"actool.analyze"},
     "metrics bundle_mrgfus.acb": {"actool.analyze"},
     "metrics --json bundle_mrgfus.acb": {"actool.analyze", *_JSON},
@@ -463,6 +464,12 @@ def test_impact_output(capsys):
         "  TAC-1: C1, C2, S\n"
         "affected cacs: CAC-UF\n"
     )
+
+
+@pytest.mark.parametrize("spec", ["", " , "])
+def test_impact_of_no_change_reports_none(spec, capsys):
+    assert run(["impact", corpus("bundle_mrgfus.acb"), "--changed", spec]) == 0
+    assert capsys.readouterr() == ("changed: (none)\naffected:\n  (none)\naffected cacs: (none)\n", "")
 
 
 def test_impact_unknown_id(capsys):

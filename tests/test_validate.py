@@ -554,8 +554,10 @@ def test_match_unknown_unit_raises():
 
 
 def test_match_direction_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^capability 'a' is not a required capability$"):
         match_capabilities([prov("a", "W", 0, 1)], [], BUILTIN_UNITS)
+    with pytest.raises(ValueError, match="^capability 'b' is not a provided capability$"):
+        match_capabilities([req("a", "W", 0, 1)], [prov("a", "W", 0, 1), req("b", "W", 0, 1)], BUILTIN_UNITS)
 
 
 # --- S rules -----------------------------------------------------------------
