@@ -139,7 +139,7 @@ class Edge(NamedTuple):
 
 # The canonical order of a case's elements and of its edges, in which `print_case` and `to_dot` write them
 ELEMENT_ORDER = attrgetter("id")
-EDGE_ORDER = attrgetter("source", "kind.value", "target")
+EDGE_ORDER = attrgetter("source", "kind._value_", "target")  # `_value_`: the `value` property costs ten times as much
 
 
 class Capability(_Checked, namedtuple("Capability", "name direction unit low high span")):

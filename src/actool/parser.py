@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
+from itertools import product
+from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, finding, sorted_diagnostics
@@ -71,7 +73,7 @@ _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[
 
 
 def _flag(flag: str, text: str) -> str:
-    """The optional part of `_LINE` that reads `flag`, spelled `text`. It matches only where the model's flag
+    """The optional part of `_NODE` that reads `flag`, spelled `text`. It matches only where the model's flag
     rules let it: a claim-only flag in a claim's line (group `claim` is set), the first flag of FLAG_NEEDS
     only after the second. A line that breaks them, a P3 for the token path to report, is no canonical line."""
     part = rf"(?:[ \t]+{text})?"
@@ -80,29 +82,34 @@ def _flag(flag: str, text: str) -> str:
     return f"(?(claim){part})" if flag in CLAIM_ONLY_FLAGS else part
 
 
-# A canonical node or edge line, from the end of the previous statement through
-# its newline: one-line strings with only `\"` and `\\` escapes, each flag at most
-# once, in the order `print_case` writes them and where the model allows it (see
-# `_flag`), no comment. It holds no lexical error, so skipping the lexer loses no
-# P0. Groups: 1 the blank and comment lines before it from the first `//` or
-# newline on, so the line starts after group 1's last newline (indentation is
-# read once); 2 node kind, 3 (`claim`) set for a claim, 4 id, 5 statement, 6-9 the
-# BOOL_FLAGS, each named after its flag, 10 concern, 11-12 awayref; 13 edge
-# source, 14 edge kind, 15 target.
-# Group 5 runs to a `"` that the flags and the newline follow. It stops at each
+# Canonical node and edge lines, each from its indentation through its newline:
+# one-line strings with only `\"` and `\\` escapes, each flag at most once, in
+# the order `print_case` writes them and where the model allows it (see `_flag`),
+# no comment. They hold no lexical error, so skipping the lexer loses no P0.
+# `_NODE` groups: 1 kind, 2 (`claim`) set for a claim, 3 id, 4 statement, 5-8 the
+# BOOL_FLAGS, each named after its flag, 9 concern, 10-11 awayref. `_EDGE`
+# groups: 1 source, 2 kind, 3 target.
+# Group 4 runs to a `"` that the flags and the newline follow. It stops at each
 # `"`, so a `;`-joined line fails at its first `;`, and it scans far faster than
 # an escape-aware body. A statement holding `\` or a newline must then match
 # `_STATEMENT`, the one-line string body with only `\"` and `\\` escapes, or the
 # line is not canonical.
-_LINE = re.compile(
-    r"[ \t\r;]*((?:(?://[^\n]*)?\n[ \t\r;]*)*)(?:("
+_NODE = re.compile(
+    r"[ \t\r;]*("
     + "|".join("claim(?P<claim>)" if kind == "claim" else kind for kind in NODE_KINDS)
     + rf')[ \t]+({_IDENT})[ \t]+"([^"]*(?:\\"[^"]*)*)"'
     + "".join(_flag(flag, f"(?P<{flag}>{flag})") for flag in BOOL_FLAGS)
     + _flag("concern", rf'concern[ \t]+({"|".join(CONCERN_KINDS)})')
     + _flag("awayref", rf"awayref[ \t]+({_IDENT})\.({_IDENT})")
-    + rf'|({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT}))[ \t\r]*\n'
+    + r"[ \t\r]*\n"
 )
+_EDGE = re.compile(rf'[ \t\r;]*({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT})[ \t\r]*\n')
+# Up to 256 edge lines exactly as `print_case` writes them, read from a line start: each line's source is at
+# column 3 and the line is its three words, two spaces before and one between them, and a newline long. The
+# bound keeps the run's word list small.
+_EDGES = re.compile(rf'(?:  {_IDENT} (?:{"|".join(EDGE_KINDS)}) {_IDENT}\n){{1,256}}')
+# The blank and comment lines between two statements, each through its newline
+_BLANKS = re.compile(r"(?:[ \t\r;]*(?://[^\n]*)?\n)*")
 _STATEMENT = re.compile(r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*\Z')
 
 
@@ -122,7 +129,8 @@ class _Parser:
     before the error.
 
     Tokens are lexed one at a time from offset `pos`, when `peek` first asks
-    for one, so a run of lines read one regex match each is never tokenized.
+    for one, so the lines `_CaseParser._line` reads with regular expressions,
+    a line or a run of lines a match, are never tokenized.
     Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
     for ids, edge sources, capability names and diagnostics. `locate` moves
     `cursor` over the text between two offsets, and spans are asked for in
@@ -299,11 +307,13 @@ class _CaseParser(_Parser):
     `associates` statement, and for a missing one after the last item. P2
     is checked in `parse`, after the last item: an edge that `_line` reads
     after both its ends is built there and then, and every other edge waits
-    in `edges` as a plain (source, offset, kind, target, offset) tuple.
+    in `waiting` as a plain tuple, with None holding its place in `edges`.
     `_line` reads each run of canonical node and edge lines without tokens,
-    one match a line, and carries the line number from match to match;
-    every other statement goes to the token path. Of the spans kept, only
-    those `parse` makes for waiting edges lie behind `_Parser`'s cursor.
+    with one match for each node line, each run of `print_case`'s edge
+    lines, each other edge line and each gap of blank and comment lines
+    between two statements. It carries the line number from line to line;
+    every other statement goes to the token path. Of the spans kept, only those `parse` makes for waiting edges lie
+    behind `_Parser`'s cursor.
     `elements`, the id dict, becomes the case's index; an edge's ends are
     its id strings, taken from the ends' elements, so nothing is interned.
     """
@@ -313,7 +323,9 @@ class _CaseParser(_Parser):
         self.case_id = ""
         self.kind = CaseKind.MONOLITHIC
         self.elements: dict[str, Element] = {}
-        self.edges: list[Edge | tuple[str, int, EdgeKind, str, int]] = []  # or (source, offset, kind, target, offset)
+        self.edges: list[Edge | None] = []  # None holds a waiting edge's place
+        # (its place in `edges`, source, offset, kind, target, offset) of each waiting edge
+        self.waiting: list[tuple[int, str, int, EdgeKind, str, int]] = []
         self.capabilities: list[Capability] = []
         self.associated: str | None = None
 
@@ -326,16 +338,11 @@ class _CaseParser(_Parser):
         if self.kind is CaseKind.CLINICAL and self.associated is None:
             message = f"clinical case {self.case_id!r} must declare 'associates'"
             self.diagnostics.append(finding("P7", case_span, message))
-        edges: list[Edge] = []
-        elements, span = self.elements, self.span
-        for edge in self.edges:
-            if edge.__class__ is Edge:
-                edges.append(edge)
-                continue
-            source, source_start, kind, target, target_start = edge
+        edges, elements, span = self.edges, self.elements, self.span
+        for place, source, source_start, kind, target, target_start in self.waiting:
             head, tail = elements.get(source), elements.get(target)
             if head is not None and tail is not None:  # the ends are the id dict's own strings
-                edges.append(Edge(head.id, tail.id, kind, span(source_start, len(source))))
+                edges[place] = Edge(head.id, tail.id, kind, span(source_start, len(source)))
                 continue
             for endpoint, start in ((source, source_start), (target, target_start)):
                 if endpoint not in elements:
@@ -343,9 +350,14 @@ class _CaseParser(_Parser):
                     self.diagnostics.append(finding("P2", span(start, len(endpoint)), message))
         # AssuranceCase's checks hold: an identifier as the id, unique element ids (P1), declared edge ends (P2)
         # and `associates` only in a clinical case (P7)
-        case = AssuranceCase._parsed(self.case_id, self.kind, elements, tuple(edges), tuple(self.capabilities),
-                                     self.associated, case_span)
+        case = AssuranceCase._parsed(self.case_id, self.kind, elements, tuple(filter(None, edges)),
+                                     tuple(self.capabilities), self.associated, case_span)
         return ParseResult(case, sorted_diagnostics(self.diagnostics))
+
+    def _wait(self, source: str, source_start: int, kind: EdgeKind, target: str, target_start: int) -> None:
+        """Hold an edge's place in `edges` until `parse` has read every element."""
+        self.waiting.append((len(self.edges), source, source_start, kind, target, target_start))
+        self.edges.append(None)
 
     def _kind(self) -> None:
         self.expect_word("kind")
@@ -368,31 +380,20 @@ class _CaseParser(_Parser):
             self._edge()
 
     def _line(self) -> bool:
-        """Read the run of canonical node and edge lines at `pos`, one match each, as `_node` and `_edge`
-        would. An edge whose two ends are declared is built here; one with a forward reference waits,
-        as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text,
-        a flag misuse (P3) among it, and at a duplicate id (P1). Whether it read anything."""
+        """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would: a node line
+        with one `_NODE` match, a run of `print_case`'s edge lines that starts at a line start with one `_EDGES`
+        match, any other edge line with one `_EDGE` match, and the blank and comment lines between two
+        statements with one `_BLANKS` match. An edge whose two ends are declared is built here; one with a
+        forward reference waits, as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line,
+        at any other text, a flag misuse (P3) among it, and at a duplicate id (P1). Whether it read anything."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
-        match_line, new, get, pos = _LINE.match, tuple.__new__, elements.get, self.pos
+        match_node, match_edges, match_edge, match_blanks = _NODE.match, _EDGES.match, _EDGE.match, _BLANKS.match
+        new, get, pos = tuple.__new__, elements.get, self.pos
         start = pos
-        line, line_start = self.locate(pos)  # of `pos`, carried from match to match
-        while match := match_line(source, pos):
-            (lead, kind, _, name, text, root, public, undeveloped, module, concern, away_case, away_id,
-             edge_source, edge, target) = match.groups()
-            if lead:  # the blank and comment lines before this one
-                row, row_start = line + lead.count("\n"), match.start(1) + lead.rfind("\n") + 1
-            else:
-                row, row_start = line, line_start
-            if kind is None:
-                name_start, head, tail = match.start(13), get(edge_source), get(target)
-                if head is not None and tail is not None:
-                    # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
-                    span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(edge_source)))
-                    edges.append(new(Edge, (head[0], tail[0], EDGE_KINDS[edge], span)))  # the ends' ids
-                else:
-                    edges.append((edge_source, name_start, EDGE_KINDS[edge], target, match.start(15)))
-            else:
-                name_start = match.start(4)
+        line, line_start = self.locate(pos)  # of `pos`, carried from line to line
+        while True:
+            if match := match_node(source, pos):
+                kind, _, name, text, root, public, undeveloped, module, concern, away_case, away_id = match.groups()
                 if name in elements:  # P1
                     break
                 if "\\" in text or "\n" in text:
@@ -400,13 +401,42 @@ class _CaseParser(_Parser):
                         break
                     text = _ESCAPE.sub(r"\1", text)
                 # Element(...), minus its checks: `_IDENT` is the model's id pattern
-                span = new(SourceSpan, (file_name, row, name_start - row_start + 1, len(name)))
+                span = new(SourceSpan, (file_name, line, match.start(3) - line_start + 1, len(name)))
                 elements[name] = new(Element, (
                     name, NODE_KINDS[kind], text, root is not None, public is not None, undeveloped is not None,
                     module is not None, None if concern is None else CONCERN_KINDS[concern],
                     None if away_case is None else (away_case, away_id), span))
+            elif pos == line_start and (match := match_edges(source, pos)):
+                words = iter(match[0].split())
+                for edge_source, edge, target in zip(words, words, words):  # a line each, `pos` at its start
+                    head, tail, kind = get(edge_source), get(target), EDGE_KINDS[edge]
+                    if head is not None and tail is not None:
+                        # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
+                        span = new(SourceSpan, (file_name, line, 3, len(edge_source)))
+                        edges.append(new(Edge, (head[0], tail[0], kind, span)))  # the ends' ids
+                    else:
+                        self._wait(edge_source, pos + 2, kind, target, pos + len(edge_source) + len(edge) + 4)
+                    pos += len(edge_source) + len(edge) + len(target) + 5
+                    line += 1
+                line_start = pos
+                continue
+            elif match := match_edge(source, pos):
+                edge_source, edge, target = match.groups()
+                name_start, head, tail = match.start(1), get(edge_source), get(target)
+                if head is not None and tail is not None:
+                    span = new(SourceSpan, (file_name, line, name_start - line_start + 1, len(edge_source)))
+                    edges.append(new(Edge, (head[0], tail[0], EDGE_KINDS[edge], span)))
+                else:
+                    self._wait(edge_source, name_start, EDGE_KINDS[edge], target, match.start(3))
+            else:
+                end = match_blanks(source, pos).end()
+                if end == pos:
+                    break
+                line += source.count("\n", pos, end)
+                pos = line_start = end
+                continue
             pos = line_start = match.end()
-            line = row + 1
+            line += 1
         self.pos, self.cursor = pos, (pos, line, line_start)
         return pos != start
 
@@ -494,7 +524,7 @@ class _CaseParser(_Parser):
         source = self.advance()
         kind = EDGE_KINDS[self.expect_word(*EDGE_KINDS, what="'supportedBy' or 'inContextOf'")]
         target = self.expect("ident", "element id")
-        self.edges.append((source.text, source.start, kind, target.text, target.start))
+        self._wait(source.text, source.start, kind, target.text, target.start)
         self.expect_terminator()
 
 
@@ -577,36 +607,47 @@ def _escape(statement: str) -> str:
     return '"' + statement.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_bool_flags = attrgetter(*(FLAG_FIELDS[flag] for flag in BOOL_FLAGS))
+# The text of each combination of the BOOL_FLAGS' values
+_BOOL_FLAG_TEXT = {values: "".join(f" {flag}" for flag, value in zip(BOOL_FLAGS, values) if value)
+                   for values in product((False, True), repeat=len(BOOL_FLAGS))}
+
+
 def _flag_text(element: Element) -> str:
-    parts = [flag for flag in BOOL_FLAGS if getattr(element, FLAG_FIELDS[flag])]
+    try:
+        text = _BOOL_FLAG_TEXT[_bool_flags(element)]
+    except (KeyError, TypeError):  # a flag given as a true or false value other than a bool
+        text = _BOOL_FLAG_TEXT[tuple(map(bool, _bool_flags(element)))]
     if element.concern is not None:
-        parts.append(f"concern {element.concern.value}")
+        text += f" concern {element.concern._value_}"
     if element.away_ref is not None:
-        parts.append(f"awayref {element.away_ref[0]}.{element.away_ref[1]}")
-    return (" " + " ".join(parts)) if parts else ""
+        text += f" awayref {element.away_ref[0]}.{element.away_ref[1]}"
+    return text
 
 
 def print_case(case: AssuranceCase) -> str:
     """Emit canonical DSL text that reparses to a structurally equal case.
 
     Elements are sorted by id, edges by (source, kind, target), capabilities
-    by (direction, name); this is the formatting `fmt` checks against.
+    by (direction, name); this is the formatting `fmt` checks against. An
+    enum's text is read as `_value_`, an attribute, not through the `value`
+    property, which costs ten times as much.
     """
-    lines = [f"case {case.id} kind {case.kind.value} {{"]
+    lines = [f"case {case.id} kind {case.kind._value_} {{"]
     for section in (
         [] if case.associated_tac is None else [f"  associates {case.associated_tac}"],
         [
-            f"  {e.kind.value} {e.id} {_escape(e.statement)}{_flag_text(e)}"
+            f"  {e.kind._value_} {e.id} {_escape(e.statement)}{_flag_text(e)}"
             for e in sorted(case.elements, key=ELEMENT_ORDER)
         ],
         [
-            f"  {e.source} {e.kind.value} {e.target}"
+            f"  {e.source} {e.kind._value_} {e.target}"
             for e in sorted(case.edges, key=EDGE_ORDER)
         ],
         [
-            f"  {c.direction.value} capability {c.name} unit {c.unit} "
+            f"  {c.direction._value_} capability {c.name} unit {c.unit} "
             f"range [{format_decimal(c.low)}, {format_decimal(c.high)}]"
-            for c in sorted(case.capabilities, key=lambda c: (c.direction.value, c.name, c.unit, c.low, c.high))
+            for c in sorted(case.capabilities, key=lambda c: (c.direction._value_, c.name, c.unit, c.low, c.high))
         ],
     ):
         if section:

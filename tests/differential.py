@@ -7,9 +7,10 @@ into a temporary directory, and the working tree's `src/` is compared with it.
 The inputs are `helpers.mixed_case_text` texts, the `print_case` texts of
 `helpers.gen_case` cases and of `helpers.gen_valid_bundle` members with their
 manifest, the case and manifest files of `perfbench/gen.py`'s case-tree,
-case-chain and bundle-wide shapes at the benchmark's size, three variants of
+case-chain and bundle-wide shapes at the benchmark's size, four variants of
 each case-tree case file (its edge lines first, ` // c` at the end of every
-line, and every statement joined by `;` on the header's line), and the corpus.
+line, every statement joined by `;` on the header's line, and every 7th edge
+line and every 11th node line indented by a tab), and the corpus.
 Each tree reads every input in its own child process, run by PATH (default:
 this interpreter) with `PYTHONHASHSEED=0`, and reports one SHA-256 per input
 of `repr(parse_case(...))` or `repr(parse_bundle(...))`, `print_case` of each
@@ -77,17 +78,27 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
 
 
 def _variants(name: str, text: str) -> list[tuple[str, str, dict[str, str]]]:
-    """A case file of one-line statements read three other ways: with its edges
-    waiting for their targets, by the token path, and with no line break."""
+    """A case file of one-line statements read four other ways: with its edges
+    waiting for their targets, by the token path, with no line break, and with
+    its runs of `print_case`'s edge lines broken by tab-indented lines."""
     header, _, rest = text.partition("\n")
     body, _, end = rest.rpartition("}")
     lines = [line.strip() for line in body.split("\n") if line.strip()]
     nodes_last = sorted(lines, key=lambda line: '"' in line or not (" supportedBy " in line or " inContextOf " in line))
     edges_first = [header, *(f"  {line}" for line in nodes_last), "}" + end]
+    tabbed, seen = [], {"edge": 0, "node": 0}
+    for line in text.split("\n"):
+        what = "node" if '"' in line else "edge" if " supportedBy " in line or " inContextOf " in line else None
+        if what is not None:
+            seen[what] += 1
+            if seen[what] % (7 if what == "edge" else 11) == 0:
+                line = "\t" + line.lstrip(" ")
+        tabbed.append(line)
     stem = name.removesuffix(".acd")
     return [(f"{stem}-edges-first.acd", "\n".join(edges_first), {}),
             (f"{stem}-commented.acd", "".join(f"{line} // c\n" for line in text.splitlines()), {}),
-            (f"{stem}-one-line.acd", f"{header} {'; '.join(lines)} }}{end}", {})]
+            (f"{stem}-one-line.acd", f"{header} {'; '.join(lines)} }}{end}", {}),
+            (f"{stem}-tabbed.acd", "\n".join(tabbed), {})]
 
 
 def _output(name: str, text: str, files: dict[str, str]) -> str:

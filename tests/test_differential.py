@@ -28,12 +28,13 @@ def _mutant(tmp_path, module: str, old: str, new: str):
 
 def test_differential_finds_a_planted_mutant_and_nothing_else(tmp_path, capsys, found):
     # The working tree against itself, then against a copy whose line runs
-    # take a statement's line start from the first newline before it, not the
-    # last, and against one whose G6 (an orphan) is an error, not a warning:
-    # a change only the rule engine's diagnostics show.
+    # count one line too many in each gap of blank and comment lines, a change
+    # only spans show, and against one whose G6 (an orphan) is an error, not a
+    # warning: a change only the rule engine's diagnostics show.
     assert differential.compare(SRC, SRC, found) == 0
     capsys.readouterr()
-    assert differential.compare(SRC, _mutant(tmp_path, "parser", 'lead.rfind("\\n")', 'lead.find("\\n")'), found) >= 1
+    gap = 'source.count("\\n", pos, end)'
+    assert differential.compare(SRC, _mutant(tmp_path, "parser", gap, gap + " + 1"), found) >= 1
     assert capsys.readouterr().out.startswith("first differing input: mixed-")
     generated = [entry for entry in found if entry[0].startswith("gen-")]
     assert differential.compare(SRC, _mutant(tmp_path, "diagnostics", '"G6": _W', '"G6": _E'), generated) >= 1

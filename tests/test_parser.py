@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actool import parser
 from actool.diagnostics import Severity
 from actool.model import (
     ID_PATTERN,
@@ -302,6 +303,14 @@ def test_print_case_keeps_every_digit():
     result = parse_case(source, "t.acd")
     assert not result.diagnostics
     assert print_case(result.case) == source
+
+
+def test_print_case_reads_each_flag_by_its_truth():
+    # As the model's checks do: a flag given as another true or false value than a bool prints as that bool.
+    loose = Element("A", ElementKind.CLAIM, "a", is_root=1, is_public="yes", is_undeveloped=[], is_module=None)
+    strict = Element("A", ElementKind.CLAIM, "a", is_root=True, is_public=True)
+    printed = [print_case(AssuranceCase("K", CaseKind.MONOLITHIC, (element,))) for element in (loose, strict)]
+    assert printed[0] == printed[1] and '  claim A "a" root public\n' in printed[0]
 
 
 def test_print_case_is_fixed_point(tac_case, cac_case, mono_case):
@@ -869,7 +878,7 @@ def _token_path_calls(monkeypatch) -> dict[str, int]:
 def test_every_flag_combination_the_model_accepts_stays_in_the_run(monkeypatch):
     # Each kind with every combination of the four boolean flags, a concern
     # and an away reference that `Element` accepts: `print_case` writes the
-    # flags in the order `_LINE` reads them, so no line takes the token path.
+    # flags in the order `_NODE` reads them, so no line takes the token path.
     calls = _token_path_calls(monkeypatch)
     elements = []
     for kind, (root, public, undeveloped, module), concern, away_ref in product(
@@ -938,6 +947,46 @@ def test_flags_out_of_order_or_repeated_take_the_token_path_once(monkeypatch, fl
     assert fast.case == slow.case
 
 
+def _bulk_source() -> str:
+    """A case whose edge section, in `print_case`'s spacing, is longer than one bounded run of 256 lines. Edges wait
+    for an element declared after them inside a run and on both sides of the bound; one names no element (P2). A
+    run starts after a `;`-joined statement, and tab-indented edges stand between runs."""
+    nodes = ['  claim N0 "root" root'] + [f'  evidence N{i} "e {i}"' for i in range(1, 330)]
+    edges = [f"  N{i // 4} supportedBy N{i}" for i in range(1, 321)]
+    for at, target in ((100, "W1"), (255, "W2"), (256, "W3"), (200, "MISSING")):
+        edges[at] = f"  N{at // 4} inContextOf {target}"
+    edges += ['  evidence J "j";  N1 supportedBy J', "  N2 supportedBy J", "\tN3 supportedBy N5", "  N3 supportedBy W1",
+              "\tN4 inContextOf W2", "  N5 supportedBy N6"]
+    late = [f'  context W{i} "w {i}"' for i in (1, 2, 3)]
+    return "case K kind monolithic {\n" + "\n".join([*nodes, "", *edges, "", *late]) + "\n}\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_runs_of_print_case_edge_lines_read_as_the_token_path_reads_them(monkeypatch, newline):
+    # `_EDGES` reads a run of up to 256 edge lines spaced as `print_case` spaces them in one match, and only from a
+    # line start; a CRLF line is no such line and takes `_EDGE`. Only the `;`-joined node takes the token path.
+    calls = _token_path_calls(monkeypatch)
+    bulk_lines = []
+
+    class CountedEdges:
+        def match(self, source, pos, match=parser._EDGES.match):
+            found = match(source, pos)
+            if found:
+                bulk_lines.append(found[0].count("\n"))
+            return found
+
+    monkeypatch.setattr(parser, "_EDGES", CountedEdges())
+    source = _bulk_source().replace("\n", newline)
+    fast = parse_case(source, "k.acd")
+    assert calls == {"_node": 1, "_edge": 0}
+    assert bulk_lines == ([256, 64, 1, 1, 1] if newline == "\n" else [])
+    slow = parse_case(_with_comments(source), "k.acd")
+    assert [d.rule_id for d in fast.diagnostics] == ["P2"]
+    assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
+    assert print_case(fast.case) == print_case(slow.case)
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
 def _edge_ends_are_id_strings(case: AssuranceCase) -> bool:
     return all(edge.source is case.element(edge.source).id and edge.target is case.element(edge.target).id
                for edge in case.edges)
@@ -983,8 +1032,9 @@ def _joined(count: int, closing: str) -> str:
 
 @pytest.mark.parametrize("closing", [" }\n", "\n}\n"])
 def test_statements_joined_on_one_line_parse_in_linear_time(closing):
-    # A run tries `_LINE` before each statement; a statement scan that read to
-    # the end of the line made k statements cost k times the line.
+    # A run tries `_NODE`, `_EDGE` and `_BLANKS` before each statement; a
+    # statement scan that read to the end of the line made k statements cost
+    # k times the line.
     def seconds(count: int) -> float:
         source = _joined(count, closing)
         best = min(timeit.repeat(lambda: parse_case(source, "k.acd"), number=1, repeat=3))
