@@ -19,7 +19,7 @@ from .model import (
     EdgeKind,
     ElementKind,
     _element_pairs,
-    _leaves_and_evidenced,
+    _supported_by_facts,
     reach,
     supported_by_dfs,
 )
@@ -114,8 +114,10 @@ def case_metrics(case: AssuranceCase) -> CaseMetrics:
     kinds = [element.kind for element in elements]
     concerns = [element.concern for element in elements]
     edge_kinds = [edge.kind for edge in case.edges]
-    leaves, evidenced = _leaves_and_evidenced(case)
-    coverage = len(evidenced.intersection([leaf.id for leaf in leaves])) / len(leaves) if leaves else 1.0
+    argued, evidenced, _ = _supported_by_facts(case)
+    claim = ElementKind.CLAIM
+    leaves = [element.id for element in elements if element.kind is claim and element.id not in argued]
+    coverage = len(evidenced.intersection(leaves)) / len(leaves) if leaves else 1.0
     return CaseMetrics(
         case_id=case.id,
         kind=case.kind,

@@ -175,7 +175,9 @@ class AssuranceCase(_Checked, namedtuple("AssuranceCase", "id kind elements edge
     source's supportedBy targets and, apart, its inContextOf targets, as ids
     in declaration order (`_kind_targets`). One pass over the edges builds it
     when the first walk that reads it runs on the case, so that parse-only
-    paths never pay for it. A walk that needs edges by their target, or whole
+    paths never pay for it. The G-rules, the supportedBy walk, the metrics'
+    coverage and S3 read the index; G3/G4 read `edges` only for the spans of
+    the sources it flags. A walk that needs edges by their target, or whole
     `Edge`s, groups `edges` itself in the one pass it makes.
     """
 
@@ -289,24 +291,35 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
     Returns every element id in postorder, and the first cycle the walk
     closes, as [n0, n1, ..., n0], or None if the subgraph is acyclic. The
     stack is explicit, so chain length is not bounded by the recursion limit.
+    An element with no supportedBy target is finished where it is reached.
     """
     supported_by = case._kind_targets()[0]
     finished: dict[str, bool] = {}  # False while on the path, True once done
     postorder: list[str] = []
     cycle = None
-    for element in case.elements:
-        if element.id in finished:
+    for start in case._by_id:  # in declaration order
+        if start in finished:
             continue
-        finished[element.id] = False
-        path = [element.id]
-        pending = [iter(supported_by.get(element.id, ()))]
+        targets = supported_by.get(start)
+        if targets is None:
+            finished[start] = True
+            postorder.append(start)
+            continue
+        finished[start] = False
+        path = [start]
+        pending = [iter(targets)]
         while pending:
             for target in pending[-1]:
                 done = finished.get(target)
                 if done is None:
+                    targets = supported_by.get(target)
+                    if targets is None:
+                        finished[target] = True
+                        postorder.append(target)
+                        continue
                     finished[target] = False
                     path.append(target)
-                    pending.append(iter(supported_by.get(target, ())))
+                    pending.append(iter(targets))
                     break
                 if not done and cycle is None:
                     cycle = path[path.index(target):] + [target]
@@ -326,22 +339,29 @@ def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
 SUPPORT_SOURCES = (ElementKind.CLAIM, ElementKind.STRATEGY)
 
 
-def _leaves_and_evidenced(case: AssuranceCase) -> tuple[list[Element], set[str]]:
-    """The leaf claims, those with no supportedBy edge to a claim or strategy,
-    in declaration order; and the ids of the elements with a supportedBy edge
-    to evidence."""
+def _supported_by_facts(case: AssuranceCase, legal_targets: dict | None = None) -> tuple[set, set, set]:
+    """One pass over the supportedBy index. Returns the ids of the sources with
+    a claim or strategy target (a claim without one is a leaf claim), of those
+    with an evidence target, and of those with a target their kind may not
+    take. `legal_targets` maps a source kind to the target kinds it may take,
+    and a kind it does not name takes none; without it, every target is legal."""
     by_id = case._by_id
     claim, strategy, evidence = ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE
-    argued: set[str] = set()
-    evidenced: set[str] = set()
+    if legal_targets is None:
+        legal_targets = dict.fromkeys(ElementKind, tuple(ElementKind))
+    # keyed by the kinds' values: hashing an enum member runs Python code
+    legal_of = {kind._value_: kinds for kind, kinds in legal_targets.items()}
+    argued, evidenced, illegal = set(), set(), set()
     for source, targets in case._kind_targets()[0].items():
+        legal = legal_of.get(by_id[source].kind._value_, ())
         for target in targets:
-            kind = by_id[target].kind
+            if (kind := by_id[target].kind) not in legal:
+                illegal.add(source)
             if kind is evidence:
                 evidenced.add(source)
             elif kind is claim or kind is strategy:
                 argued.add(source)
-    return [e for e in case.elements if e.kind is claim and e.id not in argued], evidenced
+    return argued, evidenced, illegal
 
 
 def format_decimal(value: Decimal) -> str:

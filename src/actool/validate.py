@@ -7,6 +7,11 @@ away-reference rules S1, S2, S5, S7 and S8 come from `link`. The full catalog
 is in RULES.md; each rule's severity comes from `diagnostics.RULES`, and a test
 checks that table against RULES.md's severity column. Diagnostics come back
 sorted by (file, line, column, rule id); evaluation is deterministic.
+
+G3 and G4 are evaluated per entry of the case's per-kind target index: a pass
+over each index flags the sources with a target their kind may not take, and
+only a flagged source's edges are read again, so each offending edge gets its
+own diagnostic and span.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .model import (
     EdgeKind,
     ElementKind,
     SUPPORT_SOURCES,
-    _leaves_and_evidenced,
+    _supported_by_facts,
     format_decimal,
     reach,
     supported_by_cycle,
@@ -51,6 +56,8 @@ CONTEXT_TARGETS = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUST
 # inContextOf edge; both kinds start at a claim or strategy
 _SUPPORTED_BY_TYPING = ("G3", SUPPORT_TARGETS)
 _IN_CONTEXT_OF_TYPING = ("G4", CONTEXT_TARGETS)
+# G3: the supportedBy target kinds each source kind may take; a strategy is supported by claims only
+_SUPPORTED_BY_LEGAL = {**dict.fromkeys(SUPPORT_SOURCES, SUPPORT_TARGETS), ElementKind.STRATEGY: (ElementKind.CLAIM,)}
 # G8: the one case kind that may declare capabilities of each direction
 _CAPABILITY_HOME = {
     Direction.PROVIDED: CaseKind.TECHNOLOGICAL,
@@ -77,40 +84,49 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
         diagnostics.append(finding("G2", case.element(cycle[0]).span, message, *((cid, node) for node in cycle[:-1])))
 
     by_id = case._by_id
-    for source_id, target_id, edge_kind, span in case.edges:
-        source, target = by_id[source_id], by_id[target_id]
-        source_kind, target_kind = source.kind, target.kind
-        support = edge_kind is EdgeKind.SUPPORTED_BY
-        rule, allowed = _SUPPORTED_BY_TYPING if support else _IN_CONTEXT_OF_TYPING
-        if source_kind not in SUPPORT_SOURCES or target_kind not in allowed:
-            end, bad = ("source", source) if source_kind not in SUPPORT_SOURCES else ("target", target)
-            message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {_article(edge_kind.value)} edge"
-            diagnostics.append(finding(rule, span, message, (cid, bad.id)))
-        elif support and source_kind is ElementKind.STRATEGY and target_kind is not ElementKind.CLAIM:
-            message = f"strategy {source.id!r} must be supported by claims only, "
-            message += f"not {target_kind.value} {target.id!r}"
-            diagnostics.append(finding(rule, span, message, (cid, source.id), (cid, target.id)))
-
-    leaves, evidenced = _leaves_and_evidenced(case)
-    for leaf in leaves:
-        if not (leaf.id in evidenced or leaf.is_undeveloped):
-            message = f"leaf claim {leaf.id!r} has no supporting evidence and is not marked undeveloped"
-            diagnostics.append(finding("G5", leaf.span, message, (cid, leaf.id)))
-
     supported_by, in_context_of = case._kind_targets()
-    if len(roots) == 1:
-        reachable = set(
-            reach([roots[0].id], lambda node: (*supported_by.get(node, ()), *in_context_of.get(node, ())))
-        )
-        for element in case.elements:
-            if element.id not in reachable:
-                message = f"element {element.id!r} is not reachable from the root claim"
-                diagnostics.append(finding("G6", element.span, message, (cid, element.id)))
+    argued, evidenced, ill_typed = _supported_by_facts(case, _SUPPORTED_BY_LEGAL)
+    for source, targets in in_context_of.items():
+        allowed = CONTEXT_TARGETS if by_id[source].kind in SUPPORT_SOURCES else ()
+        for target in targets:
+            if by_id[target].kind not in allowed:
+                ill_typed.add(source)
+                break
+    if ill_typed:  # each offending edge of a flagged source, with its own span
+        for source_id, target_id, edge_kind, span in case.edges:
+            if source_id not in ill_typed:
+                continue
+            source, target = by_id[source_id], by_id[target_id]
+            source_kind, target_kind = source.kind, target.kind
+            support = edge_kind is EdgeKind.SUPPORTED_BY
+            rule, allowed = _SUPPORTED_BY_TYPING if support else _IN_CONTEXT_OF_TYPING
+            if source_kind not in SUPPORT_SOURCES or target_kind not in allowed:
+                end, bad = ("source", source) if source_kind not in SUPPORT_SOURCES else ("target", target)
+                message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {_article(edge_kind.value)} edge"
+                diagnostics.append(finding(rule, span, message, (cid, bad.id)))
+            elif support and target_kind not in _SUPPORTED_BY_LEGAL[source_kind]:
+                message = f"strategy {source.id!r} must be supported by claims only, "
+                message += f"not {target_kind.value} {target.id!r}"
+                diagnostics.append(finding(rule, span, message, (cid, source.id), (cid, target.id)))
 
+    claim, strategy = ElementKind.CLAIM, ElementKind.STRATEGY
     for element in case.elements:
-        if element.kind is ElementKind.STRATEGY and element.id not in supported_by:
+        kind = element.kind
+        if kind is claim and not (element.id in argued or element.id in evidenced or element.is_undeveloped):
+            message = f"leaf claim {element.id!r} has no supporting evidence and is not marked undeveloped"
+            diagnostics.append(finding("G5", element.span, message, (cid, element.id)))
+        elif kind is strategy and element.id not in supported_by:
             message = f"strategy {element.id!r} has no supporting claim"
             diagnostics.append(finding("G7", element.span, message, (cid, element.id)))
+
+    if len(roots) == 1:
+        reached = reach([roots[0].id], lambda node: supported_by.get(node, []) + in_context_of.get(node, []))
+        if len(reached) < len(by_id):
+            reached = set(reached)
+            for element in case.elements:
+                if element.id not in reached:
+                    message = f"element {element.id!r} is not reachable from the root claim"
+                    diagnostics.append(finding("G6", element.span, message, (cid, element.id)))
 
     for cap in case.capabilities:
         home = _CAPABILITY_HOME[cap.direction]
@@ -213,13 +229,16 @@ def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic]
     diagnostics = link_rule_diagnostics(bundle)
     tac = bundle.tac
 
+    context = ElementKind.CONTEXT
     for cac in bundle.cacs:
         in_context_of, by_id = cac._kind_targets()[1], cac._by_id
         for element in cac.elements:
             if element.away_ref is None:
                 continue
-            documented = any(by_id[target].kind is ElementKind.CONTEXT for target in in_context_of.get(element.id, ()))
-            if not documented:
+            for target in in_context_of.get(element.id, ()):
+                if by_id[target].kind is context:
+                    break
+            else:
                 message = f"away-resolved claim {element.id!r} has no documenting context"
                 diagnostics.append(finding("S3", element.span, message, (cac.id, element.id)))
 

@@ -9,6 +9,7 @@ union edge list.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from decimal import Decimal
 
 from actool.model import (
@@ -22,6 +23,7 @@ from actool.model import (
     EdgeKind,
     Element,
     ElementKind,
+    SourceSpan,
 )
 
 STATEMENT_CHARS = (
@@ -428,14 +430,16 @@ def brute_acyclic_depth(case: AssuranceCase) -> int:
     return max(depth.values(), default=0)
 
 
-def brute_dfs(case: AssuranceCase) -> tuple[int, list[str] | None]:
+def brute_dfs(case: AssuranceCase) -> tuple[int, list[str] | None, list[str]]:
     """The supportedBy depth-first walk restated recursively, rescanning the
     edge list: starts in declaration order, out-edges in declaration order.
 
-    Returns the longest path in nodes with the walk's back edges ignored, and
-    the first cycle the walk closes as [n0, ..., n0] (None when acyclic)."""
+    Returns the longest path in nodes with the walk's back edges ignored, the
+    first cycle the walk closes as [n0, ..., n0] (None when acyclic), and
+    every element id in the order the walk finishes it."""
     depth: dict[str, int] = {}
     path: list[str] = []
+    postorder: list[str] = []
     cycle = None
 
     def visit(node: str) -> None:
@@ -454,11 +458,12 @@ def brute_dfs(case: AssuranceCase) -> tuple[int, list[str] | None]:
             best = max(best, depth[edge.target])
         path.pop()
         depth[node] = 1 + best
+        postorder.append(node)
 
     for element in case.elements:
         if element.id not in depth:
             visit(element.id)
-    return max(depth.values(), default=0), cycle
+    return max(depth.values(), default=0), cycle, postorder
 
 
 def brute_has_supported_by_cycle(case: AssuranceCase) -> bool:
@@ -500,6 +505,36 @@ def brute_g3_violated(case: AssuranceCase) -> bool:
     return False
 
 
+def brute_typing(case: AssuranceCase) -> Counter:
+    """G3 and G4 restated from RULES.md, edge by edge over the edge list: the
+    multiset of (rule, edge span, implicated elements). An edge whose source
+    is not a claim or strategy implicates its source; else one whose target
+    its edge kind may never take implicates its target; else a strategy
+    supported by a non-claim implicates both ends."""
+    kinds = {e.id: e.kind for e in case.elements}
+    sources = (ElementKind.CLAIM, ElementKind.STRATEGY)
+    found: Counter = Counter()
+    for edge in case.edges:
+        support = edge.kind is EdgeKind.SUPPORTED_BY
+        rule = "G3" if support else "G4"
+        targets = (
+            (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE)
+            if support
+            else (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
+        )
+        source, target = kinds[edge.source], kinds[edge.target]
+        if source not in sources:
+            implicated = (edge.source,)
+        elif target not in targets:
+            implicated = (edge.target,)
+        elif support and source is ElementKind.STRATEGY and target is not ElementKind.CLAIM:
+            implicated = (edge.source, edge.target)
+        else:
+            continue
+        found[rule, edge.span, tuple((case.id, node) for node in implicated)] += 1
+    return found
+
+
 def brute_affected(bundle: Bundle, changed: set[tuple[str, str]]) -> dict[str, set[str]]:
     """Reverse reachability on the union graph by fixpoint relaxation. The
     cross edges come straight from the clinical cases' away references."""
@@ -526,12 +561,17 @@ def brute_affected(bundle: Bundle, changed: set[tuple[str, str]]) -> dict[str, s
     return result
 
 
-def enum_typed_digraphs(n: int):
-    """Every supportedBy digraph (self-loops included) over every assignment
-    of {claim, strategy, evidence} to n nodes."""
-    kinds = (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE)
+def enum_typed_digraphs(
+    n: int,
+    kinds=(ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE),
+    edge_kinds=(EdgeKind.SUPPORTED_BY,),
+):
+    """Every digraph over n nodes (self-loops included) with edges of
+    `edge_kinds`, over every assignment of `kinds` to the nodes: by default
+    supportedBy edges over {claim, strategy, evidence}. Each edge has its own
+    span, on the line of its bit in the edge mask."""
     ids = [f"N{i}" for i in range(n)]
-    pairs = [(a, b) for a in ids for b in ids]
+    pairs = [(a, b, edge_kind) for edge_kind in edge_kinds for a in ids for b in ids]
     for assignment in range(len(kinds) ** n):
         chosen = []
         value = assignment
@@ -543,7 +583,7 @@ def enum_typed_digraphs(n: int):
         )
         for mask in range(1 << len(pairs)):
             edges = tuple(
-                Edge(pairs[bit][0], pairs[bit][1], EdgeKind.SUPPORTED_BY)
+                Edge(*pairs[bit], SourceSpan("enum.acd", bit + 1, 1))
                 for bit in range(len(pairs))
                 if mask >> bit & 1
             )

@@ -19,6 +19,7 @@ from actool.model import (
     ElementKind,
     reach,
     supported_by_cycle,
+    supported_by_dfs,
 )
 from actool.validate import validate_bundle, validate_case
 
@@ -128,7 +129,7 @@ TWO_CYCLES = AssuranceCase(
 @given(cases())
 @example(TWO_CYCLES)  # the walk closes N0-N1 first, then N1-N2
 def test_depth_cycle_and_g2_match_recursive_walk(case):
-    depth, cycle = helpers.brute_dfs(case)
+    depth, cycle, _ = helpers.brute_dfs(case)
     assert case_metrics(case).depth == depth
     assert supported_by_cycle(case) == cycle
     g2 = [(d.message, d.elements) for d in validate_case(case) if d.rule_id == "G2"]
@@ -136,6 +137,27 @@ def test_depth_cycle_and_g2_match_recursive_walk(case):
         assert g2 == []
     else:
         assert g2 == [("supportedBy cycle: " + " -> ".join(cycle), tuple((case.id, node) for node in cycle[:-1]))]
+
+
+LOOPS_AND_DUPLICATES = AssuranceCase(
+    id="H",
+    kind=CaseKind.MONOLITHIC,
+    elements=tuple(Element(f"N{i}", kind, "") for i, kind in enumerate(
+        (ElementKind.CLAIM, ElementKind.EVIDENCE, ElementKind.CLAIM, ElementKind.STRATEGY))),
+    edges=tuple(
+        Edge(a, b, EdgeKind.SUPPORTED_BY)
+        for a, b in (("N0", "N1"), ("N0", "N2"), ("N0", "N1"), ("N2", "N2"), ("N2", "N3"), ("N3", "N0"), ("N3", "N1"))
+    ),
+)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+@example(TWO_CYCLES)
+@example(LOOPS_AND_DUPLICATES)  # a leaf reached twice, a self-loop, and a cycle back to the start
+def test_dfs_postorder_and_cycle_match_recursive_walk(case):
+    _, cycle, postorder = helpers.brute_dfs(case)
+    assert supported_by_dfs(case) == (postorder, cycle)
 
 
 def test_graph_passes_match_edge_scans_on_large_cases():
@@ -149,7 +171,8 @@ def test_graph_passes_match_edge_scans_on_large_cases():
         assert findings(diagnostics, "G6") == {(case.id, node) for node in helpers.brute_g6(case)}
         assert findings(diagnostics, "G7") == {(case.id, node) for node in helpers.brute_g7(case)}
         assert metrics.evidence_coverage == helpers.brute_evidence_coverage(case)
-        depth, cycle = helpers.brute_dfs(case)
+        depth, cycle, postorder = helpers.brute_dfs(case)
+        assert supported_by_dfs(case) == (postorder, cycle)
         assert metrics.depth == depth
         g2 = [d.message for d in diagnostics if d.rule_id == "G2"]
         assert g2 == ([] if cycle is None else ["supportedBy cycle: " + " -> ".join(cycle)])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from decimal import MAX_EMAX, MIN_ETINY, Decimal
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from actool.model import (
     EdgeKind,
     Element,
     ElementKind,
+    SourceSpan,
     format_decimal,
 )
+from actool.parser import parse_case
 from actool.units import BUILTIN_UNITS, Dimension, UnitDef, UnitError, parse_units_file
 from actool.validate import (
     MatchStatus,
@@ -385,6 +388,62 @@ def test_g4_context_edges():
     ]
 
 
+def typing_findings(case):
+    return Counter((d.rule_id, d.span, d.elements) for d in validate_case(case) if d.rule_id in ("G3", "G4"))
+
+
+def test_g3_g4_each_edge_matches_typing_oracle_on_every_two_node_case():
+    # every kind on both nodes, every subset of the 8 edges of both kinds, self-loops included
+    checked = 0
+    for case in helpers.enum_typed_digraphs(2, kinds=tuple(ElementKind), edge_kinds=tuple(EdgeKind)):
+        assert typing_findings(case) == helpers.brute_typing(case)
+        checked += 1
+    assert checked == 6**2 * 2**8
+
+
+def test_g3_g4_each_edge_matches_typing_oracle_on_random_cases():
+    rng = random.Random(3131)
+    found = 0
+    for _ in range(600):
+        case = helpers.gen_case(rng)
+        # one span per edge, so a finding on the wrong edge shows
+        case = case._replace(edges=[edge._replace(span=SourceSpan("g.acd", line, 1)) for line, edge in
+                                    enumerate(case.edges + case.edges[:2], 1)])  # two duplicate edges
+        expected = helpers.brute_typing(case)
+        assert typing_findings(case) == expected
+        found += len(expected)
+    assert found > 1000
+
+
+def test_g3_g4_each_edge_of_a_parsed_case():
+    text = (
+        "case T kind monolithic {\n"
+        '  claim A "a" root\n'
+        '  strategy S "s"\n'
+        '  claim B "b" undeveloped\n'
+        '  evidence E "e"\n'
+        '  context X "x"\n'
+        "  A supportedBy S\n"
+        "  S supportedBy B\n"
+        "  S supportedBy E\n"  # only this edge of S is reported
+        "  A supportedBy X\n"
+        "  A supportedBy X\n"  # the same illegal edge on a second line
+        "  X supportedBy A\n"  # a context as the source of both edge kinds
+        "  X inContextOf A\n"
+        "  A inContextOf X\n"
+        "}\n"
+    )
+    case = parse_case(text, "t.acd").case
+    assert typing_findings(case) == helpers.brute_typing(case)
+    assert [d.line() for d in validate_case(case) if d.rule_id in ("G3", "G4")] == [
+        "t.acd:9:3: error G3: strategy 'S' must be supported by claims only, not evidence 'E'",
+        "t.acd:10:3: error G3: context 'X' cannot be the target of a supportedBy edge",
+        "t.acd:11:3: error G3: context 'X' cannot be the target of a supportedBy edge",
+        "t.acd:12:3: error G3: context 'X' cannot be the source of a supportedBy edge",
+        "t.acd:13:3: error G4: context 'X' cannot be the source of an inContextOf edge",
+    ]
+
+
 def test_g5_bare_leaf_claim():
     case = case_of(claim("A", is_root=True), claim("B"), edges=(Edge("A", "B", EdgeKind.SUPPORTED_BY),))
     g5 = by_rule(validate_case(case), "G5")
@@ -427,6 +486,19 @@ def test_g7_childless_strategy():
         edges=(Edge("A", "S1", EdgeKind.SUPPORTED_BY),),
     )
     assert len(by_rule(validate_case(case), "G7")) == 1
+
+
+def test_g7_strategy_supported_by_evidence_only_is_left_to_g3():
+    # G7 flags a strategy with no supportedBy edge at all; one whose only support is evidence is G3's
+    case = case_of(
+        claim("A", is_root=True),
+        Element("S", ElementKind.STRATEGY, "s"),
+        Element("E", ElementKind.EVIDENCE, "e"),
+        edges=(Edge("A", "S", EdgeKind.SUPPORTED_BY), Edge("S", "E", EdgeKind.SUPPORTED_BY)),
+    )
+    assert [d.line() for d in validate_case(case)] == [
+        "<unknown>:1:1: error G3: strategy 'S' must be supported by claims only, not evidence 'E'",
+    ]
 
 
 def test_g8_capability_placement():
