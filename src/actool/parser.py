@@ -18,13 +18,11 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from itertools import product
-from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, finding, sorted_diagnostics
 from .model import (
     CLAIM_ONLY_FLAGS,
-    EDGE_ORDER,
     ELEMENT_ORDER,
     FLAG_FIELDS,
     FLAG_NEEDS,
@@ -68,6 +66,12 @@ _TOKEN_PATTERN = re.compile(  # blank space and comments, then one token; `\Z` m
     rf"|(?P<ident>{_IDENT})|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])|(?P<eof>\Z))"
 )
 _ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid escape
+
+
+def _unescaped(escape: re.Match) -> str:  # `_ESCAPE.sub`'s replacement: 3.10 and 3.11 expand `r"\1"` in Python code
+    return escape[1] or ""
+
+
 # After a statement's first identifier: the rest of `ID supportedBy|inContextOf ID`.
 _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[ \t\r]*[A-Za-z]')
 
@@ -176,7 +180,7 @@ class _Parser:
                 self.error(f"invalid escape sequence {escape[0]!r}", self.span(start, escape.end()))
         if not closed:
             self.error("unterminated string", self.span(start, end))
-        return _ESCAPE.sub(r"\1", text[1:end])
+        return _ESCAPE.sub(_unescaped, text[1:end])
 
     def locate(self, offset: int) -> tuple[int, int]:
         """The line of `offset` and the offset that line starts at; a `\\n` belongs to the line it ends. The cursor
@@ -399,7 +403,7 @@ class _CaseParser(_Parser):
                 if "\\" in text or "\n" in text:
                     if not _STATEMENT.match(text):
                         break
-                    text = _ESCAPE.sub(r"\1", text)
+                    text = _ESCAPE.sub(_unescaped, text)
                 # Element(...), minus its checks: `_IDENT` is the model's id pattern
                 span = new(SourceSpan, (file_name, line, match.start(3) - line_start + 1, len(name)))
                 elements[name] = new(Element, (
@@ -603,26 +607,9 @@ def parse_bundle(
     return (Bundle(tac, tuple(cacs)) if complete else None), sorted_diagnostics(diagnostics)
 
 
-def _escape(statement: str) -> str:
-    return '"' + statement.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-_bool_flags = attrgetter(*(FLAG_FIELDS[flag] for flag in BOOL_FLAGS))
 # The text of each combination of the BOOL_FLAGS' values
 _BOOL_FLAG_TEXT = {values: "".join(f" {flag}" for flag, value in zip(BOOL_FLAGS, values) if value)
                    for values in product((False, True), repeat=len(BOOL_FLAGS))}
-
-
-def _flag_text(element: Element) -> str:
-    try:
-        text = _BOOL_FLAG_TEXT[_bool_flags(element)]
-    except (KeyError, TypeError):  # a flag given as a true or false value other than a bool
-        text = _BOOL_FLAG_TEXT[tuple(map(bool, _bool_flags(element)))]
-    if element.concern is not None:
-        text += f" concern {element.concern._value_}"
-    if element.away_ref is not None:
-        text += f" awayref {element.away_ref[0]}.{element.away_ref[1]}"
-    return text
 
 
 def print_case(case: AssuranceCase) -> str:
@@ -631,19 +618,30 @@ def print_case(case: AssuranceCase) -> str:
     Elements are sorted by id, edges by (source, kind, target), capabilities
     by (direction, name); this is the formatting `fmt` checks against. An
     enum's text is read as `_value_`, an attribute, not through the `value`
-    property, which costs ten times as much.
+    property, which costs ten times as much. Each edge line is sorted as a
+    string: an id holds no character at or below the space that separates the
+    line's words, so `"  SRC KIND TGT"` sorts as (source, kind, target) does.
     """
+    nodes, flag_text = [], _BOOL_FLAG_TEXT
+    elements = sorted(case.elements, key=ELEMENT_ORDER)
+    for name, kind, statement, root, public, undeveloped, module, concern, away, _ in elements:
+        try:
+            flags = flag_text[root, public, undeveloped, module]
+        except (KeyError, TypeError):  # a flag given as a true or false value other than a bool
+            flags = flag_text[bool(root), bool(public), bool(undeveloped), bool(module)]
+        if concern is not None:
+            flags += f" concern {concern._value_}"
+        if away is not None:
+            flags += f" awayref {away[0]}.{away[1]}"
+        statement = statement.replace("\\", "\\\\").replace('"', '\\"')
+        nodes.append(f'  {kind._value_} {name} "{statement}"{flags}')
+    edges = [f"  {source} {kind._value_} {target}" for source, target, kind, _ in case.edges]
+    edges.sort()
     lines = [f"case {case.id} kind {case.kind._value_} {{"]
     for section in (
         [] if case.associated_tac is None else [f"  associates {case.associated_tac}"],
-        [
-            f"  {e.kind._value_} {e.id} {_escape(e.statement)}{_flag_text(e)}"
-            for e in sorted(case.elements, key=ELEMENT_ORDER)
-        ],
-        [
-            f"  {e.source} {e.kind._value_} {e.target}"
-            for e in sorted(case.edges, key=EDGE_ORDER)
-        ],
+        nodes,
+        edges,
         [
             f"  {c.direction._value_} capability {c.name} unit {c.unit} "
             f"range [{format_decimal(c.low)}, {format_decimal(c.high)}]"

@@ -8,12 +8,18 @@ inContextOf edges use open arrowheads, and away references between the
 cases of a bundle are dashed. Emission is fully sorted, so output is
 byte-stable.
 
-The JSON report schema is documented in FORMATS.md.
+A node line's attributes come in the order `shape`, `style`, `fillcolor`,
+`label`, and everything before `label=` is one lookup in `_NODE_HEADS`. The
+label is `ID\\nSTATEMENT`, then `\\n◇` for an undeveloped claim; only the
+statement is escaped (`\\`, `"` and newline), since an id is an identifier.
+FORMATS.md gives the exact lines and their order; the JSON report schema is
+documented there too.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Container, Iterable, Sequence
 
 from .model import (
     EDGE_ORDER,
@@ -21,7 +27,6 @@ from .model import (
     AssuranceCase,
     Bundle,
     EdgeKind,
-    Element,
     ElementKind,
     _element_pairs,
     format_decimal,
@@ -33,57 +38,37 @@ if TYPE_CHECKING:  # drawing a case loads none of these
     from .validate import MatchResult
 
 UNDEVELOPED_GLYPH = "\u25c7"
+_GLYPH_LINE = "\\n" + UNDEVELOPED_GLYPH  # the label's last line on an undeveloped claim, its newline escaped
 
 
-_SHAPES = {
-    ElementKind.CLAIM: "box",
-    ElementKind.STRATEGY: "parallelogram",
-    ElementKind.CONTEXT: "box",
-    ElementKind.ASSUMPTION: "box",
-    ElementKind.JUSTIFICATION: "box",
-    ElementKind.EVIDENCE: "circle",
-}
-_ROUNDED = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION)
+def _node_head(kind: ElementKind, module: bool, highlighted: bool) -> str:
+    """What a node line holds before `label=`: the one shape and style rule."""
+    shape = "tab" if module else {"strategy": "parallelogram", "evidence": "circle"}.get(kind.value, "box")
+    styles = ["rounded"] * (kind.value in ("context", "assumption", "justification")) + ["filled"] * highlighted
+    style = f'style="{",".join(styles)}", ' if styles else ""
+    return f"shape={shape}, {style}" + ("fillcolor=lightgray, " if highlighted else "")
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+# `_node_head` of each combination, keyed as `_case_body` reads an element: (kind `_value_`, not a module,
+# highlighted). `not` gives a bool for a flag given as any true or false value; the kind's `_value_` is a plain
+# attribute and a string key, where hashing the member would run `Enum.__hash__` in Python for every element.
+_NODE_HEADS = {(kind._value_, not module, highlighted): _node_head(kind, module, highlighted)
+               for kind, module, highlighted in product(ElementKind, (False, True), (False, True))}
 
 
-def _node_line(qualified: str, element: Element, highlighted: bool) -> str:
-    shape = "tab" if element.is_module else _SHAPES[element.kind]
-    label = f"{element.id}\n{element.statement}"
-    if element.is_undeveloped:
-        label += f"\n{UNDEVELOPED_GLYPH}"
-    attrs = [f"shape={shape}"]
-    styles = []
-    if element.kind in _ROUNDED:
-        styles.append("rounded")
-    if highlighted:
-        styles.append("filled")
-    if styles:
-        attrs.append(f'style="{",".join(styles)}"')
-    if highlighted:
-        attrs.append("fillcolor=lightgray")
-    attrs.append(f'label="{_dot_escape(label)}"')
-    return f'"{qualified}" [{", ".join(attrs)}];'
-
-
-def _edge_line(source: str, target: str, kind: EdgeKind) -> str:
-    if kind is EdgeKind.IN_CONTEXT_OF:
-        return f'"{source}" -> "{target}" [arrowhead=onormal];'
-    return f'"{source}" -> "{target}";'
-
-
-def _case_body(
-    case: AssuranceCase, highlight: frozenset[tuple[str, str]], prefix: str, indent: str
-) -> list[str]:
+def _case_body(case: AssuranceCase, marked: Container[str], prefix: str, indent: str) -> list[str]:
+    """A case's node lines, by id, then its edge lines, by EDGE_ORDER; `marked` holds the highlighted ids. An id is
+    an identifier, so only a statement is escaped."""
+    heads, in_context = _NODE_HEADS, EdgeKind.IN_CONTEXT_OF
     lines = []
-    for element in sorted(case.elements, key=ELEMENT_ORDER):
-        highlighted = (case.id, element.id) in highlight
-        lines.append(indent + _node_line(f"{prefix}{element.id}", element, highlighted))
-    for edge in sorted(case.edges, key=EDGE_ORDER):
-        lines.append(indent + _edge_line(f"{prefix}{edge.source}", f"{prefix}{edge.target}", edge.kind))
+    for name, kind, statement, _, _, undeveloped, module, _, _, _ in sorted(case.elements, key=ELEMENT_ORDER):
+        statement = statement.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        lines.append(f'{indent}"{prefix}{name}" [{heads[kind._value_, not module, name in marked]}label="{name}\\n'
+                     f'{statement}{_GLYPH_LINE if undeveloped else ""}"];')
+    lines += [
+        f'{indent}"{prefix}{source}" -> "{prefix}{target}"{" [arrowhead=onormal];" if kind is in_context else ";"}'
+        for source, target, kind, _ in sorted(case.edges, key=EDGE_ORDER)
+    ]
     return lines
 
 
@@ -94,19 +79,23 @@ def to_dot(subject: AssuranceCase | Bundle, highlight: Iterable[tuple[str, str]]
     that names an element of a case in the bundle becomes a dashed
     inter-cluster edge. `highlight` names the (case id, element id) pairs
     drawn filled; a pair that names no element raises UnknownElementError,
-    as in `impact`.
+    as in `impact`. Clusters are sorted by case id, node lines by element
+    id, edge lines by EDGE_ORDER, and the dashed edges, last, by the
+    qualified ids of their two ends.
     """
     header = [
         "  graph [rankdir=TB, ranksep=0.6];",
         '  node [fontname="Helvetica", fontsize=10];',
     ]
     if isinstance(subject, AssuranceCase):
-        highlight = _element_pairs({subject.id: subject}, highlight)
-        lines = [f'digraph "{subject.id}" {{', *header, *_case_body(subject, highlight, "", "  "), "}\n"]
+        marked = {name for _, name in _element_pairs({subject.id: subject}, highlight)}
+        lines = [f'digraph "{subject.id}" {{', *header, *_case_body(subject, marked, "", "  "), "}\n"]
         return "\n".join(lines)
 
     cases = {case.id: case for case in subject.cases()}
-    highlight = _element_pairs(cases, highlight)
+    marked_in: dict[str, set[str]] = {}
+    for case_id, name in _element_pairs(cases, highlight):
+        marked_in.setdefault(case_id, set()).add(name)
     cross = []
     for case in subject.cases():
         for element in case.elements:
@@ -120,7 +109,7 @@ def to_dot(subject: AssuranceCase | Bundle, highlight: Iterable[tuple[str, str]]
     for case in sorted(subject.cases(), key=lambda c: c.id):
         lines.append(f'  subgraph "cluster_{case.id}" {{')
         lines.append(f'    label="{case.id} ({case.kind.value})";')
-        lines.extend(_case_body(case, highlight, f"{case.id}.", "    "))
+        lines.extend(_case_body(case, marked_in.get(case.id, ()), f"{case.id}.", "    "))
         lines.append("  }")
     for source, target in sorted(cross):
         lines.append(f'  "{source}" -> "{target}" [style=dashed];')

@@ -12,18 +12,22 @@ each case-tree case file (its edge lines first, ` // c` at the end of every
 line, every statement joined by `;` on the header's line, and every 7th edge
 line and every 11th node line indented by a tab), and the corpus.
 Each tree reads every input in its own child process, run by PATH (default:
-this interpreter) with `PYTHONHASHSEED=0`, and reports one SHA-256 per input
-of `repr(parse_case(...))` or `repr(parse_bundle(...))`, `print_case` of each
-case parsed, the `Diagnostic.line()`s of `validate_case` on each case and, for
-a bundle, of `validate_bundle` and `resolve_links`, and the `report_json` of
-those diagnostics and the bundle's capability matches. The digest also covers
-`to_dot` and the `report_json` of `case_metrics` of each case, `to_dot` and
-the `report_json` of `bundle_metrics` of a bundle and, for a bundle that
-resolves, the `report_json` of `impact` on every 7th technological element in
-declaration order and the `repr` and `print_case` of `inline_bundle` for each
-clinical case. Last come, for each case parsed and for a bundle, the `repr`
-of its `pickle` and `copy.copy` twins and whether each twin equals the
-original. On a mismatch the first differing input and both outputs around
+this interpreter), the working tree's with `PYTHONHASHSEED=1` and REF's with
+`PYTHONHASHSEED=0`, so that no output may hang on the order of a set of
+strings. Each child reports one SHA-256 per input of `repr(parse_case(...))`
+or `repr(parse_bundle(...))`, `print_case` of each case parsed, the
+`Diagnostic.line()`s of `validate_case` on each case and, for a bundle, of
+`validate_bundle` and `resolve_links`, and the `report_json` of those
+diagnostics and the bundle's capability matches. The digest also covers
+`to_dot` of each case, plain and with every 5th element highlighted, the
+`report_json` of `case_metrics` of each case, `to_dot` of a bundle, plain
+and with every 5th element of each member highlighted, the `report_json` of
+`bundle_metrics` of a bundle and, for a bundle that resolves, the
+`report_json` of `impact` on every 7th technological element in declaration
+order and the `repr` and `print_case` of `inline_bundle` for each clinical
+case. Last come, for each case parsed and for a bundle, the `repr` of its
+`pickle` and `copy.copy` twins and whether each twin equals the original.
+On a mismatch the first differing input and both outputs around
 their first difference are printed. Exit status: 0 when every digest
 matches, 1 otherwise.
 
@@ -118,12 +122,15 @@ def _output(name: str, text: str, files: dict[str, str]) -> str:
         result = parse_case(text, name)
         cases = () if result.case is None else (result.case,)
     diagnostics = [diagnostic for case in cases for diagnostic in validate_case(case)]
-    drawn = [part for case in cases for part in (to_dot(case), report_json(metrics=case_metrics(case)))]
+    marked = [(case.id, element.id) for case in cases for element in case.elements[::5]]
+    drawn = [part for case in cases
+             for part in (to_dot(case), to_dot(case, [pair for pair in marked if pair[0] == case.id]),
+                          report_json(metrics=case_metrics(case)))]
     if bundle is not None:
         resolved, link_diagnostics = resolve_links(bundle)
         diagnostics += [*validate_bundle(bundle), *link_diagnostics]
         capabilities = bundle_match_results(bundle)
-        drawn += [to_dot(bundle), report_json(metrics=bundle_metrics(bundle))]
+        drawn += [to_dot(bundle), to_dot(bundle, marked), report_json(metrics=bundle_metrics(bundle))]
         if resolved is not None:
             changed = [(bundle.tac.id, element.id) for element in bundle.tac.elements[::7]]
             drawn.append(report_json(impact=impact(resolved, changed)))
@@ -147,8 +154,8 @@ def _child(path: str, show: int | None) -> None:
         print(hashlib.sha256(_output(*entry).encode()).hexdigest())
 
 
-def _run(src: Path, path: str, python: str, show: int | None = None) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8",
+def _run(src: Path, path: str, python: str, hash_seed: str, show: int | None = None) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed, PYTHONIOENCODING="utf-8",
                PYTHONDONTWRITEBYTECODE="1")
     argv = [python, __file__, "--child", path] + ([] if show is None else ["--show", str(show)])
     done = subprocess.run(argv, env=env, capture_output=True, encoding="utf-8", check=False)
@@ -160,24 +167,24 @@ def _run(src: Path, path: str, python: str, show: int | None = None) -> str:
 def compare(left: Path, right: Path, found: list[tuple[str, str, dict[str, str]]],
             pythons: tuple[str, str] = (sys.executable, sys.executable)) -> int:
     """The number of inputs whose digests differ between the `src` trees
-    `left` and `right`, run by the interpreters `pythons` in the same order;
-    the first of them is printed."""
+    `left` and `right`, run by the interpreters `pythons` in the same order
+    and under the hash seeds 1 and 0; the first of them is printed."""
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "inputs.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(found, handle)
-        sides = list(zip((left, right), pythons))
-        digests = [_run(src, path, python).split() for src, python in sides]
+        sides = list(zip((left, right), pythons, ("1", "0")))
+        digests = [_run(src, path, python, hash_seed).split() for src, python, hash_seed in sides]
         differing = [number for number, (a, b) in enumerate(zip(*digests)) if a != b]
         if differing:
             first = differing[0]
             name, text, _ = found[first]
             print(f"first differing input: {name} (input {first})\n{text[:2000]}")
-            a, b = (_run(src, path, python, first) for src, python in sides)
+            a, b = (_run(src, path, python, hash_seed, first) for src, python, hash_seed in sides)
             at = next((at for at, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
             print(f"the outputs first differ at character {at}:")
-            for (src, python), output in zip(sides, (a, b)):
-                print(f"{src} under {python}: ...{output[max(at - 300, 0):at + 300]}...")
+            for (src, python, hash_seed), output in zip(sides, (a, b)):
+                print(f"{src} under {python}, hash seed {hash_seed}: ...{output[max(at - 300, 0):at + 300]}...")
     return len(differing)
 
 

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own traversal code: reachability
 is checked by exhaustive forward walks, cycles by closed-walk detection over
 boolean adjacency powers, and impact by fixpoint relaxation over the explicit
-union edge list.
+union edge list. `brute_dot` writes DOT from FORMATS.md's description of it,
+not from `render.py`.
 """
 
 from __future__ import annotations
@@ -559,6 +560,69 @@ def brute_affected(bundle: Bundle, changed: set[tuple[str, str]]) -> dict[str, s
     for case_id, element_id in affected:
         result[case_id].add(element_id)
     return result
+
+
+def _brute_node(case: AssuranceCase, element: Element, prefix: str, highlight: set[tuple[str, str]]) -> str:
+    """One node line, attribute by attribute as FORMATS.md's "DOT output" lists them."""
+    kind = element.kind.value
+    if kind == "claim" and element.is_module:
+        shape = "tab"
+    elif kind == "strategy":
+        shape = "parallelogram"
+    elif kind == "evidence":
+        shape = "circle"
+    else:
+        shape = "box"
+    highlighted = (case.id, element.id) in highlight
+    styles = []
+    if kind in ("context", "assumption", "justification"):
+        styles.append("rounded")
+    if highlighted:
+        styles.append("filled")
+    attributes = [f"shape={shape}"]
+    if styles:
+        attributes.append('style="' + ",".join(styles) + '"')
+    if highlighted:
+        attributes.append("fillcolor=lightgray")
+    label = element.id + "\n" + element.statement
+    if kind == "claim" and element.is_undeveloped:
+        label += "\n◇"
+    escaped = "".join({"\\": "\\\\", '"': '\\"', "\n": "\\n"}.get(character, character) for character in label)
+    attributes.append(f'label="{escaped}"')
+    return f'"{prefix}{element.id}" [' + ", ".join(attributes) + "];"
+
+
+def brute_dot(subject: AssuranceCase | Bundle, highlight=()) -> str:
+    """`to_dot` restated from FORMATS.md's "DOT output": each line written
+    out as the document spells it, the label escaped a character at a time,
+    a highlight tested as its (case id, element id) pair, and every order
+    sorted by the keys the document names."""
+    highlight = set(highlight)
+    bundle = isinstance(subject, Bundle)
+    cases = sorted(subject.cases(), key=lambda case: case.id) if bundle else [subject]
+    lines = ["digraph bundle {" if bundle else f'digraph "{subject.id}" {{',
+             "  graph [rankdir=TB, ranksep=0.6];",
+             '  node [fontname="Helvetica", fontsize=10];']
+    for case in cases:
+        indent, prefix = ("    ", case.id + ".") if bundle else ("  ", "")
+        if bundle:
+            lines.append(f'  subgraph "cluster_{case.id}" {{')
+            lines.append(f'    label="{case.id} ({case.kind.value})";')
+        for element in sorted(case.elements, key=lambda element: element.id):
+            lines.append(indent + _brute_node(case, element, prefix, highlight))
+        for edge in sorted(case.edges, key=lambda edge: (edge.source, edge.kind.value, edge.target)):
+            arrow = " [arrowhead=onormal]" if edge.kind.value == "inContextOf" else ""
+            lines.append(f'{indent}"{prefix}{edge.source}" -> "{prefix}{edge.target}"{arrow};')
+        if bundle:
+            lines.append("  }")
+    if bundle:
+        ids = {(case.id, element.id) for case in cases for element in case.elements}
+        dashed = sorted((f"{case.id}.{element.id}", ".".join(element.away_ref))
+                        for case in cases for element in case.elements
+                        if element.away_ref is not None and tuple(element.away_ref) in ids)
+        lines += [f'  "{source}" -> "{target}" [style=dashed];' for source, target in dashed]
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)
 
 
 def enum_typed_digraphs(

@@ -6,12 +6,13 @@ from decimal import Decimal
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actool import parser
 from actool.diagnostics import Severity
 from actool.model import (
+    EDGE_ORDER,
     ID_PATTERN,
     UNKNOWN_SPAN,
     AssuranceCase,
@@ -190,6 +191,19 @@ def test_invalid_escape_and_unterminated_string():
     assert any("unterminated string" in d.message for d in result.diagnostics)
 
 
+@pytest.mark.parametrize("text, closed, value", [
+    ('"bad \\q escape"', True, "bad  escape"),
+    ('"abc\\', False, "abc"),
+    ('"open', False, "open"),
+    ('"\\"\\\\ \\q\\\n\\', False, '"\\ '),
+], ids=["invalid", "trailing-backslash", "unterminated", "all"])
+def test_unescape_decodes_as_the_group_template_did(text, closed, value):
+    # An invalid escape, a lone trailing backslash and an unterminated string each decode as `sub(r"\1", ...)`
+    # did: an unset group gives "".
+    decoded = _Parser(text, "t.acd")._unescape(text, 0, closed)
+    assert decoded == value == parser._ESCAPE.sub(r"\1", text[1:len(text) - closed])
+
+
 LEXER_EDGE_CASES = {
     # A lone backslash at end of input inside a string: the escape error and
     # the unterminated-string error both start at the opening quote.
@@ -311,6 +325,27 @@ def test_print_case_reads_each_flag_by_its_truth():
     strict = Element("A", ElementKind.CLAIM, "a", is_root=True, is_public=True)
     printed = [print_case(AssuranceCase("K", CaseKind.MONOLITHIC, (element,))) for element in (loose, strict)]
     assert printed[0] == printed[1] and '  claim A "a" root public\n' in printed[0]
+
+
+# Ids that are often prefixes of one another, with every class of id character after the first: `-`, a digit,
+# `_`, and both letter cases
+_PREFIXED_IDS = st.one_of(st.sampled_from(["A", "A-", "A-1", "A0", "A_", "a"]),
+                          st.builds(str.__add__, st.sampled_from("Aa"), st.text("-1_0aZ", max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_PREFIXED_IDS, st.sampled_from(EdgeKind), _PREFIXED_IDS), min_size=1, max_size=30),
+       st.integers(0, 5))
+@example([("A", EdgeKind.SUPPORTED_BY, "B"), ("A-", EdgeKind.SUPPORTED_BY, "B")], 0)
+def test_print_case_writes_edges_in_edge_order(triples, repeated):
+    # `print_case` sorts its edge lines as strings; the section must read as EDGE_ORDER sorts the edges, duplicates
+    # (drawn, and the first `repeated` edges once more) included.
+    edges = [Edge(source, target, kind) for source, kind, target in triples + triples[:repeated]]
+    ids = sorted({end for edge in edges for end in (edge.source, edge.target)})
+    case = AssuranceCase("K", CaseKind.MONOLITHIC, tuple(Element(i, ElementKind.CLAIM, "") for i in ids), tuple(edges))
+    edge_kinds = [[kind.value] for kind in EdgeKind]
+    section = [line for line in print_case(case).splitlines() if line.split()[1:2] in edge_kinds]
+    assert section == [f"  {edge.source} {edge.kind.value} {edge.target}" for edge in sorted(edges, key=EDGE_ORDER)]
 
 
 def test_print_case_is_fixed_point(tac_case, cac_case, mono_case):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -238,3 +239,87 @@ def test_serializers_join_their_output_once():
     assert diagnostics == [] and sum(len(case.elements) for case in bundle.cases()) == 2004
     assert _peak_ratio(to_dot, resolved.bundle) <= 2.5
     assert _peak_ratio(print_case, bundle.tac) <= 3.5
+
+
+def _combinations_case() -> tuple[AssuranceCase, list[tuple[str, str]]]:
+    """One element for each kind × module × undeveloped × highlighted
+    combination the model allows (only a claim may be a module or
+    undeveloped), and the highlight that fills half of them."""
+    elements, highlight = [], []
+    for kind, module, undeveloped, highlighted in itertools.product(ElementKind, (False, True), (False, True),
+                                                                    (False, True)):
+        if kind is not ElementKind.CLAIM and (module or undeveloped):
+            continue
+        name = f"{kind.value}-{module:d}{undeveloped:d}{highlighted:d}"
+        elements.append(Element(name, kind, f"{kind.value} statement", is_module=module, is_undeveloped=undeveloped))
+        if highlighted:
+            highlight.append(("ALL", name))
+    edges = [Edge(a.id, b.id, edge_kind) for a, b in zip(elements, elements[1:]) for edge_kind in EdgeKind]
+    return AssuranceCase("ALL", CaseKind.MONOLITHIC, tuple(elements), tuple(edges)), highlight
+
+
+def test_dot_matches_the_oracle_on_every_allowed_combination():
+    case, highlight = _combinations_case()
+    assert len(case.elements) == 18 and len(highlight) == 9
+    assert to_dot(case, highlight) == helpers.brute_dot(case, highlight)
+    cac = AssuranceCase("CAC", CaseKind.CLINICAL, (Element("C", ElementKind.CLAIM, "c"),), associated_tac="ALL")
+    bundle = Bundle(case._replace(kind=CaseKind.TECHNOLOGICAL), (cac,))
+    drawn = to_dot(bundle, highlight)
+    assert drawn == helpers.brute_dot(bundle, highlight)
+    assert drawn.count("fillcolor=lightgray") == 9 and drawn.count("shape=tab") == 4 and drawn.count("\u25c7") == 4
+    assert drawn.count('style="rounded,filled"') == 3 and drawn.count("arrowhead=onormal") == 17
+
+
+def test_dot_reads_each_flag_by_its_truth():
+    # A flag given as another true or false value than a bool draws as that bool.
+    loose = (Element("M", ElementKind.CLAIM, "m", is_module=1, is_undeveloped="x"),
+             Element("N", ElementKind.CLAIM, "n", is_module="", is_undeveloped=0),
+             Element("X", ElementKind.CONTEXT, "x", is_module=None, is_undeveloped=[]))
+    strict = (Element("M", ElementKind.CLAIM, "m", is_module=True, is_undeveloped=True),
+              Element("N", ElementKind.CLAIM, "n"), Element("X", ElementKind.CONTEXT, "x"))
+    drawn = [to_dot(AssuranceCase("K", CaseKind.MONOLITHIC, elements), [("K", "M")]) for elements in (loose, strict)]
+    assert drawn[0] == drawn[1] == helpers.brute_dot(AssuranceCase("K", CaseKind.MONOLITHIC, loose), [("K", "M")])
+    assert '"M" [shape=tab, style="filled", fillcolor=lightgray, label="M\\nm\\n\u25c7"];' in drawn[0]
+
+
+@pytest.mark.parametrize("statement, label", [
+    ("back \\ slash", "back \\\\ slash"),
+    ('say "hi"', 'say \\"hi\\"'),
+    ("two\nlines", "two\\nlines"),
+    ("carriage\rreturn", "carriage\rreturn"),
+    ("\u25c7 glyph", "\u25c7 glyph"),
+    ("", ""),
+    ('\\"\n\\n', '\\\\\\"\\n\\\\n'),
+], ids=["backslash", "quote", "newline", "carriage-return", "glyph", "empty", "all-three"])
+def test_dot_escapes_only_backslash_quote_and_newline(statement, label):
+    case = AssuranceCase("K", CaseKind.MONOLITHIC, (Element("A", ElementKind.CLAIM, statement, is_undeveloped=True),))
+    drawn = to_dot(case)
+    assert f'  "A" [shape=box, label="A\\n{label}\\n\u25c7"];\n' in drawn
+    assert drawn == helpers.brute_dot(case)
+
+
+def test_dot_matches_the_oracle_on_random_cases_and_bundles():
+    rng = random.Random(83)
+    for _ in range(300):
+        case = helpers.gen_case(rng)
+        pairs = [(case.id, element.id) for element in case.elements]
+        highlight = rng.sample(pairs, rng.randint(0, len(pairs)))
+        assert to_dot(case, highlight) == helpers.brute_dot(case, highlight)
+    for _ in range(100):
+        bundle = _plant_tac_references(rng, helpers.gen_valid_bundle(rng))
+        pairs = [(case.id, element.id) for case in bundle.cases() for element in case.elements]
+        highlight = rng.sample(pairs, rng.randint(0, len(pairs)))
+        assert to_dot(bundle, highlight) == helpers.brute_dot(bundle, highlight)
+        resolved, _ = resolve_links(bundle)
+        assert to_dot(resolved.bundle, highlight) == helpers.brute_dot(resolved.bundle, highlight)
+
+
+def test_dot_highlights_by_case_and_element_id():
+    # Both cases hold a `C1`; only the technological one is highlighted.
+    tac = AssuranceCase("TAC", CaseKind.TECHNOLOGICAL, (Element("C1", ElementKind.CLAIM, "t", is_public=True),))
+    cac = AssuranceCase("CAC", CaseKind.CLINICAL, (Element("C1", ElementKind.CLAIM, "c"),), associated_tac="TAC")
+    bundle = Bundle(tac, (cac,))
+    drawn = to_dot(bundle, [("TAC", "C1")])
+    assert drawn == helpers.brute_dot(bundle, [("TAC", "C1")])
+    assert '    "CAC.C1" [shape=box, label="C1\\nc"];\n' in drawn
+    assert '    "TAC.C1" [shape=box, style="filled", fillcolor=lightgray, label="C1\\nt"];\n' in drawn
