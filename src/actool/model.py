@@ -114,6 +114,11 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
                 is_undeveloped: bool = False, is_module: bool = False, concern: ConcernKind | None = None,
                 away_ref: tuple[str, str] | None = None, span: SourceSpan = UNKNOWN_SPAN):
         _check_id(id, "element id")
+        # each enum field by `type(...) is`: a lookup in a set of members would run `Enum.__hash__`, Python code
+        if type(kind) is not ElementKind:
+            raise ValueError(f"kind {kind!r} of {id!r} is not an ElementKind")
+        if concern is not None and type(concern) is not ConcernKind:
+            raise ValueError(f"concern {concern!r} of {id!r} is not a ConcernKind")
         if away_ref is not None and len(away_ref) != 2:  # so a given reference is a true value below
             raise ValueError(f"away reference {away_ref!r} of {id!r} is not a (case id, element id) pair")
         element = tuple.__new__(cls, (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern,
@@ -155,6 +160,8 @@ class Capability(_Checked, namedtuple("Capability", "name direction unit low hig
     def __new__(cls, name: str, direction: Direction, unit: str, low: Decimal, high: Decimal,
                 span: SourceSpan = UNKNOWN_SPAN):
         _check_id(name, "capability name")
+        if type(direction) is not Direction:
+            raise ValueError(f"direction {direction!r} of capability {name!r} is not a Direction")
         low, high = Decimal(low), Decimal(high)
         if not (low.is_finite() and high.is_finite()):
             raise ValueError(f"capability {name!r} must have finite bounds")
@@ -185,6 +192,8 @@ class AssuranceCase(_Checked, namedtuple("AssuranceCase", "id kind elements edge
                 capabilities: tuple[Capability, ...] = (), associated_tac: str | None = None,
                 span: SourceSpan = UNKNOWN_SPAN):
         _check_id(id, "case id")
+        if type(kind) is not CaseKind:
+            raise ValueError(f"kind {kind!r} of case {id!r} is not a CaseKind")
         elements, edges, capabilities = tuple(elements), tuple(edges), tuple(capabilities)
         by_id: dict[str, Element] = {}
         for element in elements:
@@ -193,10 +202,13 @@ class AssuranceCase(_Checked, namedtuple("AssuranceCase", "id kind elements edge
             by_id[element.id] = element
         if associated_tac is not None and kind is not CaseKind.CLINICAL:
             raise ValueError(f"only a clinical case may associate a technological case ({id!r})")
-        for edge in edges:
-            if edge.source not in by_id or edge.target not in by_id:
-                missing = edge.target if edge.source in by_id else edge.source
+        for source, target, edge_kind, _ in edges:
+            if source not in by_id or target not in by_id:
+                missing = target if source in by_id else source
                 raise ValueError(f"edge references unknown element {missing!r} in case {id!r}")
+            if type(edge_kind) is not EdgeKind:
+                message = f"kind {edge_kind!r} of edge {source!r} -> {target!r} in case {id!r} is not an EdgeKind"
+                raise ValueError(message)
         case = tuple.__new__(cls, (id, kind, elements, edges, capabilities, associated_tac, span))
         case._by_id, case._targets = by_id, None
         return case

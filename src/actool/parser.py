@@ -86,13 +86,12 @@ def _flag(flag: str, text: str) -> str:
     return f"(?(claim){part})" if flag in CLAIM_ONLY_FLAGS else part
 
 
-# Canonical node and edge lines, each from its indentation through its newline:
+# Canonical node lines, each from its indentation through its newline:
 # one-line strings with only `\"` and `\\` escapes, each flag at most once, in
 # the order `print_case` writes them and where the model allows it (see `_flag`),
 # no comment. They hold no lexical error, so skipping the lexer loses no P0.
 # `_NODE` groups: 1 kind, 2 (`claim`) set for a claim, 3 id, 4 statement, 5-8 the
-# BOOL_FLAGS, each named after its flag, 9 concern, 10-11 awayref. `_EDGE`
-# groups: 1 source, 2 kind, 3 target.
+# BOOL_FLAGS, each named after its flag, 9 concern, 10-11 awayref.
 # Group 4 runs to a `"` that the flags and the newline follow. It stops at each
 # `"`, so a `;`-joined line fails at its first `;`, and it scans far faster than
 # an escape-aware body. A statement holding `\` or a newline must then match
@@ -107,11 +106,11 @@ _NODE = re.compile(
     + _flag("awayref", rf"awayref[ \t]+({_IDENT})\.({_IDENT})")
     + r"[ \t\r]*\n"
 )
-_EDGE = re.compile(rf'[ \t\r;]*({_IDENT})[ \t]+({"|".join(EDGE_KINDS)})[ \t]+({_IDENT})[ \t\r]*\n')
-# Up to 256 edge lines exactly as `print_case` writes them, read from a line start: each line's source is at
-# column 3 and the line is its three words, two spaces before and one between them, and a newline long. The
-# bound keeps the run's word list small.
-_EDGES = re.compile(rf'(?:  {_IDENT} (?:{"|".join(EDGE_KINDS)}) {_IDENT}\n){{1,256}}')
+# Up to 256 edge lines, read from a line start: each is the first line's indentation (group 1), three words with
+# one space between them, and the first line's line ending (group 2). An edge line with more blank space between
+# or after its words, a comment, or a `;` before it takes the token path. The bound keeps the run's word list small.
+_EDGE_WORDS = rf'{_IDENT} (?:{"|".join(EDGE_KINDS)}) {_IDENT}'
+_EDGES = re.compile(rf"([ \t]*){_EDGE_WORDS}(\r?\n)(?:\1{_EDGE_WORDS}\2){{0,255}}")
 # The blank and comment lines between two statements, each through its newline
 _BLANKS = re.compile(r"(?:[ \t\r;]*(?://[^\n]*)?\n)*")
 _STATEMENT = re.compile(r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*\Z')
@@ -313,11 +312,13 @@ class _CaseParser(_Parser):
     after both its ends is built there and then, and every other edge waits
     in `waiting` as a plain tuple, with None holding its place in `edges`.
     `_line` reads each run of canonical node and edge lines without tokens,
-    with one match for each node line, each run of `print_case`'s edge
-    lines, each other edge line and each gap of blank and comment lines
+    with one match for each node line, each run of edge lines that share one
+    indentation and one line ending, and each gap of blank and comment lines
     between two statements. It carries the line number from line to line;
-    every other statement goes to the token path. Of the spans kept, only those `parse` makes for waiting edges lie
-    behind `_Parser`'s cursor.
+    every other statement goes to the token path, an edge line with more
+    blank space than one space between or after its words, or after a `;`,
+    among them. Of the spans kept, only those `parse` makes for waiting edges
+    lie behind `_Parser`'s cursor.
     `elements`, the id dict, becomes the case's index; an edge's ends are
     its id strings, taken from the ends' elements, so nothing is interned.
     """
@@ -385,13 +386,14 @@ class _CaseParser(_Parser):
 
     def _line(self) -> bool:
         """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would: a node line
-        with one `_NODE` match, a run of `print_case`'s edge lines that starts at a line start with one `_EDGES`
-        match, any other edge line with one `_EDGE` match, and the blank and comment lines between two
-        statements with one `_BLANKS` match. An edge whose two ends are declared is built here; one with a
-        forward reference waits, as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line,
-        at any other text, a flag misuse (P3) among it, and at a duplicate id (P1). Whether it read anything."""
+        with one `_NODE` match, a run of edge lines that starts at a line start and keeps one indentation and
+        one line ending with one `_EDGES` match, and the blank and comment lines between two statements with
+        one `_BLANKS` match. An edge whose two ends are declared is built here; one with a forward reference
+        waits, as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text,
+        a flag misuse (P3) among it, and at a duplicate id (P1); an edge line with more blank space than one
+        space between or after its words, or after a `;`, is other text. Whether it read anything."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
-        match_node, match_edges, match_edge, match_blanks = _NODE.match, _EDGES.match, _EDGE.match, _BLANKS.match
+        match_node, match_edges, match_blanks = _NODE.match, _EDGES.match, _BLANKS.match
         new, get, pos = tuple.__new__, elements.get, self.pos
         start = pos
         line, line_start = self.locate(pos)  # of `pos`, carried from line to line
@@ -410,37 +412,29 @@ class _CaseParser(_Parser):
                     name, NODE_KINDS[kind], text, root is not None, public is not None, undeveloped is not None,
                     module is not None, None if concern is None else CONCERN_KINDS[concern],
                     None if away_case is None else (away_case, away_id), span))
+                pos = line_start = match.end()
+                line += 1
             elif pos == line_start and (match := match_edges(source, pos)):
+                indent = len(match[1])
+                rest = indent + 2 + len(match[2])  # each line's length but for its three words
                 words = iter(match[0].split())
                 for edge_source, edge, target in zip(words, words, words):  # a line each, `pos` at its start
                     head, tail, kind = get(edge_source), get(target), EDGE_KINDS[edge]
                     if head is not None and tail is not None:
                         # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
-                        span = new(SourceSpan, (file_name, line, 3, len(edge_source)))
+                        span = new(SourceSpan, (file_name, line, indent + 1, len(edge_source)))
                         edges.append(new(Edge, (head[0], tail[0], kind, span)))  # the ends' ids
                     else:
-                        self._wait(edge_source, pos + 2, kind, target, pos + len(edge_source) + len(edge) + 4)
-                    pos += len(edge_source) + len(edge) + len(target) + 5
+                        name_start = pos + indent
+                        self._wait(edge_source, name_start, kind, target, name_start + len(edge_source) + len(edge) + 2)
+                    pos += len(edge_source) + len(edge) + len(target) + rest
                     line += 1
                 line_start = pos
-                continue
-            elif match := match_edge(source, pos):
-                edge_source, edge, target = match.groups()
-                name_start, head, tail = match.start(1), get(edge_source), get(target)
-                if head is not None and tail is not None:
-                    span = new(SourceSpan, (file_name, line, name_start - line_start + 1, len(edge_source)))
-                    edges.append(new(Edge, (head[0], tail[0], EDGE_KINDS[edge], span)))
-                else:
-                    self._wait(edge_source, name_start, EDGE_KINDS[edge], target, match.start(3))
-            else:
-                end = match_blanks(source, pos).end()
-                if end == pos:
-                    break
+            elif (end := match_blanks(source, pos).end()) != pos:
                 line += source.count("\n", pos, end)
                 pos = line_start = end
-                continue
-            pos = line_start = match.end()
-            line += 1
+            else:
+                break
         self.pos, self.cursor = pos, (pos, line, line_start)
         return pos != start
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from collections import Counter
@@ -12,6 +13,7 @@ from actool.model import (
     AssuranceCase,
     Capability,
     CaseKind,
+    ConcernKind,
     Direction,
     Edge,
     EdgeKind,
@@ -240,6 +242,48 @@ def test_claim_only_flags_name_the_first_in_check_order(kind, flags):
 def test_element_constructor_messages(element, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         element()
+
+
+def _rejected(good, field, bad, message):
+    """A value like `good` with `bad` as its `field`, built, `_replace`d or unpickled from a copy made past the
+    checks: each raises ValueError with `message`."""
+    fields = {**good._asdict(), field: bad}
+    forged = tuple.__new__(type(good), fields.values())
+    for make in (lambda: type(good)(**fields), lambda: good._replace(**{field: bad}),
+                 lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+@pytest.mark.parametrize("bad", ["claim", EdgeKind.SUPPORTED_BY])
+def test_element_kind_must_be_an_element_kind(bad):
+    _rejected(claim("A"), "kind", bad, f"kind {bad!r} of 'A' is not an ElementKind")
+    with pytest.raises(ValueError, match="is not an ElementKind$"):  # before the claim-only flags are checked
+        Element("A", bad, "s", is_root=True)
+
+
+@pytest.mark.parametrize("bad", ["safety", ElementKind.CLAIM])
+def test_element_concern_must_be_a_concern_kind(bad):
+    _rejected(claim("A", concern=ConcernKind.SAFETY), "concern", bad, f"concern {bad!r} of 'A' is not a ConcernKind")
+
+
+@pytest.mark.parametrize("bad", ["technological", ElementKind.CLAIM])
+def test_case_kind_must_be_a_case_kind(bad):
+    case = AssuranceCase("X", CaseKind.TECHNOLOGICAL, (claim("A"),))
+    _rejected(case, "kind", bad, f"kind {bad!r} of case 'X' is not a CaseKind")
+
+
+@pytest.mark.parametrize("bad", ["supportedBy", CaseKind.CLINICAL])
+def test_edge_kind_must_be_an_edge_kind(bad):
+    case = AssuranceCase("X", CaseKind.MONOLITHIC, (claim("A"), claim("B")), (Edge("A", "B", EdgeKind.SUPPORTED_BY),))
+    edges = (*case.edges, Edge("B", "A", bad))
+    _rejected(case, "edges", edges, f"kind {bad!r} of edge 'B' -> 'A' in case 'X' is not an EdgeKind")
+
+
+@pytest.mark.parametrize("bad", ["provides", EdgeKind.SUPPORTED_BY])
+def test_capability_direction_must_be_a_direction(bad):
+    capability = Capability("p", Direction.PROVIDED, "W", 0, 1)
+    _rejected(capability, "direction", bad, f"direction {bad!r} of capability 'p' is not a Direction")
 
 
 def test_duplicate_element_ids_rejected():

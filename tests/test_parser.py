@@ -982,24 +982,30 @@ def test_flags_out_of_order_or_repeated_take_the_token_path_once(monkeypatch, fl
     assert fast.case == slow.case
 
 
-def _bulk_source() -> str:
-    """A case whose edge section, in `print_case`'s spacing, is longer than one bounded run of 256 lines. Edges wait
-    for an element declared after them inside a run and on both sides of the bound; one names no element (P2). A
-    run starts after a `;`-joined statement, and tab-indented edges stand between runs."""
+def _bulk_source(indent: str, other: str) -> str:
+    """A case whose edge section, indented by `indent`, is longer than one bounded run of 256 lines. Edges wait for an
+    element declared after them inside a run and on both sides of the bound; one names no element (P2). A run starts
+    after a `;`-joined statement, edges indented by `other` stand between runs and one run changes to `other` midway,
+    and an edge line with a trailing blank stands between two runs."""
     nodes = ['  claim N0 "root" root'] + [f'  evidence N{i} "e {i}"' for i in range(1, 330)]
-    edges = [f"  N{i // 4} supportedBy N{i}" for i in range(1, 321)]
+    edges = [f"{indent}N{i // 4} supportedBy N{i}" for i in range(1, 321)]
     for at, target in ((100, "W1"), (255, "W2"), (256, "W3"), (200, "MISSING")):
-        edges[at] = f"  N{at // 4} inContextOf {target}"
-    edges += ['  evidence J "j";  N1 supportedBy J', "  N2 supportedBy J", "\tN3 supportedBy N5", "  N3 supportedBy W1",
-              "\tN4 inContextOf W2", "  N5 supportedBy N6"]
+        edges[at] = f"{indent}N{at // 4} inContextOf {target}"
+    edges += ['  evidence J "j";  N1 supportedBy J', f"{indent}N2 supportedBy J", f"{other}N3 supportedBy N5",
+              f"{indent}N3 supportedBy W1", f"{other}N4 inContextOf W2", f"{indent}N5 supportedBy N6",
+              f"{indent}N6 supportedBy N7 ", *(f"{indent}N6 supportedBy N{i}" for i in (8, 9, 10)),
+              *(f"{other}N7 inContextOf N{i}" for i in (11, 12, 13))]
     late = [f'  context W{i} "w {i}"' for i in (1, 2, 3)]
     return "case K kind monolithic {\n" + "\n".join([*nodes, "", *edges, "", *late]) + "\n}\n"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_runs_of_print_case_edge_lines_read_as_the_token_path_reads_them(monkeypatch, newline):
-    # `_EDGES` reads a run of up to 256 edge lines spaced as `print_case` spaces them in one match, and only from a
-    # line start; a CRLF line is no such line and takes `_EDGE`. Only the `;`-joined node takes the token path.
+@pytest.mark.parametrize("indent, other", [("  ", "\t"), ("    ", "  "), ("\t", "  "), ("", "  "), (" \t", "\t ")],
+                         ids=["two-spaces", "four-spaces", "tab", "none", "space-tab"])
+def test_runs_of_print_case_edge_lines_read_as_the_token_path_reads_them(monkeypatch, indent, other, newline):
+    # `_EDGES` reads a run of up to 256 edge lines with one indentation and one line ending in one match, and only
+    # from a line start; a change of indentation ends the run. The `;`-joined node and the edge after it, and the
+    # edge line with a trailing blank, take the token path.
     calls = _token_path_calls(monkeypatch)
     bulk_lines = []
 
@@ -1011,14 +1017,14 @@ def test_runs_of_print_case_edge_lines_read_as_the_token_path_reads_them(monkeyp
             return found
 
     monkeypatch.setattr(parser, "_EDGES", CountedEdges())
-    source = _bulk_source().replace("\n", newline)
+    source = _bulk_source(indent, other).replace("\n", newline)
     fast = parse_case(source, "k.acd")
-    assert calls == {"_node": 1, "_edge": 0}
-    assert bulk_lines == ([256, 64, 1, 1, 1] if newline == "\n" else [])
+    assert calls == {"_node": 1, "_edge": 2}
+    assert bulk_lines == [256, 64, 1, 1, 1, 1, 1, 3, 3]
     slow = parse_case(_with_comments(source), "k.acd")
     assert [d.rule_id for d in fast.diagnostics] == ["P2"]
     assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
-    assert print_case(fast.case) == print_case(slow.case)
+    assert fast.case == slow.case
     assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
 
 
@@ -1067,9 +1073,9 @@ def _joined(count: int, closing: str) -> str:
 
 @pytest.mark.parametrize("closing", [" }\n", "\n}\n"])
 def test_statements_joined_on_one_line_parse_in_linear_time(closing):
-    # A run tries `_NODE`, `_EDGE` and `_BLANKS` before each statement; a
-    # statement scan that read to the end of the line made k statements cost
-    # k times the line.
+    # A run tries `_NODE` and `_BLANKS` before each statement; a statement
+    # scan that read to the end of the line made k statements cost k times
+    # the line.
     def seconds(count: int) -> float:
         source = _joined(count, closing)
         best = min(timeit.repeat(lambda: parse_case(source, "k.acd"), number=1, repeat=3))
