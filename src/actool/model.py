@@ -117,6 +117,8 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
         # each enum field by `type(...) is`: a lookup in a set of members would run `Enum.__hash__`, Python code
         if type(kind) is not ElementKind:
             raise ValueError(f"kind {kind!r} of {id!r} is not an ElementKind")
+        if not isinstance(statement, str):
+            raise ValueError(f"statement {statement!r} of {id!r} is not a str")
         if concern is not None and type(concern) is not ConcernKind:
             raise ValueError(f"concern {concern!r} of {id!r} is not a ConcernKind")
         if away_ref is not None and len(away_ref) != 2:  # so a given reference is a true value below
@@ -162,6 +164,7 @@ class Capability(_Checked, namedtuple("Capability", "name direction unit low hig
         _check_id(name, "capability name")
         if type(direction) is not Direction:
             raise ValueError(f"direction {direction!r} of capability {name!r} is not a Direction")
+        _check_id(unit, "unit")
         low, high = Decimal(low), Decimal(high)
         if not (low.is_finite() and high.is_finite()):
             raise ValueError(f"capability {name!r} must have finite bounds")
@@ -200,8 +203,10 @@ class AssuranceCase(_Checked, namedtuple("AssuranceCase", "id kind elements edge
             if element.id in by_id:
                 raise ValueError(f"duplicate element id {element.id!r} in case {id!r}")
             by_id[element.id] = element
-        if associated_tac is not None and kind is not CaseKind.CLINICAL:
-            raise ValueError(f"only a clinical case may associate a technological case ({id!r})")
+        if associated_tac is not None:
+            if kind is not CaseKind.CLINICAL:
+                raise ValueError(f"only a clinical case may associate a technological case ({id!r})")
+            _check_id(associated_tac, "associated case id")
         for source, target, edge_kind, _ in edges:
             if source not in by_id or target not in by_id:
                 missing = target if source in by_id else source

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
-from itertools import product
+from itertools import product, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, finding, sorted_diagnostics
@@ -76,36 +77,17 @@ def _unescaped(escape: re.Match) -> str:  # `_ESCAPE.sub`'s replacement: 3.10 an
 _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[ \t\r]*[A-Za-z]')
 
 
-def _flag(flag: str, text: str) -> str:
-    """The optional part of `_NODE` that reads `flag`, spelled `text`. It matches only where the model's flag
-    rules let it: a claim-only flag in a claim's line (group `claim` is set), the first flag of FLAG_NEEDS
-    only after the second. A line that breaks them, a P3 for the token path to report, is no canonical line."""
-    part = rf"(?:[ \t]+{text})?"
-    if flag == FLAG_NEEDS[0]:
-        part = f"(?({FLAG_NEEDS[1]}){part})"
-    return f"(?(claim){part})" if flag in CLAIM_ONLY_FLAGS else part
-
-
-# Canonical node lines, each from its indentation through its newline:
-# one-line strings with only `\"` and `\\` escapes, each flag at most once, in
-# the order `print_case` writes them and where the model allows it (see `_flag`),
-# no comment. They hold no lexical error, so skipping the lexer loses no P0.
-# `_NODE` groups: 1 kind, 2 (`claim`) set for a claim, 3 id, 4 statement, 5-8 the
-# BOOL_FLAGS, each named after its flag, 9 concern, 10-11 awayref.
-# Group 4 runs to a `"` that the flags and the newline follow. It stops at each
-# `"`, so a `;`-joined line fails at its first `;`, and it scans far faster than
-# an escape-aware body. A statement holding `\` or a newline must then match
-# `_STATEMENT`, the one-line string body with only `\"` and `\\` escapes, or the
-# line is not canonical.
-_NODE = re.compile(
-    r"[ \t\r;]*("
-    + "|".join("claim(?P<claim>)" if kind == "claim" else kind for kind in NODE_KINDS)
-    + rf')[ \t]+({_IDENT})[ \t]+"([^"]*(?:\\"[^"]*)*)"'
-    + "".join(_flag(flag, f"(?P<{flag}>{flag})") for flag in BOOL_FLAGS)
-    + _flag("concern", rf'concern[ \t]+({"|".join(CONCERN_KINDS)})')
-    + _flag("awayref", rf"awayref[ \t]+({_IDENT})\.({_IDENT})")
-    + r"[ \t\r]*\n"
-)
+# Canonical node lines, each from its indentation through its newline: a one-line string with only `\"` and `\\`
+# escapes, a flag tail that `_FLAG_TAILS` reads (see `_line`), no comment. They hold no lexical error, so skipping
+# the lexer loses no P0. `_NODE_LINE` groups: 1 kind, 2 id, 3 statement, 4 the flag tail.
+# Group 3 runs to a `"` that the tail and the newline follow. It stops at each `"`, so a `;`-joined line fails at
+# its first `;`, and it scans far faster than an escape-aware body. A statement holding `\` or a newline must then
+# match `_STATEMENT`, the one-line string body with only `\"` and `\\` escapes, or the line is not canonical. The
+# tail holds only id characters, `.`, spaces and tabs: no `"`, so group 3 cannot stop at an escaped one, and no blank
+# that `str.split` splits at but the lexer does not.
+_NODE_LINE = re.compile(
+    rf'[ \t\r;]*({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^"]*(?:\\"[^"]*)*)"([A-Za-z0-9_. \t-]*)\r?\n')
+_AWAY_REF = re.compile(rf"({_IDENT})\.({_IDENT})[ \t]*\Z")  # the payload of `awayref` and any trailing blanks
 # Up to 256 edge lines, read from a line start: each is the first line's indentation (group 1), three words with
 # one space between them, and the first line's line ending (group 2). An edge line with more blank space between
 # or after its words, a comment, or a `;` before it takes the token path. The bound keeps the run's word list small.
@@ -312,13 +294,9 @@ class _CaseParser(_Parser):
     after both its ends is built there and then, and every other edge waits
     in `waiting` as a plain tuple, with None holding its place in `edges`.
     `_line` reads each run of canonical node and edge lines without tokens,
-    with one match for each node line, each run of edge lines that share one
-    indentation and one line ending, and each gap of blank and comment lines
-    between two statements. It carries the line number from line to line;
-    every other statement goes to the token path, an edge line with more
-    blank space than one space between or after its words, or after a `;`,
-    among them. Of the spans kept, only those `parse` makes for waiting edges
-    lie behind `_Parser`'s cursor.
+    carrying the line number from line to line; every other statement goes
+    to the token path. Of the spans kept, only those `parse` makes for
+    waiting edges lie behind `_Parser`'s cursor.
     `elements`, the id dict, becomes the case's index; an edge's ends are
     its id strings, taken from the ends' elements, so nothing is interned.
     """
@@ -385,51 +363,65 @@ class _CaseParser(_Parser):
             self._edge()
 
     def _line(self) -> bool:
-        """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would: a node line
-        with one `_NODE` match, a run of edge lines that starts at a line start and keeps one indentation and
-        one line ending with one `_EDGES` match, and the blank and comment lines between two statements with
-        one `_BLANKS` match. An edge whose two ends are declared is built here; one with a forward reference
-        waits, as `_edge`'s do, for P2. The run stops, with `pos` at the start of the line, at any other text,
-        a flag misuse (P3) among it, and at a duplicate id (P1); an edge line with more blank space than one
-        space between or after its words, or after a `;`, is other text. Whether it read anything."""
+        """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would, and say whether it
+        read anything. A node line takes one `_NODE_LINE` match and a lookup of its flag tail in `_FLAG_TAILS`; a tail
+        that misses is looked up again without its trailing blanks, then with an away reference split off, then with
+        one space before each word. A run of edge lines that starts at a line start and keeps one indentation and one
+        line ending takes one `_EDGES` match, and the blank and comment lines between two statements one `_BLANKS`
+        match. An edge whose two ends are declared is built here; one with a forward reference waits, as `_edge`'s do,
+        for P2. The run stops, with `pos` at the start of the line, at any other text: a node line whose tail misses
+        (flags out of `print_case`'s order, repeated, or misused, a P3), a duplicate id (P1), and an edge line with
+        more blank space than one space between or after its words, or after a `;`."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
-        match_node, match_edges, match_blanks = _NODE.match, _EDGES.match, _BLANKS.match
-        new, get, pos = tuple.__new__, elements.get, self.pos
-        start = pos
+        match_node, match_edges, match_blanks = _NODE_LINE.match, _EDGES.match, _BLANKS.match
+        new, get, pos, start, flag_tails = tuple.__new__, elements.get, self.pos, self.pos, _FLAG_TAILS
         line, line_start = self.locate(pos)  # of `pos`, carried from line to line
         while True:
             if match := match_node(source, pos):
-                kind, _, name, text, root, public, undeveloped, module, concern, away_case, away_id = match.groups()
-                if name in elements:  # P1
-                    break
-                if "\\" in text or "\n" in text:
-                    if not _STATEMENT.match(text):
-                        break
-                    text = _ESCAPE.sub(_unescaped, text)
+                kind, name, text, tail = match.groups()
+                flags, away = (table := flag_tails[kind]).get(tail) or table.get(tail.rstrip()), None
+                if flags is None:  # an away reference, or flags spaced by hand
+                    head, awayref, away = tail.partition(" awayref ")
+                    if (flags := table.get(head)) is None:
+                        head, awayref, away = " ".join(["", *tail.split()]).partition(" awayref ")
+                        flags = table.get(head)
+                    if flags is None or awayref and not (flags[3] and (away := _AWAY_REF.match(away))):
+                        break  # flags[3]: `undeveloped`, which an away reference needs (FLAG_NEEDS)
+                    away = away.groups() if awayref else None
+                if name in elements or ("\\" in text or "\n" in text) and not _STATEMENT.match(text):
+                    break  # P1, or a statement that is not a one-line string
+                text = _ESCAPE.sub(_unescaped, text) if "\\" in text else text
+                kind, root, public, undeveloped, module, concern = flags
                 # Element(...), minus its checks: `_IDENT` is the model's id pattern
-                span = new(SourceSpan, (file_name, line, match.start(3) - line_start + 1, len(name)))
+                span = new(SourceSpan, (file_name, line, match.start(2) - line_start + 1, len(name)))
                 elements[name] = new(Element, (
-                    name, NODE_KINDS[kind], text, root is not None, public is not None, undeveloped is not None,
-                    module is not None, None if concern is None else CONCERN_KINDS[concern],
-                    None if away_case is None else (away_case, away_id), span))
+                    name, kind, text, root, public, undeveloped, module, concern, away, span))
                 pos = line_start = match.end()
                 line += 1
             elif pos == line_start and (match := match_edges(source, pos)):
-                indent = len(match[1])
-                rest = indent + 2 + len(match[2])  # each line's length but for its three words
-                words = iter(match[0].split())
-                for edge_source, edge, target in zip(words, words, words):  # a line each, `pos` at its start
-                    head, tail, kind = get(edge_source), get(target), EDGE_KINDS[edge]
-                    if head is not None and tail is not None:
-                        # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1
-                        span = new(SourceSpan, (file_name, line, indent + 1, len(edge_source)))
-                        edges.append(new(Edge, (head[0], tail[0], kind, span)))  # the ends' ids
-                    else:
-                        name_start = pos + indent
-                        self._wait(edge_source, name_start, kind, target, name_start + len(edge_source) + len(edge) + 2)
-                    pos += len(edge_source) + len(edge) + len(target) + rest
-                    line += 1
-                line_start = pos
+                words = match[0].split()
+                indent, count = len(match[1]), len(words) // 3
+                # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1; an edge's ends are
+                # its elements' own id strings. A run of over 12 edges with declared ends runs no Python line per edge.
+                if count > 12 and all(heads := [*map(get, words[0::3])]) and all(tails := [*map(get, words[2::3])]):
+                    spans = zip(repeat(file_name), range(line, line + count), repeat(indent + 1), map(len, words[0::3]))
+                    edges += map(new, repeat(Edge), zip(map(itemgetter(0), heads), map(itemgetter(0), tails),
+                                                         map(EDGE_KINDS.__getitem__, words[1::3]),
+                                                         map(new, repeat(SourceSpan), spans)))
+                    line += count
+                else:  # a shorter run costs less a line at a time; so does one with a forward reference
+                    rest = indent + 2 + len(match[2])  # each line's length but for its three words
+                    for edge_source, edge, target in zip(*[iter(words)] * 3):  # a line each, `pos` at its start
+                        head, tail, kind = get(edge_source), get(target), EDGE_KINDS[edge]
+                        if head is not None and tail is not None:
+                            span = new(SourceSpan, (file_name, line, indent + 1, len(edge_source)))
+                            edges.append(new(Edge, (head[0], tail[0], kind, span)))
+                        else:
+                            at = pos + indent
+                            self._wait(edge_source, at, kind, target, at + len(edge_source) + len(edge) + 2)
+                        pos += len(edge_source) + len(edge) + len(target) + rest
+                        line += 1
+                pos = line_start = match.end()
             elif (end := match_blanks(source, pos).end()) != pos:
                 line += source.count("\n", pos, end)
                 pos = line_start = end
@@ -604,6 +596,14 @@ def parse_bundle(
 # The text of each combination of the BOOL_FLAGS' values
 _BOOL_FLAG_TEXT = {values: "".join(f" {flag}" for flag, value in zip(BOOL_FLAGS, values) if value)
                    for values in product((False, True), repeat=len(BOOL_FLAGS))}
+# The text of a concern flag, and the flag tails that `_line` reads: for each node kind's text, each tail that
+# `print_case` writes after such a node's statement but an away reference, read as the kind and the values of the
+# BOOL_FLAGS and of `concern`
+_CONCERN_TEXT = {None: "", **{concern: f" concern {concern._value_}" for concern in ConcernKind}}
+_FLAG_TAILS = {kind._value_: {text + _CONCERN_TEXT[concern]: (kind, *values, concern)
+                              for values, text in _BOOL_FLAG_TEXT.items() for concern in _CONCERN_TEXT
+                              if kind is ElementKind.CLAIM or set(text.split()).isdisjoint(CLAIM_ONLY_FLAGS)}
+               for kind in ElementKind}
 
 
 def print_case(case: AssuranceCase) -> str:
@@ -624,7 +624,7 @@ def print_case(case: AssuranceCase) -> str:
         except (KeyError, TypeError):  # a flag given as a true or false value other than a bool
             flags = flag_text[bool(root), bool(public), bool(undeveloped), bool(module)]
         if concern is not None:
-            flags += f" concern {concern._value_}"
+            flags += _CONCERN_TEXT[concern]
         if away is not None:
             flags += f" awayref {away[0]}.{away[1]}"
         statement = statement.replace("\\", "\\\\").replace('"', '\\"')

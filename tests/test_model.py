@@ -6,6 +6,8 @@ from decimal import Decimal
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actool.analyze import case_metrics
 from actool.cli import run
@@ -22,7 +24,7 @@ from actool.model import (
     reach,
     supported_by_cycle,
 )
-from actool.parser import print_case
+from actool.parser import parse_case, print_case
 from actool.validate import validate_case
 
 import helpers
@@ -284,6 +286,47 @@ def test_edge_kind_must_be_an_edge_kind(bad):
 def test_capability_direction_must_be_a_direction(bad):
     capability = Capability("p", Direction.PROVIDED, "W", 0, 1)
     _rejected(capability, "direction", bad, f"direction {bad!r} of capability 'p' is not a Direction")
+
+
+@pytest.mark.parametrize("bad", [5, None, b"s", ["s"], ElementKind.CLAIM])
+def test_element_statement_must_be_a_str(bad):
+    _rejected(claim("A"), "statement", bad, f"statement {bad!r} of 'A' is not a str")
+    with pytest.raises(ValueError, match="is not a str$"):  # before the claim-only flags are checked
+        Element("A", ElementKind.EVIDENCE, bad, is_root=True)
+
+
+@pytest.mark.parametrize("bad", ["bad id", "9T", "", "T.1", "T\n"])
+def test_associated_tac_must_be_a_case_id(bad):
+    case = AssuranceCase("X", CaseKind.CLINICAL, (claim("A"),), associated_tac="T")
+    _rejected(case, "associated_tac", bad, f"invalid associated case id {bad!r}")
+
+
+@pytest.mark.parametrize("bad", ["k W", "", "%", "2W", "W;"])
+def test_capability_unit_must_be_an_identifier(bad):
+    _rejected(Capability("p", Direction.PROVIDED, "W", 0, 1), "unit", bad, f"invalid unit {bad!r}")
+
+
+_FIELD_TEXT = st.one_of(st.sampled_from(["T", "kW", "W_per_cm2", "a-1", "k W", "9T", "", "T.1", "W;", "%"]),
+                        st.text("aZ09_-. ;\t\n\"\\", max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FIELD_TEXT, _FIELD_TEXT, st.text(max_size=12))
+def test_every_case_the_constructors_accept_reprints_from_its_text(associated, unit, statement):
+    # `print_case` writes the associated case id, each unit and each statement as they are; a value the
+    # constructors accept must reparse with no diagnostic to one that prints the same text.
+    try:
+        capability = Capability("p", Direction.REQUIRED, unit, 0, 1)
+        case = AssuranceCase("X", CaseKind.CLINICAL, (claim("A"), Element("B", ElementKind.EVIDENCE, statement)),
+                             (Edge("A", "B", EdgeKind.SUPPORTED_BY),), (capability,), associated)
+    except ValueError:
+        return
+    printed = print_case(case)
+    result = parse_case(printed, "x.acd")
+    assert [d.line() for d in result.diagnostics] == []
+    assert print_case(result.case) == printed
+    assert result.case.associated_tac == associated and result.case.capabilities[0].unit == unit
+    assert result.case.element("B").statement == statement
 
 
 def test_duplicate_element_ids_rejected():

@@ -912,8 +912,8 @@ def _token_path_calls(monkeypatch) -> dict[str, int]:
 
 def test_every_flag_combination_the_model_accepts_stays_in_the_run(monkeypatch):
     # Each kind with every combination of the four boolean flags, a concern
-    # and an away reference that `Element` accepts: `print_case` writes the
-    # flags in the order `_NODE` reads them, so no line takes the token path.
+    # and an away reference that `Element` accepts: each flag tail that
+    # `print_case` writes is in `_FLAG_TAILS`, so no line takes the token path.
     calls = _token_path_calls(monkeypatch)
     elements = []
     for kind, (root, public, undeveloped, module), concern, away_ref in product(
@@ -980,6 +980,21 @@ def test_flags_out_of_order_or_repeated_take_the_token_path_once(monkeypatch, fl
     assert fast.case.element("B") == slow.case.element("B")
     assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
     assert fast.case == slow.case
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_hand_spaced_flags_and_trailing_blanks_stay_in_the_run(monkeypatch, newline):
+    # A flag tail that the table misses is read again with one space before each word, so spaces and tabs between
+    # and after the flags, an away reference among them, keep a line in the run.
+    calls = _token_path_calls(monkeypatch)
+    lines = ['  claim A "a"\troot  public ', '  claim B "b" undeveloped \t awayref  T.C2\t', '  evidence E "e"  ',
+             '  context X "x" public\t\t', '  claim C "c" concern   safety']
+    source = newline.join(["case K kind monolithic {", *lines, "}", ""])
+    fast = parse_case(source, "k.acd")
+    assert calls == {"_node": 0, "_edge": 0}
+    slow = parse_case(_with_comments(source), "k.acd")
+    assert fast.diagnostics == slow.diagnostics == [] and fast.case == slow.case
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
 
 
 def _bulk_source(indent: str, other: str) -> str:
@@ -1073,7 +1088,7 @@ def _joined(count: int, closing: str) -> str:
 
 @pytest.mark.parametrize("closing", [" }\n", "\n}\n"])
 def test_statements_joined_on_one_line_parse_in_linear_time(closing):
-    # A run tries `_NODE` and `_BLANKS` before each statement; a statement
+    # A run tries `_NODE_LINE` and `_BLANKS` before each statement; a statement
     # scan that read to the end of the line made k statements cost k times
     # the line.
     def seconds(count: int) -> float:
@@ -1085,3 +1100,210 @@ def test_statements_joined_on_one_line_parse_in_linear_time(closing):
         return best
 
     assert seconds(8 * 250) / seconds(250) < 24  # about 8 when linear, about 60 when quadratic
+
+
+def test_flag_tails_are_the_tails_print_case_writes():
+    # The reader's table holds, for each kind, exactly the flag tails that `print_case` writes after the statement
+    # of an element that `Element` accepts, each read as that element's kind and flags. An away reference is
+    # written last, after a tail that reads `undeveloped`, and is read apart from the table.
+    expected: dict[str, dict] = {kind.value: {} for kind in ElementKind}
+    away_tails = 0
+    for kind, values, concern, away_ref in product(ElementKind, product((False, True), repeat=4),
+                                                   (None, *ConcernKind), (None, ("T", "C2"))):
+        try:
+            element = Element("A", kind, "s", *values, concern, away_ref)
+        except ValueError:
+            continue
+        tail = print_case(AssuranceCase("K", CaseKind.MONOLITHIC, (element,))).split("\n")[1].partition('"s"')[2]
+        if away_ref is None:
+            expected[kind.value][tail] = (kind, *values, concern)
+        else:
+            head, awayref, payload = tail.partition(" awayref ")
+            assert awayref and payload == "T.C2"
+            assert parser._FLAG_TAILS[kind.value][head] == (kind, *values, concern) and values[2]  # `undeveloped`
+            away_tails += 1
+    assert parser._FLAG_TAILS == expected
+    assert sum(map(len, expected.values())) == 48 + 5 * 6 and away_tails == 24
+
+
+_FLAG_WORDS = ["root", "public", "undeveloped", "module", "concern safety", "concern effectiveness", "awayref T.C2",
+               "awayref claim.awayref", "awayref T . C2"]
+_BLANK_RUNS = st.one_of(st.just(" "), st.text(" \t", min_size=1, max_size=4), st.just(" \x0b"))
+
+
+@st.composite
+def _node_line(draw) -> str:
+    """A node line of any kind, with a keyword or plain id and any flag words, a word each from the flag words:
+    any subset, in any order, repeated, each word led by one space or by a run of spaces and tabs (now and then by a
+    vertical tab, which the lexer rejects), and then trailing blanks or none."""
+    words = [draw(st.sampled_from(ElementKind)).value, draw(st.sampled_from([*_KEYWORDS, "A", "B-1", "c_2"])),
+             '"' + draw(st.sampled_from(["s", 'a \\" b', "x \\\\", ""])) + '"']
+    words += " ".join(draw(st.lists(st.sampled_from(_FLAG_WORDS), max_size=5))).split()
+    return "  " + "".join(draw(_BLANK_RUNS) + word for word in words)[1:] + draw(st.sampled_from(["", " ", "\t", " \t"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_node_line(), min_size=1, max_size=8), st.sampled_from(["\n", "\r\n"]))
+@example(['  claim A "s" root  public\t', '  claim B "s" undeveloped   awayref T.C2 '], "\n")
+@example(['  evidence E "s" root', '  claim C "s" awayref T.C2', '  claim D "s"\x0broot'], "\r\n")
+def test_node_lines_read_as_the_token_path_reads_them(lines, newline):
+    # Each drawn line, then a canonical one: the fast parse must read as its commented twin, which the token path
+    # reads whole, in values, diagnostics and spans.
+    body = [line for number, line in enumerate(lines) for line in (line, f'  evidence E{number} "e"')]
+    source = newline.join(["case K kind monolithic {", *body, "}", ""])
+    fast, slow = parse_case(source, "k.acd"), parse_case(_with_comments(source), "k.acd")
+    assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
+    assert fast.case == slow.case
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
+# --- FORMATS.md's grammar as an oracle -------------------------------------------------------------------------
+# The grammar block is read from FORMATS.md itself, so an edit to the document changes the oracle. Its notation:
+# `NAME := expression` with continuation lines, `|`, `*`, `?`, parentheses and quoted terminals. ID, STRING and NUM
+# are lexical rules in prose and regex notation; they are coded by hand below, each after its FORMATS.md line.
+
+
+def _grammar() -> dict[str, tuple]:
+    """FORMATS.md's case-file grammar: each rule name to its expression, as nested tuples ("alt", [...]),
+    ("seq", [...]), ("star", x), ("opt", x), ("lit", text) and ("ref", name); the hand-coded rules left out."""
+    text = (CORPUS.parent / "FORMATS.md").read_text(encoding="utf-8")
+    block = text.partition("## Case files (`.acd`)")[2].split("```")[1]
+    bodies: dict[str, str] = {}
+    for line in block.strip().splitlines():
+        name, defined, body = line.partition(":=")
+        if defined:
+            bodies[last := name.strip()] = body
+        else:
+            bodies[last] += " " + line
+    rules = {}
+    for name, body in bodies.items():
+        if name not in _LEXICAL:
+            tokens = re.findall(r'"[^"]*"|[A-Za-z]+|[()|*?]', body)
+            rules[name], rest = _alternatives(tokens)
+            assert not rest, (name, rest)
+    return rules
+
+
+def _alternatives(tokens: list[str]) -> tuple[tuple, list[str]]:
+    options = []
+    while True:
+        sequence = []
+        while tokens and tokens[0] not in "|)":
+            token, tokens = tokens[0], tokens[1:]
+            if token == "(":
+                atom, tokens = _alternatives(tokens)
+                assert tokens[0] == ")"
+                tokens = tokens[1:]
+            else:
+                atom = ("lit", token[1:-1]) if token.startswith('"') else ("ref", token)
+            while tokens and tokens[0] in ("*", "?"):
+                atom, tokens = ("star" if tokens[0] == "*" else "opt", atom), tokens[1:]
+            sequence.append(atom)
+        options.append(("seq", sequence))
+        if not tokens or tokens[0] != "|":
+            return ("alt", options), tokens
+        tokens = tokens[1:]
+
+
+def _terminals(expression: tuple) -> set[str]:
+    if expression[0] == "lit":
+        return {expression[1]}
+    if expression[0] == "ref":
+        return set()
+    parts = expression[1] if expression[0] in ("alt", "seq") else [expression[1]]
+    return set().union(*map(_terminals, parts))
+
+
+def _string(rng: random.Random) -> str:
+    # STRING := '"' (any char, \" and \\ escapes) '"'; "Strings may span lines; the only escapes are `\"` and `\\`",
+    # and "inside strings [a carriage return] is kept"
+    pieces = ['\\"', "\\\\", "//", ";", "{", "}", "a", "é", " ", "\t", "claim"] + ["\n", "\r"] * (rng.random() < 0.3)
+    return '"' + "".join(rng.choices(pieces, k=rng.randint(0, 6))) + '"'
+
+
+def _number(rng: random.Random) -> str:
+    # NUM := "-"? digits ("." digits)?
+    digits = "".join(rng.choices("0123456789", k=rng.randint(1, 4)))
+    return rng.choice(["", "-"]) + digits + rng.choice(["", "." + "".join(rng.choices("09", k=rng.randint(1, 3)))])
+
+
+_LEXICAL = {"ID", "STRING", "NUM"}
+_SEPARATOR = object()  # a statement boundary: "statements terminated by newline or `;`"
+
+
+def _sentence(rng: random.Random, rules: dict[str, tuple], keywords: list[str]) -> list:
+    """The tokens of one random `caseDecl`, with `_SEPARATOR` before each `item` and before the closing `}`."""
+    def identifier() -> str:
+        # ID := [A-Za-z][A-Za-z0-9_-]*; "Any ID may be a keyword"
+        if rng.random() < 0.4:
+            return rng.choice(keywords)
+        return rng.choice("ABab") + "".join(rng.choices("AB01_-", k=rng.randint(0, 2)))
+
+    lexical = {"ID": identifier, "STRING": lambda: _string(rng), "NUM": lambda: _number(rng)}
+    out: list = []
+
+    def expand(expression: tuple) -> None:
+        kind, part = expression
+        if kind == "lit":
+            if part == "}":
+                out.append(_SEPARATOR)
+            out.append(part)
+        elif kind == "ref":
+            if part == "item":
+                out.append(_SEPARATOR)
+            if part in lexical:
+                out.append(lexical[part]())
+            else:
+                expand(rules[part])
+        elif kind == "alt":
+            expand(rng.choice(part))
+        elif kind == "seq":
+            for each in part:
+                expand(each)
+        else:
+            # about ten items a case, and a flag or two a node
+            rate = 0.1 if part == ("ref", "item") else 0.8
+            for _ in range(rng.randint(0, 1) if kind == "opt" else min(int(rng.expovariate(rate)), 30)):
+                expand(part)
+
+    expand(rules["caseDecl"])
+    return out
+
+
+def _render(tokens: list, rng: random.Random) -> tuple[str, str]:
+    """A sentence's text and its commented twin: the same tokens and blanks, with ` // x` before each line break
+    that ends a statement, so that the token path reads every statement of the twin."""
+    text = twin = ""
+    for token in tokens:
+        if token is _SEPARATOR:
+            separator = rng.choice(["\n", "\n", "\n", ";", "\r\n", " // c\n"])
+            text += separator
+            twin += " // x" + separator if separator in ("\n", "\r\n") else separator
+        else:
+            blank = rng.choice([" "] * 12 + ["\t", "  ", " \t", "\r "]) if text else ""
+            text, twin = text + blank + token, twin + blank + token
+    return text, twin
+
+
+def test_grammar_sentences_parse_without_p0(monkeypatch):
+    # Accept side: every sentence of the grammar parses with no P0, and reads as its commented twin in values,
+    # diagnostics and spans, so the node lines, the edge runs and the token path all read the same sentences.
+    calls = _token_path_calls(monkeypatch)
+    fast_reads = {"node": 0, "edge": 0}
+    rules = _grammar()
+    assert {"caseDecl", "item", "node", "edge", "flag", "capability", "UNIT"} <= rules.keys()
+    keywords = sorted(word for word in set().union(*map(_terminals, rules.values())) if ID_PATTERN.match(word))
+    assert {"case", "supportedBy", "awayref", "safety", "capability", "range"} <= set(keywords)
+    rng = random.Random(17)
+    for number in range(1000):
+        text, twin = _render(_sentence(rng, rules, keywords), rng)
+        before = dict(calls)
+        fast = parse_case(text, "g.acd")
+        between = dict(calls)
+        slow = parse_case(twin, "g.acd")
+        for what in fast_reads:  # the statements that a run read: the twin sends each to the token path
+            fast_reads[what] += calls[f"_{what}"] - 2 * between[f"_{what}"] + before[f"_{what}"]
+        assert [d.line() for d in fast.diagnostics if d.rule_id == "P0"] == [], (number, text)
+        assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics], (number, text)
+        assert fast.case == slow.case and _pinned_spans(fast.case) == _pinned_spans(slow.case), (number, text)
+    assert fast_reads["node"] > 500 and fast_reads["edge"] > 500 and min(calls.values()) > 500, (fast_reads, calls)
