@@ -87,7 +87,7 @@ UNKNOWN_SPAN = SourceSpan("<unknown>", 1, 1, 0)
 
 
 def _check_id(value: str, what: str) -> None:
-    if not ID_PATTERN.match(value):
+    if not (isinstance(value, str) and ID_PATTERN.match(value)):
         raise ValueError(f"invalid {what} {value!r}")
 
 

@@ -365,8 +365,8 @@ class _CaseParser(_Parser):
     def _line(self) -> bool:
         """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would, and say whether it
         read anything. A node line takes one `_NODE_LINE` match and a lookup of its flag tail in `_FLAG_TAILS`; a tail
-        that misses is looked up again without its trailing blanks, then with an away reference split off, then with
-        one space before each word. A run of edge lines that starts at a line start and keeps one indentation and one
+        that misses is looked up again with an away reference split off, then with one space before each word and
+        none after the last. A run of edge lines that starts at a line start and keeps one indentation and one
         line ending takes one `_EDGES` match, and the blank and comment lines between two statements one `_BLANKS`
         match. An edge whose two ends are declared is built here; one with a forward reference waits, as `_edge`'s do,
         for P2. The run stops, with `pos` at the start of the line, at any other text: a node line whose tail misses
@@ -379,8 +379,8 @@ class _CaseParser(_Parser):
         while True:
             if match := match_node(source, pos):
                 kind, name, text, tail = match.groups()
-                flags, away = (table := flag_tails[kind]).get(tail) or table.get(tail.rstrip()), None
-                if flags is None:  # an away reference, or flags spaced by hand
+                flags, away = (table := flag_tails[kind]).get(tail), None
+                if flags is None:  # an away reference, or flags spaced by hand or followed by blanks
                     head, awayref, away = tail.partition(" awayref ")
                     if (flags := table.get(head)) is None:
                         head, awayref, away = " ".join(["", *tail.split()]).partition(" awayref ")

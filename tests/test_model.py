@@ -295,13 +295,13 @@ def test_element_statement_must_be_a_str(bad):
         Element("A", ElementKind.EVIDENCE, bad, is_root=True)
 
 
-@pytest.mark.parametrize("bad", ["bad id", "9T", "", "T.1", "T\n"])
+@pytest.mark.parametrize("bad", ["bad id", "9T", "", "T.1", "T\n", 5, b"T"])
 def test_associated_tac_must_be_a_case_id(bad):
     case = AssuranceCase("X", CaseKind.CLINICAL, (claim("A"),), associated_tac="T")
     _rejected(case, "associated_tac", bad, f"invalid associated case id {bad!r}")
 
 
-@pytest.mark.parametrize("bad", ["k W", "", "%", "2W", "W;"])
+@pytest.mark.parametrize("bad", ["k W", "", "%", "2W", "W;", None, 5])
 def test_capability_unit_must_be_an_identifier(bad):
     _rejected(Capability("p", Direction.PROVIDED, "W", 0, 1), "unit", bad, f"invalid unit {bad!r}")
 
