@@ -106,7 +106,8 @@ _needs = attrgetter(*(FLAG_FIELDS[flag] for flag in FLAG_NEEDS))
 class Element(_Checked, namedtuple("Element", "id kind statement is_root is_public is_undeveloped is_module "
                                               "concern away_ref span")):
     """One GSN node. Only a claim may carry a flag of `CLAIM_ONLY_FLAGS`, and a
-    claim with an away reference must be undeveloped too (`FLAG_NEEDS`)."""
+    claim with an away reference must be undeveloped too (`FLAG_NEEDS`). The
+    four flags are held as bools, an away reference as a tuple."""
 
     __slots__ = ()
 
@@ -121,10 +122,10 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
             raise ValueError(f"statement {statement!r} of {id!r} is not a str")
         if concern is not None and type(concern) is not ConcernKind:
             raise ValueError(f"concern {concern!r} of {id!r} is not a ConcernKind")
-        if away_ref is not None and len(away_ref) != 2:  # so a given reference is a true value below
+        if away_ref is not None and len(away_ref := tuple(away_ref)) != 2:  # so a given reference is a true value
             raise ValueError(f"away reference {away_ref!r} of {id!r} is not a (case id, element id) pair")
-        element = tuple.__new__(cls, (id, kind, statement, is_root, is_public, is_undeveloped, is_module, concern,
-                                      away_ref, span))
+        element = tuple.__new__(cls, (id, kind, statement, bool(is_root), bool(is_public), bool(is_undeveloped),
+                                      bool(is_module), concern, away_ref, span))
         if kind is not ElementKind.CLAIM and any(_claim_only(element)):
             name = next(flag for flag, value in zip(CLAIM_ONLY_FLAGS, _claim_only(element)) if value)
             raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")

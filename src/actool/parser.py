@@ -83,11 +83,10 @@ _EDGE_AHEAD = re.compile(rf'[ \t\r]*(?:{"|".join(EDGE_KINDS)})(?![A-Za-z0-9_-])[
 # Group 3 runs to a `"` that the tail and the newline follow. It stops at each `"`, so a `;`-joined line fails at
 # its first `;`, and it scans far faster than an escape-aware body. A statement holding `\` or a newline must then
 # match `_STATEMENT`, the one-line string body with only `\"` and `\\` escapes, or the line is not canonical. The
-# tail holds only id characters, `.`, spaces and tabs: no `"`, so group 3 cannot stop at an escaped one, and no blank
-# that `str.split` splits at but the lexer does not.
+# tail holds only id characters, `.`, spaces and tabs: no `"`, so group 3 cannot stop at an escaped one.
 _NODE_LINE = re.compile(
     rf'[ \t\r;]*({"|".join(NODE_KINDS)})[ \t]+({_IDENT})[ \t]+"([^"]*(?:\\"[^"]*)*)"([A-Za-z0-9_. \t-]*)\r?\n')
-_AWAY_REF = re.compile(rf"({_IDENT})\.({_IDENT})[ \t]*\Z")  # the payload of `awayref` and any trailing blanks
+_AWAY_REF = re.compile(rf"({_IDENT})\.({_IDENT})\Z")  # the payload of `awayref`, as `print_case` writes it
 # Up to 256 edge lines, read from a line start: each is the first line's indentation (group 1), three words with
 # one space between them, and the first line's line ending (group 2). An edge line with more blank space between
 # or after its words, a comment, or a `;` before it takes the token path. The bound keeps the run's word list small.
@@ -290,9 +289,10 @@ class _CaseParser(_Parser):
     misuse) as each flag's payload parses, except on a dropped duplicate,
     whose flags are consumed but not checked. P7 is checked at each
     `associates` statement, and for a missing one after the last item. P2
-    is checked in `parse`, after the last item: an edge that `_line` reads
-    after both its ends is built there and then, and every other edge waits
-    in `waiting` as a plain tuple, with None holding its place in `edges`.
+    is checked in `parse`, after the last item: a run of edge lines that
+    `_line` reads after all their ends is built there and then, and every
+    other edge waits in `waiting` as a plain tuple, with None holding its
+    place in `edges`.
     `_line` reads each run of canonical node and edge lines without tokens,
     carrying the line number from line to line; every other statement goes
     to the token path. Of the spans kept, only those `parse` makes for
@@ -365,12 +365,12 @@ class _CaseParser(_Parser):
     def _line(self) -> bool:
         """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would, and say whether it
         read anything. A node line takes one `_NODE_LINE` match and a lookup of its flag tail in `_FLAG_TAILS`; a tail
-        that misses is looked up again with an away reference split off, then with one space before each word and
-        none after the last. A run of edge lines that starts at a line start and keeps one indentation and one
-        line ending takes one `_EDGES` match, and the blank and comment lines between two statements one `_BLANKS`
-        match. An edge whose two ends are declared is built here; one with a forward reference waits, as `_edge`'s do,
-        for P2. The run stops, with `pos` at the start of the line, at any other text: a node line whose tail misses
-        (flags out of `print_case`'s order, repeated, or misused, a P3), a duplicate id (P1), and an edge line with
+        that misses is looked up once more with its away reference split off. A run of edge lines that starts at a
+        line start and keeps one indentation and one line ending takes one `_EDGES` match, and the blank and comment
+        lines between two statements one `_BLANKS` match. A run whose ends are all declared is built here with `map`;
+        in a run with a forward reference every edge waits, as `_edge`'s do, for P2. The run stops, with `pos` at the
+        start of the line, at any other text: a node line whose tail misses (flags out of `print_case`'s order,
+        repeated, misused (P3), spaced otherwise or followed by blanks), a duplicate id (P1), and an edge line with
         more blank space than one space between or after its words, or after a `;`."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
         match_node, match_edges, match_blanks = _NODE_LINE.match, _EDGES.match, _BLANKS.match
@@ -380,14 +380,11 @@ class _CaseParser(_Parser):
             if match := match_node(source, pos):
                 kind, name, text, tail = match.groups()
                 flags, away = (table := flag_tails[kind]).get(tail), None
-                if flags is None:  # an away reference, or flags spaced by hand or followed by blanks
-                    head, awayref, away = tail.partition(" awayref ")
-                    if (flags := table.get(head)) is None:
-                        head, awayref, away = " ".join(["", *tail.split()]).partition(" awayref ")
-                        flags = table.get(head)
-                    if flags is None or awayref and not (flags[3] and (away := _AWAY_REF.match(away))):
-                        break  # flags[3]: `undeveloped`, which an away reference needs (FLAG_NEEDS)
-                    away = away.groups() if awayref else None
+                if flags is None:  # an away reference, after flags that read `undeveloped` (FLAG_NEEDS: flags[3])
+                    head, _, away = tail.partition(" awayref ")
+                    if (flags := table.get(head)) is None or not (flags[3] and (away := _AWAY_REF.match(away))):
+                        break
+                    away = away.groups()
                 if name in elements or ("\\" in text or "\n" in text) and not _STATEMENT.match(text):
                     break  # P1, or a statement that is not a one-line string
                 text = _ESCAPE.sub(_unescaped, text) if "\\" in text else text
@@ -402,25 +399,18 @@ class _CaseParser(_Parser):
                 words = match[0].split()
                 indent, count = len(match[1]), len(words) // 3
                 # SourceSpan(...) and Edge(...), minus their checks: line and column are at least 1; an edge's ends are
-                # its elements' own id strings. A run of over 12 edges with declared ends runs no Python line per edge.
-                if count > 12 and all(heads := [*map(get, words[0::3])]) and all(tails := [*map(get, words[2::3])]):
-                    spans = zip(repeat(file_name), range(line, line + count), repeat(indent + 1), map(len, words[0::3]))
+                # its elements' own id strings
+                if all(heads := [*map(get, sources := words[0::3])]) and all(tails := [*map(get, words[2::3])]):
+                    spans = zip(repeat(file_name), range(line, line + count), repeat(indent + 1), map(len, sources))
                     edges += map(new, repeat(Edge), zip(map(itemgetter(0), heads), map(itemgetter(0), tails),
                                                          map(EDGE_KINDS.__getitem__, words[1::3]),
                                                          map(new, repeat(SourceSpan), spans)))
-                    line += count
-                else:  # a shorter run costs less a line at a time; so does one with a forward reference
-                    rest = indent + 2 + len(match[2])  # each line's length but for its three words
-                    for edge_source, edge, target in zip(*[iter(words)] * 3):  # a line each, `pos` at its start
-                        head, tail, kind = get(edge_source), get(target), EDGE_KINDS[edge]
-                        if head is not None and tail is not None:
-                            span = new(SourceSpan, (file_name, line, indent + 1, len(edge_source)))
-                            edges.append(new(Edge, (head[0], tail[0], kind, span)))
-                        else:
-                            at = pos + indent
-                            self._wait(edge_source, at, kind, target, at + len(edge_source) + len(edge) + 2)
-                        pos += len(edge_source) + len(edge) + len(target) + rest
-                        line += 1
+                else:  # a forward reference: every edge of the run waits, as `_edge`'s do
+                    at, rest = pos + indent, indent + 2 + len(match[2])  # each line's length but for its three words
+                    for edge_source, edge, target in zip(*[iter(words)] * 3):
+                        self._wait(edge_source, at, EDGE_KINDS[edge], target, at + len(edge_source) + len(edge) + 2)
+                        at += len(edge_source) + len(edge) + len(target) + rest
+                line += count
                 pos = line_start = match.end()
             elif (end := match_blanks(source, pos).end()) != pos:
                 line += source.count("\n", pos, end)
@@ -619,10 +609,7 @@ def print_case(case: AssuranceCase) -> str:
     nodes, flag_text = [], _BOOL_FLAG_TEXT
     elements = sorted(case.elements, key=ELEMENT_ORDER)
     for name, kind, statement, root, public, undeveloped, module, concern, away, _ in elements:
-        try:
-            flags = flag_text[root, public, undeveloped, module]
-        except (KeyError, TypeError):  # a flag given as a true or false value other than a bool
-            flags = flag_text[bool(root), bool(public), bool(undeveloped), bool(module)]
+        flags = flag_text[root, public, undeveloped, module]  # `Element` holds each flag as a bool
         if concern is not None:
             flags += _CONCERN_TEXT[concern]
         if away is not None:

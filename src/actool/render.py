@@ -49,10 +49,10 @@ def _node_head(kind: ElementKind, module: bool, highlighted: bool) -> str:
     return f"shape={shape}, {style}" + ("fillcolor=lightgray, " if highlighted else "")
 
 
-# `_node_head` of each combination, keyed as `_case_body` reads an element: (kind `_value_`, not a module,
-# highlighted). `not` gives a bool for a flag given as any true or false value; the kind's `_value_` is a plain
-# attribute and a string key, where hashing the member would run `Enum.__hash__` in Python for every element.
-_NODE_HEADS = {(kind._value_, not module, highlighted): _node_head(kind, module, highlighted)
+# `_node_head` of each combination, keyed as `_case_body` reads an element: (kind `_value_`, module, highlighted).
+# `Element` holds `is_module` as a bool; the kind's `_value_` is a plain attribute and a string key, where hashing
+# the member would run `Enum.__hash__` in Python for every element.
+_NODE_HEADS = {(kind._value_, module, highlighted): _node_head(kind, module, highlighted)
                for kind, module, highlighted in product(ElementKind, (False, True), (False, True))}
 
 
@@ -63,7 +63,7 @@ def _case_body(case: AssuranceCase, marked: Container[str], prefix: str, indent:
     lines = []
     for name, kind, statement, _, _, undeveloped, module, _, _, _ in sorted(case.elements, key=ELEMENT_ORDER):
         statement = statement.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        lines.append(f'{indent}"{prefix}{name}" [{heads[kind._value_, not module, name in marked]}label="{name}\\n'
+        lines.append(f'{indent}"{prefix}{name}" [{heads[kind._value_, module, name in marked]}label="{name}\\n'
                      f'{statement}{_GLYPH_LINE if undeveloped else ""}"];')
     lines += [
         f'{indent}"{prefix}{source}" -> "{prefix}{target}"{" [arrowhead=onormal];" if kind is in_context else ";"}'

@@ -7,11 +7,11 @@ into a temporary directory, and the working tree's `src/` is compared with it.
 The inputs are `helpers.mixed_case_text` texts, the `print_case` texts of
 `helpers.gen_case` cases and of `helpers.gen_valid_bundle` members with their
 manifest, the case and manifest files of `perfbench/gen.py`'s case-tree,
-case-chain and bundle-wide shapes at the benchmark's size, five variants of
+case-chain and bundle-wide shapes at the benchmark's size, six variants of
 each case-tree case file (its edge lines first, ` // c` at the end of every
 line, every statement joined by `;` on the header's line, every 7th edge
-line and every 11th node line indented by a tab, and every line ended by
-CRLF), and the corpus.
+line and every 11th node line indented by a tab, every line ended by CRLF,
+and a space at the end of every line), and the corpus.
 Each tree reads every input in its own child process, run by PATH (default:
 this interpreter), the working tree's with `PYTHONHASHSEED=1` and REF's with
 `PYTHONHASHSEED=0`, so that no output may hang on the order of a set of
@@ -83,10 +83,10 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
 
 
 def _variants(name: str, text: str) -> list[tuple[str, str, dict[str, str]]]:
-    """A case file of one-line statements read five other ways: with its edges
+    """A case file of one-line statements read six other ways: with its edges
     waiting for their targets, by the token path, with no line break, with
-    its runs of `print_case`'s edge lines broken by tab-indented lines, and
-    with CRLF line endings."""
+    its runs of `print_case`'s edge lines broken by tab-indented lines, with
+    CRLF line endings, and with a trailing blank on every line."""
     header, _, rest = text.partition("\n")
     body, _, end = rest.rpartition("}")
     lines = [line.strip() for line in body.split("\n") if line.strip()]
@@ -105,7 +105,8 @@ def _variants(name: str, text: str) -> list[tuple[str, str, dict[str, str]]]:
             (f"{stem}-commented.acd", "".join(f"{line} // c\n" for line in text.splitlines()), {}),
             (f"{stem}-one-line.acd", f"{header} {'; '.join(lines)} }}{end}", {}),
             (f"{stem}-tabbed.acd", "\n".join(tabbed), {}),
-            (f"{stem}-crlf.acd", text.replace("\n", "\r\n"), {})]
+            (f"{stem}-crlf.acd", text.replace("\n", "\r\n"), {}),
+            (f"{stem}-trailing-blank.acd", text.replace("\n", " \n"), {})]
 
 
 def _output(name: str, text: str, files: dict[str, str]) -> str:

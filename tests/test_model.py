@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actool.analyze import case_metrics
+from actool.analyze import case_metrics, impact
 from actool.cli import run
+from actool.link import resolve_links
 from actool.model import (
     AssuranceCase,
     Capability,
@@ -244,6 +245,29 @@ def test_claim_only_flags_name_the_first_in_check_order(kind, flags):
 def test_element_constructor_messages(element, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         element()
+
+
+def test_element_flags_are_held_as_bools():
+    # Any true or false value is read by its truth and held as that bool, so the writers read one table each.
+    loose = Element("A", ElementKind.CLAIM, "a", is_root=1, is_public="yes", is_undeveloped=[], is_module=None)
+    assert loose[3:7] == (True, True, False, False) and all(type(flag) is bool for flag in loose[3:7])
+    assert loose == Element("A", ElementKind.CLAIM, "a", is_root=True, is_public=True)
+
+
+def test_an_away_reference_is_held_as_a_tuple():
+    # A list as the reference is read as `AssuranceCase` reads its sequences: the element equals its twin built
+    # from a tuple, hashes and pickles, and `impact` reads a bundle holding such elements as the parsed bundle.
+    listed = claim("A", is_undeveloped=True, away_ref=["T", "R"])
+    paired = claim("A", is_undeveloped=True, away_ref=("T", "R"))
+    assert listed == paired and hash(listed) == hash(paired) and type(listed.away_ref) is tuple
+    assert pickle.loads(pickle.dumps(listed)) == paired
+    parsed, _ = load_corpus_bundle()
+    cacs = tuple(cac._replace(elements=tuple(element._replace(away_ref=list(element.away_ref)) if element.away_ref
+                                             else element for element in cac.elements)) for cac in parsed.cacs)
+    built = parsed._replace(cacs=cacs)
+    assert built == parsed and any(element.away_ref for cac in cacs for element in cac.elements)
+    changed = {("TAC-1", element.id) for element in parsed.tac.elements}
+    assert impact(resolve_links(built)[0], changed) == impact(resolve_links(parsed)[0], changed)
 
 
 def _rejected(good, field, bad, message):

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import sys
 import timeit
 from decimal import Decimal
 from itertools import combinations, product
@@ -30,6 +31,9 @@ from actool.parser import _IDENT, _CaseParser, _Parser, parse_bundle, parse_case
 
 import helpers
 from conftest import CORPUS, GOLDEN
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+import gen  # noqa: E402  (read-only: the benchmark's generator)
 
 
 def errors(result):
@@ -849,24 +853,30 @@ def test_statement_regex_and_token_path_agree(seed):
 
 def test_canonical_node_and_edge_lines_skip_the_token_path(monkeypatch):
     # A count, not a timing: a statement regex that silently matched nothing
-    # would send every line through `_node` and `_edge`.
-    calls = {"_node": 0, "_edge": 0}
+    # would send every line through `_node` and `_edge`, and an edge run read
+    # one edge at a time would send its edges through `_wait`. The corpus and
+    # the benchmark's case-tree and bundle-wide case files are read by
+    # `_NODE_LINE` and by the `map` builder alone.
+    calls = {"_node": 0, "_edge": 0, "_wait": 0}
     for name in calls:
-        def counted(self, name=name, method=getattr(_CaseParser, name)):
+        def counted(self, *args, name=name, method=getattr(_CaseParser, name)):
             calls[name] += 1
-            method(self)
+            method(self, *args)
 
         monkeypatch.setattr(_CaseParser, name, counted)
-    for path in sorted(CORPUS.glob("*.acd")):
-        assert parse_case(path.read_text(encoding="utf-8"), path.name).case.elements
-    assert calls == {"_node": 0, "_edge": 0}
+    files = [(path.name, path.read_text(encoding="utf-8")) for path in sorted(CORPUS.glob("*.acd"))]
+    files += [*gen.case_tree(3, 400).files.items(), *gen.bundle_wide(3, 512).files.items()]
+    for name, text in files:
+        if name.endswith(".acd"):
+            assert parse_case(text, name).case.elements
+    assert calls == {"_node": 0, "_edge": 0, "_wait": 0}
     rng = random.Random(26)
     multi_line = 0
     for _ in range(40):
         case = helpers.gen_case(rng)
         assert print_case(parse_case(print_case(case), "gen.acd").case) == print_case(case)
         multi_line += sum("\n" in element.statement for element in case.elements)
-    assert calls == {"_node": multi_line, "_edge": 0}
+    assert calls == {"_node": multi_line, "_edge": 0, "_wait": 0}
 
 
 @pytest.mark.parametrize("seed", [3, 14, 15])
@@ -983,15 +993,15 @@ def test_flags_out_of_order_or_repeated_take_the_token_path_once(monkeypatch, fl
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_hand_spaced_flags_and_trailing_blanks_stay_in_the_run(monkeypatch, newline):
-    # A flag tail that the table misses is read again with one space before each word, so spaces and tabs between
-    # and after the flags, an away reference among them, keep a line in the run.
+def test_hand_spaced_flags_and_trailing_blanks_leave_the_run(monkeypatch, newline):
+    # The table holds `print_case`'s flag texts only, so spaces and tabs between and after the flags, an away
+    # reference among them, send each line to the token path once, with the same result.
     calls = _token_path_calls(monkeypatch)
     lines = ['  claim A "a"\troot  public ', '  claim B "b" undeveloped \t awayref  T.C2\t', '  evidence E "e"  ',
              '  context X "x" public\t\t', '  claim C "c" concern   safety']
     source = newline.join(["case K kind monolithic {", *lines, "}", ""])
     fast = parse_case(source, "k.acd")
-    assert calls == {"_node": 0, "_edge": 0}
+    assert calls == {"_node": 5, "_edge": 0}
     slow = parse_case(_with_comments(source), "k.acd")
     assert fast.diagnostics == slow.diagnostics == [] and fast.case == slow.case
     assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
@@ -1307,3 +1317,87 @@ def test_grammar_sentences_parse_without_p0(monkeypatch):
         assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics], (number, text)
         assert fast.case == slow.case and _pinned_spans(fast.case) == _pinned_spans(slow.case), (number, text)
     assert fast_reads["node"] > 500 and fast_reads["edge"] > 500 and min(calls.values()) > 500, (fast_reads, calls)
+
+
+# --- the reject side: one-token mutants against a recognizer of the same grammar ----------------------------------
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
+_LEXICAL_TOKENS = {"ID": ID_PATTERN.match, "STRING": lambda token: token[0] == '"', "NUM": _NUMBER.match}
+_BREAKS = ("star", ("sep", None))
+
+
+def _file_rule(rules: dict[str, tuple]) -> tuple:
+    """`caseDecl` with the statement breaks of FORMATS.md's prose: "statements terminated by newline or `;`", where a
+    run of breaks may stand before the header, before its `{`, between statements and after the `}`, and the last
+    statement before the `}` needs none."""
+    (_, header), = rules["caseDecl"][1]
+    assert header[4:] == [("lit", "{"), ("star", ("ref", "item")), ("lit", "}")], header
+    items = ("opt", ("seq", [("ref", "item"), ("star", ("seq", [("sep", None), _BREAKS, ("ref", "item")]))]))
+    return ("seq", [_BREAKS, *header[:4], _BREAKS, ("lit", "{"), _BREAKS, items, _BREAKS, ("lit", "}"), _BREAKS])
+
+
+def _ends(expression: tuple, tokens: list, start: int, rules: dict[str, tuple], memo: dict) -> set[int]:
+    """Each offset in `tokens` at which a match of `expression` begun at `start` can end; `memo` keeps the ends of
+    each rule at each offset."""
+    kind, part = expression
+    token = tokens[start] if start < len(tokens) else None
+    if kind == "sep":
+        return {start + 1} if token is _SEPARATOR else set()
+    if kind == "lit":
+        return {start + 1} if token == part else set()
+    if kind == "ref" and part in _LEXICAL_TOKENS:
+        return {start + 1} if isinstance(token, str) and _LEXICAL_TOKENS[part](token) else set()
+    if kind == "ref":
+        if (part, start) not in memo:
+            memo[part, start] = _ends(rules[part], tokens, start, rules, memo)
+        return memo[part, start]
+    if kind == "alt":
+        ends = set().union(*(_ends(option, tokens, start, rules, memo) for option in part))
+    elif kind == "seq":
+        ends = {start}
+        for each in part:
+            if not ends:
+                break
+            ends = set().union(*(_ends(each, tokens, at, rules, memo) for at in ends))
+    else:  # "opt" or "star": a star stops when a round finds no new end
+        ends = frontier = {start}
+        while frontier:
+            frontier = set().union(*(_ends(part, tokens, at, rules, memo) for at in frontier)) - ends
+            ends = ends | frontier
+            if kind == "opt":
+                break
+    return ends
+
+
+def _mutant(tokens: list, rng: random.Random, pool: list) -> list:
+    """`tokens` with one token deleted, duplicated, swapped with the next, or replaced by one from `pool`."""
+    how = rng.choice(["delete", "duplicate", "swap", "replace"])
+    at, mutated = rng.randrange(len(tokens) - (how == "swap")), list(tokens)
+    if how == "delete":
+        del mutated[at]
+    elif how == "duplicate":
+        mutated.insert(at, tokens[at])
+    elif how == "swap":
+        mutated[at:at + 2] = tokens[at + 1], tokens[at]
+    else:
+        replacement = rng.choice(pool)
+        mutated[at] = replacement(rng) if callable(replacement) else replacement
+    return mutated
+
+
+def test_one_token_mutants_are_rejected_exactly_when_the_grammar_rejects_them():
+    # Reject side: each sentence, mutated by one token, must give a P0 exactly when a recognizer of FORMATS.md's
+    # grammar and statement breaks rejects it. The recognizer reads the tokens the generator drew, not the text.
+    rules = _grammar()
+    file_rule = _file_rule(rules)
+    keywords = sorted(word for word in set().union(*map(_terminals, rules.values())) if ID_PATTERN.match(word))
+    pool = [*keywords, *"{}[],.", _SEPARATOR, lambda rng: rng.choice("ABab"), _string, _number]
+    rng = random.Random(35)
+    outcomes = {True: 0, False: 0}
+    for number in range(1000):
+        tokens = _mutant(_sentence(rng, rules, keywords), rng, pool)
+        text = _render(tokens, rng)[0]
+        recognized = len(tokens) in _ends(file_rule, tokens, 0, rules, {})
+        p0 = [d.line() for d in parse_case(text, "m.acd").diagnostics if d.rule_id == "P0"]
+        assert recognized == (not p0), (number, text, p0)
+        outcomes[recognized] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 500, outcomes
