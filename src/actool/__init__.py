@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "parser": ("ParseResult", "parse_bundle", "parse_case", "print_case"),
     "render": ("report_json", "to_dot"),
-    "units": ("BUILTIN_UNITS", "Dimension", "UnitDef", "UnitError", "UnitTable", "parse_units_file"),
+    "units": ("BUILTIN_UNITS", "UnitDef", "UnitError", "UnitTable", "parse_units_file"),
     "validate": (
         "MatchResult", "MatchStatus", "bundle_match_results", "match_capabilities", "validate_bundle", "validate_case",
     ),

@@ -122,7 +122,8 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
             raise ValueError(f"statement {statement!r} of {id!r} is not a str")
         if concern is not None and type(concern) is not ConcernKind:
             raise ValueError(f"concern {concern!r} of {id!r} is not a ConcernKind")
-        if away_ref is not None and len(away_ref := tuple(away_ref)) != 2:  # so a given reference is a true value
+        # a str is refused before `tuple` splits it; the length check makes a given reference a true value
+        if away_ref is not None and (isinstance(away_ref, str) or len(away_ref := tuple(away_ref)) != 2):
             raise ValueError(f"away reference {away_ref!r} of {id!r} is not a (case id, element id) pair")
         element = tuple.__new__(cls, (id, kind, statement, bool(is_root), bool(is_public), bool(is_undeveloped),
                                       bool(is_module), concern, away_ref, span))

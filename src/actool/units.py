@@ -1,7 +1,8 @@
 """Unit table for capability matching.
 
-Each unit belongs to one dimension and carries an exact decimal scale to that
-dimension's base unit (the unit with scale 1). Conversion never crosses
+Each unit belongs to one dimension, which is a name, and carries an exact
+decimal scale to that dimension's base unit (the unit with scale 1). A
+dimension exists when one unit with scale 1 names it. Conversion never crosses
 dimensions. The built-in table can be extended from a `.units` file with one
 `symbol dimension scale` entry per line (`#` starts a comment).
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from decimal import Decimal, InvalidOperation
-from enum import Enum
 from typing import Iterable
 
 from .model import _Checked
@@ -20,20 +20,10 @@ class UnitError(ValueError):
     """Configuration error: unknown unit symbol or inconsistent unit table."""
 
 
-class Dimension(Enum):
-    POWER = "Power"
-    ENERGY = "Energy"
-    TIME = "Time"
-    FREQUENCY = "Frequency"
-    LENGTH = "Length"
-    TEMPERATURE = "Temperature"
-    INTENSITY = "Intensity"
-
-
 class UnitDef(_Checked, namedtuple("UnitDef", "symbol dimension scale_to_base")):
     __slots__ = ()
 
-    def __new__(cls, symbol: str, dimension: Dimension, scale_to_base: Decimal):
+    def __new__(cls, symbol: str, dimension: str, scale_to_base: Decimal):
         scale_to_base = Decimal(scale_to_base)
         if not scale_to_base.is_finite():
             raise UnitError(f"unit {symbol!r} must have a finite scale")
@@ -46,7 +36,7 @@ class UnitTable(_Checked, namedtuple("UnitTable", "units")):
     def __new__(cls, units: Iterable[UnitDef]):
         units = tuple(units)
         by_symbol: dict[str, UnitDef] = {}
-        base_seen: dict[Dimension, str] = {}
+        base_seen: dict[str, str] = {}
         for unit in units:
             if unit.symbol in by_symbol:
                 raise UnitError(f"unit {unit.symbol!r} defined twice")
@@ -54,13 +44,13 @@ class UnitTable(_Checked, namedtuple("UnitTable", "units")):
             if unit.scale_to_base == 1:
                 if unit.dimension in base_seen:
                     raise UnitError(
-                        f"dimension {unit.dimension.value} has two base units: "
+                        f"dimension {unit.dimension} has two base units: "
                         f"{base_seen[unit.dimension]!r} and {unit.symbol!r}"
                     )
                 base_seen[unit.dimension] = unit.symbol
         for unit in units:
             if unit.dimension not in base_seen:
-                raise UnitError(f"dimension {unit.dimension.value} has no base unit")
+                raise UnitError(f"dimension {unit.dimension} has no base unit")
         table = tuple.__new__(cls, (units,))
         table._by_symbol = by_symbol
         return table
@@ -98,27 +88,24 @@ def at_most(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 BUILTIN_UNITS = UnitTable(
     (
-        UnitDef("W", Dimension.POWER, Decimal(1)),
-        UnitDef("mW", Dimension.POWER, Decimal("0.001")),
-        UnitDef("kW", Dimension.POWER, Decimal(1000)),
-        UnitDef("J", Dimension.ENERGY, Decimal(1)),
-        UnitDef("kJ", Dimension.ENERGY, Decimal(1000)),
-        UnitDef("s", Dimension.TIME, Decimal(1)),
-        UnitDef("ms", Dimension.TIME, Decimal("0.001")),
-        UnitDef("min", Dimension.TIME, Decimal(60)),
-        UnitDef("Hz", Dimension.FREQUENCY, Decimal(1)),
-        UnitDef("kHz", Dimension.FREQUENCY, Decimal(1000)),
-        UnitDef("MHz", Dimension.FREQUENCY, Decimal(1000000)),
-        UnitDef("m", Dimension.LENGTH, Decimal(1)),
-        UnitDef("mm", Dimension.LENGTH, Decimal("0.001")),
-        UnitDef("cm", Dimension.LENGTH, Decimal("0.01")),
-        UnitDef("degC", Dimension.TEMPERATURE, Decimal(1)),
-        UnitDef("W_per_cm2", Dimension.INTENSITY, Decimal(1)),
+        UnitDef("W", "Power", Decimal(1)),
+        UnitDef("mW", "Power", Decimal("0.001")),
+        UnitDef("kW", "Power", Decimal(1000)),
+        UnitDef("J", "Energy", Decimal(1)),
+        UnitDef("kJ", "Energy", Decimal(1000)),
+        UnitDef("s", "Time", Decimal(1)),
+        UnitDef("ms", "Time", Decimal("0.001")),
+        UnitDef("min", "Time", Decimal(60)),
+        UnitDef("Hz", "Frequency", Decimal(1)),
+        UnitDef("kHz", "Frequency", Decimal(1000)),
+        UnitDef("MHz", "Frequency", Decimal(1000000)),
+        UnitDef("m", "Length", Decimal(1)),
+        UnitDef("mm", "Length", Decimal("0.001")),
+        UnitDef("cm", "Length", Decimal("0.01")),
+        UnitDef("degC", "Temperature", Decimal(1)),
+        UnitDef("W_per_cm2", "Intensity", Decimal(1)),
     )
 )
-
-_DIMENSIONS_BY_NAME = {dimension.value: dimension for dimension in Dimension}
-
 
 def parse_units_file(text: str, file_name: str = "<units>") -> list[UnitDef]:
     """Parse a `.units` extension file; raises UnitError with position context."""
@@ -130,11 +117,7 @@ def parse_units_file(text: str, file_name: str = "<units>") -> list[UnitDef]:
         parts = line.split()
         if len(parts) != 3:
             raise UnitError(f"{file_name}:{line_no}: expected 'symbol dimension scale'")
-        symbol, dimension_name, scale_text = parts
-        dimension = _DIMENSIONS_BY_NAME.get(dimension_name)
-        if dimension is None:
-            known = ", ".join(sorted(_DIMENSIONS_BY_NAME))
-            raise UnitError(f"{file_name}:{line_no}: unknown dimension {dimension_name!r} (known: {known})")
+        symbol, dimension, scale_text = parts
         try:
             scale = Decimal(scale_text)
         except InvalidOperation:

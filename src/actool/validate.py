@@ -172,7 +172,7 @@ def match_capabilities(
             continue
         same_dimension = [
             (p, unit.scale_to_base) for p in candidates
-            if (unit := units.lookup(p.unit)).dimension is req_unit.dimension
+            if (unit := units.lookup(p.unit)).dimension == req_unit.dimension
         ]
         if not same_dimension:
             results.append(MatchResult(req, MatchStatus.UNIT_MISMATCH))

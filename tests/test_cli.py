@@ -9,6 +9,8 @@ import stat
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from actool import cli
 from actool.cli import run
-from actool.model import Bundle, Edge, EdgeKind, Element, ElementKind
+from actool.model import AssuranceCase, Bundle, CaseKind, Edge, EdgeKind, Element, ElementKind
 from actool.parser import parse_case, print_case
 
 import helpers
@@ -690,17 +692,17 @@ def test_ac_units_extends_table(tmp_path, capsys, monkeypatch):
     units.write_text("us Time 0.000001\n", encoding="utf-8")
     monkeypatch.setenv("AC_UNITS", str(units))
     assert run(["validate", str(case)]) == 0
-    units.write_text("us NotADimension 1\n", encoding="utf-8")
+    units.write_text("us NotADimension 0.000001\n", encoding="utf-8")
     assert run(["validate", str(case)]) == 2
-    assert "unknown dimension" in capsys.readouterr().err
+    assert capsys.readouterr().err == "actool: dimension NotADimension has no base unit\n"
     units.write_text("us Time NaN\n", encoding="utf-8")
     assert run(["validate", str(case)]) == 2
     assert capsys.readouterr().err == f"actool: {units}:1: scale must be finite\n"
 
 
-def _acoustic_power_bundle(tmp_path, monkeypatch, provided: str, required: str, scale: str) -> str:
+def _acoustic_power_bundle(tmp_path, monkeypatch, provided: str, required: str, units_text: str) -> str:
     """The corpus bundle in `tmp_path` with the acoustic power ranges `provided` and `required`
-    (`unit U range [L, H]`) and `AC_UNITS` naming a unit `xW` of `scale` W; the manifest's path."""
+    (`unit U range [L, H]`) and `AC_UNITS` naming a file of `units_text`; the manifest's path."""
     (tmp_path / "bundle_mrgfus.acb").write_bytes((CORPUS / "bundle_mrgfus.acb").read_bytes())
     edits = [("tac_mrgfus.acd", "unit W range [0, 300]", provided),
              ("cac_uterine_fibroids.acd", "unit W range [50, 200]", required)]
@@ -709,7 +711,7 @@ def _acoustic_power_bundle(tmp_path, monkeypatch, provided: str, required: str, 
         assert text.count(f"acoustic_power {old}") == 1
         (tmp_path / name).write_text(text.replace(f"acoustic_power {old}", f"acoustic_power {new}"), encoding="utf-8")
     units = tmp_path / "x.units"
-    units.write_text(f"xW Power {scale}\n", encoding="utf-8")
+    units.write_text(units_text, encoding="utf-8")
     monkeypatch.setenv("AC_UNITS", str(units))
     return str(tmp_path / "bundle_mrgfus.acb")
 
@@ -736,22 +738,47 @@ def _assert_acoustic_power_verdict(manifest: str, capsys, status: str) -> None:
 def test_capability_bound_past_the_largest_decimal_exponent_gets_a_verdict(tmp_path, capsys, monkeypatch):
     # 50 xW is 5E+1000000000000000000 W, past decimal's largest exponent, and far above 300 W.
     manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 300]", "unit xW range [50, 200]",
-                                      "1E+999999999999999999")
+                                      "xW Power 1E+999999999999999999\n")
     _assert_acoustic_power_verdict(manifest, capsys, "rangeNotCovered")
 
 
 def test_capability_bound_below_the_smallest_decimal_exponent_gets_a_verdict(tmp_path, capsys, monkeypatch):
     # 1E-10 xW is 1E-1000000000000000009 W: not 0 W, so a provided [0, 0] W does not cover it.
     manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 0]",
-                                      "unit xW range [0.0000000001, 0.0000000001]", "1E-999999999999999999")
+                                      "unit xW range [0.0000000001, 0.0000000001]", "xW Power 1E-999999999999999999\n")
     _assert_acoustic_power_verdict(manifest, capsys, "rangeNotCovered")
 
 
 def test_capability_bound_below_the_smallest_decimal_exponent_is_covered(tmp_path, capsys, monkeypatch):
     # 0.01 xW is 1E-1000000000000000001 W, inside [0, 300] W.
     manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 300]", "unit xW range [0.01, 0.01]",
-                                      "1E-999999999999999999")
+                                      "xW Power 1E-999999999999999999\n")
     _assert_acoustic_power_verdict(manifest, capsys, "satisfied")
+
+
+def test_ac_units_adds_a_dimension(tmp_path, capsys, monkeypatch):
+    # Absorbed dose is no built-in dimension: a `.units` file adds it by naming its base unit. The TAC provides
+    # acoustic_power in Gy and the CAC requires it in cGy; each verdict is the one exact fractions give.
+    dose = "Gy Dose 1\ncGy Dose 0.01\n"
+    rng = random.Random(22)
+    ranges = [(Decimal("1.5"), Decimal(2), Decimal(150), Decimal(200))]
+    for _ in range(6):
+        low, high = sorted(Decimal(rng.randint(1, 500)) / 100 for _ in range(2))
+        required = sorted(bound * 100 + rng.choice((-1, 0, 0, 1)) * Decimal("0.001") for bound in (low, high))
+        ranges.append((low, high, *required))
+    verdicts = set()
+    for index, (low, high, required_low, required_high) in enumerate(ranges):
+        root = tmp_path / str(index)
+        root.mkdir()
+        manifest = _acoustic_power_bundle(root, monkeypatch, f"unit Gy range [{low}, {high}]",
+                                          f"unit cGy range [{required_low}, {required_high}]", dose)
+        covered = Fraction(low) <= Fraction(required_low) / 100 and Fraction(required_high) / 100 <= Fraction(high)
+        verdicts.add(status := "satisfied" if covered else "rangeNotCovered")
+        _assert_acoustic_power_verdict(manifest, capsys, status)
+    assert verdicts == {"satisfied", "rangeNotCovered"}
+    # Units of two dimensions never match: a cGy requirement against the corpus's W provider.
+    manifest = _acoustic_power_bundle(tmp_path, monkeypatch, "unit W range [0, 300]", "unit cGy range [50, 200]", dose)
+    _assert_acoustic_power_verdict(manifest, capsys, "unitMismatch")
 
 
 def test_repeat_runs_byte_identical(capsys):
@@ -912,14 +939,46 @@ def cli_transcript(commands: list[list[str]]) -> str:
     return "".join(parts)
 
 
-def test_cli_corpus_transcript(monkeypatch):
-    # The commands are the `$ actool` lines of the golden transcript itself;
-    # paths in it are relative to the repository root.
-    monkeypatch.chdir(CORPUS.parent)
+def _corpus_transcript() -> tuple[str, list[list[str]]]:
+    """The golden transcript and its commands: the `$ actool` lines of the transcript itself."""
     expected = (GOLDEN / "cli_corpus.txt").read_text(encoding="utf-8")
     commands = [shlex.split(line[len("$ actool "):]) for line in expected.splitlines() if line.startswith("$ actool ")]
+    return expected, commands
+
+
+def test_cli_corpus_transcript(monkeypatch):
+    # Paths in the transcript are relative to the repository root.
+    monkeypatch.chdir(CORPUS.parent)
+    expected, commands = _corpus_transcript()
     assert len(commands) == 20
     assert cli_transcript(commands) == expected
+
+
+def test_no_command_depends_on_the_recursion_limit(tmp_path, monkeypatch):
+    # Every corpus transcript command, and validate, metrics, fmt --check and render on a 20,000-deep chain, run
+    # with 80 frames of headroom: no walk of a case recurses per element or per edge.
+    monkeypatch.chdir(CORPUS.parent)
+    expected, commands = _corpus_transcript()
+    ids = [f"C{i}" for i in range(20000)]
+    elements = [Element(node, ElementKind.CLAIM, "c", is_root=node == "C0") for node in ids]
+    elements.append(Element("E", ElementKind.EVIDENCE, "e"))
+    edges = [Edge(a, b, EdgeKind.SUPPORTED_BY) for a, b in zip(ids, [*ids[1:], "E"])]
+    chain = tmp_path / "chain.acd"
+    chain.write_text(print_case(AssuranceCase("CHAIN", CaseKind.MONOLITHIC, elements, edges)), encoding="utf-8")
+    depth, frame, codes = 0, sys._getframe(), []
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 80)
+    try:
+        transcript = cli_transcript(commands)
+        for argv in (["validate"], ["metrics"], ["fmt", "--check"], ["render"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(run([*argv, str(chain)]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert transcript == expected
+    assert codes == [0, 0, 0, 0]
 
 
 def test_dispatch_by_subcommand_and_suffix(tmp_path, capsys):
@@ -942,7 +1001,7 @@ def test_dispatch_by_subcommand_and_suffix(tmp_path, capsys):
 
 def test_only_validate_reads_ac_units(tmp_path, monkeypatch):
     units = tmp_path / "broken.units"
-    units.write_text("us NotADimension 1\n", encoding="utf-8")
+    units.write_text("us NotADimension 0.000001\n", encoding="utf-8")
     bundle = corpus("bundle_mrgfus.acb")
     commands = [
         ["link", bundle],

@@ -1,7 +1,7 @@
 """A structure-aware fuzzer of the command line: mutated corpus and
 `helpers.gen_valid_bundle` bundles, with capabilities whose bounds may run to
 40 or more digits, and `.units` files drawn from their grammar with exponents
-at the edges of `decimal`'s range, go through every subcommand and flag in
+at the edges of `decimal`'s range and dimensions of drawn names, go through every subcommand and flag in
 process. Each run must exit 0, 1 or 2 without an exception, write only
 diagnostic lines, `actool: ` lines and `fmt --check`'s verdict to stderr, and give the same bytes when
 it is run again. The seed is fixed, so a failure reproduces."""
@@ -27,7 +27,9 @@ SEED = 20261020
 INPUTS = 80
 # A diagnostic, a failure, or `fmt --check`'s verdict on its file
 STDERR_LINE = re.compile(r"(.*:\d+:\d+: (error|warning) [A-Z]\d+: .*|actool: .*|.*\.acd: not in canonical form)\Z", re.S)
-UNITS = ("W", "kW", "xW", "yW", "zs")
+UNITS = ("W", "kW", "xW", "yW", "zs", "Gy", "cGy")
+# Names for a dimension that no built-in unit names; a dimension is any name a base unit declares
+FRESH_DIMENSIONS = ("Dose", "DoseRate", "Angle", "dose", "Ω", "x-1")
 CAPABILITIES = ("acoustic_power", "focal_depth", "p")
 TOKENS = ("claim", "evidence", "strategy", "context", "supportedBy", "inContextOf", "provides", "requires",
           "capability", "unit", "range", "associates", "root", "public", "undeveloped", "module", "concern safety",
@@ -85,13 +87,19 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 def _units_file(rng: random.Random) -> str:
     """A line for each of xW, yW (Power) and zs (Time), whose scales' exponents lie near ±MAX_EMAX or
-    MIN_ETINY, and at times a line that breaks the file."""
+    MIN_ETINY; at times Gy and cGy in a fresh dimension of a drawn name, with Gy its base unit; and at times
+    a line that breaks the file: a redefined symbol, a second base unit, a fresh dimension with no base unit,
+    or a scale that is not positive and finite."""
     lines = []
     for symbol, dimension in (("xW", "Power"), ("yW", "Power"), ("zs", "Time")):
         exponent = rng.choice((MAX_EMAX, -MAX_EMAX, MIN_ETINY)) + rng.randint(-3, 3)
         lines.append(f"{symbol} {dimension} {rng.choice((rng.randint(1, 999), 1))}E{exponent:+d}")
+    if rng.random() < 0.5:
+        dimension = rng.choice(FRESH_DIMENSIONS)
+        lines += [f"Gy {dimension} 1", f"cGy {dimension} {rng.choice(('0.01', '1E-2', '100'))}"]
     if rng.random() < 0.2:
-        lines.insert(rng.randint(0, 3), rng.choice(("W Power 2", "xW Sound 1", "q Power 0", "q Time -1", "q Time NaN")))
+        lines.insert(rng.randint(0, len(lines)), rng.choice(
+            ("W Power 2", "PW Power 1", "q Nowhere 0.5", "q Power 0", "q Time -1", "q Time NaN")))
     return "".join(line + rng.choice(("\n", " # c\n")) for line in lines)
 
 

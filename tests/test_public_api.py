@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "CaseMetrics",
     "ConcernKind",
     "Diagnostic",
-    "Dimension",
     "Direction",
     "Edge",
     "EdgeKind",

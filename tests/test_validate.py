@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from collections import Counter
 from decimal import MAX_EMAX, MIN_ETINY, Decimal
 from fractions import Fraction
@@ -22,7 +24,7 @@ from actool.model import (
     format_decimal,
 )
 from actool.parser import parse_case
-from actool.units import BUILTIN_UNITS, Dimension, UnitDef, UnitError, parse_units_file
+from actool.units import BUILTIN_UNITS, UnitDef, UnitError, parse_units_file
 from actool.validate import (
     MatchStatus,
     match_capabilities,
@@ -31,6 +33,10 @@ from actool.validate import (
 )
 
 import helpers
+from conftest import CORPUS
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+import gen  # noqa: E402  (read-only: the benchmark's generator)
 
 
 def claim(id, **kw):
@@ -59,35 +65,61 @@ def by_rule(diagnostics, rule):
 # --- units -------------------------------------------------------------------
 
 
+def _formats_units() -> list[tuple[str, str, str]]:
+    """FORMATS.md's "Dimension | Units (scale)" table, one (symbol, dimension, scale text) per unit, in order."""
+    text = (CORPUS.parent / "FORMATS.md").read_text(encoding="utf-8")
+    table = text.partition("| Dimension | Units (scale) |")[2].partition("\n\n")[0]
+    rows = []
+    for line in table.strip().splitlines()[1:]:  # the first line is the header rule
+        dimension, units = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        rows += [(symbol, dimension, scale) for symbol, scale in re.findall(r"(\S+) \(([^)]*)\)", units)]
+    return rows
+
+
 def test_builtin_units_have_one_base_per_dimension():
-    bases = {}
-    for unit in BUILTIN_UNITS.units:
-        if unit.scale_to_base == 1:
-            assert unit.dimension not in bases
-            bases[unit.dimension] = unit.symbol
-    assert set(bases) == set(Dimension)
+    # FORMATS.md's table is the oracle: BUILTIN_UNITS holds its rows in order, each scale as written there, and
+    # perfbench/gen.py's UNITS, restated from the same table, agrees with it.
+    rows = _formats_units()
+    assert len(rows) == 16
+    assert [(unit.symbol, unit.dimension, str(unit.scale_to_base)) for unit in BUILTIN_UNITS.units] == rows
+    bases = [dimension for _, dimension, scale in rows if Decimal(scale) == 1]
+    assert sorted(bases) == sorted(set(bases)) == sorted({dimension for _, dimension, _ in rows})
+    assert gen.UNITS == {symbol: (dimension, Fraction(scale)) for symbol, dimension, scale in rows}
 
 
 def test_unit_table_rejects_conflicts():
     with pytest.raises(UnitError, match="defined twice"):
-        BUILTIN_UNITS.extended([UnitDef("W", Dimension.POWER, Decimal(2))])
+        BUILTIN_UNITS.extended([UnitDef("W", "Power", Decimal(2))])
     with pytest.raises(UnitError, match="two base units"):
-        BUILTIN_UNITS.extended([UnitDef("watt2", Dimension.POWER, Decimal(1))])
+        BUILTIN_UNITS.extended([UnitDef("watt2", "Power", Decimal(1))])
     with pytest.raises(UnitError, match="positive"):
-        UnitDef("neg", Dimension.POWER, Decimal(-1))
+        UnitDef("neg", "Power", Decimal(-1))
+
+
+def test_a_dimension_named_by_a_str_is_the_builtin_one_of_that_name():
+    # The library path FORMATS.md's units table implies: a UnitDef names its dimension as a `.units` line does.
+    # `uW` in "Power" converts to `W`, and a second scale-1 unit of "Power" is a second base unit of that
+    # dimension, not the base of a new one that never matches `W`.
+    table = BUILTIN_UNITS.extended([UnitDef("uW", "Power", Decimal("1e-6"))])
+    assert verdict(table, ("uW", 1500000, 1500000), ("W", "1.5", "1.5")) is MatchStatus.SATISFIED
+    assert verdict(table, ("uW", 1500000, 1500001), ("W", "1.5", "1.5")) is MatchStatus.RANGE_NOT_COVERED
+    with pytest.raises(UnitError, match="^dimension Power has two base units: 'W' and 'PW'$"):
+        BUILTIN_UNITS.extended([UnitDef("PW", "Power", 1)])
 
 
 def test_parse_units_file():
     defs = parse_units_file("# comment\nus Time 0.000001\nuW Power 1e-6 # inline\n")
-    assert [(d.symbol, d.dimension) for d in defs] == [
-        ("us", Dimension.TIME),
-        ("uW", Dimension.POWER),
-    ]
+    assert [(d.symbol, d.dimension) for d in defs] == [("us", "Time"), ("uW", "Power")]
     extended = BUILTIN_UNITS.extended(defs)
     assert verdict(extended, ("s", "1.5", "1.5"), ("us", 1500000, 1500000)) is MatchStatus.SATISFIED
     assert verdict(extended, ("s", "1.5", "1.5"), ("us", 1500001, 1500001)) is MatchStatus.RANGE_NOT_COVERED
-    with pytest.raises(UnitError, match="unknown dimension"):
-        parse_units_file("x Sound 1\n")
+    # A dimension is the name its base unit declares, so a file can add one: absorbed dose, for radiotherapy.
+    dose = BUILTIN_UNITS.extended(parse_units_file("Gy Dose 1\ncGy Dose 0.01\n"))
+    assert verdict(dose, ("cGy", 150, 200), ("Gy", "1.5", 2)) is MatchStatus.SATISFIED
+    assert verdict(dose, ("cGy", 150, 201), ("Gy", "1.5", 2)) is MatchStatus.RANGE_NOT_COVERED
+    assert verdict(dose, ("cGy", 150, 200), ("W", "1.5", 2)) is MatchStatus.UNIT_MISMATCH
+    with pytest.raises(UnitError, match="^dimension Dose has no base unit$"):
+        BUILTIN_UNITS.extended(parse_units_file("us Dose 0.000001\n"))
     with pytest.raises(UnitError, match="expected"):
         parse_units_file("x Power\n")
     with pytest.raises(UnitError, match="invalid scale"):
@@ -99,7 +131,7 @@ def test_non_finite_scales_rejected(scale):
     with pytest.raises(UnitError, match="x.units:1: scale must be finite"):
         parse_units_file(f"x Power {scale}\n", "x.units")
     with pytest.raises(UnitError, match="finite"):
-        UnitDef("x", Dimension.POWER, Decimal(scale))
+        UnitDef("x", "Power", Decimal(scale))
 
 
 @pytest.mark.parametrize("scale", ["0", "-0", "0.000", "-1", "-0.001"])
@@ -123,7 +155,7 @@ def verdict(table, required, provided):
 
 def test_matching_exact_at_extreme_exponents():
     table = BUILTIN_UNITS.extended(
-        [UnitDef("huge", Dimension.POWER, Decimal("1e999999999")), UnitDef("tiny", Dimension.POWER, Decimal("1e-999999999"))]
+        [UnitDef("huge", "Power", Decimal("1e999999999")), UnitDef("tiny", "Power", Decimal("1e-999999999"))]
     )
     assert verdict(table, ("W", "2e999999999", "2e999999999"), ("huge", 2, 2)) is MatchStatus.SATISFIED
     point = ("W", "2.000001e999999999", "2.000001e999999999")
@@ -134,8 +166,8 @@ def test_matching_exact_at_extreme_exponents():
 
 def test_matching_past_the_largest_decimal_exponent():
     # 50 xW is 5E+1000000000000000000 W, which no Decimal can hold; so is 500 yW.
-    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E+999999999999999999")),
-                                    UnitDef("yW", Dimension.POWER, Decimal("1E+999999999999999998"))])
+    table = BUILTIN_UNITS.extended([UnitDef("xW", "Power", Decimal("1E+999999999999999999")),
+                                    UnitDef("yW", "Power", Decimal("1E+999999999999999998"))])
     assert verdict(table, ("xW", 50, 50), ("W", 0, 300)) is MatchStatus.RANGE_NOT_COVERED
     assert verdict(table, ("W", 0, 300), ("xW", 0, 50)) is MatchStatus.SATISFIED
     assert verdict(table, ("xW", 50, 50), ("yW", 0, 500)) is MatchStatus.SATISFIED
@@ -144,8 +176,8 @@ def test_matching_past_the_largest_decimal_exponent():
 
 def test_matching_below_the_smallest_decimal_exponent():
     # 1E-10 xW is 1E-1000000000000000009 W: not 0 W, and 1E+999999999999999988 zW.
-    table = BUILTIN_UNITS.extended([UnitDef("xW", Dimension.POWER, Decimal("1E-999999999999999999")),
-                                    UnitDef("zW", Dimension.POWER, Decimal(f"1E{MIN_ETINY}"))])
+    table = BUILTIN_UNITS.extended([UnitDef("xW", "Power", Decimal("1E-999999999999999999")),
+                                    UnitDef("zW", "Power", Decimal(f"1E{MIN_ETINY}"))])
     point = ("xW", "0.0000000001", "0.0000000001")
     assert verdict(table, point, ("W", 0, 0)) is MatchStatus.RANGE_NOT_COVERED
     assert verdict(table, point, ("W", 0, 300)) is MatchStatus.SATISFIED
@@ -168,8 +200,8 @@ def test_matching_below_the_smallest_decimal_exponent():
 ])
 def test_matching_across_the_whole_exponent_range(required, provided, status):
     # Base-unit bounds 1E+999999999999999999 and 1E-1999999999999999997 apart: only signs decide.
-    table = BUILTIN_UNITS.extended([UnitDef("huge", Dimension.POWER, Decimal(f"1E{MAX_EMAX}")),
-                                    UnitDef("tiny", Dimension.POWER, Decimal(f"1E{MIN_ETINY}"))])
+    table = BUILTIN_UNITS.extended([UnitDef("huge", "Power", Decimal(f"1E{MAX_EMAX}")),
+                                    UnitDef("tiny", "Power", Decimal(f"1E{MIN_ETINY}"))])
     assert verdict(table, required, provided) is status
 
 
@@ -215,8 +247,8 @@ def test_a_point_one_unit_past_a_bound_at_extreme_scales(low, high, scale, shift
     low, high = min(low, high), max(low, high)
     _, scale_digits, scale_exponent = scale.as_tuple()
     near_exponent = scale_exponent + shift if scale_exponent < 0 else scale_exponent - shift
-    table = BUILTIN_UNITS.extended([UnitDef("big", Dimension.POWER, scale),
-                                    UnitDef("near", Dimension.POWER, Decimal((0, (1,), near_exponent)))])
+    table = BUILTIN_UNITS.extended([UnitDef("big", "Power", scale),
+                                    UnitDef("near", "Power", Decimal((0, (1,), near_exponent)))])
     last = min(low.as_tuple().exponent, high.as_tuple().exponent) - 1
     scale_coefficient = int(Decimal((0, scale_digits, 0)))
     for bound, inward in ((low, 1), (high, -1)):
@@ -265,7 +297,7 @@ def long_decimals():
 @given(long_decimals(), long_decimals(), long_decimals())
 def test_matching_exact_against_fractions(low, high, scale):
     low, high, scale = min(low, high), max(low, high), abs(scale)
-    table = BUILTIN_UNITS.extended([UnitDef("big", Dimension.POWER, scale)])
+    table = BUILTIN_UNITS.extended([UnitDef("big", "Power", scale)])
     provided = [Capability("p", Direction.PROVIDED, "big", low, high)]
     _, scale_digits, scale_exponent = scale.as_tuple()
     for bound in (low, high):

@@ -20,7 +20,6 @@ from actool import (
     CaseKind,
     CaseMetrics,
     Diagnostic,
-    Dimension,
     Direction,
     Edge,
     EdgeKind,
@@ -157,7 +156,7 @@ def test_constructor_defaults():
     case = AssuranceCase("K", CaseKind.MONOLITHIC, [element])
     assert (case.elements, case.edges, case.capabilities, case.associated_tac) == ((element,), (), (), None)
     assert Capability("c", Direction.PROVIDED, "W", 1, "2.5").high == Decimal("2.5")
-    assert UnitTable([UnitDef("W", Dimension.POWER, 1)]).units == (UnitDef("W", Dimension.POWER, Decimal(1)),)
+    assert UnitTable([UnitDef("W", "Power", 1)]).units == (UnitDef("W", "Power", Decimal(1)),)
 
 
 @pytest.mark.parametrize(
