@@ -18,6 +18,7 @@ from .model import (
     ConcernKind,
     EdgeKind,
     ElementKind,
+    _away_claims,
     _element_pairs,
     _supported_by_facts,
     reach,
@@ -46,22 +47,16 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     cases = {case.id: case for case in bundle.cases()}
     changed_pairs = _element_pairs(cases, changed)
 
-    referrers: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for source, target in resolved.resolutions.items():
-        referrers.setdefault(target, []).append(source)
-    sources: dict[str, dict[str, list[str]]] = {}  # per case: each element's in-edge sources
+    # each (case id, element id): its in-case edge sources, then the away-claims resolved to it
+    above: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for case_id, case in cases.items():
-        sources[case_id] = by_target = {}
-        for edge in case.edges:
-            by_target.setdefault(edge.target, []).append(edge.source)
-
-    def above(node: tuple[str, str]) -> list[tuple[str, str]]:
-        case_id, element_id = node
-        parents = [(case_id, source) for source in sources[case_id].get(element_id, ())]
-        return parents + referrers.get(node, [])
+        for source, target, _, _ in case.edges:
+            above.setdefault((case_id, target), []).append((case_id, source))
+    for cac, away in _away_claims(bundle.cacs):
+        above.setdefault(away.away_ref, []).append((cac.id, away.id))
 
     per_case: dict[str, set[str]] = {case_id: set() for case_id in cases}
-    for case_id, element_id in reach(changed_pairs, above):
+    for case_id, element_id in reach(changed_pairs, lambda node: above.get(node, ())):
         per_case[case_id].add(element_id)
     return ImpactReport(
         changed=changed_pairs,
@@ -131,12 +126,7 @@ def case_metrics(case: AssuranceCase) -> CaseMetrics:
 
 
 def bundle_metrics(bundle: Bundle) -> BundleMetrics:
-    cross_links = sum(
-        1
-        for cac in bundle.cacs
-        for element in cac.elements
-        if element.away_ref is not None and element.away_ref[0] == bundle.tac.id
-    )
+    cross_links = sum(element.away_ref[0] == bundle.tac.id for _, element in _away_claims(bundle.cacs))
     return BundleMetrics(
         cases=tuple(case_metrics(case) for case in bundle.cases()),
         cross_link_count=cross_links,

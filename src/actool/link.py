@@ -4,7 +4,9 @@ Resolution maps every away-claim of every clinical case to its target claim
 in the technological case, provided the direction and target rules (S1, S2,
 S5) hold. Inlining materializes the split arrangement back into a single
 monolithic case for one clinical case, copying the referenced technological
-subtrees beneath the away-claims. The away-reference rules live here.
+subtrees beneath the away-claims. The away-reference rules live here. Here
+and in `validate`, `analyze` and `render`, every loop over away references
+reads them from `model._away_claims`, their one reader.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .model import (
     Element,
     ElementKind,
     UnknownElementError,
+    _away_claims,
     reach,
 )
 
@@ -33,12 +36,7 @@ class ResolvedBundle(NamedTuple):
     @property
     def resolutions(self) -> dict[tuple[str, str], tuple[str, str]]:
         """Each clinical away reference, `(cac id, element id) -> (tac id, claim id)`, read afresh from the bundle."""
-        return {
-            (cac.id, element.id): element.away_ref
-            for cac in self.bundle.cacs
-            for element in cac.elements
-            if element.away_ref is not None
-        }
+        return {(cac.id, element.id): element.away_ref for cac, element in _away_claims(self.bundle.cacs)}
 
 
 def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
@@ -50,9 +48,7 @@ def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     tac = bundle.tac
     cac_ids = {cac.id for cac in bundle.cacs}
-    for element in tac.elements:
-        if element.away_ref is None:
-            continue
+    for _, element in _away_claims([tac]):
         target_case = element.away_ref[0]
         if target_case in cac_ids:
             rule = "S1"
@@ -63,30 +59,27 @@ def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
             message = f"claim {element.id!r} references case {target_case!r}; the technological case "
             message += "should be self-contained"
         diagnostics.append(finding(rule, element.span, message, (tac.id, element.id)))
-    for cac in bundle.cacs:
-        for element in cac.elements:
-            if element.away_ref is None:
-                continue
-            target_case, target_id = element.away_ref
-            away = (cac.id, element.id)
-            if target_case != tac.id:
-                message = f"claim {element.id!r} references case {target_case!r}; away references must target "
-                message += f"the associated technological case {tac.id!r}"
-                diagnostics.append(finding("S2", element.span, message, away))
-                continue
-            target = tac.find(target_id)
-            if target is None:
-                message = f"away reference target {target_case}.{target_id} does not exist"
-                diagnostics.append(finding("S5", element.span, message, away))
-            elif target.kind is not ElementKind.CLAIM:
-                message = f"away reference target {target_case}.{target_id} is {_article(target.kind.value)}, "
-                diagnostics.append(finding("S5", element.span, message + "not a claim", away, (tac.id, target_id)))
-            elif not target.is_public:
-                message = f"away reference target {target_case}.{target_id} is not public"
-                diagnostics.append(finding("S5", element.span, message, away, (tac.id, target_id)))
-            elif element.statement != target.statement:
-                message = f"statement of claim {element.id!r} differs from its target {target_case}.{target_id}"
-                diagnostics.append(finding("S7", element.span, message, away, (tac.id, target_id)))
+    for cac, element in _away_claims(bundle.cacs):
+        target_case, target_id = element.away_ref
+        away = (cac.id, element.id)
+        if target_case != tac.id:
+            message = f"claim {element.id!r} references case {target_case!r}; away references must target "
+            message += f"the associated technological case {tac.id!r}"
+            diagnostics.append(finding("S2", element.span, message, away))
+            continue
+        target = tac.find(target_id)
+        if target is None:
+            message = f"away reference target {target_case}.{target_id} does not exist"
+            diagnostics.append(finding("S5", element.span, message, away))
+        elif target.kind is not ElementKind.CLAIM:
+            message = f"away reference target {target_case}.{target_id} is {_article(target.kind.value)}, "
+            diagnostics.append(finding("S5", element.span, message + "not a claim", away, (tac.id, target_id)))
+        elif not target.is_public:
+            message = f"away reference target {target_case}.{target_id} is not public"
+            diagnostics.append(finding("S5", element.span, message, away, (tac.id, target_id)))
+        elif element.statement != target.statement:
+            message = f"statement of claim {element.id!r} differs from its target {target_case}.{target_id}"
+            diagnostics.append(finding("S7", element.span, message, away, (tac.id, target_id)))
     return diagnostics
 
 
@@ -133,9 +126,7 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
         out.setdefault(edge.source, []).append(edge)
 
     copy_counts: dict[str, int] = {}
-    for away in cac.elements:
-        if away.away_ref is None:
-            continue
+    for _, away in _away_claims([cac]):
         target_id = away.away_ref[1]
         subtree = reach([target_id], lambda node: [edge.target for edge in out.get(node, ())])
         names: dict[str, str] = {}

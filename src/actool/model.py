@@ -290,6 +290,12 @@ def _element_pairs(cases: dict[str, AssuranceCase], pairs) -> frozenset[tuple[st
     return frozenset(pairs)
 
 
+def _away_claims(cases) -> list[tuple[AssuranceCase, Element]]:
+    """Each `(case, element)` of `cases` whose element carries an away reference, in case order and then
+    declaration order: the one reader of the references that link a bundle's cases, for every rule and walk."""
+    return [(case, element) for case in cases for element in case.elements if element.away_ref is not None]
+
+
 def reach(starts, successors) -> list:
     """`starts` and every node reachable from them over `successors(node)`,
     each once, in breadth-first order."""

@@ -28,6 +28,7 @@ from .model import (
     Bundle,
     EdgeKind,
     ElementKind,
+    _away_claims,
     _element_pairs,
     format_decimal,
 )
@@ -97,13 +98,10 @@ def to_dot(subject: AssuranceCase | Bundle, highlight: Iterable[tuple[str, str]]
     for case_id, name in _element_pairs(cases, highlight):
         marked_in.setdefault(case_id, set()).add(name)
     cross = []
-    for case in subject.cases():
-        for element in case.elements:
-            if element.away_ref is None:
-                continue
-            target_case, target_id = element.away_ref
-            if target_case in cases and cases[target_case].find(target_id) is not None:
-                cross.append((f"{case.id}.{element.id}", f"{target_case}.{target_id}"))
+    for case, element in _away_claims(subject.cases()):
+        target_case, target_id = element.away_ref
+        if target_case in cases and cases[target_case].find(target_id) is not None:
+            cross.append((f"{case.id}.{element.id}", f"{target_case}.{target_id}"))
 
     lines = ["digraph bundle {", *header]
     for case in sorted(subject.cases(), key=lambda c: c.id):

@@ -29,6 +29,7 @@ from .model import (
     EdgeKind,
     ElementKind,
     SUPPORT_SOURCES,
+    _away_claims,
     _supported_by_facts,
     format_decimal,
     reach,
@@ -230,17 +231,14 @@ def _bundle_findings(bundle: Bundle, units: UnitTable) -> tuple[list[Diagnostic]
     tac = bundle.tac
 
     context = ElementKind.CONTEXT
-    for cac in bundle.cacs:
-        in_context_of, by_id = cac._kind_targets()[1], cac._by_id
-        for element in cac.elements:
-            if element.away_ref is None:
-                continue
-            for target in in_context_of.get(element.id, ()):
-                if by_id[target].kind is context:
-                    break
-            else:
-                message = f"away-resolved claim {element.id!r} has no documenting context"
-                diagnostics.append(finding("S3", element.span, message, (cac.id, element.id)))
+    in_context_of = {cac.id: cac._kind_targets()[1] for cac in bundle.cacs}
+    for cac, element in _away_claims(bundle.cacs):
+        for target in in_context_of[cac.id].get(element.id, ()):
+            if cac._by_id[target].kind is context:
+                break
+        else:
+            message = f"away-resolved claim {element.id!r} has no documenting context"
+            diagnostics.append(finding("S3", element.span, message, (cac.id, element.id)))
 
     matches = bundle_match_results(bundle, units)
     for _, result in matches:

@@ -19,6 +19,7 @@ from unittest import mock
 
 from actool.cli import run
 from actool.parser import print_case
+from actool.units import BUILTIN_UNITS, UnitError, parse_units_file
 
 import helpers
 from conftest import CORPUS
@@ -87,12 +88,18 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 def _units_file(rng: random.Random) -> str:
     """A line for each of xW, yW (Power) and zs (Time), whose scales' exponents lie near ±MAX_EMAX or
-    MIN_ETINY; at times Gy and cGy in a fresh dimension of a drawn name, with Gy its base unit; and at times
-    a line that breaks the file: a redefined symbol, a second base unit, a fresh dimension with no base unit,
-    or a scale that is not positive and finite."""
+    MIN_ETINY, inside what `Decimal` holds but on at most one line, in a fifth of the files, just beyond it;
+    at times Gy and cGy in a fresh dimension of a drawn name, with Gy its base unit; and at times a line that
+    breaks the file: a redefined symbol, a second base unit, a fresh dimension with no base unit, or a scale
+    that is not positive and finite."""
     lines = []
-    for symbol, dimension in (("xW", "Power"), ("yW", "Power"), ("zs", "Time")):
-        exponent = rng.choice((MAX_EMAX, -MAX_EMAX, MIN_ETINY)) + rng.randint(-3, 3)
+    beyond = rng.randrange(15)  # the index of the line whose exponent is out of range, if it is below 3
+    for index, (symbol, dimension) in enumerate((("xW", "Power"), ("yW", "Power"), ("zs", "Time"))):
+        if index == beyond:
+            exponent = rng.choice((MAX_EMAX + rng.randint(1, 3), MIN_ETINY - rng.randint(1, 3)))
+        else:  # a 3-digit coefficient adds 2 to the adjusted exponent, which must stay within MAX_EMAX
+            exponent = rng.choice((MAX_EMAX - rng.randint(2, 5), -MAX_EMAX + rng.randint(-3, 3),
+                                   MIN_ETINY + rng.randint(0, 3)))
         lines.append(f"{symbol} {dimension} {rng.choice((rng.randint(1, 999), 1))}E{exponent:+d}")
     if rng.random() < 0.5:
         dimension = rng.choice(FRESH_DIMENSIONS)
@@ -101,6 +108,15 @@ def _units_file(rng: random.Random) -> str:
         lines.insert(rng.randint(0, len(lines)), rng.choice(
             ("W Power 2", "PW Power 1", "q Nowhere 0.5", "q Power 0", "q Time -1", "q Time NaN")))
     return "".join(line + rng.choice(("\n", " # c\n")) for line in lines)
+
+
+def _loads(units: str) -> bool:
+    """Whether a `.units` file's text extends the built-in table, as `AC_UNITS` does."""
+    try:
+        BUILTIN_UNITS.extended(parse_units_file(units))
+    except UnitError:
+        return False
+    return True
 
 
 def _argvs(root: Path, changed: str, cac: str) -> list[list[str]]:
@@ -130,6 +146,7 @@ def _outcome(argv: list[str], out: Path) -> tuple[int, str, str, bytes | None]:
 def test_cli_contract_on_mutated_bundles_and_units_files(tmp_path):
     rng = random.Random(SEED)
     codes = set()
+    drawn = loaded = 0
     for index in range(INPUTS):
         root = tmp_path / str(index)
         root.mkdir()
@@ -143,8 +160,11 @@ def test_cli_contract_on_mutated_bundles_and_units_files(tmp_path):
             (root / name).write_text(text, encoding="utf-8")
         environment = {"AC_UNITS": ""}
         if rng.random() < 0.8:
-            (root / "u.units").write_text(_units_file(rng), encoding="utf-8")
+            units = _units_file(rng)
+            (root / "u.units").write_text(units, encoding="utf-8")
             environment["AC_UNITS"] = str(root / "u.units")
+            drawn += 1
+            loaded += _loads(units)
         with mock.patch.dict(os.environ, environment):
             for argv in _argvs(root, changed, cac):
                 first = _outcome(argv, root / "out.txt")
@@ -155,3 +175,4 @@ def test_cli_contract_on_mutated_bundles_and_units_files(tmp_path):
                 assert _outcome(argv, root / "out.txt") == first, argv
                 codes.add(code)
     assert codes == {0, 1, 2}  # the inputs reach every outcome
+    assert 2 * loaded >= drawn  # most units files load, so that capability matching (S4) runs on them

@@ -13,13 +13,18 @@ about 9 to 11 on the three shapes.
 Blind spot: a count sees only Python lines in `actool`. Work inside a C call
 (`list.index`, `in` on a list, `str` concatenation, `sorted`) and inside the
 standard library's own Python code is not counted, so a quadratic step hidden
-there passes the gate. Timing remains the check for those.
+there passes the gate. Timing remains the check for those: ten families of
+hostile case files are parsed and validated at n and 8n, and the least of
+three times at 8n must stay within 20 times that at n. A linear parse reads
+about 8; with `self.lexed += text` planted in the lexer's `_lex`, a quadratic
+copy in C, four of the families read 27 to 62.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 from functools import cache
 
 import pytest
@@ -146,3 +151,59 @@ def test_a_planted_per_claim_edge_scan_fails_the_gate():
             planted["scan"](case)
 
     assert growth("tree", scanned) > GROWTH
+
+
+# --- hostile parser inputs: timed, since a regular expression's backtracking and a copy in C are not counted --------
+
+_HEAD = 'case T kind technological {\n  claim C0 "root" root public\n'
+_TEXT = "a" * 300  # a statement long enough that text, not the count of lines, makes up most of a file
+_QUOTE = '\\"'  # an escaped quote, as a statement holds it
+
+
+def _case(body: str) -> str:
+    return f"{_HEAD}{body}}}\n"
+
+
+# Ten families of hostile case files, each written at size n
+FAMILIES = {
+    "a run of escaped quotes": lambda n: _case(f'  claim Q "{_QUOTE * 8 * n}" undeveloped\n'),
+    "an unterminated string": lambda n: _case(f'  claim Q "{("a" + _QUOTE) * 8 * n}\n'),
+    "runs of ;": lambda n: ";" * 4 * n + _case("  ;;;;\n" * n) + ";" * 4 * n,
+    "statements joined by ;": lambda n: _case("  " + "; ".join(f'claim C{i} "{_TEXT}"' for i in range(1, n)) + "\n"),
+    "dangling edges": lambda n: _case("".join(f"  A{i} supportedBy B{i}\n" for i in range(n))),
+    "duplicate ids": lambda n: _case(f'  claim D "{_TEXT}" undeveloped\n' * n),
+    "lines ended by a lone CR": lambda n: _case("".join(f'  claim C{i} "{_TEXT}"\r' for i in range(1, n)) + "\n"),
+    "node lines ending in a comment": lambda n: _case("".join(f'  claim C{i} "{_TEXT}" // c\n' for i in range(1, n))),
+    "a long statement with a bad flag tail": lambda n: _case(f'  claim L "{_TEXT * n}" undeveloped bogus\n'),
+    "edges before their nodes": lambda n: _case("".join(f"  C0 supportedBy C{i}\n" for i in range(1, n))
+                                                + "".join(f'  claim C{i} "{_TEXT}"\n' for i in range(1, n))),
+}
+HOSTILE_N = 500
+RATIO = 20  # time(8n) / time(n): a linear parse reads about 8, a quadratic step about 64
+
+
+def _parse_and_validate(text: str) -> None:
+    case = parse_case(text, "hostile.acd").case
+    if case is not None:
+        validate_case(case)
+
+
+def _least_time(text: str) -> float:
+    """The least of three timings of parsing and validating `text`."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _parse_and_validate(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hostile_parser_inputs_grow_linearly(family):
+    """Time at 8n is at most RATIO times time at n, and the count of lines passes the gate above from n/4 to n.
+    The count of the long statement stays flat, since one regular expression reads its text: only time checks it."""
+    write = FAMILIES[family]
+    small, large = write(HOSTILE_N), write(8 * HOSTILE_N)
+    assert _least_time(large) <= RATIO * _least_time(small)
+    quarter = write(HOSTILE_N // 4)
+    assert line_events(lambda: _parse_and_validate(small)) <= GROWTH * line_events(lambda: _parse_and_validate(quarter))

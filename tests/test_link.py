@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
-from actool.analyze import impact
+from actool.analyze import bundle_metrics, impact
 from actool.diagnostics import Severity
-from actool.link import inline_bundle, resolve_links
+from actool.link import inline_bundle, link_rule_diagnostics, resolve_links
 from actool.model import (
     AssuranceCase,
     Bundle,
@@ -276,3 +277,91 @@ def test_resolved_cross_edges_point_into_tac_only():
                 assert case.id in cac_ids
                 assert target_case == bundle.tac.id
                 assert bundle.tac.element(target_id).is_public
+
+
+# --- a random-input oracle for the away-reference rules ----------------------------------------------------------
+
+
+def brute_link_rules(bundle: Bundle) -> list[tuple[str, str, str]]:
+    """RULES.md's S1, S2, S5, S7 and S8 as sorted (rule, case id, element id) triples, read from the bundle's
+    fields alone. S7 is read only for a reference that passes S2 and S5: a target that is no public claim of
+    the technological case has no statement to drift from."""
+    tac = bundle.tac
+    cac_ids = {cac.id for cac in bundle.cacs}
+    tac_elements = {element.id: element for element in tac.elements}
+    found = []
+    for element in tac.elements:
+        if element.away_ref is not None:  # S1 into one of the bundle's clinical cases, S8 anywhere else
+            found.append(("S1" if element.away_ref[0] in cac_ids else "S8", tac.id, element.id))
+    for cac in bundle.cacs:
+        for element in cac.elements:
+            if element.away_ref is None:
+                continue
+            case_id, target_id = element.away_ref
+            target = tac_elements.get(target_id)
+            if case_id != tac.id:
+                found.append(("S2", cac.id, element.id))
+            elif target is None or target.kind.value != "claim" or not target.is_public:
+                found.append(("S5", cac.id, element.id))
+            elif element.statement != target.statement:
+                found.append(("S7", cac.id, element.id))
+    return sorted(found)
+
+
+def mutated_away_references(rng: random.Random, bundle: Bundle) -> Bundle:
+    """`bundle` with one to four claims given a new away reference, each drawn to break one rule: from the
+    technological case into a clinical case (S1), to itself or out of the bundle (S8); from a clinical case to
+    a case other than the technological one (S2), to a missing, non-claim or non-public target (S5), or to a
+    public claim, with the claim's statement drifted half the time (S7)."""
+    tac = bundle.tac
+    elements = {case.id: list(case.elements) for case in bundle.cases()}
+    public = [element for element in tac.elements if element.kind is ElementKind.CLAIM and element.is_public]
+    for _ in range(rng.randint(1, 4)):
+        mutation = rng.randrange(8)
+        case_id = tac.id if mutation < 3 else rng.choice(bundle.cacs).id
+        statement = None
+        if mutation < 3:
+            ref = ((rng.choice(bundle.cacs).id, tac.id, "ELSEWHERE")[mutation], rng.choice(tac.elements).id)
+        elif mutation == 3:
+            ref = (rng.choice([*(cac.id for cac in bundle.cacs), "ELSEWHERE"]), rng.choice(public).id)
+        elif mutation == 4:
+            ref = (tac.id, "GHOST")
+        elif mutation == 5:
+            ref = (tac.id, rng.choice([e.id for e in tac.elements if e.kind is not ElementKind.CLAIM] or ["GHOST"]))
+        elif mutation == 6:
+            ref = (tac.id, rng.choice([e.id for e in tac.elements if e.kind is ElementKind.CLAIM and not e.is_public]
+                                      or ["GHOST"]))
+        else:
+            target = rng.choice(public)
+            ref, statement = (tac.id, target.id), target.statement + rng.choice(("", " drifted"))
+        claims = [i for i, element in enumerate(elements[case_id]) if element.kind is ElementKind.CLAIM]
+        index = rng.choice(claims)
+        element = elements[case_id][index]
+        elements[case_id][index] = element._replace(
+            is_undeveloped=True, away_ref=ref, statement=element.statement if statement is None else statement)
+    tac, *cacs = (case._replace(elements=tuple(elements[case.id])) for case in bundle.cases())
+    return Bundle(tac, tuple(cacs))
+
+
+def test_away_reference_rules_match_a_brute_predicate_on_mutated_bundles():
+    rng = random.Random(46)
+    fired = Counter()
+    outcomes = set()
+    for _ in range(300):
+        bundle = mutated_away_references(rng, helpers.gen_valid_bundle(rng))
+        expected = brute_link_rules(bundle)
+        found = sorted((d.rule_id, *d.elements[0]) for d in link_rule_diagnostics(bundle))
+        assert found == expected
+        fired.update(rule for rule, _, _ in expected)
+
+        resolved, _ = resolve_links(bundle)
+        assert (resolved is not None) == (not {"S1", "S2", "S5"} & {rule for rule, _, _ in expected})
+        away = {(cac.id, element.id): element.away_ref
+                for cac in bundle.cacs for element in cac.elements if element.away_ref is not None}
+        if resolved is not None:
+            assert resolved.resolutions == away
+        outcomes.add(resolved is not None)
+        links = [ref for ref in away.values() if ref[0] == bundle.tac.id]
+        assert bundle_metrics(bundle).cross_link_count == len(links)
+    assert outcomes == {True, False}
+    assert all(fired[rule] >= 20 for rule in ("S1", "S2", "S5", "S7", "S8")), fired
