@@ -44,7 +44,7 @@ def impact(resolved: ResolvedBundle, changed) -> ImpactReport:
     above it, transitively.
     """
     bundle = resolved.bundle
-    cases = {case.id: case for case in bundle.cases()}
+    cases = bundle._by_id
     changed_pairs = _element_pairs(cases, changed)
 
     # each (case id, element id): its in-case edge sources, then the away-claims resolved to it

@@ -47,10 +47,9 @@ def link_rule_diagnostics(bundle: Bundle) -> list[Diagnostic]:
     """
     diagnostics: list[Diagnostic] = []
     tac = bundle.tac
-    cac_ids = {cac.id for cac in bundle.cacs}
     for _, element in _away_claims([tac]):
         target_case = element.away_ref[0]
-        if target_case in cac_ids:
+        if target_case != tac.id and target_case in bundle._by_id:
             rule = "S1"
             message = f"technological case {tac.id!r} references clinical case {target_case!r} from claim "
             message += f"{element.id!r}; references must point from clinical to technological cases only"
@@ -108,15 +107,10 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
     a supportedBy edge to the copied target. Capabilities are not carried
     over: they describe the cross-case interface that inlining removes.
     """
-    bundle = resolved.bundle
-    cac = None
-    for candidate in bundle.cacs:
-        if candidate.id == cac_id:
-            cac = candidate
-            break
-    if cac is None:
+    tac = resolved.bundle.tac
+    cac = resolved.bundle._by_id.get(cac_id, tac)
+    if cac is tac:  # no case, or the technological one
         raise UnknownElementError(f"unknown clinical case id {cac_id!r} in bundle")
-    tac = bundle.tac
 
     elements = [element if element.away_ref is None else element._replace(is_undeveloped=False, away_ref=None)
                 for element in cac.elements]

@@ -6,8 +6,8 @@ connected by supportedBy and inContextOf edges. A bundle pairs one
 technological case with the clinical cases that build on it.
 
 A value's fields are read-only; every operation in this module is a pure
-function of its inputs and safe for concurrent use. A case's private index
-lives in its instance dict and is not part of the value.
+function of its inputs and safe for concurrent use. A case's and a bundle's
+private index lives in its instance dict and is not part of the value.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import re
 from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
+from itertools import filterfalse
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -256,9 +257,8 @@ def _targets_by_kind(edges: tuple[Edge, ...]) -> tuple[dict[str, list[str]], dic
 
 
 class Bundle(_Checked, namedtuple("Bundle", "tac cacs")):
-    """One technological case plus the clinical cases linked to it."""
-
-    __slots__ = ()
+    """One technological case plus the clinical cases linked to it. Its private index, `_by_id`, holds each case
+    by its id, the technological case first: every lookup of a bundle's case by id reads it."""
 
     def __new__(cls, tac: AssuranceCase, cacs: tuple[AssuranceCase, ...]):
         cacs = tuple(cacs)
@@ -266,14 +266,16 @@ class Bundle(_Checked, namedtuple("Bundle", "tac cacs")):
             raise ValueError(f"bundle tac {tac.id!r} must be a technological case")
         if not cacs:
             raise ValueError("bundle requires at least one cac")
-        seen = {tac.id}
+        by_id = {tac.id: tac}
         for cac in cacs:
             if cac.kind is not CaseKind.CLINICAL:
                 raise ValueError(f"bundle cac {cac.id!r} must be a clinical case")
-            if cac.id in seen:
+            if cac.id in by_id:
                 raise ValueError(f"duplicate case id {cac.id!r} in bundle")
-            seen.add(cac.id)
-        return tuple.__new__(cls, (tac, cacs))
+            by_id[cac.id] = cac
+        bundle = tuple.__new__(cls, (tac, cacs))
+        bundle._by_id = by_id
+        return bundle
 
     def cases(self) -> tuple[AssuranceCase, ...]:
         return (self.tac, *self.cacs)
@@ -322,37 +324,30 @@ def supported_by_dfs(case: AssuranceCase) -> tuple[list[str], list[str] | None]:
     finished: dict[str, bool] = {}  # False while on the path, True once done
     postorder: list[str] = []
     cycle = None
-    for start in case._by_id:  # in declaration order
-        if start in finished:
-            continue
-        targets = supported_by.get(start)
-        if targets is None:
-            finished[start] = True
-            postorder.append(start)
-            continue
-        finished[start] = False
-        path = [start]
-        pending = [iter(targets)]
-        while pending:
-            for target in pending[-1]:
-                done = finished.get(target)
-                if done is None:
-                    targets = supported_by.get(target)
-                    if targets is None:
-                        finished[target] = True
-                        postorder.append(target)
-                        continue
-                    finished[target] = False
-                    path.append(target)
-                    pending.append(iter(targets))
-                    break
-                if not done and cycle is None:
-                    cycle = path[path.index(target):] + [target]
-            else:
+    path: list[str] = []
+    # the bottom of the stack yields the unvisited elements, the starts, in declaration order
+    pending = [filterfalse(finished.__contains__, case._by_id)]
+    while pending:
+        for target in pending[-1]:
+            done = finished.get(target)
+            if done is None:
+                targets = supported_by.get(target)
+                if targets is None:
+                    finished[target] = True
+                    postorder.append(target)
+                    continue
+                finished[target] = False
+                path.append(target)
+                pending.append(iter(targets))
+                break
+            if not done and cycle is None:
+                cycle = path[path.index(target):] + [target]
+        else:
+            pending.pop()
+            if path:  # the starts have no node on the path
                 node = path.pop()
                 finished[node] = True
                 postorder.append(node)
-                pending.pop()
     return postorder, cycle
 
 
@@ -362,23 +357,22 @@ def supported_by_cycle(case: AssuranceCase) -> list[str] | None:
 
 
 SUPPORT_SOURCES = (ElementKind.CLAIM, ElementKind.STRATEGY)
+# G3: the supportedBy target kinds each source kind may take, keyed by the kind's value (hashing an enum member runs
+# Python code); a strategy is supported by claims only, and a kind not named here takes none
+_SUPPORTED_BY_LEGAL = {ElementKind.CLAIM.value: (ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE),
+                       ElementKind.STRATEGY.value: (ElementKind.CLAIM,)}
 
 
-def _supported_by_facts(case: AssuranceCase, legal_targets: dict | None = None) -> tuple[set, set, set]:
+def _supported_by_facts(case: AssuranceCase) -> tuple[set, set, set]:
     """One pass over the supportedBy index. Returns the ids of the sources with
     a claim or strategy target (a claim without one is a leaf claim), of those
     with an evidence target, and of those with a target their kind may not
-    take. `legal_targets` maps a source kind to the target kinds it may take,
-    and a kind it does not name takes none; without it, every target is legal."""
+    take (G3, by `_SUPPORTED_BY_LEGAL`)."""
     by_id = case._by_id
     claim, strategy, evidence = ElementKind.CLAIM, ElementKind.STRATEGY, ElementKind.EVIDENCE
-    if legal_targets is None:
-        legal_targets = dict.fromkeys(ElementKind, tuple(ElementKind))
-    # keyed by the kinds' values: hashing an enum member runs Python code
-    legal_of = {kind._value_: kinds for kind, kinds in legal_targets.items()}
     argued, evidenced, illegal = set(), set(), set()
     for source, targets in case._kind_targets()[0].items():
-        legal = legal_of.get(by_id[source].kind._value_, ())
+        legal = _SUPPORTED_BY_LEGAL.get(by_id[source].kind._value_, ())
         for target in targets:
             if (kind := by_id[target].kind) not in legal:
                 illegal.add(source)

@@ -364,14 +364,14 @@ class _CaseParser(_Parser):
 
     def _line(self) -> bool:
         """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would, and say whether it
-        read anything. A node line takes one `_NODE_LINE` match and a lookup of its flag tail in `_FLAG_TAILS`; a tail
-        that misses is looked up once more with its away reference split off. A run of edge lines that starts at a
-        line start and keeps one indentation and one line ending takes one `_EDGES` match, and the blank and comment
-        lines between two statements one `_BLANKS` match. A run whose ends are all declared is built here with `map`;
-        in a run with a forward reference every edge waits, as `_edge`'s do, for P2. The run stops, with `pos` at the
-        start of the line, at any other text: a node line whose tail misses (flags out of `print_case`'s order,
-        repeated, misused (P3), spaced otherwise or followed by blanks), a duplicate id (P1), and an edge line with
-        more blank space than one space between or after its words, or after a `;`."""
+        read anything. A node line, LF or CRLF, takes one `_NODE_LINE` match and a lookup of its flag tail in
+        `_FLAG_TAILS` (`print_case`'s flag texts), on a miss once more with its away reference split off. A run of edge
+        lines that starts at a line start and keeps one indentation and one line ending takes one `_EDGES` match,
+        and the blank and comment lines between two statements one `_BLANKS` match. A run whose ends are all declared
+        is built here with `map`; in a run with a forward reference every edge waits, as `_edge`'s do, for P2. The
+        run stops, with `pos` at the start of the line, at any other text: a node line whose tail misses (flags out
+        of `print_case`'s order, repeated, misused (P3), spaced otherwise or followed by blanks), a duplicate id (P1),
+        and an edge line with more blank space than one space between or after its words, or after a `;`."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
         match_node, match_edges, match_blanks = _NODE_LINE.match, _EDGES.match, _BLANKS.match
         new, get, pos, start, flag_tails = tuple.__new__, elements.get, self.pos, self.pos, _FLAG_TAILS

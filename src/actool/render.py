@@ -93,7 +93,7 @@ def to_dot(subject: AssuranceCase | Bundle, highlight: Iterable[tuple[str, str]]
         lines = [f'digraph "{subject.id}" {{', *header, *_case_body(subject, marked, "", "  "), "}\n"]
         return "\n".join(lines)
 
-    cases = {case.id: case for case in subject.cases()}
+    cases = subject._by_id
     marked_in: dict[str, set[str]] = {}
     for case_id, name in _element_pairs(cases, highlight):
         marked_in.setdefault(case_id, set()).add(name)

@@ -29,6 +29,7 @@ from .model import (
     EdgeKind,
     ElementKind,
     SUPPORT_SOURCES,
+    _SUPPORTED_BY_LEGAL,
     _away_claims,
     _supported_by_facts,
     format_decimal,
@@ -57,8 +58,6 @@ CONTEXT_TARGETS = (ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUST
 # inContextOf edge; both kinds start at a claim or strategy
 _SUPPORTED_BY_TYPING = ("G3", SUPPORT_TARGETS)
 _IN_CONTEXT_OF_TYPING = ("G4", CONTEXT_TARGETS)
-# G3: the supportedBy target kinds each source kind may take; a strategy is supported by claims only
-_SUPPORTED_BY_LEGAL = {**dict.fromkeys(SUPPORT_SOURCES, SUPPORT_TARGETS), ElementKind.STRATEGY: (ElementKind.CLAIM,)}
 # G8: the one case kind that may declare capabilities of each direction
 _CAPABILITY_HOME = {
     Direction.PROVIDED: CaseKind.TECHNOLOGICAL,
@@ -86,7 +85,7 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
 
     by_id = case._by_id
     supported_by, in_context_of = case._kind_targets()
-    argued, evidenced, ill_typed = _supported_by_facts(case, _SUPPORTED_BY_LEGAL)
+    argued, evidenced, ill_typed = _supported_by_facts(case)
     for source, targets in in_context_of.items():
         allowed = CONTEXT_TARGETS if by_id[source].kind in SUPPORT_SOURCES else ()
         for target in targets:
@@ -105,7 +104,7 @@ def validate_case(case: AssuranceCase, units: UnitTable = BUILTIN_UNITS) -> list
                 end, bad = ("source", source) if source_kind not in SUPPORT_SOURCES else ("target", target)
                 message = f"{bad.kind.value} {bad.id!r} cannot be the {end} of {_article(edge_kind.value)} edge"
                 diagnostics.append(finding(rule, span, message, (cid, bad.id)))
-            elif support and target_kind not in _SUPPORTED_BY_LEGAL[source_kind]:
+            elif support and target_kind not in _SUPPORTED_BY_LEGAL[source_kind.value]:
                 message = f"strategy {source.id!r} must be supported by claims only, "
                 message += f"not {target_kind.value} {target.id!r}"
                 diagnostics.append(finding(rule, span, message, (cid, source.id), (cid, target.id)))

@@ -28,18 +28,23 @@ and with every 5th element of each member highlighted, the `report_json` of
 order and the `repr` and `print_case` of `inline_bundle` for each clinical
 case. Last come, for each case parsed and for a bundle, the `repr` of its
 `pickle` and `copy.copy` twins and whether each twin equals the original.
+One more input comes last of all: the `$ actool` lines of
+`tests/golden/cli_corpus.txt`. For it each child runs every command through
+`actool.cli.run` in process, from the repository root, and digests each
+command's exit code, stdout and stderr.
 On a mismatch the first differing input and both outputs around
 their first difference are printed. Exit status: 0 when every digest
 matches, 1 otherwise.
 
 The file name keeps pytest from collecting it; `test_differential.py` runs
 `compare` on pairs of trees without git, and on one tree under two
-interpreters.
+interpreters, so that the command line, too, runs under each of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import io
@@ -47,6 +52,7 @@ import json
 import os
 import pickle
 import random
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -54,6 +60,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI_INPUT = "cli_corpus.txt"  # the name of the input that runs the transcript's commands
 
 
 def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict[str, str]]]:
@@ -79,6 +86,9 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
     for files in shapes:
         found += [(name, text, files if name.endswith(".acb") else {}) for name, text in files.items()]
     found += [variant for name, text in shapes[0].items() if name.endswith(".acd") for variant in _variants(name, text)]
+    transcript = (ROOT / "tests" / "golden" / CLI_INPUT).read_text(encoding="utf-8")
+    found.append((CLI_INPUT, "".join(f"{line}\n" for line in transcript.splitlines() if line.startswith("$ actool ")),
+                  {}))
     return found
 
 
@@ -109,8 +119,31 @@ def _variants(name: str, text: str) -> list[tuple[str, str, dict[str, str]]]:
             (f"{stem}-trailing-blank.acd", text.replace("\n", " \n"), {})]
 
 
+def cli_transcript(commands: list[list[str]]) -> str:
+    """`$ actool ARGS`, the exit code, stdout and stderr of each command, as `tests/golden/cli_corpus.txt` holds
+    them: each run through `actool.cli.run` in process, from the repository root, where the transcript's paths
+    start."""
+    from actool.cli import run
+
+    parts = []
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            parts.append(f"$ actool {shlex.join(argv)}\nexit {code}\n"
+                         f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    finally:
+        os.chdir(cwd)
+    return "".join(parts)
+
+
 def _output(name: str, text: str, files: dict[str, str]) -> str:
     """What the tree on `sys.path` makes of one input."""
+    if name == CLI_INPUT:
+        return cli_transcript([shlex.split(line.removeprefix("$ actool ")) for line in text.splitlines()])
     from actool.analyze import bundle_metrics, case_metrics, impact
     from actool.link import inline_bundle, resolve_links
     from actool.parser import parse_bundle, parse_case, print_case

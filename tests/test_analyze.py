@@ -1,12 +1,13 @@
 import json
 import random
+import re
 import sys
 
 import pytest
 
 from actool.analyze import bundle_metrics, case_metrics, impact
 from actool.cli import run
-from actool.link import resolve_links
+from actool.link import inline_bundle, resolve_links
 from actool.model import (
     AssuranceCase,
     CaseKind,
@@ -17,10 +18,14 @@ from actool.model import (
     ElementKind,
     UnknownElementError,
 )
-from actool.parser import print_case
+from actool.parser import parse_bundle, print_case
 from actool.render import report_json
 
 import helpers
+from conftest import CORPUS
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+import gen  # noqa: E402  (read-only: the benchmark's generator)
 
 
 def test_impact_corpus_example(corpus_resolved):
@@ -81,6 +86,64 @@ def test_impact_monotone_random():
         report_large = impact(resolved, large)
         for case_id in report_small.affected:
             assert report_small.affected[case_id] <= report_large.affected[case_id]
+
+
+def _inlined_ancestors(inlined: AssuranceCase, tac_id: str, own: set[str]):
+    """A function from a technological element's id to the ids in `own` among the ancestors, over both edge
+    kinds, of every copy of it in `inlined`. The copies are known by the documented `<tacId>__` and
+    `<tacId>__<n>__` prefixes; the walk reads the inlined edge list itself."""
+    sources: dict[str, list[str]] = {}
+    for edge in inlined.edges:
+        sources.setdefault(edge.target, []).append(edge.source)
+    copies: dict[str, list[str]] = {}
+    for element in inlined.elements:
+        if element.id not in own:
+            original = re.fullmatch(rf"{re.escape(tac_id)}__(?:[0-9]+__)?(.+)", element.id)[1]
+            copies.setdefault(original, []).append(element.id)
+
+    def ancestors(tac_element: str) -> set[str]:
+        stack = list(copies.get(tac_element, ()))
+        seen = set(stack)
+        while stack:
+            for source in sources.get(stack.pop(), ()):
+                if source not in seen:
+                    seen.add(source)
+                    stack.append(source)
+        return seen & own
+
+    return ancestors
+
+
+def _impact_matches_the_inlined_cases(bundle, tac_elements) -> int:
+    """Asserts, for each of `tac_elements` and each clinical case, that `impact` of that technological element
+    affects exactly the clinical elements above its copies in the inlined case; returns how many of those sets
+    are not empty."""
+    resolved, diagnostics = resolve_links(bundle)
+    assert resolved is not None, [d.line() for d in diagnostics]
+    tac_id = bundle.tac.id
+    walks = {cac.id: _inlined_ancestors(inline_bundle(resolved, cac.id), tac_id, {e.id for e in cac.elements})
+             for cac in bundle.cacs}
+    nonempty = 0
+    for element_id in tac_elements:
+        affected = impact(resolved, [(tac_id, element_id)]).affected
+        for cac_id, ancestors in walks.items():
+            assert affected[cac_id] == ancestors(element_id), (tac_id, element_id, cac_id)
+            nonempty += bool(affected[cac_id])
+    return nonempty
+
+
+def test_impact_across_the_link_equals_the_ancestors_in_the_inlined_case():
+    # The paper's split/inline equivalence: a change to a technological element calls into question the same
+    # clinical elements whether the argument is split (impact across resolved away references) or inlined.
+    rng = random.Random(53)
+    nonempty = 0
+    for _ in range(200):
+        bundle = helpers.gen_valid_bundle(rng)
+        nonempty += _impact_matches_the_inlined_cases(bundle, [e.id for e in bundle.tac.elements])
+    assert nonempty > 200
+    files = gen.bundle_wide(3, 512).files
+    bundle = parse_bundle(files["bundle.acb"], files.__getitem__, "bundle.acb")[0]
+    assert _impact_matches_the_inlined_cases(bundle, [e.id for e in bundle.tac.elements[::7]]) > 20
 
 
 def test_corpus_case_metrics(tac_case, cac_case, mono_case):

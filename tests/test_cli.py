@@ -25,6 +25,7 @@ from actool.parser import parse_case, print_case
 
 import helpers
 from conftest import CORPUS, GOLDEN
+from differential import cli_transcript
 
 
 def corpus(name: str) -> str:
@@ -924,21 +925,6 @@ def test_render_unresolvable_bundle_falls_back(capsys):
     assert '"TAC-1.C9" -> "CAC-UF.C6" [style=dashed];' in captured.out
 
 
-def cli_transcript(commands: list[list[str]]) -> str:
-    """`$ actool ARGS`, the exit code, stdout and stderr of each command, run
-    in-process from the current directory."""
-    parts = []
-    for argv in commands:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        parts.append(
-            f"$ actool {shlex.join(argv)}\nexit {code}\n"
-            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-        )
-    return "".join(parts)
-
-
 def _corpus_transcript() -> tuple[str, list[list[str]]]:
     """The golden transcript and its commands: the `$ actool` lines of the transcript itself."""
     expected = (GOLDEN / "cli_corpus.txt").read_text(encoding="utf-8")
@@ -946,18 +932,15 @@ def _corpus_transcript() -> tuple[str, list[list[str]]]:
     return expected, commands
 
 
-def test_cli_corpus_transcript(monkeypatch):
-    # Paths in the transcript are relative to the repository root.
-    monkeypatch.chdir(CORPUS.parent)
+def test_cli_corpus_transcript():
     expected, commands = _corpus_transcript()
     assert len(commands) == 20
     assert cli_transcript(commands) == expected
 
 
-def test_no_command_depends_on_the_recursion_limit(tmp_path, monkeypatch):
+def test_no_command_depends_on_the_recursion_limit(tmp_path):
     # Every corpus transcript command, and validate, metrics, fmt --check and render on a 20,000-deep chain, run
     # with 80 frames of headroom: no walk of a case recurses per element or per edge.
-    monkeypatch.chdir(CORPUS.parent)
     expected, commands = _corpus_transcript()
     ids = [f"C{i}" for i in range(20000)]
     elements = [Element(node, ElementKind.CLAIM, "c", is_root=node == "C0") for node in ids]

@@ -51,6 +51,15 @@ def test_differential_sees_the_inlined_edge_order(tmp_path, capsys, found):
     assert "first differing input: valid-" in capsys.readouterr().out
 
 
+def test_differential_runs_the_command_line(tmp_path, capsys, found):
+    # The last input runs the corpus transcript's commands through `cli.run`; a change to the command line's
+    # own text shows only there.
+    assert found[-1][0] == differential.CLI_INPUT
+    renamed = _mutant(tmp_path, "cli", '"affected cacs: "', '"affected cases: "')
+    assert differential.compare(SRC, renamed, found[-1:]) == 1
+    assert "first differing input: cli_corpus.txt" in capsys.readouterr().out
+
+
 def _interpreters() -> list:
     """Each `~/.pyenv/versions/*/bin/python3` that starts and reports Python
     3.10 or later, the supported versions, with its version as the id."""
@@ -67,4 +76,5 @@ def _interpreters() -> list:
 
 @pytest.mark.parametrize("python", _interpreters())
 def test_each_supported_interpreter_reads_the_inputs_alike(python, found):
+    # The inputs end with the corpus transcript's commands, so this runs the command line under `python` too.
     assert differential.compare(SRC, SRC, found, (sys.executable, python)) == 0

@@ -14,10 +14,11 @@ from actool.model import (
     EdgeKind,
     Element,
     ElementKind,
+    SourceSpan,
     UnknownElementError,
 )
 from actool.parser import print_case
-from actool.validate import validate_case
+from actool.validate import validate_bundle, validate_case
 
 import helpers
 
@@ -151,8 +152,9 @@ def test_inline_without_awayrefs_is_kind_change_only():
 
 
 def test_inline_unknown_cac(corpus_resolved):
-    with pytest.raises(UnknownElementError, match="NOPE"):
-        inline_bundle(corpus_resolved, "NOPE")
+    for case_id in ("NOPE", "TAC-1"):  # the technological case is no clinical case
+        with pytest.raises(UnknownElementError, match=f"unknown clinical case id '{case_id}' in bundle"):
+            inline_bundle(corpus_resolved, case_id)
 
 
 def duplicate_target_bundle():
@@ -365,3 +367,54 @@ def test_away_reference_rules_match_a_brute_predicate_on_mutated_bundles():
         assert bundle_metrics(bundle).cross_link_count == len(links)
     assert outcomes == {True, False}
     assert all(fired[rule] >= 20 for rule in ("S1", "S2", "S5", "S7", "S8")), fired
+
+
+def brute_s6(bundle: Bundle) -> list[str]:
+    """RULES.md's S6: the ids of the clinical cases whose `associates` does not name the bundle's technological
+    case, sorted."""
+    return sorted(cac.id for cac in bundle.cacs if cac.associated_tac != bundle.tac.id)
+
+
+def mutated_contexts_and_associations(rng: random.Random, bundle: Bundle) -> Bundle:
+    """`bundle` with up to two away-claims of its clinical cases stripped of their documenting contexts, which are
+    removed or turned into assumptions (S3), and each clinical case, one time in four, given no `associates` or one
+    that names its own id, another clinical case or a case outside the bundle (S6). Each case's span names a file
+    of its own, so that an S6 finding, which names no element, is known by its case."""
+    cacs = {cac.id: (list(cac.elements), list(cac.edges)) for cac in bundle.cacs}
+    for _ in range(rng.randint(0, 2)):
+        elements, edges = cacs[rng.choice(list(cacs))]
+        away = rng.choice([element.id for element in elements if element.away_ref is not None] or [None])
+        documenting = {edge.target for edge in edges if edge.source == away and edge.kind is EdgeKind.IN_CONTEXT_OF
+                       and any(e.id == edge.target and e.kind is ElementKind.CONTEXT for e in elements)}
+        if rng.random() < 0.5:  # the contexts go, and every edge that names them
+            elements[:] = [element for element in elements if element.id not in documenting]
+            edges[:] = [edge for edge in edges if edge.source not in documenting and edge.target not in documenting]
+        else:
+            elements[:] = [element._replace(kind=ElementKind.ASSUMPTION) if element.id in documenting else element
+                           for element in elements]
+    associates = {cac.id: cac.associated_tac for cac in bundle.cacs}
+    for cac_id in associates:
+        if rng.random() < 0.25:
+            associates[cac_id] = rng.choice([None, cac_id, *(other for other in cacs if other != cac_id), "ELSEWHERE"])
+    tac = bundle.tac._replace(span=SourceSpan(f"{bundle.tac.id}.acd", 1, 1))
+    return Bundle(tac, tuple(cac._replace(elements=tuple(cacs[cac.id][0]), edges=tuple(cacs[cac.id][1]),
+                                          associated_tac=associates[cac.id], span=SourceSpan(f"{cac.id}.acd", 1, 1))
+                             for cac in bundle.cacs))
+
+
+def test_validate_bundle_matches_brute_predicates_on_mutated_bundles():
+    # validate_bundle's own findings: the away-reference rules against brute_link_rules, S3 against
+    # helpers.brute_s3 and S6, keyed by its clinical case, against brute_s6.
+    rng = random.Random(47)
+    fired = Counter()
+    for _ in range(300):
+        bundle = mutated_contexts_and_associations(rng, mutated_away_references(rng, helpers.gen_valid_bundle(rng)))
+        diagnostics = validate_bundle(bundle)
+        by_rule = {rule: [d for d in diagnostics if d.rule_id == rule] for rule in ("S3", "S4", "S6")}
+        links = sorted((d.rule_id, *d.elements[0]) for d in diagnostics if d.rule_id not in by_rule)
+        assert links == brute_link_rules(bundle)
+        assert sorted(d.elements[0] for d in by_rule["S3"]) == sorted(helpers.brute_s3(bundle))
+        assert sorted(d.span.file.removesuffix(".acd") for d in by_rule["S6"]) == brute_s6(bundle)
+        assert by_rule["S4"] == []  # the generated bundles declare no capabilities
+        fired.update(d.rule_id for d in diagnostics)
+    assert all(fired[rule] >= 20 for rule in ("S1", "S2", "S3", "S5", "S6", "S7", "S8")), fired

@@ -132,6 +132,8 @@ def test_pickle_and_copy_round_trip(kind):
             assert twin._kind_targets() == value._kind_targets()
         elif kind is UnitTable:
             assert twin.find("W") == value.find("W") is not None
+        elif kind is Bundle:
+            assert list(twin._by_id.items()) == [(case.id, case) for case in value.cases()]
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -139,7 +141,8 @@ def test_a_pickle_carries_the_fields_and_no_private_index(protocol):
     # The constructor rebuilds the index; a walk's index is built again when it is first read.
     case = load_corpus_case("tac_mrgfus.acd")
     case._kind_targets()
-    for value, index in ((case, b"_by_id"), (case, b"_targets"), (BUILTIN_UNITS, b"_by_symbol")):
+    bundle = load_corpus_bundle()[0]
+    for value, index in ((case, b"_by_id"), (case, b"_targets"), (BUILTIN_UNITS, b"_by_symbol"), (bundle, b"_by_id")):
         assert index not in pickle.dumps(value, protocol)
     twin = pickle.loads(pickle.dumps(case, protocol))
     assert twin == case and twin.element("C1") is not None and twin._targets is None
