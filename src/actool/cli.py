@@ -193,31 +193,18 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return _exit_code(diagnostics)
 
 
-_TABLE_COLUMNS = (
-    ("CASE", lambda m: m.case_id),
-    ("KIND", lambda m: m.kind.value),
-    ("ELEMS", lambda m: str(m.element_total)),
-    ("CLAIM", lambda m: str(m.element_counts["claim"])),
-    ("STRAT", lambda m: str(m.element_counts["strategy"])),
-    ("CTX", lambda m: str(m.element_counts["context"])),
-    ("ASSUM", lambda m: str(m.element_counts["assumption"])),
-    ("JUST", lambda m: str(m.element_counts["justification"])),
-    ("EVID", lambda m: str(m.element_counts["evidence"])),
-    ("SUP", lambda m: str(m.edge_counts["supportedBy"])),
-    ("INCTX", lambda m: str(m.edge_counts["inContextOf"])),
-    ("DEPTH", lambda m: str(m.depth)),
-    ("UNDEV", lambda m: str(m.undeveloped_count)),
-    ("COVER", lambda m: f"{m.evidence_coverage:.2f}"),
-    ("SAFE", lambda m: str(m.concern_counts["safety"])),
-    ("EFFECT", lambda m: str(m.concern_counts["effectiveness"])),
-)
+# The count columns in the order `case_metrics` builds each count dict: ElementKind, EdgeKind, ConcernKind
+_TABLE_HEADER = ("CASE", "KIND", "ELEMS", "CLAIM", "STRAT", "CTX", "ASSUM", "JUST", "EVID", "SUP", "INCTX", "DEPTH",
+                 "UNDEV", "COVER", "SAFE", "EFFECT")
 
 
 def _metrics_table(rows: list[CaseMetrics]) -> str:
-    cells = [[header for header, _ in _TABLE_COLUMNS]]
-    for row in rows:
-        cells.append([extract(row) for _, extract in _TABLE_COLUMNS])
-    widths = [max(len(line[i]) for line in cells) for i in range(len(_TABLE_COLUMNS))]
+    cells = [_TABLE_HEADER]
+    for m in rows:
+        counts = (m.element_total, *m.element_counts.values(), *m.edge_counts.values(), m.depth, m.undeveloped_count)
+        cells.append((m.case_id, m.kind.value, *map(str, counts), f"{m.evidence_coverage:.2f}",
+                      *map(str, m.concern_counts.values())))
+    widths = [max(map(len, column)) for column in zip(*cells)]
     lines = ["  ".join(value.ljust(width) for value, width in zip(line, widths)).rstrip() for line in cells]
     return "\n".join(lines) + "\n"
 

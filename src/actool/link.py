@@ -132,12 +132,10 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
                 name = f"{tac.id}__{count}__{node}"
             copy_counts[node] = count
             names[node] = name
-        for node in subtree:
             _, kind, statement, _, public, undeveloped, module, concern, _, span = tac.element(node)
             # root-ness is a per-case property; away references never survive
             # inlining. undeveloped stays so copied claims still pass G5.
-            elements.append(Element(names[node], kind, statement, False, public, undeveloped, module, concern, None,
-                                    span))
+            elements.append(Element(name, kind, statement, False, public, undeveloped, module, concern, None, span))
         # the subtree is closed under out-edges, so every target has a name; Edge checks nothing, so build it directly
         for node in subtree:
             for edge in out.get(node, ()):

@@ -97,18 +97,15 @@ FLAG_FIELDS = {"root": "is_root", "public": "is_public", "undeveloped": "is_unde
                "concern": "concern", "awayref": "away_ref"}
 # The flags that only claims take
 CLAIM_ONLY_FLAGS = ("root", "undeveloped", "module", "awayref")
-# A flag and the flag it needs: an away-referenced claim is developed in the case it references, not here
-FLAG_NEEDS = ("awayref", "undeveloped")
-# An element's values of the CLAIM_ONLY_FLAGS, and of the two FLAG_NEEDS, in order
+# An element's values of the CLAIM_ONLY_FLAGS, in order
 _claim_only = attrgetter(*(FLAG_FIELDS[flag] for flag in CLAIM_ONLY_FLAGS))
-_needs = attrgetter(*(FLAG_FIELDS[flag] for flag in FLAG_NEEDS))
 
 
 class Element(_Checked, namedtuple("Element", "id kind statement is_root is_public is_undeveloped is_module "
                                               "concern away_ref span")):
-    """One GSN node. Only a claim may carry a flag of `CLAIM_ONLY_FLAGS`, and a
-    claim with an away reference must be undeveloped too (`FLAG_NEEDS`). The
-    four flags are held as bools, an away reference as a tuple."""
+    """One GSN node. Only a claim may carry a flag of `CLAIM_ONLY_FLAGS`; a claim
+    with an away reference is developed in the case it references, so it must be
+    undeveloped here. Four flags are held as bools, an away reference as a tuple."""
 
     __slots__ = ()
 
@@ -131,8 +128,7 @@ class Element(_Checked, namedtuple("Element", "id kind statement is_root is_publ
         if kind is not ElementKind.CLAIM and any(_claim_only(element)):
             name = next(flag for flag, value in zip(CLAIM_ONLY_FLAGS, _claim_only(element)) if value)
             raise ValueError(f"'{name}' only applies to claims, not {kind.value} {id!r}")
-        needing, needed = _needs(element)
-        if needing and not needed:
+        if away_ref is not None and not is_undeveloped:
             raise ValueError(f"away-referenced claim {id!r} must be undeveloped")
         if away_ref is not None:
             _check_id(away_ref[0], "case id")

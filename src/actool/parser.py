@@ -26,7 +26,6 @@ from .model import (
     CLAIM_ONLY_FLAGS,
     ELEMENT_ORDER,
     FLAG_FIELDS,
-    FLAG_NEEDS,
     AssuranceCase,
     Bundle,
     Capability,
@@ -380,7 +379,7 @@ class _CaseParser(_Parser):
             if match := match_node(source, pos):
                 kind, name, text, tail = match.groups()
                 flags, away = (table := flag_tails[kind]).get(tail), None
-                if flags is None:  # an away reference, after flags that read `undeveloped` (FLAG_NEEDS: flags[3])
+                if flags is None:  # an away reference, after flags that read `undeveloped` (flags[3])
                     head, _, away = tail.partition(" awayref ")
                     if (flags := table.get(head)) is None or not (flags[3] and (away := _AWAY_REF.match(away))):
                         break
@@ -435,8 +434,7 @@ class _CaseParser(_Parser):
                 self.diagnostics.append(finding("P3", self.span_of(token), message, (self.case_id, node_id)))
 
         fields: dict[str, object] = {}
-        needing, needed = FLAG_NEEDS
-        needing_token: _Token | None = None
+        away_token: _Token | None = None
         try:
             while self.peek().kind == "ident":
                 token = self.advance()
@@ -449,14 +447,14 @@ class _CaseParser(_Parser):
                     misuse(token, f"duplicate {name!r} flag on {node_id!r}")
                 else:
                     fields[field] = value
-                    if name == needing:
-                        needing_token = token
+                    if name == "awayref":
+                        away_token = token
             self.expect_terminator()
         except _Skip:  # the node keeps the flags read before the error
             self.recover()
-        if needing_token is not None and FLAG_FIELDS[needed] not in fields:
-            misuse(needing_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
-            del fields[FLAG_FIELDS[needing]]
+        if away_token is not None and "is_undeveloped" not in fields:
+            misuse(away_token, f"'awayref' on claim {node_id!r} requires the 'undeveloped' flag")
+            del fields["away_ref"]
         if first is None:
             self.elements[node_id] = Element(node_id, kind, statement.value, span=self.span_of(id_token), **fields)
 

@@ -166,25 +166,15 @@ def match_capabilities(
     results: list[MatchResult] = []
     for req in required:
         req_unit = units.lookup(req.unit)
-        candidates = [p for p in provided if p.name == req.name]
-        if not candidates:
-            results.append(MatchResult(req, MatchStatus.MISSING))
-            continue
-        same_dimension = [
-            (p, unit.scale_to_base) for p in candidates
-            if (unit := units.lookup(p.unit)).dimension == req_unit.dimension
-        ]
-        if not same_dimension:
-            results.append(MatchResult(req, MatchStatus.UNIT_MISMATCH))
-            continue
-        low = in_base(req.low, req_unit.scale_to_base)
-        high = in_base(req.high, req_unit.scale_to_base)
+        named = [p for p in provided if p.name == req.name]
+        same_dimension = [(p, unit.scale_to_base) for p in named
+                          if (unit := units.lookup(p.unit)).dimension == req_unit.dimension]
+        low, high = in_base(req.low, req_unit.scale_to_base), in_base(req.high, req_unit.scale_to_base)
         match = next((p for p, scale in same_dimension
                       if at_most(in_base(p.low, scale), low) and at_most(high, in_base(p.high, scale))), None)
-        if match is not None:
-            results.append(MatchResult(req, MatchStatus.SATISFIED, match))
-        else:
-            results.append(MatchResult(req, MatchStatus.RANGE_NOT_COVERED))
+        status = (MatchStatus.SATISFIED if match is not None else MatchStatus.RANGE_NOT_COVERED if same_dimension
+                  else MatchStatus.UNIT_MISMATCH if named else MatchStatus.MISSING)
+        results.append(MatchResult(req, status, match))
     return results
 
 

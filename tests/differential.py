@@ -28,10 +28,17 @@ and with every 5th element of each member highlighted, the `report_json` of
 order and the `repr` and `print_case` of `inline_bundle` for each clinical
 case. Last come, for each case parsed and for a bundle, the `repr` of its
 `pickle` and `copy.copy` twins and whether each twin equals the original.
-One more input comes last of all: the `$ actool` lines of
-`tests/golden/cli_corpus.txt`. For it each child runs every command through
-`actool.cli.run` in process, from the repository root, and digests each
-command's exit code, stdout and stderr.
+One more input comes last of all, the command line's: the `$ actool` lines
+of `tests/golden/cli_corpus.txt`, then commands on two small `perfbench/gen.py`
+inputs, a 300-element case-tree file and a 256-element bundle-wide manifest:
+`validate`, `validate --json`, `metrics`, `metrics --json` and `render` of
+each, `fmt --check` of the tree, the technological case and one clinical
+case, and the bundle's `link`, `impact` on three technological elements and
+`inline` of each clinical case. For it each child writes the corpus and those
+files into a temporary directory of its own and runs every command through
+`actool.cli.run` in process, from inside it with relative paths, so that
+diagnostics name the same files on both sides; it digests each command's
+exit code, stdout and stderr.
 On a mismatch the first differing input and both outputs around
 their first difference are printed. Exit status: 0 when every digest
 matches, 1 otherwise.
@@ -87,8 +94,14 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
         found += [(name, text, files if name.endswith(".acb") else {}) for name, text in files.items()]
     found += [variant for name, text in shapes[0].items() if name.endswith(".acd") for variant in _variants(name, text)]
     transcript = (ROOT / "tests" / "golden" / CLI_INPUT).read_text(encoding="utf-8")
-    found.append((CLI_INPUT, "".join(f"{line}\n" for line in transcript.splitlines() if line.startswith("$ actool ")),
-                  {}))
+    commands = [line.removeprefix("$ actool ") for line in transcript.splitlines() if line.startswith("$ actool ")]
+    tree, wide = gen.case_tree(seed, 300), gen.bundle_wide(seed, 256)
+    commands += [f"{command} {path}" for path in ("tree.acd", "bundle.acb")
+                 for command in ("validate", "validate --json", "metrics", "metrics --json", "render")]
+    commands += ["fmt --check tree.acd", "fmt --check tac.acd", "fmt --check cac_1.acd", "link bundle.acb"]
+    commands += [shlex.join(op.argv) for op in wide.ops if op.name in ("impact", "inline")]
+    files = {**{f"corpus/{name}": text for name, text in shapes[3].items()}, **tree.files, **wide.files}
+    found.append((CLI_INPUT, "".join(f"$ actool {command}\n" for command in commands), files))
     return found
 
 
@@ -119,15 +132,15 @@ def _variants(name: str, text: str) -> list[tuple[str, str, dict[str, str]]]:
             (f"{stem}-trailing-blank.acd", text.replace("\n", " \n"), {})]
 
 
-def cli_transcript(commands: list[list[str]]) -> str:
+def cli_transcript(commands: list[list[str]], directory: str | Path = ROOT) -> str:
     """`$ actool ARGS`, the exit code, stdout and stderr of each command, as `tests/golden/cli_corpus.txt` holds
-    them: each run through `actool.cli.run` in process, from the repository root, where the transcript's paths
-    start."""
+    them: each run through `actool.cli.run` in process, from `directory`; by default the repository root, where
+    the transcript's paths start."""
     from actool.cli import run
 
     parts = []
     cwd = os.getcwd()
-    os.chdir(ROOT)
+    os.chdir(directory)
     try:
         for argv in commands:
             out, err = io.StringIO(), io.StringIO()
@@ -142,8 +155,14 @@ def cli_transcript(commands: list[list[str]]) -> str:
 
 def _output(name: str, text: str, files: dict[str, str]) -> str:
     """What the tree on `sys.path` makes of one input."""
-    if name == CLI_INPUT:
-        return cli_transcript([shlex.split(line.removeprefix("$ actool ")) for line in text.splitlines()])
+    if name == CLI_INPUT:  # the files in a directory of this child's own, so diagnostics name the same paths
+        with tempfile.TemporaryDirectory() as directory:
+            for path, content in files.items():
+                target = Path(directory, path)
+                target.parent.mkdir(exist_ok=True)
+                target.write_bytes(content.encode("utf-8"))
+            return cli_transcript([shlex.split(line.removeprefix("$ actool ")) for line in text.splitlines()],
+                                  directory)
     from actool.analyze import bundle_metrics, case_metrics, impact
     from actool.link import inline_bundle, resolve_links
     from actool.parser import parse_bundle, parse_case, print_case

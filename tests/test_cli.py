@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from actool import cli
 from actool.cli import run
-from actool.model import AssuranceCase, Bundle, CaseKind, Edge, EdgeKind, Element, ElementKind
+from actool.model import AssuranceCase, Bundle, CaseKind, ConcernKind, Edge, EdgeKind, Element, ElementKind
 from actool.parser import parse_case, print_case
 
 import helpers
@@ -610,6 +610,85 @@ def test_metrics_table_for_one_case(capsys):
     )
 
 
+# Each column of the metrics table and the path of the `metrics --json` value it shows, as FORMATS.md gives them
+METRICS_COLUMNS = {
+    "CASE": ("caseId",), "KIND": ("kind",), "ELEMS": ("elements", "total"),
+    "CLAIM": ("elements", "claim"), "STRAT": ("elements", "strategy"), "CTX": ("elements", "context"),
+    "ASSUM": ("elements", "assumption"), "JUST": ("elements", "justification"), "EVID": ("elements", "evidence"),
+    "SUP": ("edges", "supportedBy"), "INCTX": ("edges", "inContextOf"), "DEPTH": ("depth",),
+    "UNDEV": ("undeveloped",), "COVER": ("evidenceCoverage",),
+    "SAFE": ("concerns", "safety"), "EFFECT": ("concerns", "effectiveness"),
+}
+COUNT_COLUMNS = ("CLAIM", "STRAT", "CTX", "ASSUM", "JUST", "EVID", "SUP", "INCTX", "SAFE", "EFFECT")
+
+
+def _case_with_distinct_counts(rng: random.Random, case_id: str, kind: CaseKind) -> AssuranceCase:
+    """A case whose six element kinds, two edge kinds and two concerns have pairwise different counts. Some
+    claims are undeveloped; in a clinical case most of those refer to `TAC`, or to another case."""
+    counts = rng.sample(range(1, 16), 10)
+    while counts[8] + counts[9] > sum(counts[:6]):
+        counts = rng.sample(range(1, 16), 10)
+    kinds = [element_kind for element_kind, count in zip(ElementKind, counts) for _ in range(count)]
+    concerns = [ConcernKind.SAFETY] * counts[8] + [ConcernKind.EFFECTIVENESS] * counts[9]
+    concerns += [None] * (len(kinds) - len(concerns))
+    rng.shuffle(kinds)
+    rng.shuffle(concerns)
+    elements = []
+    for number, (element_kind, concern) in enumerate(zip(kinds, concerns)):
+        undeveloped = element_kind is ElementKind.CLAIM and rng.random() < 0.4
+        away = None
+        if undeveloped and kind is CaseKind.CLINICAL and rng.random() < 0.7:
+            away = (rng.choice(["TAC", "OTHER"]), "N0")
+        elements.append(Element(f"N{number}", element_kind, f"statement {number}", is_undeveloped=undeveloped,
+                                concern=concern, away_ref=away))
+    sources = [e.id for e in elements if e.kind in (ElementKind.CLAIM, ElementKind.STRATEGY)]
+    pairs = rng.sample([(s, e.id) for s in sources for e in elements if s != e.id], counts[6] + counts[7])
+    edges = [Edge(s, t, EdgeKind.SUPPORTED_BY if at < counts[6] else EdgeKind.IN_CONTEXT_OF)
+             for at, (s, t) in enumerate(pairs)]
+    return AssuranceCase(case_id, kind, tuple(elements), tuple(edges),
+                         associated_tac="TAC" if kind is CaseKind.CLINICAL else None)
+
+
+def _metrics_cell(row: dict, header: str) -> str:
+    value = row
+    for key in METRICS_COLUMNS[header]:
+        value = value[key]
+    return f"{value:.2f}" if header == "COVER" else str(value)
+
+
+def test_metrics_table_shows_the_json_values(tmp_path, capsys):
+    # An oracle for the table written from FORMATS.md, not from `cli.py`: each column is the JSON value its
+    # header names, left-justified to the column's widest cell, two spaces apart, with no trailing blank, and a
+    # bundle's table ends with its `crossLinks`. No two count columns agree, so two of them swapped show.
+    rng = random.Random(11)
+    for number in range(6):
+        directory = tmp_path / str(number)
+        directory.mkdir()
+        tac = _case_with_distinct_counts(rng, "TAC", CaseKind.TECHNOLOGICAL)
+        cacs = [_case_with_distinct_counts(rng, f"CAC-{index}", CaseKind.CLINICAL) for index in range(1, 4)]
+        members = []
+        for case in (tac, *cacs):
+            (directory / f"{case.id}.acd").write_text(print_case(case), encoding="utf-8")
+            members.append(f'  {"tac" if case is tac else "cac"} "{case.id}.acd"\n')
+        (directory / "b.acb").write_text("bundle B {\n" + "".join(members) + "}\n", encoding="utf-8")
+        for name in ("TAC.acd", "CAC-1.acd", "b.acb"):
+            path = str(directory / name)
+            assert run(["metrics", path]) == 0
+            table = capsys.readouterr().out
+            assert run(["metrics", "--json", path]) == 0
+            document = json.loads(capsys.readouterr().out)["metrics"]
+            rows = document["cases"] if name.endswith(".acb") else [document]
+            for row in rows:
+                assert len({_metrics_cell(row, header) for header in COUNT_COLUMNS}) == len(COUNT_COLUMNS)
+            cells = [list(METRICS_COLUMNS), *([_metrics_cell(row, header) for header in METRICS_COLUMNS]
+                                              for row in rows)]
+            widths = [max(len(line[at]) for line in cells) for at in range(len(METRICS_COLUMNS))]
+            lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() for line in cells]
+            if name.endswith(".acb"):
+                lines.append(f"cross links: {document['crossLinks']}")
+            assert table == "".join(f"{line}\n" for line in lines), path
+
+
 def _member_bundle(tmp_path, tac: str, cac: str) -> str:
     """A manifest in `tmp_path` over the given technological and clinical case texts."""
     (tmp_path / "tac.acd").write_text(tac, encoding="utf-8")
@@ -859,8 +938,9 @@ MEMBER_TEXT = st.one_of(
         ]
     ).map(str.encode),
 )
-# Any text, with NUL, path separators, backslashes and quotes drawn often.
-PATH_TEXT = st.text(st.one_of(st.sampled_from('\0./\\"'), st.characters()), max_size=8)
+# Any text, with NUL, path separators, backslashes and quotes drawn often. A manifest is UTF-8 text, so no path in
+# it holds a lone surrogate (category Cs), which `_manifest` could not encode.
+PATH_TEXT = st.text(st.one_of(st.sampled_from('\0./\\"'), st.characters(exclude_categories=("Cs",))), max_size=8)
 MEMBER_PATH = st.one_of(st.sampled_from(["t.acd", "c.acd"]), PATH_TEXT.filter(lambda p: not p.startswith("/")))
 
 
