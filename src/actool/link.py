@@ -112,13 +112,15 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
     if cac is tac:  # no case, or the technological one
         raise UnknownElementError(f"unknown clinical case id {cac_id!r} in bundle")
 
-    elements = [element if element.away_ref is None else element._replace(is_undeveloped=False, away_ref=None)
-                for element in cac.elements]
+    elements = {element.id: element if element.away_ref is None else
+                element._replace(is_undeveloped=False, away_ref=None) for element in cac.elements}
     edges = list(cac.edges)
     out: dict[str, list[Edge]] = {}  # the technological edges by source, in declaration order
     for edge in tac.edges:
         out.setdefault(edge.source, []).append(edge)
 
+    # Element's and AssuranceCase's checks hold, so neither runs: a copy id `<tacId>__[<n>__]<id>` is an identifier, no
+    # other copy's (no id starts with a digit) and, by the `while` loop, no clinical id; its fields are a checked one's.
     copy_counts: dict[str, int] = {}
     for _, away in _away_claims([cac]):
         target_id = away.away_ref[1]
@@ -127,27 +129,20 @@ def inline_bundle(resolved: ResolvedBundle, cac_id: str) -> AssuranceCase:
         for node in subtree:
             count = copy_counts.get(node, 0) + 1
             name = f"{tac.id}__{node}" if count == 1 else f"{tac.id}__{count}__{node}"
-            while cac.find(name) is not None:
+            while name in cac._by_id:
                 count += 1
                 name = f"{tac.id}__{count}__{node}"
             copy_counts[node] = count
             names[node] = name
-            _, kind, statement, _, public, undeveloped, module, concern, _, span = tac.element(node)
+            _, kind, statement, _, public, undeveloped, module, concern, _, span = tac._by_id[node]
             # root-ness is a per-case property; away references never survive
             # inlining. undeveloped stays so copied claims still pass G5.
-            elements.append(Element(name, kind, statement, False, public, undeveloped, module, concern, None, span))
+            elements[name] = tuple.__new__(Element, (name, kind, statement, False, public, undeveloped, module,
+                                                     concern, None, span))
         # the subtree is closed under out-edges, so every target has a name; Edge checks nothing, so build it directly
         for node in subtree:
             for edge in out.get(node, ()):
                 edges.append(tuple.__new__(Edge, (names[node], names[edge.target], edge.kind, edge.span)))
         edges.append(Edge(away.id, names[target_id], EdgeKind.SUPPORTED_BY, away.span))
 
-    return AssuranceCase(
-        id=cac.id,
-        kind=CaseKind.MONOLITHIC,
-        elements=tuple(elements),
-        edges=tuple(edges),
-        capabilities=(),
-        associated_tac=None,
-        span=cac.span,
-    )
+    return AssuranceCase._parsed(cac.id, CaseKind.MONOLITHIC, elements, tuple(edges), (), None, cac.span)

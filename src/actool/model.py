@@ -220,8 +220,8 @@ class AssuranceCase(_Checked, namedtuple("AssuranceCase", "id kind elements edge
     @classmethod
     def _parsed(cls, id: str, kind: CaseKind, by_id: dict[str, Element], edges: tuple[Edge, ...],
                 capabilities: tuple[Capability, ...], associated_tac: str | None, span: SourceSpan) -> AssuranceCase:
-        """The case the parser built, without `__new__`'s checks, which the parser has made;
-        `by_id` maps each element's id to it in declaration order and becomes the index."""
+        """A case without `__new__`'s checks, which each caller has made: `_CaseParser.parse` drops P1, P2 and P7
+        items, `inline_bundle` gives copies fresh ids; `by_id` maps each id to its element, in order, as the index."""
         case = tuple.__new__(cls, (id, kind, tuple(by_id.values()), edges, capabilities, associated_tac, span))
         case._by_id, case._targets = by_id, None
         return case

@@ -60,10 +60,11 @@ class _Token(NamedTuple):
     value: object = None
 
 
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"  # the text of a capability bound
 _TOKEN_PATTERN = re.compile(  # blank space and comments, then one token; `\Z` matches the eof token
     r"(?:[ \t\r]+|//[^\n]*)*(?:(?P<break>[\n;])|(?P<punct>[{}\[\],.])"
     r'|(?P<string>"(?:[^"\\]+|\\[\s\S])*(?:(?P<closed>")|\\?\Z))'
-    rf"|(?P<ident>{_IDENT})|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|(?P<other>[\s\S])|(?P<eof>\Z))"
+    rf"|(?P<ident>{_IDENT})|(?P<number>{_NUMBER})|(?P<other>[\s\S])|(?P<eof>\Z))"
 )
 _ESCAPE = re.compile(r'\\(["\\])|\\[\s\S]?')  # group 1 is unset for an invalid escape
 
@@ -91,6 +92,10 @@ _AWAY_REF = re.compile(rf"({_IDENT})\.({_IDENT})\Z")  # the payload of `awayref`
 # or after its words, a comment, or a `;` before it takes the token path. The bound keeps the run's word list small.
 _EDGE_WORDS = rf'{_IDENT} (?:{"|".join(EDGE_KINDS)}) {_IDENT}'
 _EDGES = re.compile(rf"([ \t]*){_EDGE_WORDS}(\r?\n)(?:\1{_EDGE_WORDS}\2){{0,255}}")
+# A capability line as `print_case` writes it, read from a line start: groups 1 direction, 2 name, 3 unit, 4 and 5
+# the bounds. One with other blank space, a comment or a `;` takes the token path.
+_CAPABILITY_LINE = re.compile(
+    rf"[ \t]*(provides|requires) capability ({_IDENT}) unit ({_IDENT}) range \[({_NUMBER}), ({_NUMBER})\]\r?\n")
 # The blank and comment lines between two statements, each through its newline
 _BLANKS = re.compile(r"(?:[ \t\r;]*(?://[^\n]*)?\n)*")
 _STATEMENT = re.compile(r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*\Z')
@@ -112,8 +117,8 @@ class _Parser:
     before the error.
 
     Tokens are lexed one at a time from offset `pos`, when `peek` first asks
-    for one, so the lines `_CaseParser._line` reads with regular expressions,
-    a line or a run of lines a match, are never tokenized.
+    for one, so the node, edge, capability and blank lines `_CaseParser._line`
+    reads with regular expressions, a line or a run a match, are never lexed.
     Tokens carry offsets; `span` builds a SourceSpan only where one is kept:
     for ids, edge sources, capability names and diagnostics. `locate` moves
     `cursor` over the text between two offsets, and spans are asked for in
@@ -292,10 +297,10 @@ class _CaseParser(_Parser):
     `_line` reads after all their ends is built there and then, and every
     other edge waits in `waiting` as a plain tuple, with None holding its
     place in `edges`.
-    `_line` reads each run of canonical node and edge lines without tokens,
-    carrying the line number from line to line; every other statement goes
-    to the token path. Of the spans kept, only those `parse` makes for
-    waiting edges lie behind `_Parser`'s cursor.
+    `_line` reads each run of canonical node, edge and capability lines
+    without tokens, carrying the line number; `associates` and every other
+    statement go to the token path. Of the spans kept, only those `parse`
+    makes for waiting edges lie behind `_Parser`'s cursor.
     `elements`, the id dict, becomes the case's index; an edge's ends are
     its id strings, taken from the ends' elements, so nothing is interned.
     """
@@ -362,15 +367,17 @@ class _CaseParser(_Parser):
             self._edge()
 
     def _line(self) -> bool:
-        """Read the run of canonical node and edge lines at `pos` as `_node` and `_edge` would, and say whether it
-        read anything. A node line, LF or CRLF, takes one `_NODE_LINE` match and a lookup of its flag tail in
-        `_FLAG_TAILS` (`print_case`'s flag texts), on a miss once more with its away reference split off. A run of edge
-        lines that starts at a line start and keeps one indentation and one line ending takes one `_EDGES` match,
-        and the blank and comment lines between two statements one `_BLANKS` match. A run whose ends are all declared
-        is built here with `map`; in a run with a forward reference every edge waits, as `_edge`'s do, for P2. The
-        run stops, with `pos` at the start of the line, at any other text: a node line whose tail misses (flags out
-        of `print_case`'s order, repeated, misused (P3), spaced otherwise or followed by blanks), a duplicate id (P1),
-        and an edge line with more blank space than one space between or after its words, or after a `;`."""
+        """Read the run of canonical node, edge and capability lines at `pos` as `_node`, `_edge` and `_capability`
+        would, and say whether it read anything. A node line, LF or CRLF, takes one `_NODE_LINE` match and a lookup of
+        its flag tail in `_FLAG_TAILS` (`print_case`'s flag texts), on a miss once more with its away reference split
+        off. A run of edge lines that starts at a line start and keeps one indentation and one line ending takes one
+        `_EDGES` match, a capability line at a line start one `_CAPABILITY_LINE` match, and the blank and comment lines
+        between two statements one `_BLANKS` match. A run of edges whose ends are all declared is built here with
+        `map`; in a run with a forward reference every edge waits, as `_edge`'s do, for P2. The run stops, with `pos`
+        at the start of the line, at any other text: a node line whose tail misses (flags out of `print_case`'s order,
+        repeated, misused (P3), spaced otherwise or followed by blanks), a duplicate id (P1), an edge line with more
+        blank space than one space between or after its words, or after a `;`, and a capability line spaced otherwise,
+        ended by a comment, after a `;` or holding a P0."""
         source, elements, edges, file_name = self.source, self.elements, self.edges, self.file_name
         match_node, match_edges, match_blanks = _NODE_LINE.match, _EDGES.match, _BLANKS.match
         new, get, pos, start, flag_tails = tuple.__new__, elements.get, self.pos, self.pos, _FLAG_TAILS
@@ -411,6 +418,14 @@ class _CaseParser(_Parser):
                         at += len(edge_source) + len(edge) + len(target) + rest
                 line += count
                 pos = line_start = match.end()
+            elif pos == line_start and (match := _CAPABILITY_LINE.match(source, pos)):
+                direction, name, unit, low, high = match.groups()
+                # Capability(...), minus its checks: two identifiers and two finite bounds
+                span = new(SourceSpan, (file_name, line, match.start(2) - line_start + 1, len(name)))
+                self.capabilities.append(new(Capability, (name, Direction(direction), unit, Decimal(low),
+                                                          Decimal(high), span)))
+                pos = line_start = match.end()
+                line += 1
             elif (end := match_blanks(source, pos).end()) != pos:
                 line += source.count("\n", pos, end)
                 pos = line_start = end

@@ -8,10 +8,12 @@ The inputs are `helpers.mixed_case_text` texts, the `print_case` texts of
 `helpers.gen_case` cases and of `helpers.gen_valid_bundle` members with their
 manifest, the case and manifest files of `perfbench/gen.py`'s case-tree,
 case-chain and bundle-wide shapes at the benchmark's size, six variants of
-each case-tree case file (its edge lines first, ` // c` at the end of every
-line, every statement joined by `;` on the header's line, every 7th edge
-line and every 11th node line indented by a tab, every line ended by CRLF,
-and a space at the end of every line), and the corpus.
+the case-tree case file and of the bundle-wide technological case and first
+clinical case, whose capability, `associates` and away-reference node lines
+the case tree lacks (its edge lines first, ` // c` at the end of every line,
+every statement joined by `;` on the header's line, every 7th edge line and
+every 11th node line indented by a tab, every line ended by CRLF, and a
+space at the end of every line), and the corpus.
 Each tree reads every input in its own child process, run by PATH (default:
 this interpreter), the working tree's with `PYTHONHASHSEED=1` and REF's with
 `PYTHONHASHSEED=0`, so that no output may hang on the order of a set of
@@ -92,7 +94,8 @@ def inputs(seed: int, count: int, size: int = 4000) -> list[tuple[str, str, dict
     shapes.append({path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "corpus").iterdir())})
     for files in shapes:
         found += [(name, text, files if name.endswith(".acb") else {}) for name, text in files.items()]
-    found += [variant for name, text in shapes[0].items() if name.endswith(".acd") for variant in _variants(name, text)]
+    varied = [*shapes[0].items(), *((name, shapes[2][name]) for name in ("tac.acd", "cac_1.acd"))]
+    found += [variant for name, text in varied if name.endswith(".acd") for variant in _variants(name, text)]
     transcript = (ROOT / "tests" / "golden" / CLI_INPUT).read_text(encoding="utf-8")
     commands = [line.removeprefix("$ actool ") for line in transcript.splitlines() if line.startswith("$ actool ")]
     tree, wide = gen.case_tree(seed, 300), gen.bundle_wide(seed, 256)

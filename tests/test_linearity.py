@@ -13,8 +13,8 @@ about 9 to 11 on the three shapes.
 Blind spot: a count sees only Python lines in `actool`. Work inside a C call
 (`list.index`, `in` on a list, `str` concatenation, `sorted`) and inside the
 standard library's own Python code is not counted, so a quadratic step hidden
-there passes the gate. Timing remains the check for those: ten families of
-hostile case files are parsed and validated at n and 8n, and the least of
+there passes the gate. Timing remains the check for those: twelve families
+of hostile case files are parsed and validated at n and 8n, and the least of
 three times at 8n must stay within 20 times that at n. A linear parse reads
 about 8; with `self.lexed += text` planted in the lexer's `_lex`, a quadratic
 copy in C, four of the families read 27 to 62.
@@ -158,13 +158,14 @@ def test_a_planted_per_claim_edge_scan_fails_the_gate():
 _HEAD = 'case T kind technological {\n  claim C0 "root" root public\n'
 _TEXT = "a" * 300  # a statement long enough that text, not the count of lines, makes up most of a file
 _QUOTE = '\\"'  # an escaped quote, as a statement holds it
+_CAPABILITY = "provides capability P{} unit W range [-0.5, 300.25]"  # a capability line as `print_case` writes it
 
 
 def _case(body: str) -> str:
     return f"{_HEAD}{body}}}\n"
 
 
-# Ten families of hostile case files, each written at size n
+# Twelve families of hostile case files, each written at size n
 FAMILIES = {
     "a run of escaped quotes": lambda n: _case(f'  claim Q "{_QUOTE * 8 * n}" undeveloped\n'),
     "an unterminated string": lambda n: _case(f'  claim Q "{("a" + _QUOTE) * 8 * n}\n'),
@@ -177,6 +178,9 @@ FAMILIES = {
     "a long statement with a bad flag tail": lambda n: _case(f'  claim L "{_TEXT * n}" undeveloped bogus\n'),
     "edges before their nodes": lambda n: _case("".join(f"  C0 supportedBy C{i}\n" for i in range(1, n))
                                                 + "".join(f'  claim C{i} "{_TEXT}"\n' for i in range(1, n))),
+    "capability lines": lambda n: _case("".join(f"  {_CAPABILITY.format(i)}\n" for i in range(1, n))),
+    "capability lines ending in a comment": lambda n: _case("".join(f"  {_CAPABILITY.format(i)} // c\n"
+                                                                     for i in range(1, n))),
 }
 HOSTILE_N = 500
 RATIO = 20  # time(8n) / time(n): a linear parse reads about 8, a quadratic step about 64

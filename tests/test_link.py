@@ -237,6 +237,45 @@ def test_inline_preserves_validity_random():
             ]
 
 
+def _taking_copy_ids(rng: random.Random, bundle: Bundle) -> Bundle:
+    """`bundle` with each clinical case also declaring contexts whose ids copies would take: `<tacId>__<id>`,
+    `<tacId>__2__<id>` or both, for some technological ids."""
+    tac = bundle.tac
+    cacs = []
+    for cac in bundle.cacs:
+        chosen = rng.sample(tac.elements, rng.randint(1, min(4, len(tac.elements))))
+        names = [f"{tac.id}__{ordinal}{element.id}" for element in chosen
+                 for ordinal in rng.sample(["", "2__"], rng.randint(1, 2))]
+        taken = tuple(Element(name, ElementKind.CONTEXT, "taken") for name in names)
+        cacs.append(cac._replace(elements=cac.elements + taken))
+    return Bundle(tac, tuple(cacs))
+
+
+def test_inlined_cases_keep_the_model_invariants():
+    # `inline_bundle` builds its copies and its case without their constructors' checks, which must hold: the
+    # constructors accept each value as it is, and there is one element per clinical element and per copied node.
+    # An id dict drops a duplicate id silently, so the count is what catches one. In every other bundle the
+    # clinical cases hold ids that copies would take, which forces the ordinal skip.
+    rng = random.Random(43)
+    skipped = 0
+    for number in range(320):
+        bundle = helpers.gen_valid_bundle(rng)
+        if number % 2:
+            bundle = _taking_copy_ids(rng, bundle)
+        resolved, diagnostics = resolve_links(bundle)
+        assert resolved is not None, [d.line() for d in diagnostics]
+        for cac in bundle.cacs:
+            inlined = inline_bundle(resolved, cac.id)
+            assert AssuranceCase(*inlined) == inlined
+            assert [Element(*element) for element in inlined.elements] == list(inlined.elements)
+            subtrees = [helpers.brute_reachable(bundle.tac, element.away_ref[1])
+                        for element in cac.elements if element.away_ref is not None]
+            ids = [element.id for element in inlined.elements]
+            assert len(set(ids)) == len(ids) == len(cac.elements) + sum(map(len, subtrees))
+            skipped += sum(f"{bundle.tac.id}__{node}" in cac._by_id for subtree in subtrees for node in subtree)
+    assert skipped > 100
+
+
 def test_link_table_is_read_from_the_away_references_and_cannot_drift():
     rng = random.Random(45)
     linked = 0

@@ -5,6 +5,7 @@ import sys
 import timeit
 from decimal import Decimal
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1165,6 +1166,51 @@ def test_node_lines_read_as_the_token_path_reads_them(lines, newline):
     assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
     assert fast.case == slow.case
     assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+# A capability bound as decimal text: a sign or none, 1 to 40 integer digits (leading zeros and `-0` among them) and
+# a fraction of 1 to 40 digits or none
+_BOUND_TEXT = st.builds("{}{}{}".format, st.sampled_from(["", "-"]), _DIGITS,
+                        st.one_of(st.just(""), _DIGITS.map(".{}".format)))
+_CAPABILITY_IDS = st.one_of(st.sampled_from(_KEYWORDS),
+                            st.builds(str.__add__, st.sampled_from("AaZz"), st.text("aZ09_-", max_size=6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(Direction), _CAPABILITY_IDS, _CAPABILITY_IDS, _BOUND_TEXT, _BOUND_TEXT),
+                min_size=1, max_size=6),
+       st.sampled_from(["\n", "\r\n"]))
+@example([(Direction.REQUIRED, "unit", "range", "-0", "-00.50"), (Direction.PROVIDED, "capability", "unit", "0", "7")],
+         "\r\n")
+def test_capability_lines_read_as_the_token_path_reads_them(capabilities, newline):
+    # Each drawn capability line laid out as `print_case` writes it, after a node line, and its twin ending in
+    # ` // c`, which the token path reads at the same columns. `_line` reads every canonical line, and the twins
+    # agree in values (by `repr`, which tells `-0` from `0` and `1.0` from `1`), spans and diagnostics.
+    lines = [f"  {direction.value} capability {name} unit {unit} range [{low}, {high}]"
+             for direction, name, unit, low, high in capabilities]
+
+    def case(tail: str) -> str:
+        return newline.join(["case K kind technological {", '  claim A "a" root', *(line + tail for line in lines),
+                             "}", ""])
+
+    read = []  # one entry per capability line that the token path reads
+    token_path = _CaseParser._capability
+
+    def counted(self):
+        read.append(self)
+        token_path(self)
+
+    with mock.patch.object(_CaseParser, "_capability", counted):
+        fast = parse_case(case(""), "k.acd")
+        assert read == []
+        slow = parse_case(case(" // c"), "k.acd")
+        assert len(read) == len(lines)
+    assert repr(fast.case.capabilities) == repr(slow.case.capabilities)
+    assert [(repr(c.low), repr(c.high)) for c in fast.case.capabilities] == [
+        (repr(Decimal(low)), repr(Decimal(high))) for *_, low, high in capabilities]
+    assert _pinned_spans(fast.case) == _pinned_spans(slow.case)
+    assert [d.line() for d in fast.diagnostics] == [d.line() for d in slow.diagnostics]
 
 
 # --- FORMATS.md's grammar as an oracle -------------------------------------------------------------------------
